@@ -595,9 +595,9 @@ func printReport(rep *repro.PassivityReport) {
 }
 
 // printCertificate reports which pipeline stage settled the verdict and
-// what each stage spent (eigenproblem size, kernel backend and dimension
-// gate, intervals certified, samples, and for the terminal contour-counter
-// stage its quadrature nodes).
+// what each stage spent (eigenproblem size and dimension gate, intervals
+// certified, samples, and for the terminal contour-counter stage its
+// quadrature nodes).
 func printCertificate(c *repro.PassivityCertificate) {
 	if c == nil {
 		return
@@ -611,9 +611,6 @@ func printCertificate(c *repro.PassivityCertificate) {
 		}
 		if s.EigenDim > 0 {
 			fmt.Printf(", eigenproblem dim %d", s.EigenDim)
-		}
-		if s.Backend != "" {
-			fmt.Printf(", backend=%s", s.Backend)
 		}
 		if s.DimGate > 0 {
 			fmt.Printf(", dim gate %d", s.DimGate)

@@ -84,25 +84,21 @@
 //	                        open interval, the level charged by the
 //	                        truncated far-pole tail; wins on large models
 //	                        whose undecided slivers are local.
-//	hamiltonian-probe       shift-and-invert eigenvalue probe near targeted
-//	                        frequencies — a best-effort detector beyond the
-//	                        eigensolve frontier, not a certificate. Runs on
-//	                        the structured O(N·p²) shift-invert kernel up
-//	                        to CertifyOptions.ProbeMaxDim (default 60000).
-//	interval-counter        argument-principle contour integral: the exact
+//	contour-counter         argument-principle contour integral: the exact
 //	                        number of level-γ Hamiltonian eigenvalues in a
 //	                        thin rectangle around each still-open jω
 //	                        segment, from the winding of arg det(zI − M).
 //	                        Zero is a rigorous emptiness certificate; a
-//	                        nonzero count bisects into certified violation
-//	                        bands. Free when nothing is open. One contour
-//	                        node costs O(N·p²) on the structured diagonal-
-//	                        plus-low-rank determinant kernel (p = 2·ports;
-//	                        the dense O(N³) LU survives as an oracle behind
-//	                        CertifyOptions.ForceDenseKernels), and the
-//	                        stage declines above CertifyOptions.
-//	                        CounterMaxDim (default 6000), recording the
-//	                        refused intervals in CertificateStage.Declined.
+//	                        nonzero count bisects into crossing clusters
+//	                        judged by σ samples, and a cluster that
+//	                        confirms no violation stays open rather than
+//	                        certified. Free when nothing is open. One
+//	                        contour node costs O(N·p²) on the structured
+//	                        diagonal-plus-low-rank determinant kernel
+//	                        (p = 2·ports), and the stage declines above
+//	                        CertifyOptions.CounterMaxDim (default 6000),
+//	                        recording the refused intervals in
+//	                        CertificateStage.Declined.
 //
 // Inside EnforcePassivity the pipeline runs on every convergence of the
 // fast per-sweep check; violation bands it proves re-enter the loop as
@@ -112,9 +108,10 @@
 // false value marks a best-effort verdict. With the terminal counter
 // stage, every certificate within the counter's dimension gate either
 // lists violations or reports no open intervals
-// (PassivityCertificate.Open == nil). The final verdict carries a
-// PassivityCertificate naming the stage that settled it and its cost
-// (largest eigenproblem dimension, kernel backend and dimension gate,
+// (PassivityCertificate.Open == nil), unless the quadrature stalls, runs
+// out of nodes or meets a crossing cluster it cannot confirm. The final
+// verdict carries a PassivityCertificate naming the stage that settled it
+// and its cost (largest eigenproblem dimension, dimension gate,
 // intervals, σ samples, contour nodes); passcheck prints it with
 // -certify.
 //

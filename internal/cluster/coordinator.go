@@ -661,28 +661,26 @@ func (c *Coordinator) Complete(req *CompleteRequest) *CompleteResponse {
 	if status == 0 {
 		status = http.StatusOK
 	}
-	fp := it.fp
-	kind := it.kind
-	c.finishLocked(it, status)
-	c.met.completed(kindName(kind), status)
-	if m != nil {
-		// The host just ran the model; its serve layer holds the cache.
-		m.catalog[fp] = true
-	}
-	c.mu.Unlock()
-
+	// Ingest the upload before finishing the item releases the result: a
+	// caller that sees the result must also see the warm cache stored, or
+	// the next same-fingerprint lease ships nothing.
 	if len(req.Cache) > 0 {
 		if _, upFP, err := c.store.put(req.Cache); err != nil {
 			c.met.quarantinedUpload()
 		} else {
 			c.met.cacheTransferred(len(req.Cache))
-			c.mu.Lock()
-			if m2 := c.members[req.Worker]; m2 != nil {
-				m2.catalog[upFP] = true
+			if m != nil {
+				m.catalog[upFP] = true
 			}
-			c.mu.Unlock()
 		}
 	}
+	c.finishLocked(it, status)
+	c.met.completed(kindName(it.kind), status)
+	if m != nil {
+		// The host just ran the model; its serve layer holds the cache.
+		m.catalog[it.fp] = true
+	}
+	c.mu.Unlock()
 	return &CompleteResponse{Accepted: true}
 }
 

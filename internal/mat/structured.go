@@ -14,8 +14,8 @@ import (
 // where Λ is real (block-)diagonal — 1×1 blocks and 2×2 rotation-like
 // blocks [[d₁, e], [−e, d₂]] — and U, V are real N×p with p ≪ N. The
 // level-γ Hamiltonian of a pole-residue macromodel has exactly this shape
-// (Λ = blkdiag(A, −Aᵀ) in the poles, p = 2·ports), so the two dense O(N³)
-// kernels of the contour counter and the shift-and-invert probe collapse:
+// (Λ = blkdiag(A, −Aᵀ) in the poles, p = 2·ports), so the dense O(N³)
+// kernels of the contour counter collapse:
 //
 //	det(zI − M) = det(zI − Λ) · det(I − Vᵀ(zI−Λ)⁻¹U)      (determinant lemma)
 //	(zI − M)⁻¹b = y + X·C⁻¹·Vᵀy                            (Woodbury)
@@ -433,88 +433,6 @@ func (s *StructuredShifted) DetPhasePivot(z complex128) (float64, float64, error
 	return s.phase, float64(n) / trAbs, nil
 }
 
-// applyBlockDiag writes Λ·src (or Λᵀ·src with transpose) into dst.
-func (s *StructuredShifted) applyBlockDiag(dst, src *Matrix, transpose bool) {
-	n, p := len(s.diag), src.Cols
-	for k := 0; k < n; {
-		if s.skew[k] == 0 {
-			d := s.diag[k]
-			sr, dr := src.Row(k), dst.Row(k)
-			for j := 0; j < p; j++ {
-				dr[j] = d * sr[j]
-			}
-			k++
-			continue
-		}
-		d1, d2, e := s.diag[k], s.diag[k+1], s.skew[k]
-		if transpose {
-			e = -e
-		}
-		s1, s2 := src.Row(k), src.Row(k+1)
-		r1, r2 := dst.Row(k), dst.Row(k+1)
-		for j := 0; j < p; j++ {
-			r1[j] = d1*s1[j] + e*s2[j]
-			r2[j] = -e*s1[j] + d2*s2[j]
-		}
-		k += 2
-	}
-}
-
-// Square returns the factored representation of M² = Λ² + U₂·V₂ᵀ, still
-// diagonal-plus-low-rank with doubled rank: Λ² keeps the block-diagonal
-// form, U₂ = [Λ·U | U] and V₂ = [V | Λᵀ·V + V·(UᵀV)]. This is what the
-// shift-and-invert probe runs on: a real shift −ω² of M² in place of the
-// complex shift jω of M.
-func (s *StructuredShifted) Square() *StructuredShifted {
-	n, p := len(s.diag), s.u.Cols
-	diag2 := make([]float64, n)
-	skew2 := make([]float64, n)
-	for k := 0; k < n; {
-		if s.skew[k] == 0 {
-			d := s.diag[k]
-			diag2[k] = d * d
-			k++
-			continue
-		}
-		d1, d2, e := s.diag[k], s.diag[k+1], s.skew[k]
-		diag2[k] = d1*d1 - e*e
-		diag2[k+1] = d2*d2 - e*e
-		skew2[k] = e * (d1 + d2)
-		k += 2
-	}
-	lu := NewMatrix(n, p)
-	s.applyBlockDiag(lu, s.u, false)
-	ltv := NewMatrix(n, p)
-	s.applyBlockDiag(ltv, s.v, true)
-	utv := NewMatrix(p, p) // UᵀV
-	for k := 0; k < n; k++ {
-		ur, vr := s.u.Row(k), s.v.Row(k)
-		for i := 0; i < p; i++ {
-			if ur[i] == 0 {
-				continue
-			}
-			row := utv.Row(i)
-			for j := 0; j < p; j++ {
-				row[j] += ur[i] * vr[j]
-			}
-		}
-	}
-	vutv := s.v.Mul(utv) // V·(UᵀV)
-	u2 := NewMatrix(n, 2*p)
-	v2 := NewMatrix(n, 2*p)
-	for k := 0; k < n; k++ {
-		copy(u2.Row(k)[:p], lu.Row(k))
-		copy(u2.Row(k)[p:], s.u.Row(k))
-		copy(v2.Row(k)[:p], s.v.Row(k))
-		vo := v2.Row(k)[p:]
-		lr, wr := ltv.Row(k), vutv.Row(k)
-		for j := 0; j < p; j++ {
-			vo[j] = lr[j] + wr[j]
-		}
-	}
-	return NewStructuredShifted(diag2, skew2, u2, v2)
-}
-
 // Materialize assembles the dense N×N matrix M = Λ + U·Vᵀ. It exists for
 // oracle cross-validation (tests, fuzzing) and costs the O(N²·p) work and
 // O(N²) memory the factored representation avoids.
@@ -547,119 +465,4 @@ func (s *StructuredShifted) Materialize() *Matrix {
 		}
 	}
 	return m
-}
-
-// RealShiftSolver holds the one-time factorization of σI − M at a real
-// shift σ for repeated real-arithmetic Woodbury solves — the structured
-// replacement for the dense LU behind the shift-and-invert Arnoldi probe.
-// Each SolveVec costs O(N·p + p²).
-type RealShiftSolver struct {
-	s   *StructuredShifted
-	sig float64
-	x   *Matrix // (σI−Λ)⁻¹U
-	cap *LU
-	w   []float64
-}
-
-// RealShiftSolver factors σI − M for the real shift σ. ErrSingular (or a
-// singular capacitance) reports that σ is numerically an eigenvalue of Λ
-// or M.
-func (s *StructuredShifted) RealShiftSolver(sigma float64) (*RealShiftSolver, error) {
-	n, p := len(s.diag), s.u.Cols
-	x := NewMatrix(n, p)
-	if err := s.realDiagSolveMat(sigma, x, s.u); err != nil {
-		return nil, err
-	}
-	capm := NewMatrix(p, p)
-	for i := 0; i < p; i++ {
-		capm.Set(i, i, 1)
-	}
-	for k := 0; k < n; k++ {
-		vr, xr := s.v.Row(k), x.Row(k)
-		for i := 0; i < p; i++ {
-			if vr[i] == 0 {
-				continue
-			}
-			row := capm.Row(i)
-			for j := 0; j < p; j++ {
-				row[j] -= vr[i] * xr[j]
-			}
-		}
-	}
-	lu, err := LUFactor(capm)
-	if err != nil {
-		return nil, err
-	}
-	return &RealShiftSolver{s: s, sig: sigma, x: x, cap: lu, w: make([]float64, p)}, nil
-}
-
-// realDiagSolveMat writes (σI − Λ)⁻¹·src into dst column-block-wise.
-func (s *StructuredShifted) realDiagSolveMat(sigma float64, dst, src *Matrix) error {
-	n, p := len(s.diag), src.Cols
-	for k := 0; k < n; {
-		if s.skew[k] == 0 {
-			f := sigma - s.diag[k]
-			if f == 0 {
-				return ErrSingular
-			}
-			sr, dr := src.Row(k), dst.Row(k)
-			for j := 0; j < p; j++ {
-				dr[j] = sr[j] / f
-			}
-			k++
-			continue
-		}
-		z1, z2, e := sigma-s.diag[k], sigma-s.diag[k+1], s.skew[k]
-		det := z1*z2 + e*e
-		if det == 0 {
-			return ErrSingular
-		}
-		s1, s2 := src.Row(k), src.Row(k+1)
-		r1, r2 := dst.Row(k), dst.Row(k+1)
-		for j := 0; j < p; j++ {
-			r1[j] = (z2*s1[j] + e*s2[j]) / det
-			r2[j] = (z1*s2[j] - e*s1[j]) / det
-		}
-		k += 2
-	}
-	return nil
-}
-
-// SolveVec returns (σI − M)⁻¹·b (a fresh slice; b is not modified).
-func (f *RealShiftSolver) SolveVec(b []float64) []float64 {
-	s := f.s
-	n, p := len(s.diag), s.u.Cols
-	y := make([]float64, n)
-	// y = (σI−Λ)⁻¹b, per block.
-	for k := 0; k < n; {
-		if s.skew[k] == 0 {
-			y[k] = b[k] / (f.sig - s.diag[k])
-			k++
-			continue
-		}
-		z1, z2, e := f.sig-s.diag[k], f.sig-s.diag[k+1], s.skew[k]
-		det := z1*z2 + e*e
-		y[k] = (z2*b[k] + e*b[k+1]) / det
-		y[k+1] = (z1*b[k+1] - e*b[k]) / det
-		k += 2
-	}
-	for i := 0; i < p; i++ {
-		f.w[i] = 0
-	}
-	for k := 0; k < n; k++ {
-		vr := s.v.Row(k)
-		for i := 0; i < p; i++ {
-			f.w[i] += vr[i] * y[k]
-		}
-	}
-	w := f.cap.SolveVec(f.w)
-	for k := 0; k < n; k++ {
-		xr := f.x.Row(k)
-		acc := 0.0
-		for i := 0; i < p; i++ {
-			acc += xr[i] * w[i]
-		}
-		y[k] += acc
-	}
-	return y
 }

@@ -181,70 +181,6 @@ func TestStructuredSolveOracle(t *testing.T) {
 	}
 }
 
-func TestStructuredSquareOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + rng.Intn(20)
-		p := 1 + rng.Intn(4)
-		if p > n {
-			p = n
-		}
-		s := randStructured(rng, n, p, false)
-		m := s.Materialize()
-		want := NewMatrix(n, n)
-		MulInto(want, m, m)
-		got := s.Square().Materialize()
-		scale := want.MaxAbs() + 1
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if d := math.Abs(got.At(i, j) - want.At(i, j)); d > 1e-10*scale {
-					t.Fatalf("trial %d: M²[%d,%d] = %g vs dense %g", trial, i, j, got.At(i, j), want.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestStructuredRealShiftSolver(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + rng.Intn(20)
-		p := 1 + rng.Intn(4)
-		if p > n {
-			p = n
-		}
-		s := randStructured(rng, n, p, false)
-		m := s.Materialize()
-		sigma := 1.5*s.EigenBound() + 1 // safely outside the spectrum
-		rs, err := s.RealShiftSolver(sigma)
-		if err != nil {
-			t.Fatalf("trial %d: RealShiftSolver: %v", trial, err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, -m.At(i, j))
-			}
-			a.Set(i, i, a.At(i, i)+sigma)
-		}
-		want, err := SolveLin(a, append([]float64(nil), b...))
-		if err != nil {
-			t.Fatalf("trial %d: dense solve: %v", trial, err)
-		}
-		got := rs.SolveVec(b)
-		scale := math.Sqrt(dot(want, want)) + 1
-		for i := range want {
-			if d := math.Abs(got[i] - want[i]); d > 1e-9*scale {
-				t.Fatalf("trial %d: x[%d]=%g vs dense %g", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestStructuredEigenBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 20; trial++ {

@@ -157,10 +157,10 @@ func BenchmarkEnforceBatch(b *testing.B) {
 // wall-clock ratio at equal N is the PR 9 acceptance number.
 func BenchmarkCounterLargeN(b *testing.B) {
 	for _, np := range []int{150, 500, 1500} { // N = 2·poles·ports = 4·poles
-		for _, backend := range []string{BackendStructured, BackendDense} {
+		for _, backend := range []string{"structured", "dense"} {
 			n := 4 * np
 			b.Run(fmt.Sprintf("N=%d/%s", n, backend), func(b *testing.B) {
-				if backend == BackendDense {
+				if backend == "dense" {
 					if n > 2000 {
 						b.Skipf("dense Count at N=%d is O(N³) per node — infeasible", n)
 					}
@@ -173,7 +173,7 @@ func BenchmarkCounterLargeN(b *testing.B) {
 					b.Fatal(err)
 				}
 				build := NewIntervalCounter
-				if backend == BackendDense {
+				if backend == "dense" {
 					build = NewIntervalCounterDense
 				}
 				ic, err := build(m, 1)

@@ -19,10 +19,11 @@ import (
 //
 //	tail-bound              closed-form interval bound, no σ evaluations
 //	hamiltonian             full imaginary-eigenvalue test (small N = 2nP)
+//	lipschitz               σ-anchored certified sweep (large N)
 //	hamiltonian-restricted  level-γ eigentest on a reduced model built from
 //	                        the poles that matter inside one interval
-//	hamiltonian-probe       targeted inverse iteration near jω (huge N;
-//	                        best-effort detector, not a certificate)
+//	contour-counter         argument-principle eigenvalue count on the
+//	                        intervals still open (counter.go)
 //
 // Stage names are recorded in the Certificate so reports and the CLI can
 // say which stage settled the verdict and at what cost.
@@ -38,8 +39,6 @@ const (
 	StageHamiltonian = "hamiltonian"
 	// StageRestricted is the level-γ eigentest on per-interval reduced models.
 	StageRestricted = "hamiltonian-restricted"
-	// StageProbe is the targeted (shift-and-invert) eigenvalue probe.
-	StageProbe = "hamiltonian-probe"
 	// StageCounter (declared in counter.go) is the terminal contour-integral
 	// eigenvalue counter.
 )
@@ -58,7 +57,6 @@ type StageCost struct {
 	EigenDim   int    // largest eigenproblem dimension solved (0 = none)
 	Samples    int    // direct σ(ω) evaluations spent (peak polishing excluded)
 	Nodes      int    // contour-quadrature determinant evaluations (counter stage)
-	Backend    string // kernel backend the stage ran (or declined) on: BackendStructured/BackendDense ("" = no kernel involved)
 	DimGate    int    // effective dimension gate the stage enforced (0 = ungated)
 	Declined   int    // open intervals the stage declined at its dimension gate
 	Note       string // non-fatal diagnostics (e.g. an eigensolve that bailed)
@@ -67,10 +65,9 @@ type StageCost struct {
 // Certificate is the outcome of the certification pipeline. Certified
 // reports that every interval of the axis partition carries a rigorous
 // certificate; when it is false with no Violations, the Open intervals
-// exhausted the rigorous stages — an interval can outgrow the restricted
-// stage's reduction capacity (RestrictedMaxDim, or a headroom too thin to
-// budget the far-pole truncation) even below the probe dimension cap —
-// and the verdict is best-effort.
+// exhausted the rigorous stages — the counter stalled, ran out of nodes,
+// met a crossing cluster it could not confirm, or declined at
+// CounterMaxDim — and the verdict is best-effort.
 type Certificate struct {
 	Certified  bool
 	Stage      string // stage that settled the verdict (certified or found the violations)
@@ -88,17 +85,12 @@ type CertifyOptions struct {
 	// the full eigentest (default 600). Beyond it the pipeline switches to
 	// restricted-band certification. The gate deliberately stays at the
 	// dense-QR frontier: the full eigentest needs the complete spectrum,
-	// which the structured determinant/solve kernels do not accelerate —
-	// the counter and probe gates are the ones they lift.
+	// which the structured determinant kernel does not accelerate — the
+	// counter gate is the one it lifts.
 	MaxDim int
 	// RestrictedMaxDim caps the per-interval reduced eigenproblem dimension
 	// 2·n_near·P (default 1200).
 	RestrictedMaxDim int
-	// ProbeMaxDim caps the targeted-probe stage's matrix dimension
-	// (default 60000: the structured shift-and-invert path costs O(N·p²)
-	// per query; 6000 was the dense-LU ceiling). Intervals left open beyond
-	// it stay uncertified.
-	ProbeMaxDim int
 	// TailMaxIntervals bounds the tail-bound stage's subdivision work
 	// (default 4096 interval evaluations).
 	TailMaxIntervals int
@@ -120,18 +112,11 @@ type CertifyOptions struct {
 	// CounterMaxDim caps the Hamiltonian dimension N = 2·n·P the counter
 	// stage will walk contours around (default 6000). The structured
 	// diagonal-plus-low-rank kernel prices one quadrature node at O(N·p²)
-	// with p = 2·ports — the dense O(N³) complex LU that pinned the old
-	// default at 600 survives only behind ForceDenseKernels — so the gate
-	// now tracks node affordability, not factorization cost. Larger models
-	// keep their unsettled intervals open with a Note and a Declined count.
+	// with p = 2·ports — the dense O(N³) complex LU pinned the old default
+	// at 600 — so the gate tracks node affordability, not factorization
+	// cost. Larger models keep their unsettled intervals open with a Note
+	// and a Declined count.
 	CounterMaxDim int
-	// ForceDenseKernels routes the counter and probe stages through the
-	// dense O(N³) kernels even when structured factors are available. It is
-	// a debugging/oracle knob — the dense path is the reference the
-	// structured kernels are cross-validated against — and its users own
-	// the cost: the dimension gates are NOT lowered to dense-affordable
-	// values automatically.
-	ForceDenseKernels bool
 }
 
 func (o *CertifyOptions) defaults() {
@@ -140,9 +125,6 @@ func (o *CertifyOptions) defaults() {
 	}
 	if o.RestrictedMaxDim <= 0 {
 		o.RestrictedMaxDim = 1200
-	}
-	if o.ProbeMaxDim <= 0 {
-		o.ProbeMaxDim = 60000
 	}
 	if o.TailMaxIntervals <= 0 {
 		o.TailMaxIntervals = 4096
@@ -213,26 +195,23 @@ func HamiltonianCertifier() Certifier { return fullStage{} }
 // level-γ eigentest stage.
 func RestrictedHamiltonianCertifier() Certifier { return restrictedStage{} }
 
-// ProbeCertifier returns the targeted inverse-iteration stage (best-effort
-// detector for models beyond the restricted stage).
-func ProbeCertifier() Certifier { return probeStage{} }
-
 // DefaultPipeline builds the stage chain for the model's size: the
 // closed-form tail bound first always; then the full eigentest when
 // N = 2·n·P fits MaxDim (cheap and exact in one shot), or — beyond it —
 // the Lipschitz certified sweep (which exploits the residue phase
 // cancellation the magnitude bounds cannot see) with the restricted
-// eigentest and the targeted probe picking up the near-boundary slivers
-// the sweep leaves open. Both chains end with the contour-integral counter
-// stage, which rigorously retires whatever survives — every certificate
-// finishes with Open == nil unless the quadrature itself reports a stall.
+// eigentest picking up the near-boundary slivers the sweep leaves open.
+// Both chains end with the contour-integral counter stage, which
+// rigorously retires whatever survives — every certificate finishes with
+// Open == nil unless the quadrature stalls or meets a crossing cluster it
+// cannot confirm.
 func DefaultPipeline(model *rational.Model, copts CertifyOptions) *Pipeline {
 	copts.defaults()
 	n := 2 * model.NumPoles() * model.Ports()
 	if n <= copts.MaxDim {
 		return NewPipeline(TailBoundCertifier(), HamiltonianCertifier(), CounterCertifier())
 	}
-	return NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier(), ProbeCertifier(), CounterCertifier())
+	return NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier(), CounterCertifier())
 }
 
 // Certify runs the default certification pipeline over the whole frequency
@@ -289,7 +268,6 @@ func (p *Pipeline) Run(model *rational.Model, opts CheckOptions, copts CertifyOp
 			Stage:    st.Name(),
 			Samples:  cost.Samples,
 			Nodes:    cost.Nodes,
-			Backend:  cost.Backend,
 			Declined: cost.Declined,
 		})
 		if cost.EigenDim > cert.EigenDim {
@@ -732,11 +710,11 @@ type fullStage struct{}
 func (fullStage) Name() string { return StageHamiltonian }
 
 func (fullStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
-	cost := StageCost{Stage: StageHamiltonian, EigenDim: 2 * cc.model.NumPoles() * cc.model.Ports(), Backend: BackendDense, DimGate: cc.copts.MaxDim}
+	cost := StageCost{Stage: StageHamiltonian, EigenDim: 2 * cc.model.NumPoles() * cc.model.Ports(), DimGate: cc.copts.MaxDim}
 	crossings, err := HamiltonianCrossings(cc.model)
 	if err != nil {
 		// Numerical failure: pass the intervals on instead of aborting the
-		// pipeline (the probe stage may still settle them).
+		// pipeline (the counter stage may still settle them).
 		cost.Note = err.Error()
 		cost.EigenDim = 0
 		return open, nil, cost, nil
@@ -776,7 +754,7 @@ type restrictedStage struct{}
 func (restrictedStage) Name() string { return StageRestricted }
 
 func (restrictedStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
-	cost := StageCost{Stage: StageRestricted, Backend: BackendDense, DimGate: cc.copts.RestrictedMaxDim}
+	cost := StageCost{Stage: StageRestricted, DimGate: cc.copts.RestrictedMaxDim}
 	var rem []CertInterval
 	var viols []Violation
 	for _, iv := range open {
@@ -965,147 +943,4 @@ func tryRestricted(cc *certContext, iv CertInterval, units []poleUnit, budget fl
 	// Level crossings without a confirmed full-model violation: ambiguous
 	// (the far-tail allocation was too coarse) — caller retries tighter.
 	return false, nil, true, nil
-}
-
-// probeStage hunts imaginary Hamiltonian eigenvalues near each open
-// interval by shift-and-invert iteration (mat.ImagEigenProbe): M² is
-// formed once, then each interval costs one LU. A confirmed hit is an
-// exact violation (full-model σ evidence); a miss does NOT certify — the
-// stage is the best-effort frontier past the dense eigensolve.
-type probeStage struct{}
-
-// Name implements Certifier.
-func (probeStage) Name() string { return StageProbe }
-
-func (probeStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
-	cost := StageCost{Stage: StageProbe, DimGate: cc.copts.ProbeMaxDim, Note: "best-effort: a miss does not certify"}
-	if len(open) == 0 {
-		return open, nil, cost, nil
-	}
-	n := 2 * cc.model.NumPoles() * cc.model.Ports()
-	cost.Backend = BackendStructured
-	if cc.copts.ForceDenseKernels {
-		cost.Backend = BackendDense
-	}
-	if n > cc.copts.ProbeMaxDim {
-		cost.Declined = len(open)
-		return open, nil, cost, nil
-	}
-	var probe *mat.ImagEigenProbe
-	if cc.copts.ForceDenseKernels {
-		sys := cc.model.Realization()
-		h, err := HamiltonianMatrix(sys.A, sys.B, sys.C, sys.D)
-		if err != nil {
-			cost.Note = err.Error()
-			return open, nil, cost, nil
-		}
-		probe = mat.NewImagEigenProbe(h)
-	} else {
-		s, err := HamiltonianFactorsLevel(cc.model, 1)
-		if err != nil {
-			cost.Note = err.Error()
-			return open, nil, cost, nil
-		}
-		probe = mat.NewStructuredImagEigenProbe(s)
-	}
-	cost.EigenDim = n
-	var viols []Violation
-	var confirmed []float64
-	// probeMaxTargets is a GLOBAL cap on shift-and-invert solves — each is
-	// an O(N³)-class LU — shared across the open intervals, not a
-	// per-interval floor that could multiply past the bound.
-	remaining := probeMaxTargets
-	perInterval := max(1, probeMaxTargets/len(open))
-	for _, iv := range open {
-		if remaining <= 0 {
-			break
-		}
-		targets := probeTargets(cc, iv, min(perInterval, remaining))
-		remaining -= len(targets)
-		for _, target := range targets {
-			cand, perr := probe.Candidates(target, 0)
-			if perr != nil {
-				continue
-			}
-			for _, w := range cand {
-				if w <= 0 {
-					continue
-				}
-				dup := false
-				for _, c := range confirmed {
-					if math.Abs(w-c) <= 1e-6*c {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				// Confirm on the full model over a bracket scaled to the
-				// local pole half-width: the candidate sits within ~γ of the
-				// true crossing, and a band this narrow would drown inside a
-				// wide golden-section bracket.
-				h := math.Max(10*nearestGamma(cc.feats, w), 1e-6*w)
-				lo, hi := w-h, w+h
-				if lo <= 0 {
-					lo = w / 2
-				}
-				// Confirmation is pure peak polishing, which StageCost.
-				// Samples excludes by convention.
-				peakW, peakS := refinePeak(cc.model, lo, hi, w, cc.cache, cc.ws)
-				if peakS > cc.limit {
-					confirmed = append(confirmed, w)
-					viols = append(viols, Violation{
-						OmegaPeak: peakW, SigmaPeak: peakS,
-						OmegaLo: math.Min(w, peakW) * (1 - 1e-3), OmegaHi: math.Max(w, peakW) * (1 + 1e-3),
-					})
-				}
-			}
-		}
-	}
-	cost.Violations = len(viols)
-	return open, viols, cost, nil
-}
-
-// probeMaxTargets bounds the total shift-and-invert solves of one probe
-// stage run (each costs one LU of the N-dimensional M² + ω²I).
-const probeMaxTargets = 32
-
-// nearestGamma returns the half-width of the pole whose resonance lies
-// closest to ω (1e-6·ω when the model has no features).
-func nearestGamma(feats []poleFeature, w float64) float64 {
-	best, gamma := math.Inf(1), 1e-6*w
-	for i := range feats {
-		if d := math.Abs(feats[i].wr - w); d < best {
-			best, gamma = d, feats[i].gamma
-		}
-	}
-	return gamma
-}
-
-// probeTargets picks the shift frequencies for one open interval: the pole
-// resonances inside it — σ maxima, and hence imaginary Hamiltonian
-// eigenvalues, cluster around them — thinned evenly to the cap, with the
-// interval midpoint as the fallback when no resonance lies inside.
-func probeTargets(cc *certContext, iv CertInterval, cap int) []float64 {
-	var ts []float64
-	for i := range cc.feats {
-		wr := cc.feats[i].wr
-		if wr > iv.Lo && (math.IsInf(iv.Hi, 1) || wr < iv.Hi) {
-			ts = append(ts, wr)
-		}
-	}
-	sortFloats(ts)
-	ts = dedupeSorted(ts)
-	if len(ts) == 0 {
-		return []float64{certMidpoint(iv.Lo, iv.Hi)}
-	}
-	if len(ts) > cap {
-		thin := make([]float64, 0, cap)
-		for i := 0; i < cap; i++ {
-			thin = append(thin, ts[i*len(ts)/cap])
-		}
-		ts = thin
-	}
-	return ts
 }

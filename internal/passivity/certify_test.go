@@ -139,8 +139,8 @@ func TestCertifyFindsNarrowViolation(t *testing.T) {
 func TestCertifyLargeModelPipeline(t *testing.T) {
 	// Force the large-model path by lowering the full-eigentest cap below
 	// N = 2·n·P: the default pipeline becomes tail-bound → lipschitz →
-	// restricted → probe, and the cheap σ-anchored sweep catches the
-	// gadget violation before any eigensolve.
+	// restricted → contour-counter, and the cheap σ-anchored sweep catches
+	// the gadget violation before any eigensolve.
 	model, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 40, Seed: 9, NarrowBand: true})
 	if err != nil {
 		t.Fatal(err)
@@ -241,29 +241,6 @@ func TestCertifyRestrictedStageDirect(t *testing.T) {
 	}
 }
 
-func TestCertifyProbeStageFindsViolation(t *testing.T) {
-	model, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 14, Seed: 3, NarrowBand: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr, err := HamiltonianCrossings(model); err != nil || len(cr) == 0 {
-		t.Skip("gadget did not produce a violation at this seed")
-	}
-	// Tail bound + probe only: the probe must localize the crossing from
-	// the open intervals alone.
-	p := NewPipeline(TailBoundCertifier(), ProbeCertifier())
-	cert, err := p.Run(model, CheckOptions{}, CertifyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cert.Violations) == 0 {
-		t.Fatalf("probe stage missed the violation: %+v", cert)
-	}
-	if cert.Stage != StageProbe {
-		t.Fatalf("expected %q stage verdict, got %q", StageProbe, cert.Stage)
-	}
-}
-
 func TestCertifyDeterministic(t *testing.T) {
 	model, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 24, Seed: 21, PeakGain: 0.3})
 	if err != nil {
@@ -308,4 +285,61 @@ func TestEnforceCertifyProducesCertificate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLargeChainOracleAgreement checks the large-model chain (tail-bound →
+// lipschitz → hamiltonian-restricted → contour-counter, forced by
+// MaxDim: 16) against the dense Hamiltonian oracle on a corpus of passive,
+// violating, narrow-band and enforced synthetic models: every model the
+// oracle calls non-passive must come back with violations, every passive
+// one Certified with nothing left open.
+func TestLargeChainOracleAgreement(t *testing.T) {
+	const perKind = 15
+	copts := CertifyOptions{MaxDim: 16}
+	kinds := []string{"passive", "violating", "narrow-band", "enforced"}
+	counts := map[bool]int{}
+	for k, kind := range kinds {
+		for i := 0; i < perKind; i++ {
+			seed := int64(500 + 100*k + i)
+			opts := SyntheticOptions{Ports: 2 + i%2, Poles: 10 + 4*(i%5), Seed: seed}
+			switch kind {
+			case "passive":
+				opts.PeakGain = 0.05
+			case "violating", "enforced":
+				opts.PeakGain = 0.4
+			case "narrow-band":
+				opts.NarrowBand = true
+			}
+			model, err := SyntheticModel(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == "enforced" {
+				if _, err := Enforce(model, EnforceOptions{}); err != nil {
+					t.Fatalf("%s seed %d: %v", kind, seed, err)
+				}
+			}
+			oracle, err := Check(model, CheckOptions{Method: MethodHamiltonian})
+			if err != nil {
+				t.Fatalf("%s seed %d: oracle: %v", kind, seed, err)
+			}
+			cert, err := Certify(model, CheckOptions{}, copts)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", kind, seed, err)
+			}
+			switch {
+			case !oracle.Passive && len(cert.Violations) == 0:
+				t.Errorf("%s seed %d: oracle finds σ=%g at ω=%g, chain found no violation (certified=%v open=%v)",
+					kind, seed, oracle.MaxSigma, oracle.MaxOmega, cert.Certified, cert.Open)
+			case oracle.Passive && (!cert.Certified || cert.Open != nil):
+				t.Errorf("%s seed %d: passive model not certified: certified=%v violations=%d open=%v",
+					kind, seed, cert.Certified, len(cert.Violations), cert.Open)
+			}
+			counts[oracle.Passive]++
+		}
+	}
+	if counts[true] == 0 || counts[false] == 0 {
+		t.Fatalf("corpus lacks a verdict class: %d passive, %d non-passive", counts[true], counts[false])
+	}
+	t.Logf("oracle agreement: %d passive, %d non-passive models", counts[true], counts[false])
 }

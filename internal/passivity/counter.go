@@ -11,28 +11,19 @@ import (
 
 // This file implements the terminal rigor stage of the certification
 // pipeline: an argument-principle eigenvalue counter over jω-axis segments
-// of the level-γ Hamiltonian pencil. Where the Arnoldi probe can only
-// *find* imaginary eigenvalues (best effort — absence of evidence), the
-// counter *counts* them inside a thin rectangle around each unsettled
-// segment by contour quadrature of the logarithmic-derivative trace
+// of the level-γ Hamiltonian pencil. The counter *counts* imaginary
+// eigenvalues inside a thin rectangle around each unsettled segment by
+// contour quadrature of the logarithmic-derivative trace
 // (mat.ContourEvaluator). A provably-zero count means σ(S(jω)) − γ cannot
 // change sign on the segment, so a single spot sample settles it
 // rigorously; nonzero counts are bisected down to candidate crossing
 // clusters that the σ machinery then judges directly. Either way the stage
 // retires every interval it is handed — Certificate.Open == nil — or
-// records an honest Note about the rectangle it could not stabilize.
+// records an honest Note about the rectangle or cluster it could not
+// settle.
 
 // StageCounter names the contour-integral counter stage in certificates.
 const StageCounter = "contour-counter"
-
-// Kernel backend names recorded in StageCost.Backend and progress events.
-const (
-	// BackendStructured is the diagonal-plus-low-rank determinant/solve
-	// kernel (mat.StructuredShifted): O(N·p²) per contour node.
-	BackendStructured = "structured"
-	// BackendDense is the dense kernel (complex LU / Francis QR): O(N³).
-	BackendDense = "dense"
-)
 
 // counterCluster is one floor-width segment of the jω axis that still
 // holds a nonzero eigenvalue count after bisection — a candidate crossing
@@ -49,7 +40,6 @@ type counterCluster struct {
 // segment. Not safe for concurrent use.
 type IntervalCounter struct {
 	ev        *mat.ContourEvaluator
-	backend   string
 	gamma     float64
 	bound     float64
 	lastDelta float64
@@ -80,32 +70,16 @@ func NewIntervalCounter(model *rational.Model, gamma float64) (*IntervalCounter,
 	if err != nil {
 		return nil, err
 	}
-	ev := mat.NewContourEvaluatorBackend(s)
-	return &IntervalCounter{ev: ev, backend: BackendStructured, gamma: gamma, bound: ev.EigenBound(), RectNodes: rectNodesFor(ev.Dim())}, nil
+	return newIntervalCounter(mat.NewContourEvaluatorBackend(s), gamma), nil
 }
 
-// NewIntervalCounterDense builds the counter over the materialized
-// Hamiltonian and the dense complex-LU determinant kernel — O(N³) per
-// contour node. It is the oracle the structured kernel is cross-validated
-// against (and a debugging escape hatch via
-// CertifyOptions.ForceDenseKernels); NewIntervalCounter is the production
-// path.
-func NewIntervalCounterDense(model *rational.Model, gamma float64) (*IntervalCounter, error) {
-	sys := model.Realization()
-	h, err := HamiltonianMatrixLevel(sys.A, sys.B, sys.C, sys.D, gamma)
-	if err != nil {
-		return nil, err
-	}
-	ev := mat.NewContourEvaluator(h)
-	return &IntervalCounter{ev: ev, backend: BackendDense, gamma: gamma, bound: ev.EigenBound(), RectNodes: rectNodesFor(ev.Dim())}, nil
+// newIntervalCounter wraps a prepared contour evaluator.
+func newIntervalCounter(ev *mat.ContourEvaluator, gamma float64) *IntervalCounter {
+	return &IntervalCounter{ev: ev, gamma: gamma, bound: ev.EigenBound(), RectNodes: rectNodesFor(ev.Dim())}
 }
 
 // Dim returns the Hamiltonian dimension 2·n·P.
 func (ic *IntervalCounter) Dim() int { return ic.ev.Dim() }
-
-// Backend reports which determinant kernel the counter walks contours
-// with: BackendStructured or BackendDense.
-func (ic *IntervalCounter) Backend() string { return ic.backend }
 
 // Nodes returns the determinant evaluations spent so far.
 func (ic *IntervalCounter) Nodes() int { return ic.ev.Nodes }
@@ -241,26 +215,17 @@ func (counterStage) certify(cc *certContext, open []CertInterval) ([]CertInterva
 		// earlier certificates already covered the axis.
 		return nil, nil, cost, nil
 	}
-	backend := BackendStructured
-	if cc.copts.ForceDenseKernels {
-		backend = BackendDense
-	}
-	cost.Backend = backend
 	if dim := 2 * len(cc.model.Poles) * cc.model.D.Rows; dim > cc.copts.CounterMaxDim {
-		// Each quadrature node costs O(N·p²) on the structured kernel (O(N³)
-		// when dense kernels are forced); past the configured frontier the
-		// node budget would dominate the run. Decline honestly instead of
-		// stalling, and count the declined intervals so the gate is visible
-		// in metrics, not just in this note.
+		// Each quadrature node costs O(N·p²) on the structured kernel; past
+		// the configured frontier the node budget would dominate the run.
+		// Decline honestly instead of stalling, and count the declined
+		// intervals so the gate is visible in metrics, not just in this
+		// note.
 		cost.Note = fmt.Sprintf("counter declined: Hamiltonian dim %d exceeds CounterMaxDim %d", dim, cc.copts.CounterMaxDim)
 		cost.Declined = len(open)
 		return open, nil, cost, nil
 	}
-	build := NewIntervalCounter
-	if backend == BackendDense {
-		build = NewIntervalCounterDense
-	}
-	ic, err := build(cc.model, cc.limit)
+	ic, err := NewIntervalCounter(cc.model, cc.limit)
 	if err != nil {
 		// γ collides with a singular value of D; leave the intervals open
 		// rather than abort a best-effort pipeline tail.
@@ -290,11 +255,21 @@ func (counterStage) certify(cc *certContext, open []CertInterval) ([]CertInterva
 	return rem, viols, cost, nil
 }
 
+// clusterRefine scales the relative floor of the second bisection pass
+// over a cluster: relTol·clusterRefine·ω at the cluster's upper edge. It
+// is relative to the cluster's own frequency, not to the segment's, so a
+// low-frequency cluster of the unbounded tail segment (whose first-pass
+// floor follows the eigenvalue bound) is resolved as finely as any other.
+const clusterRefine = 1e-3
+
 // counterSettle resolves one open interval: localize candidate crossing
 // clusters by contour counting, then judge every crossing-free gap with a
-// single σ sample and every cluster with a polished peak. It reports the
-// violations found, whether the interval is certified clean, and a
-// diagnostic note when the quadrature could not settle it.
+// single σ sample and every cluster with a polished peak. A cluster whose
+// peak stays at or below the level confirms nothing — two crossings closer
+// than the floor bracket a band the polish over the whole cluster can step
+// over — so it is bisected again to a finer floor and judged the same way.
+// It reports the violations found, whether the interval is certified
+// clean, and a diagnostic note when it could not be settled.
 func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *StageCost) ([]Violation, bool, string) {
 	lo, hi := iv.Lo, iv.Hi
 	segHi := hi
@@ -306,13 +281,37 @@ func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *
 	}
 	var clusters []counterCluster
 	if lo < segHi {
-		floor := cc.relTol * segHi
 		var err error
-		clusters, err = ic.Crossings(lo, segHi, floor)
+		clusters, err = ic.Crossings(lo, segHi, cc.relTol*segHi)
 		if err != nil {
 			return nil, false, fmt.Sprintf("counter on [%g, %g]: %v", lo, segHi, err)
 		}
 	}
+	viols, unconfirmed := judgeClusters(cc, lo, hi, clusters, cost)
+	note := ""
+	for _, cl := range unconfirmed {
+		sub, err := ic.Crossings(cl.Lo, cl.Hi, clusterRefine*cc.relTol*cl.Hi)
+		if err != nil {
+			note = fmt.Sprintf("counter on cluster [%g, %g]: %v", cl.Lo, cl.Hi, err)
+			continue
+		}
+		vs, still := judgeClusters(cc, cl.Lo, cl.Hi, sub, cost)
+		viols = append(viols, vs...)
+		if len(still) > 0 {
+			note = fmt.Sprintf("counter on [%g, %g]: crossing cluster [%g, %g] unconfirmed", lo, hi, still[0].Lo, still[0].Hi)
+		}
+	}
+	if len(viols) > 0 {
+		return viols, false, ""
+	}
+	return nil, note == "", note
+}
+
+// judgeClusters samples each crossing-free gap of [lo, hi] between the
+// clusters once and polishes each cluster's peak. It returns the
+// violations found and the clusters whose peak stayed at or below the
+// level.
+func judgeClusters(cc *certContext, lo, hi float64, clusters []counterCluster, cost *StageCost) ([]Violation, []counterCluster) {
 	// Edges of the crossing-free gaps: interval ends plus cluster bounds.
 	edges := make([]float64, 0, 2*len(clusters)+2)
 	edges = append(edges, lo)
@@ -335,14 +334,16 @@ func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *
 			viols = append(viols, Violation{OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: g0, OmegaHi: g1})
 		}
 	}
-	// Clusters get their peak polished directly.
+	var unconfirmed []counterCluster
 	for _, cl := range clusters {
 		seed := testPoint(cl.Lo, cl.Hi)
 		peakW, peakS := refinePeak(cc.model, cl.Lo, cl.Hi, seed, cc.cache, cc.ws)
 		cost.Samples++
 		if peakS > cc.limit {
 			viols = append(viols, Violation{OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: cl.Lo, OmegaHi: cl.Hi})
+		} else {
+			unconfirmed = append(unconfirmed, cl)
 		}
 	}
-	return viols, len(viols) == 0, ""
+	return viols, unconfirmed
 }

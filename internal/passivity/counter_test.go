@@ -115,6 +115,19 @@ func ambiguous(eigs []complex128, lo, hi, delta float64) bool {
 	return false
 }
 
+// NewIntervalCounterDense builds the counter over the materialized
+// Hamiltonian and the dense complex-LU determinant kernel — O(N³) per
+// contour node. It is the oracle the structured kernel behind
+// NewIntervalCounter is cross-validated against.
+func NewIntervalCounterDense(model *rational.Model, gamma float64) (*IntervalCounter, error) {
+	sys := model.Realization()
+	h, err := HamiltonianMatrixLevel(sys.A, sys.B, sys.C, sys.D, gamma)
+	if err != nil {
+		return nil, err
+	}
+	return newIntervalCounter(mat.NewContourEvaluator(h), gamma), nil
+}
+
 // TestCounterOracle cross-validates IntervalCounter (structured backend)
 // against the dense Hamiltonian eigensolve on ≥100 random synthetic models,
 // passive and non-passive: for every interval of a crossing-separated
@@ -138,9 +151,6 @@ func TestCounterOracle(t *testing.T) {
 		ic, err := NewIntervalCounter(model, gamma)
 		if err != nil {
 			t.Fatalf("seed %d: NewIntervalCounter: %v", seed, err)
-		}
-		if ic.Backend() != BackendStructured {
-			t.Fatalf("seed %d: NewIntervalCounter backend %q, want %q", seed, ic.Backend(), BackendStructured)
 		}
 		var icd *IntervalCounter
 		if seed%8 == 0 { // dense cross-check on a sampled subset (O(N³)/node)
@@ -220,16 +230,16 @@ func TestCounterOracle(t *testing.T) {
 	t.Logf("oracle: %d models, %d intervals agreed (%d dense cross-checks), %d skipped (boundary-ambiguous or stalled)", models, intervals, crossChecked, skipped)
 }
 
-// TestCounterRetiresProbeOpenInterval is the regression for the PR 4 gap:
-// on the checked-in golden model the probe pipeline (tail → lipschitz →
-// restricted → probe, with dimension caps forcing the large-model branch)
-// finishes with a non-empty Open set, and appending the counter stage
-// retires it — Certified with Open == nil.
+// TestCounterRetiresProbeOpenInterval is the regression for the gap the
+// counter stage closed: on the checked-in golden model the chain without
+// it (tail → lipschitz → restricted, with dimension caps forcing the
+// large-model branch) finishes with a non-empty Open set, and appending
+// the counter stage retires it — Certified with Open == nil.
 func TestCounterRetiresProbeOpenInterval(t *testing.T) {
 	model := loadModelFixture(t, "testdata/counter_regression.json")
 	copts := CertifyOptions{MaxDim: 2, RestrictedMaxDim: 2}
 
-	before, err := NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier(), ProbeCertifier()).
+	before, err := NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier()).
 		Run(model, CheckOptions{}, copts)
 	if err != nil {
 		t.Fatal(err)
@@ -238,13 +248,13 @@ func TestCounterRetiresProbeOpenInterval(t *testing.T) {
 		t.Fatalf("fixture model unexpectedly violating: %+v", before.Violations)
 	}
 	if len(before.Open) == 0 {
-		t.Fatal("fixture no longer reproduces the gap: probe pipeline left nothing open")
+		t.Fatal("fixture no longer reproduces the gap: restricted pipeline left nothing open")
 	}
 	if before.Certified {
-		t.Fatal("probe pipeline claims certified with open intervals")
+		t.Fatal("restricted pipeline claims certified with open intervals")
 	}
 
-	after, err := NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier(), ProbeCertifier(), CounterCertifier()).
+	after, err := NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier(), CounterCertifier()).
 		Run(model, CheckOptions{}, copts)
 	if err != nil {
 		t.Fatal(err)
@@ -321,5 +331,38 @@ func TestCounterBudget(t *testing.T) {
 	}
 	if ic.Nodes() > 3 {
 		t.Fatalf("budget overrun: %d nodes", ic.Nodes())
+	}
+}
+
+// TestCounterUnconfirmedClusterNotCertified is the regression for the
+// counter's false pass on narrow bands. The gadget's two crossings sit
+// 0.016 rad/s apart, inside one cluster at the relTol·ω floor (~0.137
+// rad/s at 137 rad/s), and one golden-section polish over the whole
+// cluster misses the band between them. The counter used to certify such
+// a cluster; it must now re-bisect it and prove the violation.
+func TestCounterUnconfirmedClusterNotCertified(t *testing.T) {
+	chain := NewPipeline(TailBoundCertifier(), LipschitzCertifier(), CounterCertifier())
+	for _, seed := range []int64{3, 9, 15, 33, 51, 54, 60} {
+		model, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 10 + int(seed%4)*10, Seed: seed, NarrowBand: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cr, err := HamiltonianCrossings(model); err != nil || len(cr) == 0 {
+			t.Fatalf("seed %d: oracle finds no crossing (err %v) — the gadget changed", seed, err)
+		}
+		cert, err := chain.Run(model, CheckOptions{}, CertifyOptions{MaxDim: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cert.Certified || len(cert.Violations) == 0 {
+			t.Fatalf("seed %d: counter chain missed the narrow band: certified=%v violations=%d open=%v",
+				seed, cert.Certified, len(cert.Violations), cert.Open)
+		}
+		ws := &checkWorkspace{}
+		for _, v := range cert.Violations {
+			if sv := ws.sigmaAt(model, v.OmegaPeak); sv <= 1 {
+				t.Fatalf("seed %d: violation at ω=%g has σ=%g ≤ 1", seed, v.OmegaPeak, sv)
+			}
+		}
 	}
 }

@@ -22,18 +22,6 @@ import (
 // residues (C matrix) cannot repair a direct-coupling violation.
 var ErrAsymptoticViolation = errors.New("passivity: σmax(D) ≥ 1, not repairable by residue perturbation")
 
-// HamiltonianMatrix builds the Hamiltonian test matrix associated with the
-// bounded-real (scattering) passivity of the realization {A,B,C,D}:
-//
-//	M = | A − B·R⁻¹·Dᵀ·C       −B·R⁻¹·Bᵀ          |
-//	    | Cᵀ·Q⁻¹·C             −Aᵀ + Cᵀ·D·R⁻¹·Bᵀ  |
-//
-// with R = DᵀD − I and Q = DDᵀ − I. S(jω₀) has a unit singular value iff
-// jω₀ is an eigenvalue of M (Grivet-Talocia 2004).
-func HamiltonianMatrix(a, b, c, d *mat.Matrix) (*mat.Matrix, error) {
-	return HamiltonianMatrixLevel(a, b, c, d, 1)
-}
-
 // HamiltonianMatrixLevel builds the level-γ Hamiltonian (Bruinsma–
 // Steinbuch): with R = DᵀD − γ²I and Q = DDᵀ − γ²I,
 //
@@ -41,9 +29,9 @@ func HamiltonianMatrix(a, b, c, d *mat.Matrix) (*mat.Matrix, error) {
 //	      | γ²·Cᵀ·Q⁻¹·C          −Aᵀ + Cᵀ·D·R⁻¹·Bᵀ  |
 //
 // so that σ(S(jω₀)) = γ iff jω₀ is an eigenvalue of M_γ. γ = 1 recovers
-// the passivity test; the certifier uses γ < 1 to verify that a reduced
-// model stays below a level tightened by the truncated far-pole tail. γ
-// must not be a singular value of D.
+// the bounded-real passivity test (Grivet-Talocia 2004); the certifier
+// uses γ < 1 to verify that a reduced model stays below a level tightened
+// by the truncated far-pole tail. γ must not be a singular value of D.
 func HamiltonianMatrixLevel(a, b, c, d *mat.Matrix, gamma float64) (*mat.Matrix, error) {
 	n := a.Rows
 	g2 := gamma * gamma

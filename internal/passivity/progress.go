@@ -38,10 +38,6 @@ type ProgressEvent struct {
 	// Nodes counts contour-quadrature determinant evaluations
 	// (certificate-stage events from the counter stage).
 	Nodes int
-	// Backend names the kernel backend a certificate stage ran (or
-	// declined) on — BackendStructured or BackendDense; empty when the
-	// stage involved no eigenproblem kernel.
-	Backend string
 	// Declined counts the open intervals a certificate stage declined at
 	// its dimension gate (certificate-stage events).
 	Declined int

@@ -50,11 +50,10 @@ type metrics struct {
 	stageSec    map[string]float64
 	stageEvents map[string]int64
 	sigmaTotal  int64
-	// nodesTotal counts contour-quadrature determinant evaluations by the
-	// kernel backend that priced them ("structured" or "dense");
+	// nodesTotal counts contour-quadrature determinant evaluations;
 	// declinesTotal counts the intervals certificate stages refused at
 	// their dimension gates.
-	nodesTotal    map[string]int64
+	nodesTotal    int64
 	declinesTotal int64
 
 	// cache holds the latest per-worker Session cache snapshot.
@@ -69,7 +68,6 @@ func newMetrics() *metrics {
 		serviceCount:   make(map[string]int64),
 		stageSec:       make(map[string]float64),
 		stageEvents:    make(map[string]int64),
-		nodesTotal:     make(map[string]int64),
 		cache:          make(map[int]repro.SessionCacheStats),
 	}
 }
@@ -155,18 +153,13 @@ func (m *metrics) finished(kind JobKind, res *Result) {
 	m.serviceCount[k]++
 }
 
-func (m *metrics) stage(stage string, d time.Duration, samples, nodes int, backend string, declined int) {
+func (m *metrics) stage(stage string, d time.Duration, samples, nodes, declined int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stageSec[stage] += d.Seconds()
 	m.stageEvents[stage]++
 	m.sigmaTotal += int64(samples)
-	if nodes > 0 {
-		if backend == "" {
-			backend = "unlabelled"
-		}
-		m.nodesTotal[backend] += int64(nodes)
-	}
+	m.nodesTotal += int64(nodes)
 	m.declinesTotal += int64(declined)
 }
 
@@ -264,10 +257,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "passivityd_stage_events_total{stage=%q} %d\n", k, m.stageEvents[k])
 	}
 	fmt.Fprintf(w, "# HELP passivityd_sigma_samples_total Sigma evaluations reported by progress events.\n# TYPE passivityd_sigma_samples_total counter\npassivityd_sigma_samples_total %d\n", m.sigmaTotal)
-	fmt.Fprintf(w, "# HELP passivityd_counter_nodes_total Contour-quadrature determinant evaluations reported by certificate-stage events, by kernel backend.\n# TYPE passivityd_counter_nodes_total counter\n")
-	for _, k := range sortedKeys(m.nodesTotal) {
-		fmt.Fprintf(w, "passivityd_counter_nodes_total{backend=%q} %d\n", k, m.nodesTotal[k])
-	}
+	fmt.Fprintf(w, "# HELP passivityd_counter_nodes_total Contour-quadrature determinant evaluations reported by certificate-stage events.\n# TYPE passivityd_counter_nodes_total counter\npassivityd_counter_nodes_total %d\n", m.nodesTotal)
 	fmt.Fprintf(w, "# HELP passivityd_counter_declines_total Intervals certificate stages refused at their dimension gates.\n# TYPE passivityd_counter_declines_total counter\npassivityd_counter_declines_total %d\n", m.declinesTotal)
 
 	fmt.Fprintf(w, "# HELP passivityd_worker_cache_bytes Estimated resident evaluation-cache bytes per worker Session.\n# TYPE passivityd_worker_cache_bytes gauge\n")

@@ -9,24 +9,17 @@ import (
 	"time"
 )
 
-// TestCounterMetricsBackendLabels checks the per-backend node accounting
-// and the dimension-gate decline counter behind
-// passivityd_counter_nodes_total{backend=...} and
-// passivityd_counter_declines_total.
+// TestCounterMetricsBackendLabels checks the node accounting and the
+// dimension-gate decline counter behind passivityd_counter_nodes_total
+// and passivityd_counter_declines_total. The node total carries no label:
+// the counter has a single kernel.
 func TestCounterMetricsBackendLabels(t *testing.T) {
 	m := newMetrics()
-	m.stage("certificate-stage/contour-counter", time.Millisecond, 3, 120, "structured", 0)
-	m.stage("certificate-stage/contour-counter", time.Millisecond, 1, 45, "dense", 0)
-	m.stage("certificate-stage/contour-counter", time.Millisecond, 0, 0, "structured", 2)
-	m.stage("certificate-stage/contour-counter", time.Millisecond, 0, 7, "", 0)
-	if got := m.nodesTotal["structured"]; got != 120 {
-		t.Errorf("structured nodes = %d, want 120", got)
-	}
-	if got := m.nodesTotal["dense"]; got != 45 {
-		t.Errorf("dense nodes = %d, want 45", got)
-	}
-	if got := m.nodesTotal["unlabelled"]; got != 7 {
-		t.Errorf("unlabelled nodes = %d, want 7", got)
+	m.stage("certificate-stage/contour-counter", time.Millisecond, 3, 120, 0)
+	m.stage("certificate-stage/contour-counter", time.Millisecond, 0, 0, 2)
+	m.stage("certificate-stage/contour-counter", time.Millisecond, 0, 7, 0)
+	if m.nodesTotal != 127 {
+		t.Errorf("nodes = %d, want 127", m.nodesTotal)
 	}
 	if m.declinesTotal != 2 {
 		t.Errorf("declines = %d, want 2", m.declinesTotal)

@@ -681,5 +681,5 @@ func (w *worker) onProgress(ev repro.ProgressEvent) {
 	if ev.Kind == repro.ProgressCertificateStage && ev.Stage != "" {
 		label += "/" + ev.Stage
 	}
-	w.srv.met.stage(label, delta, ev.Samples, ev.Nodes, ev.Backend, ev.Declined)
+	w.srv.met.stage(label, delta, ev.Samples, ev.Nodes, ev.Declined)
 }

@@ -121,10 +121,6 @@ type CertificateStage struct {
 	EigenDim   int
 	Samples    int
 	Nodes      int
-	// Backend names the eigenproblem kernel the stage ran (or declined) on
-	// — "structured" (diagonal-plus-low-rank, O(N·p²) per query) or "dense"
-	// (complex LU / QR, O(N³)); empty for stages with no such kernel.
-	Backend string
 	// DimGate is the stage's effective eigenproblem dimension cap; Declined
 	// counts the intervals the stage refused at that gate.
 	DimGate  int
@@ -164,13 +160,15 @@ func (b *CertificateBand) UnmarshalJSON(data []byte) error {
 
 // PassivityCertificate is the outcome of the staged certification
 // pipeline: a partition of the whole frequency axis retired interval by
-// interval with rigorous certificates (closed-form tail bounds, exact or
-// restricted Hamiltonian eigentests). Certified reports full coverage;
+// interval with rigorous certificates (closed-form tail bounds, the
+// σ-anchored Lipschitz sweep, exact or restricted Hamiltonian eigentests,
+// and the terminal contour counter). Certified reports full coverage;
 // Stage names the stage that settled the verdict. When Certified is false
 // on a passive report, the rigorous stages could not cover the whole axis
-// (some interval outgrew the restricted eigentest's reduction capacity or
-// the probe dimension cap) and the passive verdict is best-effort —
-// callers needing a hard guarantee must check Certified.
+// (the counter stalled, ran out of nodes, met a crossing cluster it could
+// not confirm, or declined past its dimension gate) and the passive
+// verdict is best-effort — callers needing a hard guarantee must check
+// Certified.
 type PassivityCertificate struct {
 	Certified bool
 	Stage     string
@@ -282,7 +280,6 @@ func toPublicCertificate(c *passivity.Certificate) *PassivityCertificate {
 			EigenDim:   s.EigenDim,
 			Samples:    s.Samples,
 			Nodes:      s.Nodes,
-			Backend:    s.Backend,
 			DimGate:    s.DimGate,
 			Declined:   s.Declined,
 			Note:       s.Note,

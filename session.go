@@ -57,10 +57,6 @@ type ProgressEvent struct {
 	// Nodes counts contour-quadrature determinant evaluations
 	// (certificate-stage events from the terminal counter stage).
 	Nodes int
-	// Backend names the eigenproblem kernel a certificate stage ran (or
-	// declined) on — "structured" or "dense"; empty when the stage involved
-	// no such kernel.
-	Backend string
 	// Declined counts the intervals a certificate stage refused at its
 	// dimension gate (certificate-stage events).
 	Declined int
@@ -442,7 +438,6 @@ func (s *Session) progressFunc() passivity.ProgressFunc {
 			Stage:     ev.Stage,
 			Samples:   ev.Samples,
 			Nodes:     ev.Nodes,
-			Backend:   ev.Backend,
 			Declined:  ev.Declined,
 		})
 	}
