@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -38,9 +37,6 @@ type remoteRun struct {
 	retries  int
 	waitBase time.Duration
 	waitMax  time.Duration
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // httpError is a non-2xx daemon response: the status, the daemon's error
@@ -69,32 +65,15 @@ func retryableRemote(err error) bool {
 	return true // connection-level or torn-response failure
 }
 
-// parseRetryAfter reads a Retry-After header value — delta-seconds or an
-// HTTP-date (0 when absent or unparseable). It is the shared
-// serve.ParseRetryAfter, so the coordinator's date-form hints are honored
-// exactly like a daemon's delta-seconds.
-func parseRetryAfter(v string) time.Duration { return serve.ParseRetryAfter(v) }
-
-// backoff computes the wait before retry number attempt (1-based): the
-// daemon's Retry-After hint when it gave one, otherwise waitBase doubled
-// per attempt, capped at waitMax — always with jitter so a fleet of
-// clients does not re-dogpile a recovering daemon in lockstep.
+// backoff is the jittered wait before retry number attempt (1-based),
+// honoring the daemon's Retry-After hint when err carries one.
 func (r *remoteRun) backoff(attempt int, err error) time.Duration {
-	d := r.waitBase << (attempt - 1)
-	if d > r.waitMax || d <= 0 {
-		d = r.waitMax
-	}
+	var hint time.Duration
 	var he *httpError
-	if errors.As(err, &he) && he.retryAfter > 0 {
-		d = he.retryAfter
-		if d > 30*time.Second {
-			d = 30 * time.Second
-		}
+	if errors.As(err, &he) {
+		hint = he.retryAfter
 	}
-	r.rngMu.Lock()
-	jittered := d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
-	r.rngMu.Unlock()
-	return jittered
+	return serve.Backoff(attempt, r.waitBase, r.waitMax, hint)
 }
 
 // post submits one job, retrying retryable failures with backoff until
@@ -141,7 +120,7 @@ func (r *remoteRun) postOnce(endpoint string, body []byte) (*serve.Response, err
 		he := &httpError{
 			endpoint:   endpoint,
 			status:     hresp.StatusCode,
-			retryAfter: parseRetryAfter(hresp.Header.Get("Retry-After")),
+			retryAfter: serve.ParseRetryAfter(hresp.Header.Get("Retry-After")),
 		}
 		var resp serve.Response
 		if err := json.Unmarshal(raw, &resp); err == nil && resp.Error != "" {
@@ -196,7 +175,6 @@ func runRemote(ctx context.Context, base, modelPath, batch string, method string
 	r := &remoteRun{
 		ctx: ctx, base: base, cli: &http.Client{},
 		retries: retries, waitBase: retryWait, waitMax: 5 * time.Second,
-		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	endpoint := "/v1/check"
 	if enforce {

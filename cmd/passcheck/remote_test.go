@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,14 +16,13 @@ import (
 	"repro/internal/serve"
 )
 
-// testClient builds a remoteRun with fast, deterministic backoff against
-// the given server.
+// testClient builds a remoteRun with fast backoff against the given
+// server.
 func testClient(t *testing.T, base string, retries int) *remoteRun {
 	t.Helper()
 	return &remoteRun{
 		ctx: context.Background(), base: base, cli: &http.Client{},
 		retries: retries, waitBase: time.Millisecond, waitMax: 5 * time.Millisecond,
-		rng: rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -167,40 +165,40 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-3", 0},
 	}
 	for _, c := range cases {
-		if got := parseRetryAfter(c.in); got != c.want {
-			t.Errorf("parseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
+		if got := serve.ParseRetryAfter(c.in); got != c.want {
+			t.Errorf("serve.ParseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 	// HTTP-date form: a timestamp well in the future yields a positive
 	// wait; one in the past yields zero.
 	future := time.Now().Add(90 * time.Second).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(future); got < 80*time.Second || got > 91*time.Second {
-		t.Errorf("parseRetryAfter(future date) = %v, want ~90s", got)
+	if got := serve.ParseRetryAfter(future); got < 80*time.Second || got > 91*time.Second {
+		t.Errorf("serve.ParseRetryAfter(future date) = %v, want ~90s", got)
 	}
 	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(past); got != 0 {
-		t.Errorf("parseRetryAfter(past date) = %v, want 0", got)
+	if got := serve.ParseRetryAfter(past); got != 0 {
+		t.Errorf("serve.ParseRetryAfter(past date) = %v, want 0", got)
 	}
 }
 
-// backoff grows exponentially from waitBase, is capped at waitMax, stays
-// positive (jitter never zeroes it out), and yields to the daemon's
-// Retry-After hint.
+// The shared serve.Backoff grows exponentially from the base step, is
+// capped at the maximum, stays positive (jitter never zeroes it out), and
+// yields to a Retry-After hint, itself capped at 30s. The remote client
+// feeds it the daemon's hint; the cluster agent calls it without one.
 func TestBackoffSchedule(t *testing.T) {
-	r := &remoteRun{
-		waitBase: 100 * time.Millisecond, waitMax: time.Second,
-		rng: rand.New(rand.NewSource(7)),
-	}
+	r := &remoteRun{waitBase: 100 * time.Millisecond, waitMax: time.Second}
 	plain := errors.New("conn reset")
-	for attempt := 1; attempt <= 8; attempt++ {
+	for attempt := 1; attempt <= 70; attempt++ {
 		ideal := r.waitBase << (attempt - 1)
 		if ideal > r.waitMax || ideal <= 0 {
 			ideal = r.waitMax
 		}
 		for i := 0; i < 32; i++ {
-			d := r.backoff(attempt, plain)
-			if d < ideal/2 || d > ideal {
+			if d := r.backoff(attempt, plain); d < ideal/2 || d > ideal {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, ideal/2, ideal)
+			}
+			if d := serve.Backoff(attempt, r.waitBase, r.waitMax, 0); d < ideal/2 || d > ideal {
+				t.Fatalf("attempt %d: serve.Backoff %v outside [%v, %v]", attempt, d, ideal/2, ideal)
 			}
 		}
 	}
@@ -208,6 +206,9 @@ func TestBackoffSchedule(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		if d := r.backoff(1, hinted); d < 1500*time.Millisecond || d > 3*time.Second {
 			t.Fatalf("Retry-After hint ignored: backoff %v", d)
+		}
+		if d := serve.Backoff(1, r.waitBase, r.waitMax, time.Hour); d < 15*time.Second || d > 30*time.Second {
+			t.Fatalf("hour-long Retry-After hint not capped at 30s: backoff %v", d)
 		}
 	}
 }

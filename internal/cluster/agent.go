@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	repro "repro"
 	"repro/internal/serve"
 )
 
@@ -30,8 +29,8 @@ type AgentOptions struct {
 	// Client overrides the HTTP client (default: no-timeout client; the
 	// coordinator bounds the lease long-poll itself).
 	Client *http.Client
-	// RetryBase and RetryMax bound the backoff after coordinator errors
-	// (defaults 100ms and 2s; a Retry-After hint overrides the schedule).
+	// RetryBase and RetryMax bound the jittered backoff after coordinator
+	// errors (defaults 100ms and 2s; see serve.Backoff).
 	RetryBase time.Duration
 	// RetryMax caps the doubled backoff steps.
 	RetryMax time.Duration
@@ -138,7 +137,7 @@ func (a *Agent) join(seenGen int) error {
 			err = fmt.Errorf("cluster: join: HTTP %d", status)
 		}
 		select {
-		case <-time.After(a.backoff(attempt, 0)):
+		case <-time.After(serve.Backoff(attempt, a.opts.RetryBase, a.opts.RetryMax, 0)):
 		case <-a.ctx.Done():
 			return fmt.Errorf("cluster: joining %s: %w (last: %v)", a.opts.Coordinator, a.ctx.Err(), err)
 		}
@@ -156,19 +155,6 @@ func (a *Agent) catalog() []string {
 		out[i] = fmt.Sprintf("%016x", fp)
 	}
 	return out
-}
-
-// backoff doubles RetryBase per attempt, capped at RetryMax; a positive
-// hint (a parsed Retry-After) overrides the schedule.
-func (a *Agent) backoff(attempt int, hint time.Duration) time.Duration {
-	if hint > 0 {
-		return hint
-	}
-	d := a.opts.RetryBase << (attempt - 1)
-	if d > a.opts.RetryMax || d <= 0 {
-		d = a.opts.RetryMax
-	}
-	return d
 }
 
 // post sends one JSON request, decoding the body into out when non-nil
@@ -258,7 +244,7 @@ func (a *Agent) leaseLoop() {
 		// Connection trouble or an unexpected status: back off and retry.
 		errs++
 		select {
-		case <-time.After(a.backoff(errs, 0)):
+		case <-time.After(serve.Backoff(errs, a.opts.RetryBase, a.opts.RetryMax, 0)):
 		case <-a.ctx.Done():
 			return
 		}
@@ -312,7 +298,7 @@ func (a *Agent) execute(lease *LeaseResponse) {
 			return
 		}
 		select {
-		case <-time.After(a.backoff(attempt, 0)):
+		case <-time.After(serve.Backoff(attempt, a.opts.RetryBase, a.opts.RetryMax, 0)):
 		case <-a.ctx.Done():
 			return
 		}
@@ -322,24 +308,17 @@ func (a *Agent) execute(lease *LeaseResponse) {
 // runLeased executes the leased job on the embedded server, reusing the
 // single-host wire mapping end to end.
 func (a *Agent) runLeased(lease *LeaseResponse) (serve.Response, int) {
-	var model repro.Macromodel
-	if err := json.Unmarshal(lease.Model, &model); err != nil {
+	req := serve.Request{Check: lease.Check, Enforce: lease.Enforce, DeadlineMS: lease.DeadlineMS}
+	if err := json.Unmarshal(lease.Model, &req.Model); err != nil {
 		return serve.Response{Error: "decoding leased model: " + err.Error()}, http.StatusBadRequest
 	}
-	chk, err := lease.Check.CheckOptions()
-	if err != nil {
-		return serve.Response{Error: err.Error()}, http.StatusBadRequest
-	}
 	kind := serve.JobCheck
-	if lease.Kind == "enforce" {
+	if lease.Kind == serve.JobEnforce.String() {
 		kind = serve.JobEnforce
 	}
-	job := &serve.Job{
-		Kind:     kind,
-		Model:    &model,
-		Check:    chk,
-		Enforce:  lease.Enforce.EnforceOptions(),
-		Deadline: time.Duration(lease.DeadlineMS) * time.Millisecond,
+	job, err := req.Job(kind)
+	if err != nil {
+		return serve.Response{Error: err.Error()}, http.StatusBadRequest
 	}
 	ch, err := a.srv.Submit(job)
 	if err != nil {

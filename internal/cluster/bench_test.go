@@ -116,15 +116,18 @@ func BenchmarkClusterAffinityPlacement(b *testing.B) {
 	})
 
 	for _, arm := range []struct {
-		name      string
-		placement PlacementPolicy
+		name   string
+		random bool
 	}{
-		{"cluster-2/affinity", PlaceAffinity},
-		{"cluster-2/random", PlaceRandom},
+		{"cluster-2/affinity", false},
+		{"cluster-2/random", true},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			c := NewCoordinator(Options{Placement: arm.placement, Seed: 7, MaxPending: len(models) * 2})
+			c := NewCoordinator(Options{MaxPending: len(models) * 2})
 			defer c.Close()
+			if arm.random {
+				c.led.RandomPlacement(7)
+			}
 			ts := httptest.NewServer(c.Handler())
 			defer ts.Close()
 			hosts := []*serve.Server{newBenchHost(b), newBenchHost(b)}

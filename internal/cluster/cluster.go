@@ -21,30 +21,33 @@
 //
 // # Ledger
 //
-// Every admitted job is an item in the coordinator's ledger with three
-// states: pending (queued on exactly one member), leased (held by a
-// member under a deadline), done (result recorded, waiter released).
-// A lease carries an epoch, incremented each time the item is leased;
-// completions must present the current epoch, so a duplicate completion
-// arriving after a lease expired and the item ran elsewhere is discarded
-// — each item's result is delivered exactly once. Heartbeats renew a
-// member's leases; a lease that outlives its TTL, or a member silent past
-// the worker TTL, requeues the item onto a different host with a fresh
-// epoch. Requeued enforce jobs restart from the pristine admitted model
-// bytes the ledger kept — the coordinator never ships a half-perturbed
-// survivor, mirroring the in-process pristine-restore of the serve layer.
+// The coordinator runs the internal/ledger job ledger — the same
+// scheduler each host's serve.Server runs over its workers — with lease
+// and worker TTLs, stealing on, and a sweeper. Every admitted job is an
+// item with three states: pending (queued on exactly one member, or
+// waiting for a member to join), leased (held by a member under a
+// deadline), done (result delivered, item dropped). A lease carries an
+// epoch, incremented each time the item is leased; completions must
+// present the current epoch, so a duplicate completion arriving after a
+// lease expired and the item ran elsewhere is discarded — each item's
+// result is delivered exactly once. Heartbeats renew a member's leases; a
+// lease that outlives its TTL, or a member silent past the worker TTL,
+// requeues the item with a fresh epoch onto a different host, or onto the
+// same one when it is the only one. Requeued enforce jobs restart from the
+// pristine admitted model bytes — the coordinator never ships a
+// half-perturbed survivor.
 //
 // # Placement and stealing
 //
-// Placement follows pole-fingerprint affinity, extended cluster-wide: the
-// coordinator keeps a placement map (fingerprint → member) plus a catalog
-// of which members hold which fingerprints warm — seeded by each member's
-// advertised catalog at join and updated on every completion and cache
-// upload — and falls back to the least-loaded member for unseen
-// fingerprints. An idle member's lease request steals from the tail of
-// the most-loaded peer's queue (throughput beats affinity when a host
-// would otherwise sit idle); the placement map follows the thief so
-// queued siblings of the stolen fingerprint migrate together.
+// Placement is the ledger's pole-fingerprint affinity: the recorded
+// placement of the fingerprint, then the least-loaded member whose
+// catalog holds it warm — seeded by each member's advertised catalog at
+// join and refreshed on every lease, heartbeat, completion and cache
+// upload — then the least-loaded member. An idle member's lease steals
+// from the tail of the most-loaded peer's queue (throughput beats
+// affinity when a host would otherwise sit idle); the placement map
+// follows the thief so queued siblings of the stolen fingerprint migrate
+// together.
 //
 // # Warm-state transfer
 //

@@ -279,10 +279,7 @@ func TestClusterWorkerLossRequeue(t *testing.T) {
 
 	// Wait for host a to hold the lease, then kill it.
 	waitUntil(t, 5*time.Second, "host-a to lease the item", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		m := c.members["host-a"]
-		return m != nil && len(m.leased) == 1
+		return c.led.Stats().Leased == 1 // host-b has not joined yet
 	})
 	cancelA()
 	startAgent(t, newHost(t, 1), ts.URL, "host-b", 1)
@@ -302,10 +299,7 @@ func TestClusterWorkerLossRequeue(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("requeued job never completed")
 	}
-	c.met.mu.Lock()
-	requeues := c.met.requeuesTotal
-	c.met.mu.Unlock()
-	if requeues < 1 {
+	if requeues := c.led.Stats().Requeues; requeues < 1 {
 		t.Errorf("requeuesTotal = %d, want >= 1", requeues)
 	}
 }
@@ -361,9 +355,7 @@ func TestClusterDuplicateCompletionDiscarded(t *testing.T) {
 	// The holder goes silent; the lease expires and the item requeues onto
 	// the other host (never back onto the holder).
 	waitUntil(t, 5*time.Second, "lease expiry requeue", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.items[lease1.Item].state == statePending
+		return c.led.Stats().Queued == 1
 	})
 	lease2 := leaseOrFail(t, c, other)
 	if lease2.Item != lease1.Item {
@@ -475,18 +467,13 @@ func TestClusterStealing(t *testing.T) {
 
 	models := library(t, 1, 4, 12)
 	fp := repro.PoleFingerprint(models[0])
-	items := make([]*item, len(models))
-	for i, m := range models {
-		it, err := c.Submit(serve.JobCheck, modelJSON(t, m), fastCheck, serve.EnforceSpec{}, 0, 3)
-		if err != nil {
+	for _, m := range models {
+		if _, err := c.Submit(serve.JobCheck, modelJSON(t, m), fastCheck, serve.EnforceSpec{}, 0, 3); err != nil {
 			t.Fatal(err)
 		}
-		items[i] = it
 	}
-	c.mu.Lock()
-	placed := c.placement[fp]
-	queueLen := len(c.members[placed].queue)
-	c.mu.Unlock()
+	placed, _ := c.led.Placement(fp)
+	queueLen := c.led.Stats().Queued
 	if queueLen != len(models) {
 		t.Fatalf("%d of %d same-fingerprint items queued on %s", queueLen, len(models), placed)
 	}
@@ -499,22 +486,14 @@ func TestClusterStealing(t *testing.T) {
 	if !lease.Stolen {
 		t.Fatal("idle peer's lease was not marked stolen")
 	}
-	c.mu.Lock()
-	newPlace := c.placement[fp]
-	c.mu.Unlock()
-	if newPlace != thief {
+	if newPlace, _ := c.led.Placement(fp); newPlace != thief {
 		t.Fatalf("placement stayed on %s after the steal, want %s", newPlace, thief)
 	}
 	if c.StealsTotal() != 1 {
 		t.Errorf("StealsTotal = %d, want 1", c.StealsTotal())
 	}
-	for _, it := range items {
-		c.mu.Lock()
-		st, holder, id, epoch := it.state, it.holder, it.id, it.epoch
-		c.mu.Unlock()
-		if st == stateLeased {
-			c.Complete(&CompleteRequest{Worker: holder, Item: id, Epoch: epoch, Status: http.StatusOK})
-		}
+	if ack := c.Complete(&CompleteRequest{Worker: thief, Item: lease.Item, Epoch: lease.Epoch, Status: http.StatusOK}); !ack.Accepted {
+		t.Fatalf("stolen lease's completion rejected: %s", ack.Reason)
 	}
 }
 
@@ -638,9 +617,7 @@ func TestClusterAgentWarmImport(t *testing.T) {
 	cancelA()
 	agentA.Stop()
 	waitUntil(t, 5*time.Second, "host-a eviction", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.members["host-a"] == nil
+		return c.led.Stats().Members == 0
 	})
 
 	startAgent(t, newHost(t, 1), ts.URL, "host-b", 1)
@@ -748,15 +725,137 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	text := string(blob)
 	for _, series := range []string{
 		"passivityd_cluster_leases_active",
-		"passivityd_cluster_steals_total",
-		"passivityd_cluster_requeues_total",
-		"passivityd_cluster_cache_transfers_bytes_total",
-		"passivityd_cluster_duplicates_dropped_total",
 		"passivityd_cluster_quarantined_uploads_total",
 		`passivityd_cluster_jobs_completed_total{kind="check",status="200"} 1`,
+		// Every series the benchmark harness (perfbench/service.go) scrapes.
+		"passivityd_cluster_leases_total 1\n",
+		"passivityd_cluster_warm_leases_total 0\n",
+		"passivityd_cluster_steals_total 0\n",
+		"passivityd_cluster_requeues_total 0\n",
+		"passivityd_cluster_duplicates_dropped_total 0\n",
+		"passivityd_cluster_cache_ships_total 0\n",
+		"passivityd_cluster_cache_transfers_bytes_total 0\n",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("/metrics missing %s", series)
 		}
+	}
+}
+
+// TestClusterWakeupReachesPlacedMember: with two idle members
+// long-polling, a job must wake the member it was placed on. A single
+// shared wake token could go to the member with nothing to lease, leaving
+// the job to wait out the holder's whole PollWait.
+func TestClusterWakeupReachesPlacedMember(t *testing.T) {
+	c := NewCoordinator(Options{PollWait: 2 * time.Second})
+	t.Cleanup(c.Close)
+	fakeJoin(t, c, "w1")
+	fakeJoin(t, c, "w2")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type leased struct {
+		worker string
+		lease  *LeaseResponse
+	}
+	got := make(chan leased, 2)
+	for _, w := range []string{"w1", "w2"} {
+		go func() {
+			for ctx.Err() == nil {
+				if l, _ := c.Lease(ctx, &LeaseRequest{Worker: w}); l != nil {
+					got <- leased{w, l}
+					return
+				}
+			}
+		}()
+	}
+	// Nothing observable marks a poller as blocked; give both time to
+	// settle into their long-poll.
+	time.Sleep(100 * time.Millisecond)
+
+	model := library(t, 1, 1, 12)[0]
+	start := time.Now()
+	it, err := c.Submit(serve.JobCheck, modelJSON(t, model), fastCheck, serve.EnforceSpec{}, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := <-got
+	if ack := c.Complete(&CompleteRequest{Worker: g.worker, Item: g.lease.Item, Epoch: g.lease.Epoch, Status: http.StatusOK}); !ack.Accepted {
+		t.Fatalf("completion rejected: %s", ack.Reason)
+	}
+	<-it.done
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Fatalf("job took %v to lease and complete with both members idle (PollWait 2s)", d)
+	}
+}
+
+// TestClusterSingleMemberRequeue: a lease that expires on the only live
+// member requeues onto that same member with a fresh epoch, instead of
+// waiting for a different member that does not exist.
+func TestClusterSingleMemberRequeue(t *testing.T) {
+	c := NewCoordinator(Options{LeaseTTL: 100 * time.Millisecond, WorkerTTL: 10 * time.Second, PollWait: 50 * time.Millisecond})
+	t.Cleanup(c.Close)
+	fakeJoin(t, c, "w1")
+	model := library(t, 1, 1, 12)[0]
+	it, err := c.Submit(serve.JobCheck, modelJSON(t, model), fastCheck, serve.EnforceSpec{}, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := leaseOrFail(t, c, "w1")
+
+	// No heartbeat: the lease expires, and the next lease call gets the
+	// item back.
+	var again *LeaseResponse
+	waitUntil(t, 3*time.Second, "the expired item to come back to w1", func() bool {
+		again, _ = c.Lease(context.Background(), &LeaseRequest{Worker: "w1"})
+		return again != nil
+	})
+	if again.Item != first.Item || again.Epoch <= first.Epoch {
+		t.Fatalf("re-lease got item %d epoch %d, want item %d with an epoch above %d", again.Item, again.Epoch, first.Item, first.Epoch)
+	}
+	if ack := c.Complete(&CompleteRequest{Worker: "w1", Item: first.Item, Epoch: first.Epoch, Status: http.StatusOK}); ack.Accepted {
+		t.Fatal("completion under the expired epoch was accepted")
+	}
+	if ack := c.Complete(&CompleteRequest{Worker: "w1", Item: again.Item, Epoch: again.Epoch, Status: http.StatusOK}); !ack.Accepted {
+		t.Fatalf("completion under the current epoch rejected: %s", ack.Reason)
+	}
+	<-it.done
+	if it.resp.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", it.resp.Attempts)
+	}
+}
+
+// TestClusterForgetsFinishedItems: the ledger drops an item, result and
+// all, once it is delivered, and a late completion for it is still
+// rejected and counted as a duplicate.
+func TestClusterForgetsFinishedItems(t *testing.T) {
+	c := NewCoordinator(Options{PollWait: 50 * time.Millisecond})
+	t.Cleanup(c.Close)
+	fakeJoin(t, c, "w1")
+	model := modelJSON(t, library(t, 1, 1, 12)[0])
+	var first *LeaseResponse
+	for i := 0; i < 8; i++ {
+		it, err := c.Submit(serve.JobCheck, model, fastCheck, serve.EnforceSpec{}, 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := leaseOrFail(t, c, "w1")
+		if first == nil {
+			first = l
+		}
+		c.Complete(&CompleteRequest{Worker: "w1", Item: l.Item, Epoch: l.Epoch, Status: http.StatusOK})
+		<-it.done
+	}
+	if n := c.led.Stats().Items; n != 0 {
+		t.Fatalf("ledger holds %d items after every result was delivered", n)
+	}
+	late := c.Complete(&CompleteRequest{Worker: "w1", Item: first.Item, Epoch: first.Epoch, Status: http.StatusOK})
+	if late.Accepted {
+		t.Fatal("late duplicate completion accepted")
+	}
+	c.met.mu.Lock()
+	dups := c.met.duplicatesTotal
+	c.met.mu.Unlock()
+	if dups != 1 {
+		t.Fatalf("duplicatesTotal = %d, want 1", dups)
 	}
 }

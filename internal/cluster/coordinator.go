@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	repro "repro"
+	"repro/internal/ledger"
 	"repro/internal/serve"
 )
 
@@ -27,23 +27,11 @@ var (
 	ErrUnknownWorker = errors.New("cluster: unknown or lost worker")
 )
 
-// PlacementPolicy selects how the coordinator places admitted items.
-type PlacementPolicy int
-
-const (
-	// PlaceAffinity (the default) follows the cluster-wide
-	// pole-fingerprint placement map and member catalogs, falling back to
-	// the least-loaded member.
-	PlaceAffinity PlacementPolicy = iota
-	// PlaceRandom places every item on a uniformly random live member —
-	// the control arm of BenchmarkClusterAffinityPlacement.
-	PlaceRandom
-)
-
 // Options configures NewCoordinator.
 type Options struct {
 	// LeaseTTL is how long a lease survives without a heartbeat before
-	// the item is requeued onto a different host (default 15s).
+	// the item is requeued onto a different host, or the same one when it
+	// is the only one (default 15s).
 	LeaseTTL time.Duration
 	// WorkerTTL is how long a member may stay silent — no lease, complete
 	// or heartbeat call — before it is declared lost and everything it
@@ -62,83 +50,37 @@ type Options struct {
 	// CacheBudget bounds the content-addressed warm-state store's bytes
 	// (default 256 MiB).
 	CacheBudget int64
-	// Placement selects the placement policy (default PlaceAffinity).
-	Placement PlacementPolicy
-	// Seed makes PlaceRandom deterministic for benchmarks (0 = fixed).
-	Seed int64
 }
 
-// itemState is a ledger item's lifecycle position.
-type itemState int
-
-const (
-	statePending itemState = iota // queued on exactly one member
-	stateLeased                   // held by a member under a deadline
-	stateDone                     // result recorded, waiter released
-)
-
-// item is one unit of work in the ledger: a single model's check or
-// enforce job, its admitted (pristine) model bytes, lease bookkeeping and
-// the result slot.
+// item is one client job: a single model's check or enforce, its
+// admitted (pristine) model bytes, and the result slot. It is the
+// payload of one ledger item.
 type item struct {
-	id         int64
 	kind       serve.JobKind
 	model      json.RawMessage
-	fp         uint64
 	check      serve.CheckSpec
 	enforce    serve.EnforceSpec
 	deadlineMS int64
-
-	state       itemState
-	epoch       int // bumped on every lease; completions must match
-	attempts    int // leases issued
-	maxAttempts int
-	holder      string
-	leaseExpiry time.Time
-	stolen      bool
 
 	resp   serve.Response
 	status int
 	done   chan struct{} // closed exactly once, when the result lands
 }
 
-// member is one worker host the coordinator knows.
-type member struct {
-	name     string
-	catalog  map[uint64]bool // fingerprints the host holds warm
-	queue    []*item         // pending items placed here (FIFO; steals pop the tail)
-	leased   map[int64]*item
-	lastSeen time.Time
-	lost     bool
-}
-
-// load is the placement pressure signal: queued plus running work.
-func (m *member) load() int { return len(m.queue) + len(m.leased) }
-
-// Coordinator owns the cluster job ledger: admission, affinity placement,
-// lease lifecycle, work stealing, requeue on worker loss, result
-// delivery, and the content-addressed warm-state store. Build with
-// NewCoordinator, serve HTTP with Handler, stop with Close.
+// Coordinator serves the cluster job ledger over HTTP: admission, lease
+// lifecycle, result delivery, and the content-addressed warm-state
+// store. Placement, stealing, requeue and the attempt bound are the
+// ledger's. Build with NewCoordinator, serve HTTP with Handler, stop with
+// Close.
 type Coordinator struct {
 	opts  Options
 	met   *clusterMetrics
 	store *cacheStore
+	led   *ledger.Ledger
 
-	mu        sync.Mutex
-	members   map[string]*member
-	items     map[int64]*item
-	nextItem  int64
-	placement map[uint64]string
-	pending   int // admitted, not yet done
-	closed    bool
-	rng       *rand.Rand
-
-	// notify wakes one blocked lease long-poll when work arrives; a
-	// successful lease re-arms it while queued work remains.
-	notify chan struct{}
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // NewCoordinator builds the coordinator and starts its lease-expiry
@@ -162,20 +104,17 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.CacheBudget <= 0 {
 		opts.CacheBudget = 256 << 20
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	c := &Coordinator{
-		opts:      opts,
-		met:       newClusterMetrics(),
-		store:     newCacheStore(opts.CacheBudget),
-		members:   make(map[string]*member),
-		items:     make(map[int64]*item),
-		placement: make(map[uint64]string),
-		rng:       rand.New(rand.NewSource(seed)),
-		notify:    make(chan struct{}, 1),
-		stop:      make(chan struct{}),
+		opts:  opts,
+		met:   newClusterMetrics(),
+		store: newCacheStore(opts.CacheBudget),
+		led: ledger.New(ledger.Config{
+			Limit:     opts.MaxPending,
+			LeaseTTL:  opts.LeaseTTL,
+			WorkerTTL: opts.WorkerTTL,
+			Steal:     true,
+		}),
+		stop: make(chan struct{}),
 	}
 	c.wg.Add(1)
 	go c.sweeper()
@@ -193,156 +132,72 @@ func (c *Coordinator) sweeper() {
 		select {
 		case <-c.stop:
 			return
-		case <-tick.C:
-			c.mu.Lock()
-			c.expireLocked(time.Now())
-			c.mu.Unlock()
+		case now := <-tick.C:
+			c.failLost(c.led.Expire(now))
 		}
+	}
+}
+
+// failLost fails the items whose host was lost on their last allowed
+// attempt.
+func (c *Coordinator) failLost(items []*ledger.Item) {
+	for _, li := range items {
+		c.fail(li, http.StatusInternalServerError,
+			fmt.Sprintf("lease expired on %q after %d attempt(s); worker lost", li.Holder, li.Attempts))
 	}
 }
 
 // Close stops the coordinator: the sweeper exits, every unfinished item
 // fails with a 503 result, and subsequent submissions are rejected.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	for _, it := range c.items {
-		if it.state != stateDone {
-			c.failLocked(it, http.StatusServiceUnavailable, "coordinator shutting down")
+	c.closeOnce.Do(func() {
+		close(c.stop)
+		for _, li := range c.led.Close() {
+			c.fail(li, http.StatusServiceUnavailable, "coordinator shutting down")
 		}
-	}
-	c.mu.Unlock()
-	close(c.stop)
-	c.wg.Wait()
+		c.wg.Wait()
+	})
 }
 
-// Submit admits one job to the ledger, places it, and returns the item
-// whose done channel closes when the result lands. The model bytes are
-// validated (and fingerprinted) here, so every later lease ships a model
-// the coordinator knows decodes.
+// closed reports whether Close has begun.
+func (c *Coordinator) closed() bool {
+	select {
+	case <-c.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// Submit admits one job to the ledger and returns the item whose done
+// channel closes when the result lands. The model bytes are validated
+// (and fingerprinted) here, so every later lease ships a model the
+// coordinator knows decodes.
 func (c *Coordinator) Submit(kind serve.JobKind, model json.RawMessage, check serve.CheckSpec, enforce serve.EnforceSpec, deadlineMS int64, maxAttempts int) (*item, error) {
 	var m repro.Macromodel
 	if err := json.Unmarshal(model, &m); err != nil {
 		return nil, fmt.Errorf("cluster: decoding model: %w", err)
 	}
-	fp := repro.PoleFingerprint(&m)
 	if maxAttempts <= 0 {
 		maxAttempts = c.opts.DefaultMaxAttempts
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	it := &item{
+		kind:       kind,
+		model:      model,
+		check:      check,
+		enforce:    enforce,
+		deadlineMS: deadlineMS,
+		done:       make(chan struct{}),
+	}
+	if _, err := c.led.Submit(repro.PoleFingerprint(&m), it, maxAttempts); err != nil {
+		if errors.Is(err, ledger.ErrFull) {
+			c.met.rejected()
+			return nil, ErrTooManyPending
+		}
 		return nil, ErrClosed
 	}
-	if c.pending >= c.opts.MaxPending {
-		c.met.rejected()
-		return nil, ErrTooManyPending
-	}
-	c.nextItem++
-	it := &item{
-		id:          c.nextItem,
-		kind:        kind,
-		model:       model,
-		fp:          fp,
-		check:       check,
-		enforce:     enforce,
-		deadlineMS:  deadlineMS,
-		maxAttempts: maxAttempts,
-		done:        make(chan struct{}),
-	}
-	c.items[it.id] = it
-	c.pending++
 	c.met.submitted()
-	c.enqueueLocked(it, "", false)
 	return it, nil
-}
-
-// enqueueLocked places a pending item on a member queue (never the
-// excluded one) and wakes a poller. With no live member the item simply
-// stays unplaced in the ledger; the next join re-places it.
-func (c *Coordinator) enqueueLocked(it *item, exclude string, front bool) {
-	it.state = statePending
-	it.holder = ""
-	m := c.placeLocked(it.fp, exclude)
-	if m == nil {
-		// No live member can take it: park it; joinLocked re-places
-		// parked items when a host arrives.
-		return
-	}
-	if front {
-		m.queue = append([]*item{it}, m.queue...)
-	} else {
-		m.queue = append(m.queue, it)
-	}
-	it.holder = m.name
-	c.wake()
-}
-
-// wake arms the lease long-poll notifier (non-blocking).
-func (c *Coordinator) wake() {
-	select {
-	case c.notify <- struct{}{}:
-	default:
-	}
-}
-
-// placeLocked picks the member for a fingerprint: the recorded placement,
-// then any member whose catalog holds the fingerprint warm, then the
-// least-loaded live member (uniform random under PlaceRandom). The
-// excluded member — the host a requeued item just died on — is never
-// chosen. Returns nil when no eligible live member exists.
-func (c *Coordinator) placeLocked(fp uint64, exclude string) *member {
-	eligible := func(m *member) bool { return m != nil && !m.lost && m.name != exclude }
-	if c.opts.Placement == PlaceRandom {
-		var live []*member
-		for _, m := range c.members {
-			if eligible(m) {
-				live = append(live, m)
-			}
-		}
-		if len(live) == 0 {
-			return nil
-		}
-		// Map iteration order is random but not seeded; sort by name for
-		// a reproducible draw under a fixed Seed.
-		sortMembers(live)
-		return live[c.rng.Intn(len(live))]
-	}
-	if name, ok := c.placement[fp]; ok {
-		if m := c.members[name]; eligible(m) {
-			return m
-		}
-	}
-	var best *member
-	for _, m := range c.members {
-		if eligible(m) && m.catalog[fp] && (best == nil || m.load() < best.load() || (m.load() == best.load() && m.name < best.name)) {
-			best = m
-		}
-	}
-	if best == nil {
-		for _, m := range c.members {
-			if eligible(m) && (best == nil || m.load() < best.load() || (m.load() == best.load() && m.name < best.name)) {
-				best = m
-			}
-		}
-	}
-	if best != nil {
-		c.placement[fp] = best.name
-	}
-	return best
-}
-
-// sortMembers orders members by name (deterministic random placement).
-func sortMembers(ms []*member) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].name < ms[j-1].name; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
 }
 
 // Join registers (or re-registers) a worker host. A re-join with a live
@@ -352,30 +207,12 @@ func (c *Coordinator) Join(req *JoinRequest) (*JoinResponse, error) {
 	if req.Name == "" {
 		return nil, errors.New("cluster: join without a name")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	lost, err := c.led.Join(req.Name, parseCatalog(req.Fingerprints))
+	if err != nil {
 		return nil, ErrClosed
 	}
-	if old := c.members[req.Name]; old != nil {
-		c.evictMemberLocked(old)
-	}
-	m := &member{
-		name:     req.Name,
-		catalog:  parseCatalog(req.Fingerprints),
-		leased:   make(map[int64]*item),
-		lastSeen: time.Now(),
-	}
-	c.members[req.Name] = m
+	c.failLost(lost)
 	c.met.joined()
-	// Re-place items parked while no member was live (or queued on hosts
-	// that have since vanished).
-	for _, it := range c.items {
-		if it.state == statePending && it.holder == "" {
-			c.enqueueLocked(it, "", false)
-		}
-	}
-	c.wake()
 	return &JoinResponse{
 		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
 		PollWaitMS:  c.opts.PollWait.Milliseconds(),
@@ -383,103 +220,28 @@ func (c *Coordinator) Join(req *JoinRequest) (*JoinResponse, error) {
 	}, nil
 }
 
-// evictMemberLocked removes a member from service: its queue and leases
-// requeue elsewhere, its catalog and placements are scrubbed.
-func (c *Coordinator) evictMemberLocked(m *member) {
-	m.lost = true
-	for fp, name := range c.placement {
-		if name == m.name {
-			delete(c.placement, fp)
-		}
+// memberErr maps the ledger's member errors to the worker surface's.
+func memberErr(err error) error {
+	if errors.Is(err, ledger.ErrUnknownMember) {
+		return ErrUnknownWorker
 	}
-	queue := m.queue
-	m.queue = nil
-	for _, it := range queue {
-		c.requeueLocked(it, m.name)
-	}
-	leased := m.leased
-	m.leased = make(map[int64]*item)
-	for _, it := range leased {
-		c.requeueLocked(it, m.name)
-	}
-	delete(c.members, m.name)
-	c.met.left()
+	return ErrClosed
 }
 
-// requeueLocked moves an item that died with its host back to pending on
-// a different member — or fails it when its lease attempts are spent.
-func (c *Coordinator) requeueLocked(it *item, exclude string) {
-	if it.state == stateDone {
-		return
+// parseCatalog decodes a worker-advertised %016x fingerprint list (nil
+// for a nil list: nothing advertised). Unparseable entries are dropped —
+// an agent bug must not poison the whole catalog.
+func parseCatalog(ss []string) []uint64 {
+	if ss == nil {
+		return nil
 	}
-	if it.state == stateLeased && it.attempts >= it.maxAttempts {
-		c.failLocked(it, http.StatusInternalServerError,
-			fmt.Sprintf("lease expired on %q after %d attempt(s); worker lost", it.holder, it.attempts))
-		return
-	}
-	if it.state == stateLeased {
-		c.met.requeued()
-	}
-	// Requeued items go to the front: they have been waiting longest and
-	// their submitter is closest to a timeout.
-	c.enqueueLocked(it, exclude, true)
-}
-
-// failLocked records a terminal failure result.
-func (c *Coordinator) failLocked(it *item, status int, msg string) {
-	it.resp = serve.Response{Error: msg, Attempts: it.attempts, Fingerprint: fmt.Sprintf("%016x", it.fp)}
-	c.finishLocked(it, status)
-	c.met.failed()
-}
-
-// finishLocked transitions an item to done and releases its waiter.
-func (c *Coordinator) finishLocked(it *item, status int) {
-	if it.state == stateDone {
-		return
-	}
-	if it.state == stateLeased {
-		if m := c.members[it.holder]; m != nil {
-			delete(m.leased, it.id)
-		}
-	}
-	it.state = stateDone
-	it.status = status
-	c.pending--
-	close(it.done)
-	// Done items stay in the ledger map so late duplicate completions
-	// are recognized (and discarded) rather than mistaken for unknown
-	// items; drop the heavy payload, keep the bookkeeping.
-	it.model = nil
-}
-
-// expireLocked requeues expired leases and evicts silent members.
-func (c *Coordinator) expireLocked(now time.Time) {
-	for _, m := range c.members {
-		if now.Sub(m.lastSeen) > c.opts.WorkerTTL {
-			c.evictMemberLocked(m)
-		}
-	}
-	for _, m := range c.members {
-		for _, it := range m.leased {
-			if now.After(it.leaseExpiry) {
-				delete(m.leased, it.id)
-				c.requeueLocked(it, m.name)
-			}
-		}
-	}
-}
-
-// parseCatalog decodes a worker-advertised %016x fingerprint list
-// (unparseable entries are dropped — an agent bug must not poison the
-// whole catalog).
-func parseCatalog(ss []string) map[uint64]bool {
-	cat := make(map[uint64]bool, len(ss))
+	fps := make([]uint64, 0, len(ss))
 	for _, s := range ss {
 		if fp, err := strconv.ParseUint(s, 16, 64); err == nil {
-			cat[fp] = true
+			fps = append(fps, fp)
 		}
 	}
-	return cat
+	return fps
 }
 
 // Lease hands the next work item to a member, long-polling up to
@@ -487,146 +249,48 @@ func parseCatalog(ss []string) map[uint64]bool {
 // (HTTP 204). An idle member whose own queue is empty steals from the
 // tail of the most-loaded peer's queue.
 func (c *Coordinator) Lease(ctx context.Context, req *LeaseRequest) (*LeaseResponse, error) {
-	deadline := time.NewTimer(c.opts.PollWait)
-	defer deadline.Stop()
-	for {
-		resp, err := c.tryLease(req)
-		if resp != nil || err != nil {
-			return resp, err
+	if err := c.led.Touch(req.Worker, parseCatalog(req.Fingerprints), nil); err != nil {
+		return nil, memberErr(err)
+	}
+	ctx, cancel := context.WithTimeout(ctx, c.opts.PollWait)
+	defer cancel()
+	l, err := c.led.Lease(ctx, req.Worker)
+	if l == nil || err != nil {
+		if err != nil {
+			err = memberErr(err)
 		}
-		select {
-		case <-c.notify:
-		case <-deadline.C:
-			return nil, nil
-		case <-ctx.Done():
-			return nil, nil
-		case <-c.stop:
-			return nil, ErrClosed
-		}
+		return nil, err
 	}
-}
-
-// tryLease attempts one lease without blocking.
-func (c *Coordinator) tryLease(req *LeaseRequest) (*LeaseResponse, error) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	m := c.members[req.Worker]
-	if m == nil || m.lost {
-		return nil, ErrUnknownWorker
-	}
-	m.lastSeen = now
-	if req.Fingerprints != nil {
-		m.catalog = parseCatalog(req.Fingerprints)
-	}
-	c.expireLocked(now)
-
-	var it *item
-	stolen := false
-	if len(m.queue) > 0 {
-		it, m.queue = m.queue[0], m.queue[1:]
-	} else {
-		// Steal from the tail of the most-loaded peer's queue: the tail
-		// is the work the victim will reach last, so moving it disturbs
-		// affinity the least while keeping this host busy. Only genuinely
-		// backlogged victims qualify — running something with more queued,
-		// or a queue of two-plus; snatching the single queued item of an
-		// otherwise idle peer is pure placement churn, not throughput.
-		var victim *member
-		for _, v := range c.members {
-			if v == m || v.lost || len(v.queue) == 0 {
-				continue
-			}
-			if len(v.queue) < 2 && len(v.leased) == 0 {
-				continue
-			}
-			if victim == nil || len(v.queue) > len(victim.queue) || (len(v.queue) == len(victim.queue) && v.name < victim.name) {
-				victim = v
-			}
-		}
-		if victim != nil {
-			it = victim.queue[len(victim.queue)-1]
-			victim.queue = victim.queue[:len(victim.queue)-1]
-			stolen = true
-			c.met.stole()
-			if c.opts.Placement == PlaceAffinity {
-				// The placement map follows the thief so queued siblings
-				// of the fingerprint migrate with the cache.
-				c.placement[it.fp] = m.name
-			}
-		}
-	}
-	if it == nil {
-		return nil, nil
-	}
-	it.state = stateLeased
-	it.epoch++
-	it.attempts++
-	it.holder = m.name
-	it.leaseExpiry = now.Add(c.opts.LeaseTTL)
-	it.stolen = stolen
-	m.leased[it.id] = it
-	c.met.leased(stolen, m.catalog[it.fp])
-
+	it := l.Payload.(*item)
+	c.met.leased(l.Warm)
 	resp := &LeaseResponse{
-		Item:        it.id,
-		Epoch:       it.epoch,
-		Kind:        kindName(it.kind),
+		Item:        l.ID,
+		Epoch:       l.Epoch,
+		Kind:        it.kind.String(),
 		Model:       it.model,
 		Check:       it.check,
 		Enforce:     it.enforce,
 		DeadlineMS:  it.deadlineMS,
-		Fingerprint: fmt.Sprintf("%016x", it.fp),
-		Stolen:      stolen,
-		WantCache:   !m.catalog[it.fp],
+		Fingerprint: fmt.Sprintf("%016x", l.FP),
+		Stolen:      l.Stolen,
+		WantCache:   !l.Warm,
 	}
-	if !m.catalog[it.fp] {
+	if !l.Warm {
 		// Ship the warm cache ahead of the model when the store holds one
 		// this host lacks.
-		if addr := c.store.latestAddr(it.fp); addr != "" {
+		if addr := c.store.latestAddr(l.FP); addr != "" {
 			resp.CacheAddr = addr
 			c.met.shipped()
-		}
-	}
-	// More work may be queued; keep the other pollers moving.
-	for _, v := range c.members {
-		if len(v.queue) > 0 {
-			c.wake()
-			break
 		}
 	}
 	return resp, nil
 }
 
-// kindName maps a job kind to its wire name.
-func kindName(k serve.JobKind) string {
-	if k == serve.JobEnforce {
-		return "enforce"
-	}
-	return "check"
-}
-
 // Heartbeat renews a member's liveness and the leases of the items it
 // reports in flight.
 func (c *Coordinator) Heartbeat(req *HeartbeatRequest) error {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.members[req.Worker]
-	if m == nil || m.lost {
-		return ErrUnknownWorker
-	}
-	m.lastSeen = now
-	if req.Fingerprints != nil {
-		m.catalog = parseCatalog(req.Fingerprints)
-	}
-	for _, id := range req.Items {
-		if it := m.leased[id]; it != nil {
-			it.leaseExpiry = now.Add(c.opts.LeaseTTL)
-		}
+	if err := c.led.Touch(req.Worker, parseCatalog(req.Fingerprints), req.Items); err != nil {
+		return memberErr(err)
 	}
 	return nil
 }
@@ -639,49 +303,53 @@ func (c *Coordinator) Heartbeat(req *HeartbeatRequest) error {
 // ingests the optional cache upload: validated, content-addressed,
 // catalogued; a corrupt blob is quarantined without touching the result.
 func (c *Coordinator) Complete(req *CompleteRequest) *CompleteResponse {
-	c.mu.Lock()
-	m := c.members[req.Worker]
-	if m != nil && !m.lost {
-		m.lastSeen = time.Now()
-	}
-	it := c.items[req.Item]
+	li, err := c.led.Complete(req.Worker, req.Item, req.Epoch)
 	switch {
-	case it == nil:
-		c.mu.Unlock()
+	case errors.Is(err, ledger.ErrUnknownItem):
 		c.met.duplicate()
 		return &CompleteResponse{Accepted: false, Reason: "unknown item"}
-	case it.state != stateLeased || it.epoch != req.Epoch || it.holder != req.Worker:
-		c.mu.Unlock()
+	case err != nil:
 		c.met.duplicate()
 		return &CompleteResponse{Accepted: false, Reason: "stale epoch"}
 	}
+	it := li.Payload.(*item)
 	it.resp = req.Response
-	it.resp.Attempts = it.attempts // cluster-level attempts supersede host-local counts
+	it.resp.Attempts = li.Attempts // cluster-level attempts supersede host-local counts
 	status := req.Status
 	if status == 0 {
 		status = http.StatusOK
 	}
-	// Ingest the upload before finishing the item releases the result: a
-	// caller that sees the result must also see the warm cache stored, or
-	// the next same-fingerprint lease ships nothing.
+	// Ingest the upload before releasing the result: a caller that sees
+	// the result must also see the warm cache stored, or the next
+	// same-fingerprint lease ships nothing.
 	if len(req.Cache) > 0 {
-		if _, upFP, err := c.store.put(req.Cache); err != nil {
+		if _, _, err := c.store.put(req.Cache); err != nil {
 			c.met.quarantinedUpload()
 		} else {
 			c.met.cacheTransferred(len(req.Cache))
-			if m != nil {
-				m.catalog[upFP] = true
-			}
 		}
 	}
-	c.finishLocked(it, status)
-	c.met.completed(kindName(it.kind), status)
-	if m != nil {
-		// The host just ran the model; its serve layer holds the cache.
-		m.catalog[it.fp] = true
-	}
-	c.mu.Unlock()
+	// The host just ran the model; its serve layer holds the cache.
+	c.led.MarkWarm(req.Worker, li.FP)
+	c.finish(it, status)
+	c.met.completed(it.kind.String(), status)
 	return &CompleteResponse{Accepted: true}
+}
+
+// fail records a terminal failure result for an item the ledger let go.
+func (c *Coordinator) fail(li *ledger.Item, status int, msg string) {
+	it := li.Payload.(*item)
+	it.resp = serve.Response{Error: msg, Attempts: li.Attempts, Fingerprint: fmt.Sprintf("%016x", li.FP)}
+	c.finish(it, status)
+	c.met.failed()
+}
+
+// finish releases an item's waiter. The ledger hands each item back
+// exactly once, so this runs once per item.
+func (c *Coordinator) finish(it *item, status int) {
+	it.status = status
+	it.model = nil
+	close(it.done)
 }
 
 // CacheBlob serves a stored warm-state blob by content address (nil when

@@ -24,18 +24,6 @@ type clientRequest struct {
 	MaxAttempts int               `json:"max_attempts,omitempty"`
 }
 
-// writeJSON emits one JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		body, _ = json.Marshal(serve.Response{Error: "encoding response: " + err.Error()})
-		status = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-}
-
 // Handler returns the coordinator's HTTP interface. The client surface is
 // wire-compatible with a single passivityd daemon; the worker surface
 // carries the /cluster/v1/ pull protocol:
@@ -59,48 +47,48 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("/cluster/v1/join", func(w http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
-		if !decodePost(w, r, &req) {
+		if !serve.DecodePost(w, r, &req, maxBodyBytes) {
 			return
 		}
 		resp, err := c.Join(&req)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/cluster/v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if !decodePost(w, r, &req) {
+		if !serve.DecodePost(w, r, &req, maxBodyBytes) {
 			return
 		}
 		resp, err := c.Lease(r.Context(), &req)
 		switch {
 		case err == ErrUnknownWorker:
 			// 410 tells the agent its registration is gone — re-join.
-			writeJSON(w, http.StatusGone, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusGone, serve.Response{Error: err.Error()})
 		case err != nil:
-			writeJSON(w, http.StatusServiceUnavailable, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Response{Error: err.Error()})
 		case resp == nil:
 			w.WriteHeader(http.StatusNoContent)
 		default:
-			writeJSON(w, http.StatusOK, resp)
+			serve.WriteJSON(w, http.StatusOK, resp)
 		}
 	})
 	mux.HandleFunc("/cluster/v1/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req CompleteRequest
-		if !decodePost(w, r, &req) {
+		if !serve.DecodePost(w, r, &req, maxBodyBytes) {
 			return
 		}
-		writeJSON(w, http.StatusOK, c.Complete(&req))
+		serve.WriteJSON(w, http.StatusOK, c.Complete(&req))
 	})
 	mux.HandleFunc("/cluster/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if !decodePost(w, r, &req) {
+		if !serve.DecodePost(w, r, &req, maxBodyBytes) {
 			return
 		}
 		if err := c.Heartbeat(&req); err != nil {
-			writeJSON(w, http.StatusGone, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusGone, serve.Response{Error: err.Error()})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -120,13 +108,10 @@ func (c *Coordinator) Handler() http.Handler {
 		c.writePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		c.mu.Lock()
-		closed, members := c.closed, len(c.members)
-		c.mu.Unlock()
 		switch {
-		case closed:
+		case c.closed():
 			http.Error(w, "closed", http.StatusServiceUnavailable)
-		case members == 0:
+		case c.led.Stats().Members == 0:
 			// A coordinator with no worker hosts parks every job; an LB
 			// should hold traffic until the first join.
 			http.Error(w, "no workers joined", http.StatusServiceUnavailable)
@@ -137,34 +122,20 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// decodePost enforces POST + JSON body, answering the error itself.
-func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: "decoding request: " + err.Error()})
-		return false
-	}
-	return true
-}
-
 // handleJob admits one client job to the ledger and waits for its result.
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request, kind serve.JobKind) {
 	var req clientRequest
-	if !decodePost(w, r, &req) {
+	if !serve.DecodePost(w, r, &req, maxBodyBytes) {
 		return
 	}
 	if len(req.Model) == 0 {
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: "request carries no model"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.Response{Error: "request carries no model"})
 		return
 	}
 	// Fail malformed check specs here, before a worker burns a lease on
 	// them (the same validation the single-host handler does).
 	if _, err := req.Check.CheckOptions(); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
 		return
 	}
 	it, err := c.Submit(kind, req.Model, req.Check, req.Enforce, req.DeadlineMS, req.MaxAttempts)
@@ -174,15 +145,15 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request, kind ser
 		// hints with an HTTP-date (the daemon hints with delta-seconds),
 		// so clients must parse both — serve.ParseRetryAfter does.
 		w.Header().Set("Retry-After", time.Now().Add(2*time.Second).UTC().Format(http.TimeFormat))
-		writeJSON(w, http.StatusTooManyRequests, serve.Response{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusTooManyRequests, serve.Response{Error: err.Error()})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
 		return
 	}
 	// The coordinator always finishes an admitted item (lease expiry and
 	// Close both fail it), so this wait cannot leak; a departed client
 	// just never reads the buffered result.
 	<-it.done
-	writeJSON(w, it.status, it.resp)
+	serve.WriteJSON(w, it.status, it.resp)
 }

@@ -3,26 +3,25 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
+
+	"repro/internal/prom"
 )
 
 // clusterMetrics aggregates the coordinator's operational counters,
 // exported in Prometheus text format on the coordinator's /metrics.
-// Gauges (members, active leases, ledger depth) are computed from the
-// live ledger at scrape time; only the counters live here.
+// The ledger's gauges and its steal, requeue and leave counters are read
+// from the ledger at scrape time; only the coordinator's own counters
+// live here.
 type clusterMetrics struct {
 	mu sync.Mutex
 
 	submittedTotal int64
 	rejectedTotal  int64
 	joinsTotal     int64
-	leavesTotal    int64
 
 	leasesTotal     int64
 	warmLeasesTotal int64 // leases whose member already held the fingerprint
-	stealsTotal     int64
-	requeuesTotal   int64
 	duplicatesTotal int64
 
 	completedTotal map[string]int64 // by "kind/status code"
@@ -40,9 +39,6 @@ func newClusterMetrics() *clusterMetrics {
 func (m *clusterMetrics) submitted() { m.bump(&m.submittedTotal) }
 func (m *clusterMetrics) rejected()  { m.bump(&m.rejectedTotal) }
 func (m *clusterMetrics) joined()    { m.bump(&m.joinsTotal) }
-func (m *clusterMetrics) left()      { m.bump(&m.leavesTotal) }
-func (m *clusterMetrics) stole()     { m.bump(&m.stealsTotal) }
-func (m *clusterMetrics) requeued()  { m.bump(&m.requeuesTotal) }
 func (m *clusterMetrics) duplicate() { m.bump(&m.duplicatesTotal) }
 func (m *clusterMetrics) failed()    { m.bump(&m.failedTotal) }
 func (m *clusterMetrics) shipped()   { m.bump(&m.cacheShipsTotal) }
@@ -55,7 +51,7 @@ func (m *clusterMetrics) bump(c *int64) {
 	m.mu.Unlock()
 }
 
-func (m *clusterMetrics) leased(stolen, warm bool) {
+func (m *clusterMetrics) leased(warm bool) {
 	m.mu.Lock()
 	m.leasesTotal++
 	if warm {
@@ -91,68 +87,41 @@ func (c *Coordinator) WarmLeaseRatio() float64 {
 
 // StealsTotal reports how many leases were served by stealing from a
 // peer's queue.
-func (c *Coordinator) StealsTotal() int64 {
-	c.met.mu.Lock()
-	defer c.met.mu.Unlock()
-	return c.met.stealsTotal
-}
+func (c *Coordinator) StealsTotal() int64 { return c.led.Stats().Steals }
 
 // writePrometheus renders the coordinator state in Prometheus text
-// format (hand-rolled — the module takes no dependencies).
+// format.
 func (c *Coordinator) writePrometheus(w io.Writer) {
-	c.mu.Lock()
-	membersLive := len(c.members)
-	leasesActive := 0
-	queueDepth := 0
-	for _, m := range c.members {
-		leasesActive += len(m.leased)
-		queueDepth += len(m.queue)
-	}
-	pending := c.pending
-	c.mu.Unlock()
+	st := c.led.Stats()
 	storeBytes, storeBlobs := c.store.stats()
 
 	m := c.met
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p := prom.New(w)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_members Live worker hosts.\n# TYPE passivityd_cluster_members gauge\npassivityd_cluster_members %d\n", membersLive)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_leases_active Items currently leased to a host.\n# TYPE passivityd_cluster_leases_active gauge\npassivityd_cluster_leases_active %d\n", leasesActive)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_queue_depth Items queued on member queues.\n# TYPE passivityd_cluster_queue_depth gauge\npassivityd_cluster_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_pending Admitted-but-unfinished ledger items.\n# TYPE passivityd_cluster_pending gauge\npassivityd_cluster_pending %d\n", pending)
+	p.Metric("passivityd_cluster_members", "gauge", "Live worker hosts.", st.Members)
+	p.Metric("passivityd_cluster_leases_active", "gauge", "Items currently leased to a host.", st.Leased)
+	p.Metric("passivityd_cluster_queue_depth", "gauge", "Items queued on member queues.", st.Queued)
+	p.Metric("passivityd_cluster_pending", "gauge", "Admitted-but-unfinished ledger items.", st.Items)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_jobs_submitted_total Jobs admitted to the ledger.\n# TYPE passivityd_cluster_jobs_submitted_total counter\npassivityd_cluster_jobs_submitted_total %d\n", m.submittedTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_jobs_rejected_total Jobs rejected at admission (ledger full).\n# TYPE passivityd_cluster_jobs_rejected_total counter\npassivityd_cluster_jobs_rejected_total %d\n", m.rejectedTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_joins_total Worker host registrations.\n# TYPE passivityd_cluster_joins_total counter\npassivityd_cluster_joins_total %d\n", m.joinsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_leaves_total Worker hosts evicted (lost or re-joined).\n# TYPE passivityd_cluster_leaves_total counter\npassivityd_cluster_leaves_total %d\n", m.leavesTotal)
+	p.Metric("passivityd_cluster_jobs_submitted_total", "counter", "Jobs admitted to the ledger.", m.submittedTotal)
+	p.Metric("passivityd_cluster_jobs_rejected_total", "counter", "Jobs rejected at admission (ledger full).", m.rejectedTotal)
+	p.Metric("passivityd_cluster_joins_total", "counter", "Worker host registrations.", m.joinsTotal)
+	p.Metric("passivityd_cluster_leaves_total", "counter", "Worker hosts evicted (lost or re-joined).", st.Leaves)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_leases_total Leases issued.\n# TYPE passivityd_cluster_leases_total counter\npassivityd_cluster_leases_total %d\n", m.leasesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_warm_leases_total Leases placed on a host already holding the fingerprint warm.\n# TYPE passivityd_cluster_warm_leases_total counter\npassivityd_cluster_warm_leases_total %d\n", m.warmLeasesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_steals_total Leases served by stealing from a peer's queue.\n# TYPE passivityd_cluster_steals_total counter\npassivityd_cluster_steals_total %d\n", m.stealsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_requeues_total Leased items requeued after lease expiry or host loss.\n# TYPE passivityd_cluster_requeues_total counter\npassivityd_cluster_requeues_total %d\n", m.requeuesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_duplicates_dropped_total Completions discarded for a stale epoch or unknown item.\n# TYPE passivityd_cluster_duplicates_dropped_total counter\npassivityd_cluster_duplicates_dropped_total %d\n", m.duplicatesTotal)
+	p.Metric("passivityd_cluster_leases_total", "counter", "Leases issued.", m.leasesTotal)
+	p.Metric("passivityd_cluster_warm_leases_total", "counter", "Leases placed on a host already holding the fingerprint warm.", m.warmLeasesTotal)
+	p.Metric("passivityd_cluster_steals_total", "counter", "Leases served by stealing from a peer's queue.", st.Steals)
+	p.Metric("passivityd_cluster_requeues_total", "counter", "Leased items requeued after lease expiry or host loss.", st.Requeues)
+	p.Metric("passivityd_cluster_duplicates_dropped_total", "counter", "Completions discarded for a stale epoch or unknown item.", m.duplicatesTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_jobs_completed_total Results recorded, by kind and HTTP status.\n# TYPE passivityd_cluster_jobs_completed_total counter\n")
-	keys := make([]string, 0, len(m.completedTotal))
-	for k := range m.completedTotal {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		kind, status := k, ""
-		for i := range k {
-			if k[i] == '/' {
-				kind, status = k[:i], k[i+1:]
-				break
-			}
-		}
-		fmt.Fprintf(w, "passivityd_cluster_jobs_completed_total{kind=%q,status=%q} %d\n", kind, status, m.completedTotal[k])
-	}
-	fmt.Fprintf(w, "# HELP passivityd_cluster_jobs_failed_total Items failed by the coordinator itself (attempts spent, shutdown).\n# TYPE passivityd_cluster_jobs_failed_total counter\npassivityd_cluster_jobs_failed_total %d\n", m.failedTotal)
+	p.KindStatus("passivityd_cluster_jobs_completed_total", "Results recorded, by kind and HTTP status.", m.completedTotal)
+	p.Metric("passivityd_cluster_jobs_failed_total", "counter", "Items failed by the coordinator itself (attempts spent, shutdown).", m.failedTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_quarantined_uploads_total Corrupt cache uploads quarantined at ingest.\n# TYPE passivityd_cluster_quarantined_uploads_total counter\npassivityd_cluster_quarantined_uploads_total %d\n", m.quarantinedUploads)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_cache_ships_total Leases that carried a warm-cache address for the host to fetch.\n# TYPE passivityd_cluster_cache_ships_total counter\npassivityd_cluster_cache_ships_total %d\n", m.cacheShipsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_cache_transfers_bytes_total Cache bytes moved through the store, uploads plus downloads.\n# TYPE passivityd_cluster_cache_transfers_bytes_total counter\npassivityd_cluster_cache_transfers_bytes_total %d\n", m.cacheBytesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_cache_store_bytes Resident bytes in the content-addressed store.\n# TYPE passivityd_cluster_cache_store_bytes gauge\npassivityd_cluster_cache_store_bytes %d\n", storeBytes)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_cache_store_blobs Resident blobs in the content-addressed store.\n# TYPE passivityd_cluster_cache_store_blobs gauge\npassivityd_cluster_cache_store_blobs %d\n", storeBlobs)
+	p.Metric("passivityd_cluster_quarantined_uploads_total", "counter", "Corrupt cache uploads quarantined at ingest.", m.quarantinedUploads)
+	p.Metric("passivityd_cluster_cache_ships_total", "counter", "Leases that carried a warm-cache address for the host to fetch.", m.cacheShipsTotal)
+	p.Metric("passivityd_cluster_cache_transfers_bytes_total", "counter", "Cache bytes moved through the store, uploads plus downloads.", m.cacheBytesTotal)
+	p.Metric("passivityd_cluster_cache_store_bytes", "gauge", "Resident bytes in the content-addressed store.", storeBytes)
+	p.Metric("passivityd_cluster_cache_store_blobs", "gauge", "Resident blobs in the content-addressed store.", storeBlobs)
 }

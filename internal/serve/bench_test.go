@@ -19,8 +19,8 @@ import (
 // every check is served from its variant's stashed σ layer; random
 // placement spreads all 8 fingerprints over every worker and thrashes the
 // LRU, so most checks run cold. One op = one full 64-model sweep after a
-// shared warm-up sweep; the reported hit-ratio is the dispatcher's
-// affinity rate (0 by construction for the random arm). BENCH_6.json
+// shared warm-up sweep; the reported hit-ratio is the ledger's affinity
+// rate (0 by construction for the random arm). BENCH_6.json
 // tracks the wall-clock ratio (acceptance: affinity ≥ 1.5× lower) and the
 // hit rate (≥ 80%).
 func BenchmarkAffinityRouting(b *testing.B) {
@@ -59,11 +59,11 @@ func BenchmarkAffinityRouting(b *testing.B) {
 	budget := probe.CacheStats().Bytes * 2 / 5
 
 	for _, arm := range []struct {
-		name    string
-		routing RoutingPolicy
+		name   string
+		random bool
 	}{
-		{"affinity", RouteAffinity},
-		{"random", RouteRandom},
+		{"affinity", false},
+		{"random", true},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			s, err := New(Options{
@@ -71,11 +71,12 @@ func BenchmarkAffinityRouting(b *testing.B) {
 				QueueDepth:      len(models) * 2,
 				DefaultDeadline: time.Minute,
 				CacheBudget:     budget,
-				Routing:         arm.routing,
-				Seed:            7,
 			})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if arm.random {
+				s.led.RandomPlacement(7)
 			}
 			sweep := func() {
 				chans := make([]<-chan *Result, len(models))

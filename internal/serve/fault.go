@@ -113,7 +113,8 @@ func (p *FaultPlan) Attempts() int64 {
 }
 
 // hook is installed as the server's runHook. A worker-specific fault
-// wins over a global one for the same attempt.
+// wins over a global one for the same attempt; the global one moves to
+// the next attempt.
 func (p *FaultPlan) hook(ctx context.Context, j *Job) error {
 	p.mu.Lock()
 	p.globalSeq++
@@ -122,7 +123,17 @@ func (p *FaultPlan) hook(ctx context.Context, j *Job) error {
 	}
 	p.workerSeq[j.worker]++
 	spec, ok := p.perWorker[j.worker][p.workerSeq[j.worker]]
-	if !ok {
+	if g, clash := p.global[p.globalSeq]; ok && clash {
+		// Both schedules picked this attempt: defer the global fault to
+		// the next attempt without one, so every registered fault fires
+		// however the attempts interleave across workers.
+		delete(p.global, p.globalSeq)
+		n := p.globalSeq + 1
+		for _, taken := p.global[n]; taken; _, taken = p.global[n] {
+			n++
+		}
+		p.global[n] = g
+	} else if !ok {
 		spec, ok = p.global[p.globalSeq]
 	}
 	p.mu.Unlock()

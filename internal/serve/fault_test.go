@@ -196,16 +196,13 @@ func TestFaultWorkerRetiredAfterRestartBudget(t *testing.T) {
 	if res := <-ch; res.Err != nil || res.Worker != 1 || res.Attempts != 1 {
 		t.Fatalf("post-retirement job: err=%v worker=%d attempts=%d", res.Err, res.Worker, res.Attempts)
 	}
-	s.mu.Lock()
-	for fp, wi := range s.affinity {
-		if wi == 0 {
-			t.Errorf("affinity %016x still points at retired worker 0", fp)
+	for _, m := range models {
+		if name, ok := s.led.Placement(repro.PoleFingerprint(m)); ok && name == s.workers[0].name {
+			t.Errorf("placement %016x still points at retired worker 0", repro.PoleFingerprint(m))
 		}
 	}
-	dead := s.deadWorkers
-	s.mu.Unlock()
-	if dead != 1 || !s.workers[0].dead.Load() {
-		t.Fatalf("deadWorkers=%d dead[0]=%v, want worker 0 retired", dead, s.workers[0].dead.Load())
+	if members := s.led.Stats().Members; members != 1 || !s.workers[0].dead.Load() {
+		t.Fatalf("ledger members=%d dead[0]=%v, want worker 0 retired", members, s.workers[0].dead.Load())
 	}
 	s.met.mu.Lock()
 	retired, restarts := s.met.retiredTotal, s.met.restartsTotal
@@ -397,6 +394,8 @@ func TestFaultChaosSweep(t *testing.T) {
 		}
 		chans[i] = ch
 	}
+	// Count re-runs, not retried jobs: a requeued job can land on the
+	// worker whose scheduled fault comes next and absorb two faults.
 	retried := 0
 	for i, ch := range chans {
 		select {
@@ -404,15 +403,13 @@ func TestFaultChaosSweep(t *testing.T) {
 			if res.Err != nil {
 				t.Fatalf("job %d lost to chaos: %v (attempts %d)", i, res.Err, res.Attempts)
 			}
-			if res.Attempts > 1 {
-				retried++
-			}
+			retried += res.Attempts - 1
 		case <-time.After(30 * time.Second):
 			t.Fatalf("job %d never delivered a result", i)
 		}
 	}
 	if retried < 4 {
-		t.Fatalf("only %d jobs retried; the plan injected 4 retryable faults", retried)
+		t.Fatalf("only %d retries; the plan injected 4 retryable faults", retried)
 	}
 	s.met.mu.Lock()
 	panics, requeued := s.met.panicsTotal, s.met.requeuedTotal

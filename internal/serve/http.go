@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"time"
@@ -136,6 +137,17 @@ func (e EnforceSpec) EnforceOptions() repro.EnforceOptions {
 	}
 }
 
+// Job converts the request into a job of the given kind — for the
+// daemon's handler and for a cluster agent running a leased item alike.
+func (r *Request) Job(kind JobKind) (*Job, error) {
+	chk, err := r.Check.CheckOptions()
+	if err != nil {
+		return nil, err
+	}
+	return &Job{Kind: kind, Model: r.Model, Check: chk, Enforce: r.Enforce.EnforceOptions(),
+		Deadline: time.Duration(r.DeadlineMS) * time.Millisecond, MaxAttempts: r.MaxAttempts}, nil
+}
+
 // Handler returns the server's HTTP interface:
 //
 //	POST /v1/check    submit a check job, wait, return its Response
@@ -155,11 +167,8 @@ func (s *Server) Handler() http.Handler {
 		s.writePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
 		switch {
-		case draining:
+		case s.draining.Load():
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 		case !s.Ready():
 			// Not ready ≠ not alive: startup cache loading (and its
@@ -194,8 +203,29 @@ func ParseRetryAfter(v string) time.Duration {
 	return 0
 }
 
-// writeJSON emits one JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// maxRetryAfter caps how long a Retry-After hint may stall a client.
+const maxRetryAfter = 30 * time.Second
+
+// Backoff is the wait before retry number attempt (1-based) of a client
+// talking to a daemon or coordinator: base doubled per attempt and
+// capped at max, or the sender's Retry-After hint (capped at 30s) when it
+// gave one — always jittered into [d/2, d] so a fleet of clients does not
+// re-dogpile a recovering server in lockstep. passcheck's remote client
+// and the cluster worker agent both use it.
+func Backoff(attempt int, base, max, retryAfter time.Duration) time.Duration {
+	d := base << (attempt - 1)
+	if d > max || d <= 0 {
+		d = max
+	}
+	if retryAfter > 0 {
+		d = min(retryAfter, maxRetryAfter)
+	}
+	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
+}
+
+// WriteJSON emits one JSON response with the given status — for the
+// daemon and the cluster coordinator alike.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	// Marshal before touching the header: an encoding failure after
 	// WriteHeader(200) would truncate the body mid-stream and surface at
 	// the client as an opaque EOF instead of an error it can report.
@@ -209,52 +239,52 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(body, '\n'))
 }
 
-// handleJob decodes a Request, submits it and waits for the Result.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind JobKind) {
+// DecodePost reads a POST's JSON body of at most limit bytes into v,
+// answering a wrong method or a malformed body itself (false).
+func DecodePost(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return false
 	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		WriteJSON(w, http.StatusBadRequest, Response{Error: "decoding request: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// handleJob decodes a Request, submits it and waits for the Result.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind JobKind) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "decoding request: " + err.Error()})
+	if !DecodePost(w, r, &req, maxRequestBytes) {
 		return
 	}
 	if req.Model == nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "request carries no model"})
+		WriteJSON(w, http.StatusBadRequest, Response{Error: "request carries no model"})
 		return
 	}
-	chk, err := req.Check.CheckOptions()
+	job, err := req.Job(kind)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
 		return
-	}
-	job := &Job{
-		Kind:        kind,
-		Model:       req.Model,
-		Check:       chk,
-		Enforce:     req.Enforce.EnforceOptions(),
-		Deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
-		MaxAttempts: req.MaxAttempts,
 	}
 	ch, err := s.Submit(job)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, Response{Error: err.Error()})
+		WriteJSON(w, http.StatusTooManyRequests, Response{Error: err.Error()})
 		return
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrNoWorkers):
-		writeJSON(w, http.StatusServiceUnavailable, Response{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, Response{Error: err.Error()})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
 		return
 	}
 	// The worker always delivers (the channel is buffered), so waiting
 	// here cannot leak even if the client has gone away.
 	resp, status := ResponseStatus(<-ch)
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // ResponseStatus converts a finished job's Result into the wire Response

@@ -3,13 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
 	repro "repro"
+	"repro/internal/prom"
 )
 
 // metrics aggregates the server's operational counters. Everything is
@@ -21,7 +20,7 @@ type metrics struct {
 
 	acceptedTotal  int64
 	rejectedTotal  map[string]int64 // by reason: queue_full, draining
-	affinityHits   int64
+	affinityHits   int64            // first attempts that found their worker warm
 	affinityMisses int64
 
 	// completedTotal counts finished jobs by "kind/status" (status: ok,
@@ -72,65 +71,33 @@ func newMetrics() *metrics {
 	}
 }
 
-func (m *metrics) accepted(affinityHit bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.acceptedTotal++
+func (m *metrics) accepted()         { m.add(&m.acceptedTotal, 1) }
+func (m *metrics) panicked()         { m.add(&m.panicsTotal, 1) }
+func (m *metrics) workerRestarted()  { m.add(&m.restartsTotal, 1) }
+func (m *metrics) workerRetired()    { m.add(&m.retiredTotal, 1) }
+func (m *metrics) retried()          { m.add(&m.retriesTotal, 1) }
+func (m *metrics) requeued()         { m.add(&m.requeuedTotal, 1) }
+func (m *metrics) quarantined(n int) { m.add(&m.quarantinedTotal, int64(n)) }
+
+// placed counts a job's first attempt as an affinity hit or miss.
+func (m *metrics) placed(affinityHit bool) {
 	if affinityHit {
-		m.affinityHits++
+		m.add(&m.affinityHits, 1)
 	} else {
-		m.affinityMisses++
+		m.add(&m.affinityMisses, 1)
 	}
+}
+
+func (m *metrics) add(c *int64, n int64) {
+	m.mu.Lock()
+	*c += n
+	m.mu.Unlock()
 }
 
 func (m *metrics) rejected(reason string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rejectedTotal[reason]++
-}
-
-func (m *metrics) panicked() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.panicsTotal++
-}
-
-func (m *metrics) workerRestarted() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.restartsTotal++
-}
-
-func (m *metrics) workerRetired() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retiredTotal++
-}
-
-func (m *metrics) retried() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retriesTotal++
-}
-
-func (m *metrics) requeued() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requeuedTotal++
-}
-
-func (m *metrics) quarantined(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.quarantinedTotal += int64(n)
-}
-
-// kindLabel names a job kind in metric labels.
-func kindLabel(k JobKind) string {
-	if k == JobEnforce {
-		return "enforce"
-	}
-	return "check"
 }
 
 func (m *metrics) finished(kind JobKind, res *Result) {
@@ -143,7 +110,7 @@ func (m *metrics) finished(kind JobKind, res *Result) {
 	case res.Err != nil:
 		status = "error"
 	}
-	k := kindLabel(kind)
+	k := kind.String()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.completedTotal[k+"/"+status]++
@@ -169,8 +136,8 @@ func (m *metrics) cacheStats(worker int, st repro.SessionCacheStats) {
 	m.cache[worker] = st
 }
 
-// AffinityHitRatio reports hits/(hits+misses) over all accepted jobs
-// (0 when none were accepted yet).
+// AffinityHitRatio reports hits/(hits+misses) over all started jobs
+// (0 when none started yet).
 func (s *Server) AffinityHitRatio() float64 {
 	s.met.mu.Lock()
 	defer s.met.mu.Unlock()
@@ -181,96 +148,53 @@ func (s *Server) AffinityHitRatio() float64 {
 	return float64(s.met.affinityHits) / float64(total)
 }
 
-// sortedKeys returns the map keys in stable order so the /metrics output
-// is deterministic.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // writePrometheus renders the server state in the Prometheus text
-// exposition format (hand-rolled — the module takes no dependencies).
+// exposition format.
 func (s *Server) writePrometheus(w io.Writer) {
 	queued := s.QueueDepth()
 	m := s.met
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p := prom.New(w)
 
-	fmt.Fprintf(w, "# HELP passivityd_workers Worker pool size.\n# TYPE passivityd_workers gauge\npassivityd_workers %d\n", len(s.workers))
-	fmt.Fprintf(w, "# HELP passivityd_queue_depth Accepted-but-unfinished jobs.\n# TYPE passivityd_queue_depth gauge\npassivityd_queue_depth %d\n", queued)
-	fmt.Fprintf(w, "# HELP passivityd_jobs_accepted_total Jobs admitted to the queue.\n# TYPE passivityd_jobs_accepted_total counter\npassivityd_jobs_accepted_total %d\n", m.acceptedTotal)
+	p.Metric("passivityd_workers", "gauge", "Worker pool size.", len(s.workers))
+	p.Metric("passivityd_queue_depth", "gauge", "Accepted-but-unfinished jobs.", queued)
+	p.Metric("passivityd_jobs_accepted_total", "counter", "Jobs admitted to the queue.", m.acceptedTotal)
+	prom.Labelled(p, "passivityd_jobs_rejected_total", "counter", "Jobs rejected at admission.", "reason", m.rejectedTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_jobs_rejected_total Jobs rejected at admission.\n# TYPE passivityd_jobs_rejected_total counter\n")
-	for _, reason := range sortedKeys(m.rejectedTotal) {
-		fmt.Fprintf(w, "passivityd_jobs_rejected_total{reason=%q} %d\n", reason, m.rejectedTotal[reason])
-	}
-
-	fmt.Fprintf(w, "# HELP passivityd_affinity_hits_total Jobs placed on the worker already holding their pole-set fingerprint.\n# TYPE passivityd_affinity_hits_total counter\npassivityd_affinity_hits_total %d\n", m.affinityHits)
-	fmt.Fprintf(w, "# HELP passivityd_affinity_misses_total Jobs placed by the least-loaded fallback.\n# TYPE passivityd_affinity_misses_total counter\npassivityd_affinity_misses_total %d\n", m.affinityMisses)
+	p.Metric("passivityd_affinity_hits_total", "counter", "Jobs placed on the worker already holding their pole-set fingerprint.", m.affinityHits)
+	p.Metric("passivityd_affinity_misses_total", "counter", "Jobs placed by the least-loaded fallback.", m.affinityMisses)
 	ratio := 0.0
 	if t := m.affinityHits + m.affinityMisses; t > 0 {
 		ratio = float64(m.affinityHits) / float64(t)
 	}
-	fmt.Fprintf(w, "# HELP passivityd_affinity_hit_ratio Affinity hits over accepted jobs.\n# TYPE passivityd_affinity_hit_ratio gauge\npassivityd_affinity_hit_ratio %g\n", ratio)
+	p.Metric("passivityd_affinity_hit_ratio", "gauge", "Affinity hits over accepted jobs.", ratio)
 
-	fmt.Fprintf(w, "# HELP passivityd_panics_total Worker panics recovered by job supervision.\n# TYPE passivityd_panics_total counter\npassivityd_panics_total %d\n", m.panicsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_worker_restarts_total Worker Sessions rebuilt fresh after a panic.\n# TYPE passivityd_worker_restarts_total counter\npassivityd_worker_restarts_total %d\n", m.restartsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_workers_retired_total Workers retired for exhausting their restart budget.\n# TYPE passivityd_workers_retired_total counter\npassivityd_workers_retired_total %d\n", m.retiredTotal)
-	fmt.Fprintf(w, "# HELP passivityd_retries_total Job attempts re-run after a retryable failure.\n# TYPE passivityd_retries_total counter\npassivityd_retries_total %d\n", m.retriesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_requeued_total Jobs moved onto a different worker's queue.\n# TYPE passivityd_requeued_total counter\npassivityd_requeued_total %d\n", m.requeuedTotal)
-	fmt.Fprintf(w, "# HELP passivityd_quarantined_caches_total Corrupt cache files quarantined at load.\n# TYPE passivityd_quarantined_caches_total counter\npassivityd_quarantined_caches_total %d\n", m.quarantinedTotal)
+	p.Metric("passivityd_panics_total", "counter", "Worker panics recovered by job supervision.", m.panicsTotal)
+	p.Metric("passivityd_worker_restarts_total", "counter", "Worker Sessions rebuilt fresh after a panic.", m.restartsTotal)
+	p.Metric("passivityd_workers_retired_total", "counter", "Workers retired for exhausting their restart budget.", m.retiredTotal)
+	p.Metric("passivityd_retries_total", "counter", "Job attempts re-run after a retryable failure.", m.retriesTotal)
+	p.Metric("passivityd_requeued_total", "counter", "Jobs moved onto a different worker's queue.", m.requeuedTotal)
+	p.Metric("passivityd_quarantined_caches_total", "counter", "Corrupt cache files quarantined at load.", m.quarantinedTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_jobs_completed_total Finished jobs by kind and status.\n# TYPE passivityd_jobs_completed_total counter\n")
-	for _, k := range sortedKeys(m.completedTotal) {
-		kind, status := k, ""
-		for i := range k {
-			if k[i] == '/' {
-				kind, status = k[:i], k[i+1:]
-				break
-			}
-		}
-		fmt.Fprintf(w, "passivityd_jobs_completed_total{kind=%q,status=%q} %d\n", kind, status, m.completedTotal[k])
-	}
+	p.KindStatus("passivityd_jobs_completed_total", "Finished jobs by kind and status.", m.completedTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_queue_wait_seconds_total Cumulative time jobs spent queued.\n# TYPE passivityd_queue_wait_seconds_total counter\npassivityd_queue_wait_seconds_total %g\n", m.queueWaitSec)
-	fmt.Fprintf(w, "# HELP passivityd_queue_wait_count Jobs the wait total covers.\n# TYPE passivityd_queue_wait_count counter\npassivityd_queue_wait_count %d\n", m.queueWaitCount)
+	p.Metric("passivityd_queue_wait_seconds_total", "counter", "Cumulative time jobs spent queued.", m.queueWaitSec)
+	p.Metric("passivityd_queue_wait_count", "counter", "Jobs the wait total covers.", m.queueWaitCount)
+	prom.Labelled(p, "passivityd_service_seconds_total", "counter", "Cumulative worker time by job kind.", "kind", m.serviceSec)
+	prom.Labelled(p, "passivityd_service_count", "counter", "Jobs the service totals cover, by kind.", "kind", m.serviceCount)
 
-	fmt.Fprintf(w, "# HELP passivityd_service_seconds_total Cumulative worker time by job kind.\n# TYPE passivityd_service_seconds_total counter\n")
-	for _, k := range sortedKeys(m.serviceSec) {
-		fmt.Fprintf(w, "passivityd_service_seconds_total{kind=%q} %g\n", k, m.serviceSec[k])
-	}
-	fmt.Fprintf(w, "# HELP passivityd_service_count Jobs the service totals cover, by kind.\n# TYPE passivityd_service_count counter\n")
-	for _, k := range sortedKeys(m.serviceCount) {
-		fmt.Fprintf(w, "passivityd_service_count{kind=%q} %d\n", k, m.serviceCount[k])
-	}
+	prom.Labelled(p, "passivityd_stage_seconds_total", "counter", "Wall-clock charged to each progress stage.", "stage", m.stageSec)
+	prom.Labelled(p, "passivityd_stage_events_total", "counter", "Progress events per stage.", "stage", m.stageEvents)
+	p.Metric("passivityd_sigma_samples_total", "counter", "Sigma evaluations reported by progress events.", m.sigmaTotal)
+	p.Metric("passivityd_counter_nodes_total", "counter", "Contour-quadrature determinant evaluations reported by certificate-stage events.", m.nodesTotal)
+	p.Metric("passivityd_counter_declines_total", "counter", "Intervals certificate stages refused at their dimension gates.", m.declinesTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_stage_seconds_total Wall-clock charged to each progress stage.\n# TYPE passivityd_stage_seconds_total counter\n")
-	for _, k := range sortedKeys(m.stageSec) {
-		fmt.Fprintf(w, "passivityd_stage_seconds_total{stage=%q} %g\n", k, m.stageSec[k])
+	bytes := make(map[int]int64, len(m.cache))
+	models := make(map[int]int, len(m.cache))
+	for id, st := range m.cache {
+		bytes[id], models[id] = st.Bytes, st.Models
 	}
-	fmt.Fprintf(w, "# HELP passivityd_stage_events_total Progress events per stage.\n# TYPE passivityd_stage_events_total counter\n")
-	for _, k := range sortedKeys(m.stageEvents) {
-		fmt.Fprintf(w, "passivityd_stage_events_total{stage=%q} %d\n", k, m.stageEvents[k])
-	}
-	fmt.Fprintf(w, "# HELP passivityd_sigma_samples_total Sigma evaluations reported by progress events.\n# TYPE passivityd_sigma_samples_total counter\npassivityd_sigma_samples_total %d\n", m.sigmaTotal)
-	fmt.Fprintf(w, "# HELP passivityd_counter_nodes_total Contour-quadrature determinant evaluations reported by certificate-stage events.\n# TYPE passivityd_counter_nodes_total counter\npassivityd_counter_nodes_total %d\n", m.nodesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_counter_declines_total Intervals certificate stages refused at their dimension gates.\n# TYPE passivityd_counter_declines_total counter\npassivityd_counter_declines_total %d\n", m.declinesTotal)
-
-	fmt.Fprintf(w, "# HELP passivityd_worker_cache_bytes Estimated resident evaluation-cache bytes per worker Session.\n# TYPE passivityd_worker_cache_bytes gauge\n")
-	workers := make([]int, 0, len(m.cache))
-	for id := range m.cache {
-		workers = append(workers, id)
-	}
-	sort.Ints(workers)
-	for _, id := range workers {
-		fmt.Fprintf(w, "passivityd_worker_cache_bytes{worker=\"%d\"} %d\n", id, m.cache[id].Bytes)
-	}
-	fmt.Fprintf(w, "# HELP passivityd_worker_cache_models Resident pole-set caches per worker Session.\n# TYPE passivityd_worker_cache_models gauge\n")
-	for _, id := range workers {
-		fmt.Fprintf(w, "passivityd_worker_cache_models{worker=\"%d\"} %d\n", id, m.cache[id].Models)
-	}
+	prom.Labelled(p, "passivityd_worker_cache_bytes", "gauge", "Estimated resident evaluation-cache bytes per worker Session.", "worker", bytes)
+	prom.Labelled(p, "passivityd_worker_cache_models", "gauge", "Resident pole-set caches per worker Session.", "worker", models)
 }

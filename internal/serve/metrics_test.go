@@ -27,12 +27,12 @@ func TestCounterMetricsBackendLabels(t *testing.T) {
 }
 
 // TestWriteJSONEncodeFailure pins the header-ordering contract of
-// writeJSON: a value the encoder rejects (here a bare IEEE infinity) must
+// WriteJSON: a value the encoder rejects (here a bare IEEE infinity) must
 // come back as a clean 500 with a decodable error body, not a 200 whose
 // body truncated mid-stream.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	WriteJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}

@@ -5,15 +5,16 @@
 // The scheduling idea is pole-fingerprint cache affinity. A Session's
 // evaluation caches are keyed by the FNV-1a fingerprint of a model's pole
 // set (repro.PoleFingerprint), and a warm cache makes repeated checks of
-// models sharing that pole set several times cheaper than cold ones. The
-// dispatcher therefore steers every submitted job to the worker whose
-// Session already holds the job's fingerprint — consulting first its own
-// placement map (so queued jobs for one fingerprint pile onto one worker)
-// and then the workers' live caches via Session.HasCache (so affinity
-// survives process restarts through persisted cache files) — and falls
-// back to the least-loaded worker for fingerprints nobody has seen. On
-// library and parameter sweeps, where thousands of near-identical models
-// share a handful of pole sets, warm-cache hits dominate.
+// models sharing that pole set several times cheaper than cold ones. Each
+// worker is a member of one internal/ledger job ledger — the same
+// scheduler the cluster coordinator runs on — which places every job on
+// the worker recorded for its fingerprint, else on a worker whose
+// Session already holds it (Session.HasCache, so affinity survives
+// process restarts through persisted cache files), else on the least
+// loaded. Workers do not steal from each other: they share the host's
+// cores, so a steal would trade a warm run for a cold one. On library and
+// parameter sweeps, where thousands of near-identical models share a
+// handful of pole sets, warm-cache hits dominate.
 //
 // The queue is bounded with admission control: a Submit beyond QueueDepth
 // accepted-but-unfinished jobs fails with ErrQueueFull (HTTP 429), and a
@@ -27,28 +28,29 @@
 // The server is fault-tolerant (see supervise.go): every job attempt
 // runs behind panic isolation, a panicking worker's Session is retired
 // and rebuilt fresh (bounded by MaxWorkerRestarts, after which the
-// worker itself retires and the pool absorbs its load), and jobs that
-// die with a worker or fail with a Transient error are requeued onto a
-// different worker up to Job.MaxAttempts — enforce retries restarting
-// from a pristine model copy. Persisted cache files carry a checksum
-// footer; LoadCaches quarantines corrupt ones instead of failing. The
-// deterministic FaultPlan harness (fault.go) drives all of this from
-// tests.
+// worker leaves the ledger and the pool absorbs its load), and jobs that
+// die with a worker or fail with a Transient error are released back to
+// the ledger, which requeues them onto a different worker up to
+// Job.MaxAttempts — enforce retries restarting from a pristine model
+// copy. Persisted cache files carry a checksum footer; LoadCaches
+// quarantines corrupt ones instead of failing. The deterministic
+// FaultPlan harness (fault.go) drives all of this from tests.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	repro "repro"
+	"repro/internal/ledger"
 )
 
 // Errors reported by Submit (mapped to HTTP statuses by the handler).
@@ -59,20 +61,6 @@ var (
 	// ErrDraining rejects a job because the server is shutting down
 	// (HTTP 503).
 	ErrDraining = errors.New("serve: server draining")
-)
-
-// RoutingPolicy selects how the dispatcher places jobs on workers.
-type RoutingPolicy int
-
-const (
-	// RouteAffinity (the default) steers each job to the worker whose
-	// Session holds the job's pole-set fingerprint, falling back to the
-	// least-loaded worker for unseen fingerprints.
-	RouteAffinity RoutingPolicy = iota
-	// RouteRandom places every job on a uniformly random worker. It is the
-	// control arm of BenchmarkAffinityRouting and deliberately ignores
-	// cache residency; production servers want RouteAffinity.
-	RouteRandom
 )
 
 // Options configures New.
@@ -96,11 +84,6 @@ type Options struct {
 	// CacheBudget bounds each worker Session's resident cache bytes
 	// (0 = repro.DefaultSessionCacheBudget).
 	CacheBudget int64
-	// Routing selects the placement policy (default RouteAffinity).
-	Routing RoutingPolicy
-	// Seed makes RouteRandom deterministic for benchmarks (0 = fixed
-	// default seed).
-	Seed int64
 	// DefaultMaxAttempts applies to jobs that do not set Job.MaxAttempts
 	// (default 3). Only worker panics and errors marked Transient are
 	// retried; ordinary failures, deadline expiry and cancellation are
@@ -123,6 +106,14 @@ const (
 	// place and returns the enforced model.
 	JobEnforce
 )
+
+// String names the kind on the wire and in metric labels.
+func (k JobKind) String() string {
+	if k == JobEnforce {
+		return "enforce"
+	}
+	return "check"
+}
 
 // Job is one unit of work submitted to the server. The server owns the
 // model after Submit succeeds (enforce jobs perturb it in place).
@@ -150,12 +141,10 @@ type Job struct {
 	MaxAttempts int
 
 	fp          uint64
-	worker      int
-	affinityHit bool
+	worker      int  // the worker running the current attempt
+	affinityHit bool // the first attempt's placement was an affinity hit
 	accepted    time.Time
 	result      chan *Result
-	maxAttempts int
-	attempts    int               // attempts started (worker goroutines only)
 	lastErr     error             // most recent failed attempt's error
 	pristine    *repro.Macromodel // enforce-retry restore point
 }
@@ -164,7 +153,7 @@ type Job struct {
 type Result struct {
 	// Worker is the index of the worker that ran the job.
 	Worker int
-	// AffinityHit reports that the dispatcher placed the job on a worker
+	// AffinityHit reports that the ledger placed the job on a worker
 	// already associated with its pole-set fingerprint.
 	AffinityHit bool
 	// Fingerprint is the job model's pole-set fingerprint.
@@ -192,18 +181,17 @@ type Result struct {
 	Err error
 }
 
-// worker is one long-lived Session plus its job queue.
+// worker is one long-lived Session and the ledger member that feeds it.
 type worker struct {
 	id   int
+	name string // ledger member name
 	srv  *Server
-	sess *repro.Session // swapped under srv.mu when a panic retires it
-	jobs chan *Job
-	// pending counts queued+running jobs on this worker (the least-loaded
-	// fallback's load signal).
-	pending atomic.Int64
+	// sess is replaced when a panic retires the Session; the ledger's
+	// warm test reads it from other goroutines.
+	sess atomic.Pointer[repro.Session]
 	// restarts counts Session rebuilds after panics (worker goroutine
-	// only, under srv.mu); past Options.MaxWorkerRestarts the worker is
-	// retired and dead flips true.
+	// only); past Options.MaxWorkerRestarts the worker retires and dead
+	// flips true.
 	restarts int
 	dead     atomic.Bool
 	// markMu guards lastMark, the base timestamp the progress sink charges
@@ -214,23 +202,20 @@ type worker struct {
 	lastMark time.Time
 }
 
-// Server is the passivityd engine: a dispatcher with admission control in
-// front of a pool of Session workers. Build with New, serve HTTP with
-// Handler, stop with Drain.
+// Server is the passivityd engine: admission control in front of a pool
+// of Session workers, each a member of one job ledger. Build with New,
+// serve HTTP with Handler, stop with Drain.
 type Server struct {
 	opts    Options
 	workers []*worker
+	byName  map[string]*worker
+	led     *ledger.Ledger
 	met     *metrics
 
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
 
-	mu          sync.Mutex
-	affinity    map[uint64]int
-	queued      int
-	draining    bool
-	deadWorkers int
-	rng         *rand.Rand
+	draining atomic.Bool
 
 	// notReady inverts the /healthz readiness signal (see SetReady); the
 	// zero value keeps a freshly built server ready, matching embedded
@@ -245,11 +230,6 @@ type Server struct {
 	// deadlines and drains.
 	runHook func(ctx context.Context, j *Job) error
 }
-
-// maxAffinityEntries bounds the dispatcher placement map; beyond it the
-// map is rebuilt lazily from the workers' live caches (HasCache), which
-// bound themselves via the session byte budgets.
-const maxAffinityEntries = 1 << 16
 
 // New builds the server and starts its workers. Caches are not loaded
 // here — call LoadCaches to warm the pool from Options.CacheDir.
@@ -278,23 +258,32 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxWorkerRestarts <= 0 {
 		opts.MaxWorkerRestarts = 3
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
+		byName:     make(map[string]*worker),
 		met:        newMetrics(),
 		hardCtx:    hardCtx,
 		hardCancel: hardCancel,
-		affinity:   make(map[uint64]int),
-		rng:        rand.New(rand.NewSource(seed)),
 	}
+	// Leases never expire in-process: a worker that dies mid-job is a
+	// panic, which supervision turns into a release.
+	s.led = ledger.New(ledger.Config{
+		Limit: opts.QueueDepth,
+		Warm: func(name string, fp uint64) bool {
+			return s.byName[name].sess.Load().HasCache(fp)
+		},
+	})
 	for i := 0; i < opts.Workers; i++ {
-		w := &worker{id: i, srv: s, jobs: make(chan *Job, opts.QueueDepth)}
-		w.sess = s.newWorkerSession(w)
+		w := &worker{id: i, name: strconv.Itoa(i), srv: s}
+		w.sess.Store(s.newWorkerSession(w))
 		s.workers = append(s.workers, w)
+		s.byName[w.name] = w
+		if _, err := s.led.Join(w.name, nil); err != nil {
+			return nil, err
+		}
+	}
+	for _, w := range s.workers {
 		s.wg.Add(1)
 		go w.loop()
 	}
@@ -338,8 +327,8 @@ var ErrNoCache = errors.New("serve: no cache for fingerprint")
 // follow the caches.
 func (s *Server) CacheFingerprints() []uint64 {
 	seen := make(map[uint64]bool)
-	for _, w := range s.liveSessions() {
-		for _, fp := range w.CacheFingerprints() {
+	for _, sess := range s.liveSessions() {
+		for _, fp := range sess.CacheFingerprints() {
 			seen[fp] = true
 		}
 	}
@@ -351,15 +340,12 @@ func (s *Server) CacheFingerprints() []uint64 {
 	return fps
 }
 
-// liveSessions snapshots the live workers' Sessions under the dispatcher
-// lock (supervision swaps a panicked worker's Session there).
+// liveSessions returns the live workers' current Sessions.
 func (s *Server) liveSessions() []*repro.Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]*repro.Session, 0, len(s.workers))
 	for _, w := range s.workers {
 		if !w.dead.Load() {
-			out = append(out, w.sess)
+			out = append(out, w.sess.Load())
 		}
 	}
 	return out
@@ -385,31 +371,22 @@ func (s *Server) ExportCache(fp uint64) ([]byte, error) {
 }
 
 // ImportCache validates a serialized evaluation cache and installs it
-// into the worker the dispatcher would route the fingerprint to, then
-// records that placement — so the jobs the cache was shipped ahead of
-// land on the worker that now holds it. A corrupt blob is rejected whole;
-// no session state changes.
+// into the worker the ledger places the fingerprint on, recording that
+// placement — so the jobs the cache was shipped ahead of land on the
+// worker that now holds it. A corrupt blob is rejected whole; no session
+// state changes.
 func (s *Server) ImportCache(blob []byte) (uint64, error) {
 	fp, err := repro.CacheBlobFingerprint(blob)
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	w, _ := s.routeLocked(fp)
-	var sess *repro.Session
-	if w != nil {
-		sess = w.sess
-	}
-	s.mu.Unlock()
-	if sess == nil {
+	w := s.byName[s.led.Place(fp)]
+	if w == nil {
 		return 0, ErrNoWorkers
 	}
-	if _, err := sess.ImportCache(blob); err != nil {
+	if _, err := w.sess.Load().ImportCache(blob); err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	s.affinity[fp] = w.id
-	s.mu.Unlock()
 	return fp, nil
 }
 
@@ -424,16 +401,16 @@ func (s *Server) workerCacheDir(id int) string {
 // tear one — are quarantined (renamed with a .corrupt suffix, counted in
 // quarantined and the quarantined_caches_total metric) and that pole set
 // simply starts cold; the load never fails on corruption. The returned
-// error covers only infrastructure failures. The dispatcher rediscovers
-// the loaded fingerprints through Session.HasCache, so affinity
-// placement survives restarts.
+// error covers only infrastructure failures. The ledger rediscovers the
+// loaded fingerprints through Session.HasCache, so affinity placement
+// survives restarts.
 func (s *Server) LoadCaches() (quarantined int, err error) {
 	if s.opts.CacheDir == "" {
 		return 0, nil
 	}
 	var firstErr error
 	for _, w := range s.workers {
-		_, q, err := w.sess.LoadCacheQuarantine(s.workerCacheDir(w.id))
+		_, q, err := w.sess.Load().LoadCacheQuarantine(s.workerCacheDir(w.id))
 		quarantined += q
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -456,14 +433,14 @@ func (s *Server) saveCaches() error {
 		if w.dead.Load() {
 			continue
 		}
-		if err := w.sess.SaveCache(s.workerCacheDir(w.id)); err != nil && firstErr == nil {
+		if err := w.sess.Load().SaveCache(s.workerCacheDir(w.id)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// Submit places a job on a worker queue, returning the channel its Result
+// Submit admits a job to the ledger, returning the channel its Result
 // will arrive on (buffered: the worker never blocks on a departed
 // caller). It fails fast with ErrQueueFull when QueueDepth jobs are
 // already accepted and unfinished, with ErrDraining after Drain began,
@@ -472,112 +449,38 @@ func (s *Server) Submit(j *Job) (<-chan *Result, error) {
 	if j.Model == nil {
 		return nil, errors.New("serve: job without a model")
 	}
-	fp := repro.PoleFingerprint(j.Model)
-	j.maxAttempts = j.MaxAttempts
-	if j.maxAttempts <= 0 {
-		j.maxAttempts = s.opts.DefaultMaxAttempts
+	maxAttempts := j.MaxAttempts
+	if maxAttempts <= 0 {
+		maxAttempts = s.opts.DefaultMaxAttempts
 	}
 	// Enforce attempts perturb the model in place; keep a pristine copy
-	// so a retry never resumes from a half-perturbed carcass. Cloned
-	// outside the dispatcher lock — rejects waste one clone, admits keep
-	// the lock hold short.
-	if j.Kind == JobEnforce && j.maxAttempts > 1 {
+	// so a retry never resumes from a half-perturbed carcass.
+	if j.Kind == JobEnforce && maxAttempts > 1 {
 		j.pristine = j.Model.Clone()
 	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if s.draining.Load() {
 		s.met.rejected("draining")
 		return nil, ErrDraining
 	}
-	if s.queued >= s.opts.QueueDepth {
-		s.mu.Unlock()
+	ch := make(chan *Result, 1)
+	j.fp = repro.PoleFingerprint(j.Model)
+	j.accepted = time.Now()
+	j.result = ch
+	_, err := s.led.Submit(j.fp, j, maxAttempts)
+	switch {
+	case err == nil:
+	case errors.Is(err, ledger.ErrFull):
 		s.met.rejected("queue_full")
 		return nil, ErrQueueFull
-	}
-	w, hit := s.routeLocked(fp)
-	if w == nil {
-		s.mu.Unlock()
+	case s.draining.Load():
+		s.met.rejected("draining")
+		return nil, ErrDraining
+	default: // the ledger closed when the last worker retired
 		s.met.rejected("no_workers")
 		return nil, ErrNoWorkers
 	}
-	s.queued++
-	j.fp = fp
-	j.worker = w.id
-	j.affinityHit = hit
-	j.accepted = time.Now()
-	j.result = make(chan *Result, 1)
-	w.pending.Add(1)
-	// The send stays under s.mu so Drain can never close the channel
-	// between the admission check and the enqueue; it cannot block, since
-	// the buffer is QueueDepth and admission control bounds first.
-	w.jobs <- j
-	s.mu.Unlock()
-	s.met.accepted(hit)
-	return j.result, nil
-}
-
-// routeLocked picks the worker for a fingerprint, never a retired one
-// (nil if the whole pool is). Callers hold s.mu.
-func (s *Server) routeLocked(fp uint64) (*worker, bool) {
-	if s.deadWorkers >= len(s.workers) {
-		return nil, false
-	}
-	if s.opts.Routing == RouteRandom {
-		for {
-			if w := s.workers[s.rng.Intn(len(s.workers))]; !w.dead.Load() {
-				return w, false
-			}
-		}
-	}
-	if wi, ok := s.affinity[fp]; ok && !s.workers[wi].dead.Load() {
-		return s.workers[wi], true
-	}
-	// No placement on record: a worker may still hold the cache (loaded
-	// from disk by LoadCaches, or the map was rebuilt) — probe the pool.
-	for _, w := range s.workers {
-		if !w.dead.Load() && w.sess.HasCache(fp) {
-			s.affinity[fp] = w.id
-			return w, true
-		}
-	}
-	var best *worker
-	for _, w := range s.workers {
-		if w.dead.Load() {
-			continue
-		}
-		if best == nil || w.pending.Load() < best.pending.Load() {
-			best = w
-		}
-	}
-	if len(s.affinity) >= maxAffinityEntries {
-		s.evictAffinityLocked()
-	}
-	s.affinity[fp] = best.id
-	return best, false
-}
-
-// evictAffinityLocked shrinks a full placement map by keeping only the
-// live entries — fingerprints whose worker still holds the cache — so a
-// long-running daemon sheds the cold tail without forgetting its hot
-// set. Only if the live entries alone still fill the map are arbitrary
-// ones dropped (the budget-bounded Sessions make that pathological).
-// Callers hold s.mu.
-func (s *Server) evictAffinityLocked() {
-	kept := make(map[uint64]int)
-	for fp, wi := range s.affinity {
-		w := s.workers[wi]
-		if !w.dead.Load() && w.sess.HasCache(fp) {
-			kept[fp] = wi
-		}
-	}
-	for fp := range kept {
-		if len(kept) < maxAffinityEntries {
-			break
-		}
-		delete(kept, fp)
-	}
-	s.affinity = kept
+	s.met.accepted()
+	return ch, nil
 }
 
 // Drain stops admission (subsequent Submits fail with ErrDraining), waits
@@ -587,16 +490,10 @@ func (s *Server) evictAffinityLocked() {
 // drain loses no work, and the next process starts warm from the saved
 // caches.
 func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.draining.CompareAndSwap(false, true) {
 		return errors.New("serve: already draining")
 	}
-	s.draining = true
-	for _, w := range s.workers {
-		close(w.jobs)
-	}
-	s.mu.Unlock()
+	s.led.Drain() // workers exit once the ledger is empty
 
 	done := make(chan struct{})
 	go func() {
@@ -614,27 +511,28 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // QueueDepth reports the accepted-but-unfinished job count.
-func (s *Server) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued
-}
+func (s *Server) QueueDepth() int { return s.led.Stats().Items }
 
-// loop owns the worker's queue until Drain closes it; process isolates
-// every failure mode, so the goroutine (and the Drain WaitGroup behind
-// it) survives anything a job does.
+// loop leases the worker's jobs until the ledger drains or closes, or
+// the worker retires. process isolates every failure mode, so the
+// goroutine (and the Drain WaitGroup behind it) survives anything a job
+// does.
 func (w *worker) loop() {
 	defer w.srv.wg.Done()
-	for j := range w.jobs {
-		w.process(j)
+	for {
+		l, err := w.srv.led.Lease(context.Background(), w.name)
+		if err != nil {
+			return
+		}
+		w.process(l)
 	}
 }
 
 // run executes one attempt of the job under its deadline context.
-func (w *worker) run(j *Job) *Result {
+func (w *worker) run(j *Job, attempt int) *Result {
 	start := time.Now()
-	j.attempts++
-	if j.attempts > 1 {
+	j.worker = w.id
+	if attempt > 1 {
 		w.srv.met.retried()
 		if j.Kind == JobEnforce && j.pristine != nil {
 			j.Model = j.pristine.Clone()
@@ -644,6 +542,7 @@ func (w *worker) run(j *Job) *Result {
 		Worker:      w.id,
 		AffinityHit: j.affinityHit,
 		Fingerprint: j.fp,
+		Attempts:    attempt,
 		LastErr:     j.lastErr,
 		QueueWait:   start.Sub(j.accepted),
 	}
@@ -658,9 +557,10 @@ func (w *worker) run(j *Job) *Result {
 	w.lastMark = start
 	w.markMu.Unlock()
 
-	w.runAttempt(ctx, j, res)
+	sess := w.sess.Load()
+	w.runAttempt(ctx, sess, j, res)
 	res.Service = time.Since(start)
-	w.srv.met.cacheStats(w.id, w.sess.CacheStats())
+	w.srv.met.cacheStats(w.id, sess.CacheStats())
 	return res
 }
 

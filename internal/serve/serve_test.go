@@ -148,6 +148,9 @@ func TestAffinityRouting(t *testing.T) {
 		"passivityd_stage_seconds_total{stage=\"check\"}",
 		"passivityd_worker_cache_bytes{worker=\"0\"}",
 		"passivityd_counter_declines_total",
+		// Every series the benchmark harness (perfbench/service.go)
+		// scrapes from a daemon.
+		"passivityd_retries_total 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+
+	repro "repro"
+	"repro/internal/ledger"
 )
 
 // Worker supervision and job retry.
@@ -12,21 +15,20 @@ import (
 // The failure model: anything under a worker's job — the Session call,
 // a progress sink, a fault hook — may panic, and the service must keep
 // its contract anyway (every accepted job receives exactly one Result,
-// Drain completes, the admission counter never leaks). Each attempt
+// Drain completes, the admission count never leaks). Each attempt
 // therefore runs behind a recover that converts the panic into a typed
 // *PanicError; the panicking worker's Session is retired on the spot —
 // a panic mid-check can leave a checked-out cache half-mutated, so the
 // old Session is never trusted again — and rebuilt fresh, up to
-// Options.MaxWorkerRestarts times. Beyond the bound the worker itself is
-// retired: the dispatcher stops routing to it and its goroutine turns
-// into a forwarder that hands anything still queued on its channel to
-// the surviving workers.
+// Options.MaxWorkerRestarts times. Beyond the bound the worker leaves
+// the ledger, which moves anything still queued on it to the survivors.
 //
-// Jobs that die with a worker, or fail with an error marked Transient,
-// are requeued onto a different live worker (the same one only when no
-// other exists) until Job.MaxAttempts runs out. Enforce retries restart
-// from a pristine copy of the model, never from the half-perturbed one
-// the failed attempt left behind.
+// A job that dies with a worker, or fails with an error marked
+// Transient, is released back to the ledger, which requeues it onto a
+// different live worker (the same one only when no other exists) until
+// Job.MaxAttempts runs out. Enforce retries restart from a pristine copy
+// of the model, never from the half-perturbed one the failed attempt
+// left behind.
 
 // ErrWorkerPanic marks a job attempt that died with a panicking worker.
 // Match with errors.Is; the concrete error is a *PanicError carrying the
@@ -82,140 +84,90 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrWorkerPanic) || IsTransient(err)
 }
 
-// process owns one accepted job from pickup to its single Result
-// delivery, looping over attempts that stay on this worker and handing
-// off the ones that requeue elsewhere.
-func (w *worker) process(j *Job) {
-	for {
-		if w.dead.Load() {
-			// A retired worker no longer runs jobs: forward to a live
-			// peer, or fail the job if nobody can take it (all workers
-			// dead, or the drain already closed the queues).
-			if w.srv.requeue(j, w) {
-				return
-			}
-			w.deliver(j, &Result{
-				Worker:      w.id,
-				AffinityHit: j.affinityHit,
-				Fingerprint: j.fp,
-				LastErr:     j.lastErr,
-				Err:         fmt.Errorf("serve: worker %d retired after repeated panics: %w", w.id, ErrWorkerPanic),
-			})
-			return
-		}
-		res := w.run(j)
-		if pe := (*PanicError)(nil); errors.As(res.Err, &pe) {
-			w.srv.met.panicked()
-			w.retire()
-		}
-		if res.Err == nil || !retryable(res.Err) || j.attempts >= j.maxAttempts {
-			w.deliver(j, res)
-			return
-		}
+// process runs one leased attempt and settles it with the ledger: a
+// final outcome completes the job and is delivered, a retryable failure
+// is released for another attempt — delivered instead once the ledger
+// reports the attempts spent.
+func (w *worker) process(l *ledger.Lease) {
+	s := w.srv
+	j := l.Payload.(*Job)
+	if l.Attempt == 1 {
+		j.affinityHit = l.Hit
+		s.met.placed(l.Hit)
+	} else if j.worker != w.id {
+		s.met.requeued()
+	}
+	res := w.run(j, l.Attempt)
+	retire := false
+	if pe := (*PanicError)(nil); errors.As(res.Err, &pe) {
+		s.met.panicked()
+		retire = w.restart()
+	}
+	if res.Err != nil && retryable(res.Err) {
 		j.lastErr = res.Err
-		if w.srv.requeue(j, w) {
-			return // another worker owns the next attempt
+		if s.led.Release(w.name, l.ID, l.Epoch) == nil {
+			res = nil // the job's next attempt owns it now
 		}
-		// No other live worker can take it: retry here. If this worker
-		// just retired, the next loop iteration fails the job instead.
+	} else if _, err := s.led.Complete(w.name, l.ID, l.Epoch); err != nil {
+		res = nil // not ours to deliver
+	}
+	// Retire before delivering: a caller that sees the result must not
+	// find the retired worker still taking work.
+	if retire {
+		s.retire(w)
+	}
+	if res != nil {
+		deliver(j, res, s.met)
 	}
 }
 
-// deliver hands the job its Result and settles the admission accounting.
-// It runs exactly once per accepted job, so the queued counter and the
-// per-worker pending load can never leak — not even when every attempt
-// panicked.
-func (w *worker) deliver(j *Job, res *Result) {
-	res.Attempts = j.attempts
+// deliver hands the job its single Result.
+func deliver(j *Job, res *Result, met *metrics) {
 	j.result <- res // buffered: never blocks on a departed caller
-	w.pending.Add(-1)
-	s := w.srv
-	s.mu.Lock()
-	s.queued--
-	s.mu.Unlock()
-	s.met.finished(j.Kind, res)
+	met.finished(j.Kind, res)
 }
 
-// retire replaces the worker's Session after a panic — the old one may
-// hold a cache in an inconsistent state and is never reused — and, once
-// the restart budget is spent, retires the worker itself. Either way the
-// dispatcher's placements onto this worker are scrubbed: the caches they
-// pointed at are gone.
-func (w *worker) retire() {
+// restart replaces the worker's Session after a panic — the old one may
+// hold a cache in an inconsistent state and is never reused. It reports
+// whether the restart budget is spent and the worker must retire.
+func (w *worker) restart() bool {
 	s := w.srv
-	s.mu.Lock()
-	s.scrubAffinityLocked(w.id)
+	w.sess.Store(s.newWorkerSession(w))
 	w.restarts++
-	died := w.restarts > s.opts.MaxWorkerRestarts
-	if died && !w.dead.Load() {
-		w.dead.Store(true)
-		s.deadWorkers++
-	}
-	// The fresh Session keeps even a retired worker safe to probe
-	// (HasCache, cache stats) and costs nothing until used.
-	w.sess = s.newWorkerSession(w)
-	s.mu.Unlock()
-	if died {
+	if w.restarts > s.opts.MaxWorkerRestarts {
 		s.met.workerRetired()
-	} else {
-		s.met.workerRestarted()
+		return true
 	}
+	s.met.workerRestarted()
+	return false
 }
 
-// scrubAffinityLocked drops every placement pointing at the worker.
-// Callers hold s.mu.
-func (s *Server) scrubAffinityLocked(workerID int) {
-	for fp, id := range s.affinity {
-		if id == workerID {
-			delete(s.affinity, fp)
-		}
+// retire takes the worker out of the ledger, which moves its queue to the
+// surviving workers. When none survive the ledger closes, so Submit fails
+// with ErrNoWorkers, and every job it still held fails here.
+func (s *Server) retire(w *worker) {
+	w.dead.Store(true)
+	orphans := s.led.Leave(w.name)
+	if s.led.Stats().Members == 0 {
+		orphans = append(orphans, s.led.Close()...)
 	}
-}
-
-// requeue moves an accepted job onto a different live worker's queue,
-// preferring the least loaded, and re-records the job's affinity
-// placement so queued siblings follow it. It returns false when no other
-// live worker exists or the server is draining (the queues are closed);
-// the caller then retries in place or fails the job. The job stays
-// accepted throughout: the admission counter is untouched and the
-// channel send cannot block (each accepted job occupies at most one
-// queue slot, and admission bounds accepted jobs by QueueDepth — every
-// worker's buffer size).
-func (s *Server) requeue(j *Job, from *worker) bool {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return false
+	for _, it := range orphans {
+		j := it.Payload.(*Job)
+		deliver(j, &Result{
+			Worker:      w.id,
+			AffinityHit: j.affinityHit,
+			Fingerprint: j.fp,
+			Attempts:    it.Attempts,
+			LastErr:     j.lastErr,
+			Err:         fmt.Errorf("serve: worker %d retired after repeated panics: %w", w.id, ErrWorkerPanic),
+		}, s.met)
 	}
-	var best *worker
-	for _, w := range s.workers {
-		if w == from || w.dead.Load() {
-			continue
-		}
-		if best == nil || w.pending.Load() < best.pending.Load() {
-			best = w
-		}
-	}
-	if best == nil {
-		s.mu.Unlock()
-		return false
-	}
-	if s.opts.Routing == RouteAffinity {
-		s.affinity[j.fp] = best.id
-	}
-	j.worker = best.id
-	from.pending.Add(-1)
-	best.pending.Add(1)
-	best.jobs <- j
-	s.mu.Unlock()
-	s.met.requeued()
-	return true
 }
 
 // runAttempt executes one attempt behind panic isolation: a panic
 // anywhere under the job — fault hook or Session call — becomes a typed
 // *PanicError on the Result instead of killing the worker goroutine.
-func (w *worker) runAttempt(ctx0 context.Context, j *Job, res *Result) {
+func (w *worker) runAttempt(ctx0 context.Context, sess *repro.Session, j *Job, res *Result) {
 	defer func() {
 		if v := recover(); v != nil {
 			res.Err = &PanicError{Worker: w.id, Value: v, Stack: debug.Stack()}
@@ -229,11 +181,11 @@ func (w *worker) runAttempt(ctx0 context.Context, j *Job, res *Result) {
 	}
 	switch j.Kind {
 	case JobCheck:
-		res.Report, res.Err = w.sess.Check(ctx0, j.Model, j.Check)
+		res.Report, res.Err = sess.Check(ctx0, j.Model, j.Check)
 	case JobEnforce:
 		eopts := j.Enforce
 		eopts.Check = j.Check
-		res.Enforce, res.Err = w.sess.Enforce(ctx0, j.Model, eopts)
+		res.Enforce, res.Err = sess.Enforce(ctx0, j.Model, eopts)
 		if res.Enforce != nil {
 			res.Report = res.Enforce.Final
 			res.Model = j.Model
