@@ -1,20 +1,15 @@
-// Command experiments regenerates the paper's evaluation figures (§IV,
-// Figs. 1–6) on the synthetic 45-port PDN testcase, plus the extension
-// experiments Ext-A..Ext-H (representation independence, transient
-// verification, MOR baseline, enforcement ablation, adaptive
-// characterization, batch enforcement, closed-form weighted Gramian,
-// certified enforcement escape rate), printing the shape metrics recorded
-// in EXPERIMENTS.md and writing one CSV per figure.
-//
-// The promoted hypothesis harness lives behind subcommands:
+// Command experiments runs the repository's experiments through the
+// hypothesis harness: the paper's evaluation figures (§IV, Figs. 1–6) on
+// the synthetic 45-port PDN testcase, plus the extension experiments
+// Ext-A..Ext-H (representation independence, transient verification, MOR
+// baseline, enforcement ablation, adaptive characterization, batch
+// enforcement, closed-form weighted Gramian, certified enforcement). Each
+// is a registered hypothesis judged to a verdict and recorded as a
+// FINDINGS artifact, with its plotted series written as CSV beside it.
 //
 //	experiments list                     show registered hypotheses
 //	experiments run [-out dir] [id ...]  evaluate hypotheses, write FINDINGS
 //	experiments report [-out dir]        summarize FINDINGS artifacts on disk
-//
-// Legacy figure mode (no subcommand):
-//
-//	experiments [-fig all|figs|ext|1|..|6|A|..|H] [-out dir] [-points N] [-poles N] [-quick]
 package main
 
 import (
@@ -23,12 +18,17 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/experiments/hypothesis"
 )
+
+const usage = `usage:
+  experiments list                     show registered hypotheses
+  experiments run [-out dir] [id ...]  evaluate hypotheses, write FINDINGS
+  experiments report [-out dir]        summarize FINDINGS artifacts on disk
+`
 
 func main() {
 	if len(os.Args) > 1 {
@@ -41,11 +41,12 @@ func main() {
 			os.Exit(runReport(os.Args[2:]))
 		}
 	}
-	os.Exit(runFigures())
+	fmt.Fprint(os.Stderr, usage)
+	os.Exit(2)
 }
 
 func registry() *hypothesis.Registry {
-	reg, err := experiments.Hypotheses()
+	reg, err := experiments.Hypotheses(experiments.Default())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: building hypothesis registry: %v\n", err)
 		os.Exit(1)
@@ -55,14 +56,14 @@ func registry() *hypothesis.Registry {
 
 func runList() int {
 	for _, s := range registry().Specs() {
-		fmt.Printf("%-26s %s/%s\n    %s\n", s.ID, s.Class, s.Subtype, s.Claim)
+		fmt.Printf("%-34s %s/%s\n    %s\n", s.ID, s.Class, s.Subtype, s.Claim)
 	}
 	return 0
 }
 
 func runHypotheses(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	out := fs.String("out", "results/findings", "directory for FINDINGS artifacts (empty = no files)")
+	out := fs.String("out", "results/findings", "directory for FINDINGS artifacts and CSV series (empty = no files)")
 	fs.Parse(args)
 
 	reg := registry()
@@ -90,7 +91,7 @@ func runHypotheses(args []string) int {
 			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", s.ID, err)
 			return 1
 		}
-		fmt.Printf("%-26s %-12s %s  (%.1fs)\n", f.ID, string(f.Verdict), f.Reason, time.Since(t1).Seconds())
+		fmt.Printf("%-34s %-12s %s  (%.1fs)\n", f.ID, string(f.Verdict), f.Reason, time.Since(t1).Seconds())
 		if f.Verdict == hypothesis.Refuted {
 			exit = 1
 		}
@@ -125,77 +126,10 @@ func runReport(args []string) int {
 			fmt.Fprintf(os.Stderr, "experiments: reading %s: %v\n", p, err)
 			return 1
 		}
-		fmt.Printf("%-26s %-12s %s\n", f.ID, string(f.Verdict), f.Reason)
+		fmt.Printf("%-34s %-12s %s\n", f.ID, string(f.Verdict), f.Reason)
 		if f.Verdict == hypothesis.Refuted {
 			exit = 1
 		}
 	}
 	return exit
-}
-
-func runFigures() int {
-	fig := flag.String("fig", "all", "what to regenerate: all, figs, ext, 1..6, or A..D")
-	out := flag.String("out", "results", "output directory for CSV series (empty = no files)")
-	points := flag.Int("points", 0, "frequency points (default per profile)")
-	poles := flag.Int("poles", 0, "model order n (default 12)")
-	quick := flag.Bool("quick", false, "use the reduced-cost profile")
-	flag.Parse()
-
-	cfg := experiments.Default()
-	if *quick {
-		cfg = experiments.Quick()
-	}
-	if *points > 0 {
-		cfg.Points = *points
-	}
-	if *poles > 0 {
-		cfg.Poles = *poles
-	}
-	ctx := experiments.NewContext(cfg)
-
-	run := map[string]func() (*experiments.FigResult, error){
-		"1": ctx.Fig1, "2": ctx.Fig2, "3": ctx.Fig3,
-		"4": ctx.Fig4, "5": ctx.Fig5, "6": ctx.Fig6,
-		"A": ctx.ExtA, "B": ctx.ExtB, "C": ctx.ExtC, "D": ctx.ExtD, "E": ctx.ExtE,
-		"F": ctx.ExtF, "G": ctx.ExtG, "H": ctx.ExtH,
-	}
-	figOrder := []string{"1", "2", "3", "4", "5", "6"}
-	extOrder := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
-
-	var keys []string
-	switch strings.ToLower(*fig) {
-	case "all":
-		keys = append(append(keys, figOrder...), extOrder...)
-	case "figs":
-		keys = figOrder
-	case "ext":
-		keys = extOrder
-	default:
-		k := strings.ToUpper(*fig)
-		if _, ok := run[k]; !ok {
-			fmt.Fprintf(os.Stderr, "experiments: bad -fig %q (want all, figs, ext, 1..6 or A..G)\n", *fig)
-			return 2
-		}
-		keys = []string{k}
-	}
-
-	t0 := time.Now()
-	for _, k := range keys {
-		t1 := time.Now()
-		res, err := run[k]()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", k, err)
-			return 1
-		}
-		fmt.Print(res.Summary())
-		if *out != "" {
-			if err := res.WriteCSV(*out); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: writing CSV: %v\n", err)
-				return 1
-			}
-		}
-		fmt.Printf("  (%.1fs)\n\n", time.Since(t1).Seconds())
-	}
-	fmt.Printf("total %.1fs; CSV series in %s\n", time.Since(t0).Seconds(), *out)
-	return 0
 }

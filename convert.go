@@ -5,8 +5,9 @@ package repro
 // representation: raw impedance or admittance samples, or scattering data
 // normalized to any reference resistance, all feed the same machinery once
 // mapped to a scattering set. These helpers perform those mappings; the
-// representation-independence experiment (EXPERIMENTS.md, Ext-A) runs the
-// full flow through each path and verifies the target impedance agrees.
+// representation-independence experiment (FINDINGS
+// ext-a-representation-independence) runs the full flow through each path
+// and verifies the target impedance agrees.
 
 import (
 	"fmt"

@@ -50,14 +50,14 @@ func main() {
 
 	// Truncation does not preserve passivity — the reduced model goes
 	// through the same enforcement machinery as a fitted one.
-	chk, err := repro.CheckPassivity(red, repro.CheckOptions{ForceSweep: true, FreqMin: 500, FreqMax: 4e9, SweepPoints: 800})
+	chk, err := repro.CheckPassivity(red, repro.CheckOptions{Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 800})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("reduced model passive: %v (σmax = %.6f)\n", chk.Passive, chk.MaxSigma)
 	if !chk.Passive {
 		enf, err := repro.EnforcePassivity(red, repro.EnforceOptions{
-			Check:  repro.CheckOptions{ForceSweep: true, FreqMin: 500, FreqMax: 4e9, SweepPoints: 800},
+			Check:  repro.CheckOptions{Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 800},
 			ClampD: true,
 		})
 		if err != nil {

@@ -43,7 +43,7 @@ func main() {
 	}
 	fmt.Printf("fit RMS (weighted): %.3g\n", rep.RMSErr)
 
-	check := repro.CheckOptions{ForceSweep: true, FreqMin: 500, FreqMax: 4e9, SweepPoints: 1200}
+	check := repro.CheckOptions{Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 1200}
 	enforce := func(w *repro.Weight) *repro.Macromodel {
 		m := model.Clone()
 		rep, err := repro.EnforcePassivity(m, repro.EnforceOptions{

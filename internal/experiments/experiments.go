@@ -1,7 +1,8 @@
-// Package experiments regenerates every figure of the paper's evaluation
-// (§IV) on the synthetic 45-port PDN testcase. Each FigN method returns the
-// plotted series plus the quantitative shape metrics recorded in
-// EXPERIMENTS.md, and can emit CSV files for external plotting.
+// Package experiments reproduces the paper's evaluation (§IV, Figs. 1–6)
+// on the synthetic 45-port PDN testcase, plus the extension experiments
+// Ext-A..Ext-H, as hypothesis specs (see Hypotheses): each spec judges the
+// shape criterion of its figure, records the metrics in a FINDINGS
+// artifact and carries the plotted series, written as CSV next to it.
 //
 // The artifacts (dataset, fits, weights, enforced models) are built lazily
 // and shared across figures, mirroring the single flow of the paper:
@@ -13,7 +14,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -48,15 +48,6 @@ func Default() Config {
 		EnforceMargin: 2e-5,
 		Preset:        repro.PDNPaper45,
 	}
-}
-
-// Quick is a reduced-cost variant for benchmarks and CI: same structure,
-// coarser frequency grid and fewer fit sweeps.
-func Quick() Config {
-	c := Default()
-	c.Points = 100
-	c.VFIterations = 5
-	return c
 }
 
 // Context lazily builds and caches the shared artifacts.
@@ -192,7 +183,7 @@ func (c *Context) WeightedFit() (*repro.Macromodel, *repro.FitReport, error) {
 func (c *Context) enforceOptions(weight *repro.Weight) repro.EnforceOptions {
 	return repro.EnforceOptions{
 		Check: repro.CheckOptions{
-			ForceSweep:  true,
+			Method:      repro.CheckSweep,
 			FreqMin:     500,
 			FreqMax:     4e9,
 			SweepPoints: 1200,
@@ -267,17 +258,3 @@ func worstRel(a, b []complex128, freqs []float64, sel func(f float64) bool) floa
 
 func lfBand(f float64) bool  { return f > 0 && f < 1e7 }
 func allBand(f float64) bool { return f > 0 }
-
-// fmtHz renders a frequency compactly.
-func fmtHz(f float64) string {
-	switch {
-	case f >= 1e9:
-		return fmt.Sprintf("%.3gGHz", f/1e9)
-	case f >= 1e6:
-		return fmt.Sprintf("%.3gMHz", f/1e6)
-	case f >= 1e3:
-		return fmt.Sprintf("%.3gkHz", f/1e3)
-	default:
-		return fmt.Sprintf("%.3gHz", f)
-	}
-}

@@ -1,102 +1,61 @@
 package experiments
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	repro "repro"
+	"repro/internal/experiments/hypothesis"
 )
 
-// quickCtx shares one reduced-cost context across the tests in this
-// package; building it exercises the whole flow once.
-var quickCtx = NewContext(Config{
+// smallCfg is the reduced-cost 8-port configuration the tests run.
+var smallCfg = Config{
 	Points:        60,
 	Poles:         10,
 	WeightOrder:   8,
 	VFIterations:  5,
 	EnforceMargin: 2e-5,
 	Preset:        repro.PDNSmall,
-})
-
-func TestAllFiguresRun(t *testing.T) {
-	results, err := quickCtx.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 6 {
-		t.Fatalf("expected 6 figures, got %d", len(results))
-	}
-	for i, r := range results {
-		if len(r.Series) == 0 {
-			t.Fatalf("figure %d has no series", i+1)
-		}
-		if len(r.Metrics) == 0 {
-			t.Fatalf("figure %d has no metrics", i+1)
-		}
-		if !strings.Contains(r.Summary(), "==") {
-			t.Fatalf("summary formatting broken")
-		}
-	}
 }
 
-func TestShapeCriteria(t *testing.T) {
-	// The qualitative claims of the paper, asserted on the reduced run.
-	fig2, err := quickCtx.Fig2()
+// smallReg shares one registry — and so one lazy Context — across the
+// tests in this package; the first spec to need an artifact builds it.
+var smallReg, smallErr = Hypotheses(smallCfg)
+
+func smallRegistry(t *testing.T) *hypothesis.Registry {
+	t.Helper()
+	if smallErr != nil {
+		t.Fatal(smallErr)
+	}
+	return smallReg
+}
+
+// writeFinding evaluates one spec of the small registry, requires it
+// confirmed and writes its artifacts into a fresh directory.
+func writeFinding(t *testing.T, id string) string {
+	t.Helper()
+	spec, ok := smallRegistry(t).Get(id)
+	if !ok {
+		t.Fatalf("spec %s not registered", id)
+	}
+	f, err := hypothesis.Evaluate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig2.Metrics["weighted_worst_rel_err_below_10MHz"] > fig2.Metrics["standard_worst_rel_err_below_10MHz"] {
-		t.Fatalf("Fig2 shape violated: weighted fit should beat standard at LF (%v vs %v)",
-			fig2.Metrics["weighted_worst_rel_err_below_10MHz"],
-			fig2.Metrics["standard_worst_rel_err_below_10MHz"])
+	if f.Verdict != hypothesis.Confirmed {
+		t.Fatalf("%s judged %s: %s", id, f.Verdict, f.Reason)
 	}
-	fig3, err := quickCtx.Fig3()
-	if err != nil {
+	dir := t.TempDir()
+	if _, err := f.Write(dir); err != nil {
 		t.Fatal(err)
 	}
-	if fig3.Metrics["xi_dynamic_range_db"] < 20 {
-		t.Fatalf("Fig3 shape violated: sensitivity should span decades (%v dB)",
-			fig3.Metrics["xi_dynamic_range_db"])
-	}
-	fig4, err := quickCtx.Fig4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig4.Metrics["max_sigma_before"] <= 1 {
-		t.Fatalf("Fig4: the fitted model should violate passivity")
-	}
-	if fig4.Metrics["max_sigma_after"] > 1+1e-6 {
-		t.Fatalf("Fig4: enforcement left σmax = %v", fig4.Metrics["max_sigma_after"])
-	}
-	fig5, err := quickCtx.Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig5.Metrics["standard_over_weighted_error_ratio"] < 1.5 {
-		t.Fatalf("Fig5 headline violated: weighted enforcement should preserve Z better (ratio %v)",
-			fig5.Metrics["standard_over_weighted_error_ratio"])
-	}
-	fig6, err := quickCtx.Fig6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig6.Metrics["final_rms_error"] > 0.05 {
-		t.Fatalf("Fig6: final scattering accuracy lost (%v)", fig6.Metrics["final_rms_error"])
-	}
+	return dir
 }
 
 func TestCSVOutput(t *testing.T) {
-	res, err := quickCtx.Fig2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := res.WriteCSV(dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := writeFinding(t, "fig-2-fit-target-impedance")
 	blob, err := os.ReadFile(filepath.Join(dir, "fig2_target_impedance_after_fitting.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -105,123 +64,13 @@ func TestCSVOutput(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "freq_hz,z_nominal_ohm") {
 		t.Fatalf("CSV header wrong: %q", lines[0])
 	}
-	if len(lines) != quickCtx.Cfg.Points+2 { // header + DC + points
-		t.Fatalf("CSV rows %d want %d", len(lines), quickCtx.Cfg.Points+2)
-	}
-}
-
-func TestExtensionsRunAndHoldShape(t *testing.T) {
-	results, err := quickCtx.Extensions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 8 {
-		t.Fatalf("expected 8 extension experiments, got %d", len(results))
-	}
-	for _, r := range results {
-		if len(r.Series) == 0 || len(r.Metrics) == 0 {
-			t.Fatalf("%s: empty result", r.Figure)
-		}
-	}
-
-	extA := results[0]
-	// Representation independence is a consistency claim: every path must
-	// complete (produce a passive model; Extract fails otherwise) and no
-	// path may be catastrophically worse than another. Absolute accuracy
-	// on this deliberately down-scaled config is checked by Fig5's ratio.
-	for _, k := range []string{"z_err_lf_native_50ohm", "z_err_lf_renormalized_5", "z_err_lf_via_admittance"} {
-		v := extA.Metrics[k]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("Ext-A: %s = %v", k, v)
-		}
-	}
-	if extA.Metrics["worst_path_over_best"] > 50 {
-		t.Fatalf("Ext-A: representation paths diverge by ×%v", extA.Metrics["worst_path_over_best"])
-	}
-
-	extB := results[1]
-	if extB.Metrics["min_energy_weighted_joule"] < -1e-9 || extB.Metrics["min_energy_standard_joule"] < -1e-9 {
-		t.Fatalf("Ext-B: passive models generated energy: %v / %v",
-			extB.Metrics["min_energy_weighted_joule"], extB.Metrics["min_energy_standard_joule"])
-	}
-	// Transient must reproduce each model's own frequency response.
-	if extB.Metrics["td_fd_consistency_weighted"] > 0.05 || extB.Metrics["td_fd_consistency_standard"] > 0.05 {
-		t.Fatalf("Ext-B: co-simulation inconsistent with frequency domain: %v / %v",
-			extB.Metrics["td_fd_consistency_weighted"], extB.Metrics["td_fd_consistency_standard"])
-	}
-
-	extC := results[2]
-	if extC.Metrics["rms_s_reduced"] > 50*extC.Metrics["rms_s_overfit"]+extC.Metrics["bt_bound"] {
-		t.Fatalf("Ext-C: reduced model error %v implausibly large", extC.Metrics["rms_s_reduced"])
-	}
-
-	extD := results[3]
-	if extD.Metrics["scaling_gamma"] <= 0 || extD.Metrics["scaling_gamma"] > 1 {
-		t.Fatalf("Ext-D: bad scaling γ %v", extD.Metrics["scaling_gamma"])
-	}
-	if extD.Metrics["z_err_lf_residue_scaling"] < extD.Metrics["z_err_lf_weighted_qp"] {
-		t.Fatalf("Ext-D shape violated: scaling (%v) should be worse than weighted QP (%v)",
-			extD.Metrics["z_err_lf_residue_scaling"], extD.Metrics["z_err_lf_weighted_qp"])
-	}
-
-	extE := results[4]
-	if extE.Metrics["verdict_agreement"] != 1 {
-		t.Fatalf("Ext-E: adaptive and sweep characterization disagree: %+v", extE.Metrics)
-	}
-	if extE.Metrics["enforced_passive"] != 1 {
-		t.Fatalf("Ext-E: adaptive-driven enforcement failed: %+v", extE.Metrics)
-	}
-	if extE.Metrics["adaptive_samples"] <= 0 || extE.Metrics["sweep_samples"] <= 0 {
-		t.Fatalf("Ext-E: missing sample accounting: %+v", extE.Metrics)
-	}
-
-	extF := results[5]
-	if extF.Metrics["bitwise_identical"] != 1 {
-		t.Fatalf("Ext-F: batch enforcement diverged from sequential: %+v", extF.Metrics)
-	}
-	if extF.Metrics["batch_passive"] != extF.Metrics["library_size"] || extF.Metrics["batch_failed"] != 0 {
-		t.Fatalf("Ext-F: library not fully enforced: %+v", extF.Metrics)
-	}
-	if extF.Metrics["batch_iterations"] != extF.Metrics["sequential_iters"] {
-		t.Fatalf("Ext-F: batch and sequential iteration counts differ: %+v", extF.Metrics)
-	}
-
-	extG := results[6]
-	if extG.Metrics["worst_rel_frobenius_err"] > 1e-10 {
-		t.Fatalf("Ext-G: closed form diverges from the dense oracle: %+v", extG.Metrics)
-	}
-	if extG.Metrics["batch_bitwise_vs_closed"] != 1 {
-		t.Fatalf("Ext-G: weighted batch diverged from sequential weighted enforcement: %+v", extG.Metrics)
-	}
-	if extG.Metrics["enforce_max_abs_s_dev"] > 1e-6 {
-		t.Fatalf("Ext-G: closed-cost and dense-cost enforcement disagree: %+v", extG.Metrics)
-	}
-
-	extH := results[7]
-	if extH.Metrics["escaped_certified"] != 0 {
-		t.Fatalf("Ext-H: certified enforcement let %v false passes escape: %+v",
-			extH.Metrics["escaped_certified"], extH.Metrics)
-	}
-	if extH.Metrics["escaped_uncertified"] == 0 {
-		t.Fatalf("Ext-H: the uncertified operating point produced no escapes — the experiment no longer measures anything: %+v", extH.Metrics)
-	}
-	if extH.Metrics["certified_models"] != extH.Metrics["library_size"] {
-		t.Fatalf("Ext-H: not every model came back with a full certificate: %+v", extH.Metrics)
-	}
-	if extH.Metrics["certified_rescues"] < extH.Metrics["escaped_uncertified"] {
-		t.Fatalf("Ext-H: fewer rescues than uncertified escapes — the pipeline is not catching the same bands: %+v", extH.Metrics)
+	if len(lines) != smallCfg.Points+2 { // header + DC + points
+		t.Fatalf("CSV rows %d want %d", len(lines), smallCfg.Points+2)
 	}
 }
 
 func TestExtensionCSVEmission(t *testing.T) {
-	res, err := quickCtx.ExtD()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := res.WriteCSV(dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := writeFinding(t, "ext-d-enforcement-ablation")
 	data, err := os.ReadFile(filepath.Join(dir, "extD_enforcement_ablation.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -232,17 +81,7 @@ func TestExtensionCSVEmission(t *testing.T) {
 }
 
 func TestTransientSeriesUsesTimeAxis(t *testing.T) {
-	res, err := quickCtx.ExtB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Series[0].XLabel != "time_s" {
-		t.Fatalf("Ext-B series should be a time series, got %q", res.Series[0].XLabel)
-	}
-	dir := t.TempDir()
-	if err := res.WriteCSV(dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := writeFinding(t, "ext-b-transient-verification")
 	data, err := os.ReadFile(filepath.Join(dir, "extB_transient_tone_waveforms.csv"))
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package experiments
 
 // Extension experiments beyond the paper's six figures, exercising the
 // claims of its Conclusions section and the baselines its introduction
-// cites. Each returns a FigResult like the FigN methods:
+// cites. Each returns a trial like the figN methods:
 //
 //	Ext-A  representation independence (§V: admittance/impedance data and
 //	       arbitrary reference resistance feed the same flow)
@@ -13,51 +13,38 @@ package experiments
 //	       against direct black-box identification
 //	Ext-D  enforcement-baseline ablation: weighted vs standard QP vs
 //	       global residue scaling
-//	Ext-E  multi-stage adaptive passivity characterization vs the fixed
-//	       pole-seeded sweep: verdict cross-validation, sample economics,
-//	       and an adaptive-driven enforcement run
-//	Ext-F  batch enforcement of a model library: sharded EnforcePassivityBatch
-//	       vs sequential per-model enforcement, with bitwise cross-validation
-//	       of the resulting models and wall-clock economics
-//	Ext-G  closed-form weighted cascade Gramian (rational.CascadeGramian)
-//	       vs the dense statespace Lyapunov oracle: accuracy, wall-clock
-//	       across model orders, and enforcement-result equivalence of the
-//	       two cost constructions
-//	Ext-H  certified enforcement: escape rate of weighted enforcement with
-//	       a sampling-only convergence check (fraction of runs whose result
-//	       the Hamiltonian oracle still rejects) vs the certified pipeline,
-//	       and the certification overhead on the same library
+//
+// Ext-E..Ext-H (adaptive characterization, batch enforcement, the
+// closed-form weighted Gramian, certified enforcement) run on synthetic
+// model libraries rather than this context; their specs live in
+// hypotheses.go.
 
 import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
-	"time"
 
 	repro "repro"
-	"repro/internal/core"
-	"repro/internal/passivity"
-	"repro/internal/rational"
+	"repro/internal/experiments/hypothesis"
 )
 
-// ExtA — representation independence. The same flow (sensitivity-weighted
+// extA — representation independence. The same flow (sensitivity-weighted
 // fit + weighted enforcement) is run from three representations of the same
 // structure: native 50 Ω scattering, scattering renormalized to 5 Ω, and
 // data converted through the admittance form onto a 20 Ω reference. All
 // three passive models must reproduce the nominal target impedance.
-func (c *Context) ExtA() (*FigResult, error) {
+func (c *Context) extA() (hypothesis.Trial, error) {
 	syn, err := c.Dataset()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	zref, err := c.ReferenceZ()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	wEnf, _, err := c.WeightedEnforced()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	freqs := syn.Data.Freq
 
@@ -76,46 +63,46 @@ func (c *Context) ExtA() (*FigResult, error) {
 
 	renorm, err := syn.Data.Renormalized(5)
 	if err != nil {
-		return nil, fmt.Errorf("renormalize to 5Ω: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("renormalize to 5Ω: %w", err)
 	}
 	mRenorm, err := extract(renorm)
 	if err != nil {
-		return nil, fmt.Errorf("flow on 5Ω data: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("flow on 5Ω data: %w", err)
 	}
 
 	y, err := syn.Data.Admittance()
 	if err != nil {
-		return nil, fmt.Errorf("admittance form: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("admittance form: %w", err)
 	}
 	viaY, err := repro.SDataFromAdmittance(freqs, y, 20)
 	if err != nil {
-		return nil, fmt.Errorf("admittance → 20Ω scattering: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("admittance → 20Ω scattering: %w", err)
 	}
 	mViaY, err := extract(viaY)
 	if err != nil {
-		return nil, fmt.Errorf("flow on Y-derived data: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("flow on Y-derived data: %w", err)
 	}
 
 	z50, err := repro.TargetImpedanceModel(wEnf, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	z5, err := repro.TargetImpedanceModel(mRenorm, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	zY, err := repro.TargetImpedanceModel(mViaY, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 
-	s := &Series{
+	s := &hypothesis.Series{
 		Name:    "extA_representation_independence",
 		Columns: map[string][]float64{},
 		Order:   []string{"z_nominal_ohm", "z_from_50ohm_ohm", "z_from_5ohm_ohm", "z_via_admittance_ohm"},
 	}
 	for i, f := range freqs {
-		s.FreqHz = append(s.FreqHz, f)
+		s.X = append(s.X, f)
 		s.Columns["z_nominal_ohm"] = append(s.Columns["z_nominal_ohm"], cmplx.Abs(zref[i]))
 		s.Columns["z_from_50ohm_ohm"] = append(s.Columns["z_from_50ohm_ohm"], cmplx.Abs(z50[i]))
 		s.Columns["z_from_5ohm_ohm"] = append(s.Columns["z_from_5ohm_ohm"], cmplx.Abs(z5[i]))
@@ -124,14 +111,24 @@ func (c *Context) ExtA() (*FigResult, error) {
 	e50 := worstRel(z50, zref, freqs, lfBand)
 	e5 := worstRel(z5, zref, freqs, lfBand)
 	eY := worstRel(zY, zref, freqs, lfBand)
-	return &FigResult{
-		Figure: "Ext-A: representation independence of the weighted flow (§V)",
-		Series: []*Series{s},
+	// Representation independence is a consistency claim: every path must
+	// complete (Extract fails unless it produces a passive model) and no
+	// path may be catastrophically worse than another. Absolute accuracy
+	// is Fig 5's ratio.
+	spread := math.Max(e5, math.Max(e50, eY)) / math.Max(1e-12, math.Min(e5, math.Min(e50, eY)))
+	finite := true
+	for _, e := range []float64{e50, e5, eY} {
+		finite = finite && !math.IsNaN(e) && !math.IsInf(e, 0)
+	}
+	return hypothesis.Trial{
+		Primary: spread,
+		Pass:    finite && spread <= 50,
+		Series:  []*hypothesis.Series{s},
 		Metrics: map[string]float64{
 			"z_err_lf_native_50ohm":    e50,
 			"z_err_lf_renormalized_5":  e5,
 			"z_err_lf_via_admittance":  eY,
-			"worst_path_over_best":     math.Max(e5, math.Max(e50, eY)) / math.Max(1e-12, math.Min(e5, math.Min(e50, eY))),
+			"worst_path_over_best":     spread,
 			"renormalized_model_r0":    mRenorm.R0(),
 			"admittance_path_model_r0": mViaY.R0(),
 		},
@@ -139,32 +136,32 @@ func (c *Context) ExtA() (*FigResult, error) {
 	}, nil
 }
 
-// ExtB — transient verification. Both enforced models are driven by a
+// extB — transient verification. Both enforced models are driven by a
 // switching tone at the low frequency where the standard-enforcement model
 // is most wrong; the weighted model's steady-state amplitude matches the
 // nominal impedance, the standard one inherits its frequency-domain error.
 // Cumulative energy must stay nonnegative for both (they are passive).
-func (c *Context) ExtB() (*FigResult, error) {
+func (c *Context) extB() (hypothesis.Trial, error) {
 	syn, err := c.Dataset()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	zref, err := c.ReferenceZ()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	stdEnf, _, err := c.StandardEnforced()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	wEnf, _, err := c.WeightedEnforced()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	freqs := syn.Data.Freq
 	zStd, err := repro.TargetImpedanceModel(stdEnf, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 
 	// Tone where the standard model errs most, within a simulable band.
@@ -179,7 +176,7 @@ func (c *Context) ExtB() (*FigResult, error) {
 		}
 	}
 	if k0 < 0 {
-		return nil, fmt.Errorf("extB: no grid point in the 0.2–10 MHz band")
+		return hypothesis.Trial{}, fmt.Errorf("extB: no grid point in the 0.2–10 MHz band")
 	}
 	f0 := freqs[k0]
 	want := cmplx.Abs(zref[k0])
@@ -207,29 +204,33 @@ func (c *Context) ExtB() (*FigResult, error) {
 	}
 	resW, ampW, fdW, err := run(wEnf)
 	if err != nil {
-		return nil, fmt.Errorf("weighted transient: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("weighted transient: %w", err)
 	}
 	resStd, ampStd, fdStd, err := run(stdEnf)
 	if err != nil {
-		return nil, fmt.Errorf("standard transient: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("standard transient: %w", err)
 	}
 
-	s := &Series{
+	s := &hypothesis.Series{
 		Name:    "extB_transient_tone_waveforms",
 		XLabel:  "time_s",
 		Columns: map[string][]float64{},
 		Order:   []string{"v_weighted_v", "v_standard_v"},
 	}
 	for k := range resW.T {
-		s.FreqHz = append(s.FreqHz, resW.T[k])
+		s.X = append(s.X, resW.T[k])
 		s.Columns["v_weighted_v"] = append(s.Columns["v_weighted_v"], resW.V[k][syn.Load.ObsPort])
 		s.Columns["v_standard_v"] = append(s.Columns["v_standard_v"], resStd.V[k][syn.Load.ObsPort])
 	}
 	errW := math.Abs(ampW-want) / want
 	errStd := math.Abs(ampStd-want) / want
-	return &FigResult{
-		Figure: "Ext-B: time-domain verification of the enforced models",
-		Series: []*Series{s},
+	consW := math.Abs(ampW-fdW) / math.Max(fdW, 1e-12)
+	consStd := math.Abs(ampStd-fdStd) / math.Max(fdStd, 1e-12)
+	return hypothesis.Trial{
+		Primary: math.Max(consW, consStd),
+		Pass: consW <= 0.05 && consStd <= 0.05 &&
+			resW.MinEnergy() >= -1e-9 && resStd.MinEnergy() >= -1e-9,
+		Series: []*hypothesis.Series{s},
 		Metrics: map[string]float64{
 			"tone_freq_hz":     f0,
 			"z_nominal_ohm":    want,
@@ -237,8 +238,8 @@ func (c *Context) ExtB() (*FigResult, error) {
 			"amp_standard_ohm": ampStd,
 			// Transient vs the model's own frequency response: the
 			// co-simulation consistency check, tight on every config.
-			"td_fd_consistency_weighted": math.Abs(ampW-fdW) / math.Max(fdW, 1e-12),
-			"td_fd_consistency_standard": math.Abs(ampStd-fdStd) / math.Max(fdStd, 1e-12),
+			"td_fd_consistency_weighted": consW,
+			"td_fd_consistency_standard": consStd,
 			// Transient vs the NOMINAL impedance: the droop error a
 			// designer would see; the weighted model should win.
 			"amp_rel_err_weighted":        errW,
@@ -252,25 +253,25 @@ func (c *Context) ExtB() (*FigResult, error) {
 	}, nil
 }
 
-// ExtC — classical projection-based MOR (balanced truncation of an
+// extC — classical projection-based MOR (balanced truncation of an
 // overfitted model) against direct black-box identification at the same
 // realization size, both judged in the scattering norm and under the
 // nominal load. Runs on the 8-port structure so that the full BT pipeline
 // (Gramians → Hankel SVD → projection → pole-residue → enforcement) stays
 // interactive.
-func (c *Context) ExtC() (*FigResult, error) {
+func (c *Context) extC() (hypothesis.Trial, error) {
 	freqs := c.Freqs()
 	syn, err := repro.GeneratePDN(repro.PDNSmall, freqs, 50)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	zref, err := repro.TargetImpedance(syn.Data, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	ports := syn.Data.Ports()
 
-	checkOpts := repro.CheckOptions{ForceSweep: true, FreqMin: 500, FreqMax: 4e9, SweepPoints: 800}
+	checkOpts := repro.CheckOptions{Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 800}
 	enforce := func(m *repro.Macromodel) error {
 		chk, err := repro.CheckPassivity(m, checkOpts)
 		if err != nil {
@@ -292,17 +293,17 @@ func (c *Context) ExtC() (*FigResult, error) {
 		NumPoles: c.Cfg.Poles, Iterations: c.Cfg.VFIterations, ConstrainD: 0.999,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("direct fit: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("direct fit: %w", err)
 	}
 	if err := enforce(direct); err != nil {
-		return nil, fmt.Errorf("enforcing direct model: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("enforcing direct model: %w", err)
 	}
 
 	big, _, err := repro.Fit(syn.Data, repro.FitOptions{
 		NumPoles: c.Cfg.Poles + 8, Iterations: c.Cfg.VFIterations, ConstrainD: 0.999,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("overfit: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("overfit: %w", err)
 	}
 	// Match the direct model's realization size n·P. The reduced model
 	// inherits the overfit model's (non-)passivity plus the truncation
@@ -310,32 +311,32 @@ func (c *Context) ExtC() (*FigResult, error) {
 	target := c.Cfg.Poles * ports
 	red, redRep, err := repro.ReduceModel(big, target)
 	if err != nil {
-		return nil, fmt.Errorf("balanced truncation: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("balanced truncation: %w", err)
 	}
 	chk, err := repro.CheckPassivity(red, checkOpts)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	sigmaBefore := chk.MaxSigma
 	if err := enforce(red); err != nil {
-		return nil, fmt.Errorf("enforcing reduced model: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("enforcing reduced model: %w", err)
 	}
 
 	zDirect, err := repro.TargetImpedanceModel(direct, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	zRed, err := repro.TargetImpedanceModel(red, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
-	s := &Series{
+	s := &hypothesis.Series{
 		Name:    "extC_mor_vs_vf",
 		Columns: map[string][]float64{},
 		Order:   []string{"z_nominal_ohm", "z_vf_direct_ohm", "z_bt_reduced_ohm"},
 	}
 	for i, f := range freqs {
-		s.FreqHz = append(s.FreqHz, f)
+		s.X = append(s.X, f)
 		s.Columns["z_nominal_ohm"] = append(s.Columns["z_nominal_ohm"], cmplx.Abs(zref[i]))
 		s.Columns["z_vf_direct_ohm"] = append(s.Columns["z_vf_direct_ohm"], cmplx.Abs(zDirect[i]))
 		s.Columns["z_bt_reduced_ohm"] = append(s.Columns["z_bt_reduced_ohm"], cmplx.Abs(zRed[i]))
@@ -344,13 +345,15 @@ func (c *Context) ExtC() (*FigResult, error) {
 	if len(redRep.Hankel) > 0 {
 		tail = redRep.Hankel[len(redRep.Hankel)-1] / redRep.Hankel[0]
 	}
-	return &FigResult{
-		Figure: "Ext-C: balanced truncation (refs [6,7]) vs direct Vector Fitting",
-		Series: []*Series{s},
+	rmsOverfit, rmsReduced := big.RMSError(syn.Data), red.RMSError(syn.Data)
+	return hypothesis.Trial{
+		Primary: rmsReduced,
+		Pass:    rmsReduced <= 50*rmsOverfit+redRep.Bound,
+		Series:  []*hypothesis.Series{s},
 		Metrics: map[string]float64{
 			"rms_s_direct":             direct.RMSError(syn.Data),
-			"rms_s_overfit":            big.RMSError(syn.Data),
-			"rms_s_reduced":            red.RMSError(syn.Data),
+			"rms_s_overfit":            rmsOverfit,
+			"rms_s_reduced":            rmsReduced,
 			"z_err_all_direct":         worstRel(zDirect, zref, freqs, allBand),
 			"z_err_all_reduced":        worstRel(zRed, zref, freqs, allBand),
 			"bt_bound":                 redRep.Bound,
@@ -364,29 +367,29 @@ func (c *Context) ExtC() (*FigResult, error) {
 	}, nil
 }
 
-// ExtD — enforcement ablation. The same non-passive weighted fit is made
+// extD — enforcement ablation. The same non-passive weighted fit is made
 // passive three ways: the paper's weighted QP, the standard QP, and global
 // residue scaling; the target-impedance damage tells them apart.
-func (c *Context) ExtD() (*FigResult, error) {
+func (c *Context) extD() (hypothesis.Trial, error) {
 	syn, err := c.Dataset()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	zref, err := c.ReferenceZ()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	nonPassive, _, err := c.WeightedFit()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	stdEnf, _, err := c.StandardEnforced()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	wEnf, _, err := c.WeightedEnforced()
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	scaled := nonPassive.Clone()
 	// The bisection needs ~12 sweeps; a coarser grid is plenty to locate
@@ -395,29 +398,29 @@ func (c *Context) ExtD() (*FigResult, error) {
 	scalOpts.Check.SweepPoints = 500
 	scalRep, err := repro.EnforcePassivityByScaling(scaled, scalOpts)
 	if err != nil {
-		return nil, fmt.Errorf("residue scaling: %w", err)
+		return hypothesis.Trial{}, fmt.Errorf("residue scaling: %w", err)
 	}
 
 	freqs := syn.Data.Freq
 	zStd, err := repro.TargetImpedanceModel(stdEnf, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	zW, err := repro.TargetImpedanceModel(wEnf, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
 	zScal, err := repro.TargetImpedanceModel(scaled, freqs, syn.Load)
 	if err != nil {
-		return nil, err
+		return hypothesis.Trial{}, err
 	}
-	s := &Series{
+	s := &hypothesis.Series{
 		Name:    "extD_enforcement_ablation",
 		Columns: map[string][]float64{},
 		Order:   []string{"z_nominal_ohm", "z_weighted_qp_ohm", "z_standard_qp_ohm", "z_residue_scaling_ohm"},
 	}
 	for i, f := range freqs {
-		s.FreqHz = append(s.FreqHz, f)
+		s.X = append(s.X, f)
 		s.Columns["z_nominal_ohm"] = append(s.Columns["z_nominal_ohm"], cmplx.Abs(zref[i]))
 		s.Columns["z_weighted_qp_ohm"] = append(s.Columns["z_weighted_qp_ohm"], cmplx.Abs(zW[i]))
 		s.Columns["z_standard_qp_ohm"] = append(s.Columns["z_standard_qp_ohm"], cmplx.Abs(zStd[i]))
@@ -426,9 +429,10 @@ func (c *Context) ExtD() (*FigResult, error) {
 	eW := worstRel(zW, zref, freqs, lfBand)
 	eStd := worstRel(zStd, zref, freqs, lfBand)
 	eScal := worstRel(zScal, zref, freqs, lfBand)
-	return &FigResult{
-		Figure: "Ext-D: enforcement ablation (weighted QP / standard QP / residue scaling)",
-		Series: []*Series{s},
+	return hypothesis.Trial{
+		Primary: eScal / math.Max(eW, 1e-12),
+		Pass:    scalRep.Gamma > 0 && scalRep.Gamma <= 1 && eScal >= eW,
+		Series:  []*hypothesis.Series{s},
 		Metrics: map[string]float64{
 			"z_err_lf_weighted_qp":     eW,
 			"z_err_lf_standard_qp":     eStd,
@@ -439,486 +443,4 @@ func (c *Context) ExtD() (*FigResult, error) {
 		},
 		Notes: []string{"every scheme reaches passivity; only the weighted QP reaches it without destroying the loaded response"},
 	}, nil
-}
-
-// ExtE — adaptive characterization. The non-passive weighted fit of the
-// 45-port testcase is characterized by the fixed pole-seeded sweep and by
-// the multi-stage adaptive scheme; both are cross-checked for verdict and
-// worst-σ agreement, and the sample counts quantify what the hierarchical
-// refinement saves. The enforcement loop is then run once on the adaptive
-// characterizer to confirm the end-to-end path.
-func (c *Context) ExtE() (*FigResult, error) {
-	m0, _, err := c.WeightedFit()
-	if err != nil {
-		return nil, err
-	}
-	base := repro.CheckOptions{FreqMin: 500, FreqMax: 4e9, SweepPoints: 1200}
-
-	sweepOpts := base
-	sweepOpts.Method = repro.CheckSweep
-	sweepRep, err := repro.CheckPassivity(m0, sweepOpts)
-	if err != nil {
-		return nil, fmt.Errorf("sweep characterization: %w", err)
-	}
-	adOpts := base
-	adOpts.Method = repro.CheckAdaptive
-	adRep, err := repro.CheckPassivity(m0, adOpts)
-	if err != nil {
-		return nil, fmt.Errorf("adaptive characterization: %w", err)
-	}
-
-	agree := 0.0
-	if adRep.Passive == sweepRep.Passive {
-		agree = 1
-	}
-
-	enfOpts := c.enforceOptions(nil)
-	enfOpts.Check = adOpts
-	enforced := m0.Clone()
-	enfRep, err := repro.EnforcePassivity(enforced, enfOpts)
-	if err != nil {
-		return nil, fmt.Errorf("adaptive-based enforcement: %w", err)
-	}
-	// Final verdict from the independent fixed sweep.
-	recheck, err := repro.CheckPassivity(enforced, sweepOpts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Band table: one row per adaptive violation band.
-	bands := &Series{
-		Name:    "extE_adaptive_violation_bands",
-		Columns: map[string][]float64{},
-		Order:   []string{"sigma_peak", "band_lo_hz", "band_hi_hz"},
-		XLabel:  "peak_freq_hz",
-	}
-	for _, v := range adRep.Violations {
-		bands.FreqHz = append(bands.FreqHz, v.FreqPeakHz)
-		bands.Columns["sigma_peak"] = append(bands.Columns["sigma_peak"], v.SigmaPeak)
-		bands.Columns["band_lo_hz"] = append(bands.Columns["band_lo_hz"], v.FreqLoHz)
-		bands.Columns["band_hi_hz"] = append(bands.Columns["band_hi_hz"], v.FreqHiHz)
-	}
-
-	return &FigResult{
-		Figure: "Ext-E: multi-stage adaptive characterization vs fixed sweep",
-		Series: []*Series{bands},
-		Metrics: map[string]float64{
-			"sweep_samples":            float64(sweepRep.Samples),
-			"adaptive_samples":         float64(adRep.Samples),
-			"sweep_max_sigma":          sweepRep.MaxSigma,
-			"adaptive_max_sigma":       adRep.MaxSigma,
-			"verdict_agreement":        agree,
-			"sweep_violation_bands":    float64(len(sweepRep.Violations)),
-			"adaptive_violation_bands": float64(len(adRep.Violations)),
-			"enforce_iterations":       float64(enfRep.Iterations),
-			"enforced_passive":         b2f(enfRep.Passive && recheck.Passive),
-		},
-		Notes: []string{"adaptive refinement concentrates samples at the violation bands; the fixed sweep spends its grid uniformly"},
-	}, nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// ExtF — batch enforcement of a model library. A deterministic library of
-// violating synthetic macromodels is enforced twice: sequentially, one
-// EnforcePassivity call per model, and through the sharded
-// EnforcePassivityBatch. The experiment cross-validates that the batch
-// path is bitwise identical to the sequential one (sampled transfer
-// matrices of every pair of enforced models compared exactly) and reports
-// the wall-clock economics of the sharding — the unit of scale-out for
-// model-library services.
-func (c *Context) ExtF() (*FigResult, error) {
-	const libSize = 8
-	build := func() ([]*repro.Macromodel, error) {
-		lib := make([]*repro.Macromodel, libSize)
-		for i := range lib {
-			m, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{
-				Ports: 2, Poles: 30, Seed: int64(100 + i), PeakGain: 1.1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lib[i] = m
-		}
-		return lib, nil
-	}
-
-	seq, err := build()
-	if err != nil {
-		return nil, err
-	}
-	opts := repro.EnforceOptions{
-		Check:  repro.CheckOptions{Method: repro.CheckAdaptive},
-		ClampD: true,
-	}
-	seqStart := time.Now()
-	seqIters := 0
-	for i, m := range seq {
-		rep, err := repro.EnforcePassivity(m, opts)
-		if err != nil {
-			return nil, fmt.Errorf("sequential enforcement of model %d: %w", i, err)
-		}
-		seqIters += rep.Iterations
-	}
-	seqElapsed := time.Since(seqStart)
-
-	bat, err := build()
-	if err != nil {
-		return nil, err
-	}
-	batStart := time.Now()
-	brep, err := repro.EnforcePassivityBatch(bat, repro.BatchEnforceOptions{Enforce: opts})
-	if err != nil {
-		return nil, fmt.Errorf("batch enforcement: %w", err)
-	}
-	batElapsed := time.Since(batStart)
-	for i, e := range brep.Errors {
-		if e != nil {
-			return nil, fmt.Errorf("batch enforcement of model %d: %w", i, e)
-		}
-	}
-
-	// Bitwise cross-validation: the enforced models must agree exactly.
-	probes := []float64{0.13, 1.7, 23, 170, 2300, 1.7e4}
-	identical := true
-	for i := range seq {
-		for _, f := range probes {
-			a, b := seq[i].Eval(f), bat[i].Eval(f)
-			for r := range a {
-				for col := range a[r] {
-					if a[r][col] != b[r][col] {
-						identical = false
-					}
-				}
-			}
-		}
-	}
-
-	series := &Series{
-		Name:    "extF_per_model_iterations",
-		Columns: map[string][]float64{},
-		Order:   []string{"iterations", "final_sigma"},
-		XLabel:  "model_index",
-	}
-	for i, r := range brep.Reports {
-		series.FreqHz = append(series.FreqHz, float64(i))
-		series.Columns["iterations"] = append(series.Columns["iterations"], float64(r.Iterations))
-		series.Columns["final_sigma"] = append(series.Columns["final_sigma"], r.Final.MaxSigma)
-	}
-
-	return &FigResult{
-		Figure: "Ext-F: sharded batch enforcement of a model library",
-		Series: []*Series{series},
-		Metrics: map[string]float64{
-			"library_size":      float64(brep.Models),
-			"batch_passive":     float64(brep.Passive),
-			"batch_failed":      float64(brep.Failed),
-			"batch_iterations":  float64(brep.TotalIterations),
-			"sequential_iters":  float64(seqIters),
-			"sequential_ms":     float64(seqElapsed.Milliseconds()),
-			"batch_ms":          float64(batElapsed.Milliseconds()),
-			"batch_speedup":     seqElapsed.Seconds() / math.Max(batElapsed.Seconds(), 1e-9),
-			"bitwise_identical": b2f(identical),
-			"worst_sigma_after": brep.WorstSigma,
-		},
-		Notes: []string{"batch sharding reuses per-worker workspaces across models; speedup tracks GOMAXPROCS on multi-core hosts"},
-	}, nil
-}
-
-// ExtG — the closed-form weighted cascade Gramian against the dense
-// Lyapunov oracle it replaced. Three parts: (1) accuracy and wall-clock of
-// rational.CascadeGramian vs core.WeightedGramianDense across model orders
-// at the paper's n_w = 8; (2) enforcement equivalence — the same violating
-// library enforced with the closed-form cost and with the dense-oracle
-// cost must land on the same passive models to solver precision; (3) the
-// weighted batch path cross-checked bitwise against sequential weighted
-// enforcement (the closed form is what makes per-model weighted costs
-// affordable at library scale).
-func (c *Context) ExtG() (*FigResult, error) {
-	const nw = 8
-	rng := rand.New(rand.NewSource(77))
-	weight, err := rational.RandomScalarWeight(rng, nw)
-	if err != nil {
-		return nil, err
-	}
-
-	sizes := []int{100, 250, 500}
-	s := &Series{
-		Name:    "extG_gramian_scaling",
-		XLabel:  "model_order_np",
-		Columns: map[string][]float64{},
-		Order:   []string{"closed_ms", "dense_ms", "speedup", "rel_frob_err"},
-	}
-	worstErr, speedup500 := 0.0, 0.0
-	for _, np := range sizes {
-		poles := rational.RandomStablePoles(rng, np)
-		model, err := rational.NewScalar(poles, make([]complex128, len(poles)), 0)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		fast, err := core.WeightedGramian(model, weight)
-		if err != nil {
-			return nil, fmt.Errorf("extG: closed form at n=%d: %w", np, err)
-		}
-		closedMS := float64(time.Since(t0).Microseconds()) / 1e3
-		t0 = time.Now()
-		dense, err := core.WeightedGramianDense(model, weight)
-		if err != nil {
-			return nil, fmt.Errorf("extG: dense oracle at n=%d: %w", np, err)
-		}
-		denseMS := float64(time.Since(t0).Microseconds()) / 1e3
-
-		var num, den float64
-		for i := 0; i < dense.Rows; i++ {
-			for j := 0; j < dense.Cols; j++ {
-				d := fast.At(i, j) - dense.At(i, j)
-				num += d * d
-				den += dense.At(i, j) * dense.At(i, j)
-			}
-		}
-		rel := math.Sqrt(num / den)
-		if rel > worstErr {
-			worstErr = rel
-		}
-		sp := denseMS / math.Max(closedMS, 1e-6)
-		if np == 500 {
-			speedup500 = sp
-		}
-		s.FreqHz = append(s.FreqHz, float64(np))
-		s.Columns["closed_ms"] = append(s.Columns["closed_ms"], closedMS)
-		s.Columns["dense_ms"] = append(s.Columns["dense_ms"], denseMS)
-		s.Columns["speedup"] = append(s.Columns["speedup"], sp)
-		s.Columns["rel_frob_err"] = append(s.Columns["rel_frob_err"], rel)
-	}
-
-	// Enforcement equivalence: the same violating library under the two
-	// cost constructions, plus weighted batch vs sequential (bitwise).
-	const libSize = 4
-	build := func() ([]*rational.Model, error) {
-		lib := make([]*rational.Model, libSize)
-		for i := range lib {
-			m, err := passivity.SyntheticModel(passivity.SyntheticOptions{
-				Ports: 2, Poles: 24, Seed: int64(500 + i), PeakGain: 1.1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lib[i] = m
-		}
-		return lib, nil
-	}
-	enfW, err := rational.RandomScalarWeight(rand.New(rand.NewSource(78)), nw)
-	if err != nil {
-		return nil, err
-	}
-	base := passivity.EnforceOptions{Check: passivity.CheckOptions{Method: passivity.MethodAdaptive}}
-
-	closedLib, err := build()
-	if err != nil {
-		return nil, err
-	}
-	for i, m := range closedLib {
-		if _, err := core.EnforceWeighted(m, enfW, base); err != nil {
-			return nil, fmt.Errorf("extG: closed-cost enforcement of model %d: %w", i, err)
-		}
-	}
-	denseLib, err := build()
-	if err != nil {
-		return nil, err
-	}
-	for i, m := range denseLib {
-		gram, err := core.WeightedGramianDense(m, enfW)
-		if err != nil {
-			return nil, err
-		}
-		opts := base
-		opts.CostGramian = gram
-		if _, err := passivity.Enforce(m, opts); err != nil {
-			return nil, fmt.Errorf("extG: dense-cost enforcement of model %d: %w", i, err)
-		}
-	}
-	probes := []float64{0.3, 2.1, 17, 140, 2500}
-	maxDev := 0.0
-	for i := range closedLib {
-		for _, w := range probes {
-			a := closedLib[i].Eval(w)
-			b := denseLib[i].Eval(w)
-			for e := range a.Data {
-				if d := cmplx.Abs(a.Data[e] - b.Data[e]); d > maxDev {
-					maxDev = d
-				}
-			}
-		}
-	}
-
-	batchLib, err := build()
-	if err != nil {
-		return nil, err
-	}
-	brep := passivity.EnforceBatch(batchLib, passivity.BatchOptions{
-		Enforce: base, Weight: enfW, Workers: 4,
-	})
-	bitwise := true
-	for i := range batchLib {
-		if brep.Results[i].Err != nil {
-			return nil, fmt.Errorf("extG: weighted batch model %d: %w", i, brep.Results[i].Err)
-		}
-		for k := range batchLib[i].Residues {
-			if !batchLib[i].Residues[k].Equalish(closedLib[i].Residues[k], 0) {
-				bitwise = false
-			}
-		}
-	}
-
-	return &FigResult{
-		Figure: "Ext-G: closed-form weighted cascade Gramian vs dense Lyapunov oracle",
-		Series: []*Series{s},
-		Metrics: map[string]float64{
-			"weight_order_nw":            nw,
-			"worst_rel_frobenius_err":    worstErr,
-			"speedup_at_np500":           speedup500,
-			"enforce_max_abs_s_dev":      maxDev,
-			"batch_bitwise_vs_closed":    b2f(bitwise),
-			"enforced_models_per_cost":   libSize,
-			"largest_model_order_tested": float64(sizes[len(sizes)-1]),
-		},
-		Notes: []string{
-			"the closed form solves tiny (≤2×2) Sylvester blocks along the block upper-triangular cascade A instead of one dense (n+n_w)-dimensional Lyapunov equation — same P^Ξ,11 to machine precision, orders of magnitude faster, and what makes per-model weighted costs affordable in batch services",
-		},
-	}, nil
-}
-
-// ExtH — certified enforcement. A library of ~100 random 10-pole weighted
-// enforcements runs at a latency-capped adaptive operating point (refinement
-// depth 6 — the configuration of the documented σ = 1.0000014 false pass);
-// every fourth model carries the narrow off-resonance "shoulder" band that
-// the capped sampling steps over. Uncertified enforcement takes the
-// sampling check's word for convergence; the Hamiltonian oracle then
-// re-judges every result, and the fraction it rejects is the escape rate.
-// The same library enforced through the certified pipeline must come back
-// with zero escapes — certified violation bands re-enter the loop as
-// constraints — at a measured certification overhead.
-func (c *Context) ExtH() (*FigResult, error) {
-	const libSize = 100
-	rng := rand.New(rand.NewSource(1404))
-	weight, err := rational.RandomScalarWeight(rng, 4)
-	if err != nil {
-		return nil, err
-	}
-	build := func() ([]*rational.Model, error) {
-		models := make([]*rational.Model, libSize)
-		for i := range models {
-			opts := passivity.SyntheticOptions{Ports: 2, Poles: 10, Seed: int64(9000 + i), PeakGain: 0.45}
-			if i%4 == 0 {
-				opts.NarrowBand = true
-				opts.PeakGain = 0.4
-			}
-			m, err := passivity.SyntheticModel(opts)
-			if err != nil {
-				return nil, err
-			}
-			models[i] = m
-		}
-		return models, nil
-	}
-	enforceLib := func(models []*rational.Model, certify bool) (*passivity.BatchReport, time.Duration) {
-		t0 := time.Now()
-		rep := passivity.EnforceBatch(models, passivity.BatchOptions{
-			Enforce: passivity.EnforceOptions{
-				Check:   passivity.CheckOptions{Method: passivity.MethodAdaptive, AdaptiveMaxStages: 6},
-				Certify: certify,
-			},
-			Weight:  weight,
-			Workers: 1, // timing comparison, not a scaling experiment
-		})
-		return rep, time.Since(t0)
-	}
-	oracle := func(m *rational.Model) (bool, float64, error) {
-		rep, err := passivity.Check(m, passivity.CheckOptions{Method: passivity.MethodHamiltonian})
-		if err != nil {
-			return false, 0, err
-		}
-		return rep.Passive, rep.MaxSigma, nil
-	}
-
-	plainLib, err := build()
-	if err != nil {
-		return nil, err
-	}
-	plainRep, plainElapsed := enforceLib(plainLib, false)
-	certLib, err := build()
-	if err != nil {
-		return nil, err
-	}
-	certRep, certElapsed := enforceLib(certLib, true)
-
-	series := &Series{
-		Name:    "extH_escape_rate",
-		Columns: map[string][]float64{},
-		Order:   []string{"oracle_sigma_uncertified", "oracle_sigma_certified", "rescues"},
-		XLabel:  "model_index",
-	}
-	escapedPlain, escapedCert := 0, 0
-	for i := 0; i < libSize; i++ {
-		if plainRep.Results[i].Err != nil || certRep.Results[i].Err != nil {
-			return nil, fmt.Errorf("extH: model %d failed: %v / %v", i, plainRep.Results[i].Err, certRep.Results[i].Err)
-		}
-		okP, sigP, err := oracle(plainLib[i])
-		if err != nil {
-			return nil, err
-		}
-		okC, sigC, err := oracle(certLib[i])
-		if err != nil {
-			return nil, err
-		}
-		if !okP {
-			escapedPlain++
-		}
-		if !okC {
-			escapedCert++
-		}
-		series.FreqHz = append(series.FreqHz, float64(i))
-		series.Columns["oracle_sigma_uncertified"] = append(series.Columns["oracle_sigma_uncertified"], sigP)
-		series.Columns["oracle_sigma_certified"] = append(series.Columns["oracle_sigma_certified"], sigC)
-		series.Columns["rescues"] = append(series.Columns["rescues"], float64(certRep.Results[i].Report.CertifiedRescues))
-	}
-
-	overhead := certElapsed.Seconds()/math.Max(plainElapsed.Seconds(), 1e-9) - 1
-	return &FigResult{
-		Figure: "Ext-H: certified enforcement — escape rate and certification overhead",
-		Series: []*Series{series},
-		Metrics: map[string]float64{
-			"library_size":           libSize,
-			"escaped_uncertified":    float64(escapedPlain),
-			"escape_rate_uncert":     float64(escapedPlain) / libSize,
-			"escaped_certified":      float64(escapedCert),
-			"certified_models":       float64(certRep.Stats.Certified),
-			"certified_rescues":      float64(certRep.Stats.CertifiedRescues),
-			"uncertified_ms":         float64(plainElapsed.Milliseconds()),
-			"certified_ms":           float64(certElapsed.Milliseconds()),
-			"certification_overhead": overhead,
-		},
-		Notes: []string{
-			"escapes are convergences the sampling check accepted but the Hamiltonian oracle rejects; the certified pipeline re-enters every proven band as constraints, so its escape count must be zero by construction",
-		},
-	}, nil
-}
-
-// Extensions runs every extension experiment in order.
-func (c *Context) Extensions() ([]*FigResult, error) {
-	var out []*FigResult
-	for _, fn := range []func() (*FigResult, error){c.ExtA, c.ExtB, c.ExtC, c.ExtD, c.ExtE, c.ExtF, c.ExtG, c.ExtH} {
-		r, err := fn()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

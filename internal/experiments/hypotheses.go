@@ -1,16 +1,15 @@
 package experiments
 
-// Hypothesis-harness promotion of the extension experiments: the claims
-// the Ext-E..Ext-H figures demonstrate, restated falsifiably and run under
-// the classification rigor of internal/experiments/hypothesis —
-// deterministic invariants on a single seed (failure = bug), statistical
-// claims on ≥3 seeds with directional consistency and a >20% (or bounded)
-// effect threshold on every seed. The FigResult versions remain the
-// plotted artifacts; these are the judged, reproducible FINDINGS.
+// The hypothesis registry: every experiment of the repository restated as
+// a falsifiable claim and run under the classification rigor of
+// internal/experiments/hypothesis — deterministic invariants on a single
+// seed (failure = bug), statistical claims on ≥3 seeds with directional
+// consistency and a >20% (or bounded) effect threshold on every seed.
 
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"time"
 
@@ -20,10 +19,54 @@ import (
 	"repro/internal/rational"
 )
 
-// Hypotheses returns the registry of promoted extension experiments.
-func Hypotheses() (*hypothesis.Registry, error) {
+// Hypotheses returns the registry of every experiment: the paper's Figs.
+// 1–6 and Ext-A..Ext-D as invariants on one shared lazy Context for cfg
+// (each artifact is built once, whichever specs run), then the Ext-E..Ext-H
+// claims on their own synthetic libraries.
+func Hypotheses(cfg Config) (*hypothesis.Registry, error) {
+	c := NewContext(cfg)
 	r := hypothesis.NewRegistry()
 	for _, s := range []hypothesis.Spec{
+		invariant("fig-1-standard-fit",
+			"Fig 1: the standard fit of the scattering data completes",
+			"Plain Vector Fitting of the PDN scattering data finishes with a finite RMS error (the paper's Fig. 1 baseline model).",
+			"fit_rms_error", c.fig1),
+		invariant("fig-2-fit-target-impedance",
+			"Fig 2: the weighted fit preserves the loaded impedance below 10 MHz",
+			"Before enforcement, the sensitivity-weighted fit's worst relative target-impedance error below 10 MHz is no larger than the standard fit's.",
+			"weighted_worst_rel_err_below_10MHz", c.fig2),
+		invariant("fig-3-sensitivity-weight",
+			"Fig 3: the sensitivity spans decades",
+			"The first-order sensitivity Ξ(ω) that the weight Ξ̃(s) models falls by at least 20 dB from its low-frequency value to the top of the band.",
+			"xi_dynamic_range_db", c.fig3),
+		invariant("fig-4-singular-values",
+			"Fig 4: weighted enforcement removes every passivity violation",
+			"The weighted fit violates passivity (σmax > 1) and weighted enforcement leaves σmax ≤ 1+1e-6 on a 400-point grid to 4 GHz.",
+			"max_sigma_after", c.fig4),
+		invariant("fig-5-enforced-target-impedance",
+			"Fig 5: weighted enforcement keeps the loaded impedance, standard enforcement does not",
+			"After passivity enforcement, the standard-cost model's worst relative target-impedance error below 10 MHz is at least 1.5× the sensitivity-weighted model's.",
+			"standard_over_weighted_error_ratio", c.fig5),
+		invariant("fig-6-weighted-passive-scattering",
+			"Fig 6: enforcement does not degrade the scattering fit",
+			"The final weighted-passive model matches the scattering data with an RMS error ≤ 0.05.",
+			"final_rms_error", c.fig6),
+		invariant("ext-a-representation-independence",
+			"Ext-A: the weighted flow is independent of the data representation",
+			"The weighted flow run from native 50 Ω scattering, 5 Ω-renormalized scattering and admittance-derived 20 Ω data yields passive models whose low-frequency target-impedance errors are finite and within a factor 50 of each other (paper §V).",
+			"worst_path_over_best", c.extA),
+		invariant("ext-b-transient-verification",
+			"Ext-B: transient co-simulation agrees with the frequency domain",
+			"Driving both enforced models with their terminations at the worst low-frequency tone reproduces each model's own frequency response within 5% and never generates energy (cumulative energy ≥ −1e-9 J).",
+			"worst_td_fd_consistency", c.extB),
+		invariant("ext-c-mor-baseline",
+			"Ext-C: balanced truncation stays within its error budget",
+			"Balanced truncation of an overfit model to the direct fit's realization size, followed by passivity repair, keeps its scattering RMS error within 50× the overfit model's plus the truncation bound (refs [6,7]).",
+			"rms_s_reduced", c.extC),
+		invariant("ext-d-enforcement-ablation",
+			"Ext-D: residue scaling is no better than the weighted QP",
+			"Global residue scaling reaches passivity with a scale factor in (0, 1] and a low-frequency target-impedance error no smaller than the weighted QP's.",
+			"scaling_over_weighted", c.extD),
 		extEAdaptiveEconomy(),
 		extFBatchBitwise(),
 		extGGramianOracle(),
@@ -37,13 +80,31 @@ func Hypotheses() (*hypothesis.Registry, error) {
 	return r, nil
 }
 
-// extEAdaptiveEconomy — Ext-E promoted: the adaptive characterizer reaches
-// the fixed sweep's verdict on >20% fewer σ evaluations, on every seed.
+// invariant wraps a check of the shared Context as a single-seed
+// deterministic spec; the seed is unused because the testcase is fixed.
+func invariant(id, title, claim, primary string, run func() (hypothesis.Trial, error)) hypothesis.Spec {
+	return hypothesis.Spec{
+		ID: id, Title: title, Claim: claim, Primary: primary,
+		Class: hypothesis.Deterministic, Subtype: hypothesis.Invariant,
+		Run: func(int64) (hypothesis.Trial, error) { return run() },
+	}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// extEAdaptiveEconomy — Ext-E: the adaptive characterizer reaches the
+// fixed sweep's verdict on >20% fewer σ evaluations, on every seed, and
+// enforcement driven by it yields a model the sweep also finds passive.
 func extEAdaptiveEconomy() hypothesis.Spec {
 	return hypothesis.Spec{
 		ID:      "ext-e-adaptive-economy",
 		Title:   "Adaptive characterization beats the fixed sweep on sample economy",
-		Claim:   "On violating synthetic models the multi-stage adaptive characterizer reaches the same passivity verdict as the 1200-point fixed sweep while spending >20% fewer σ(ω) evaluations, consistently across seeds.",
+		Claim:   "On violating synthetic models the multi-stage adaptive characterizer reaches the same passivity verdict as the 1200-point fixed sweep while spending >20% fewer σ(ω) evaluations, consistently across seeds; enforcement driven by the adaptive check leaves a model the sweep finds passive.",
 		Class:   hypothesis.Statistical,
 		Subtype: hypothesis.Dominance,
 		Primary: "sweep_samples/adaptive_samples",
@@ -54,63 +115,64 @@ func extEAdaptiveEconomy() hypothesis.Spec {
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			sweep, err := passivity.Check(m, passivity.CheckOptions{Method: passivity.MethodSweep, SweepPoints: 1200})
+			sweepOpts := passivity.CheckOptions{Method: passivity.MethodSweep, SweepPoints: 1200}
+			adaptiveOpts := passivity.CheckOptions{Method: passivity.MethodAdaptive}
+			sweep, err := passivity.Check(m, sweepOpts)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			adaptive, err := passivity.Check(m, passivity.CheckOptions{Method: passivity.MethodAdaptive})
+			adaptive, err := passivity.Check(m, adaptiveOpts)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
 			if adaptive.Samples == 0 {
 				return hypothesis.Trial{}, fmt.Errorf("adaptive characterizer reported zero samples")
 			}
+			enf, err := passivity.Enforce(m, passivity.EnforceOptions{Check: adaptiveOpts, ClampD: true})
+			if err != nil {
+				return hypothesis.Trial{}, fmt.Errorf("adaptive-driven enforcement: %w", err)
+			}
+			recheck, err := passivity.Check(m, sweepOpts)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			agree := sweep.Passive == adaptive.Passive
+			enforced := enf.Passive && recheck.Passive
 			return hypothesis.Trial{
 				Primary: float64(sweep.Samples) / float64(adaptive.Samples),
-				Pass:    sweep.Passive == adaptive.Passive,
+				Pass:    agree && enforced,
 				Metrics: map[string]float64{
 					"sweep_samples":      float64(sweep.Samples),
 					"adaptive_samples":   float64(adaptive.Samples),
 					"sweep_max_sigma":    sweep.MaxSigma,
 					"adaptive_max_sigma": adaptive.MaxSigma,
-					"verdict_agreement":  b2f(sweep.Passive == adaptive.Passive),
+					"verdict_agreement":  b2f(agree),
+					"enforce_iterations": float64(enf.Iterations),
+					"enforced_passive":   b2f(enforced),
 				},
 			}, nil
 		},
 	}
 }
 
-// extFBatchBitwise — Ext-F promoted: sharded batch enforcement is bitwise
-// identical to sequential per-model enforcement.
+// extFBatchBitwise — Ext-F: sharded batch enforcement is bitwise identical
+// to sequential per-model enforcement, iteration for iteration.
 func extFBatchBitwise() hypothesis.Spec {
 	return hypothesis.Spec{
 		ID:      "ext-f-batch-bitwise",
 		Title:   "Batch enforcement is bitwise identical to sequential",
 		Class:   hypothesis.Deterministic,
 		Subtype: hypothesis.Invariant,
-		Claim:   "EnforcePassivityBatch produces residue matrices bitwise identical to sequential EnforcePassivity on the same library, for every model, with the whole library enforced passive.",
+		Claim:   "EnforcePassivityBatch produces residue matrices bitwise identical to sequential EnforcePassivity on the same library, for every model, in the same total number of iterations, with the whole library enforced passive and no failures.",
 		Primary: "bitwise_mismatches",
 		Run: func(seed int64) (hypothesis.Trial, error) {
 			const libSize = 4
-			build := func() ([]*rational.Model, error) {
-				lib := make([]*rational.Model, libSize)
-				for i := range lib {
-					m, err := passivity.SyntheticModel(passivity.SyntheticOptions{
-						Ports: 2, Poles: 24, Seed: seed*1000 + int64(i), PeakGain: 1.1,
-					})
-					if err != nil {
-						return nil, err
-					}
-					lib[i] = m
-				}
-				return lib, nil
-			}
 			opts := passivity.EnforceOptions{Check: passivity.CheckOptions{Method: passivity.MethodAdaptive}, ClampD: true}
-			seq, err := build()
+			seq, err := violatingLibrary(libSize, seed*1000)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			passive := libSize
+			passive, seqIters := libSize, 0
 			for i, m := range seq {
 				rep, err := passivity.Enforce(m, opts)
 				if err != nil {
@@ -119,46 +181,64 @@ func extFBatchBitwise() hypothesis.Spec {
 				if !rep.Passive {
 					passive--
 				}
+				seqIters += rep.Iterations
 			}
-			bat, err := build()
+			bat, err := violatingLibrary(libSize, seed*1000)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
 			brep := passivity.EnforceBatch(bat, passivity.BatchOptions{Enforce: opts, Workers: 4})
+			series := &hypothesis.Series{
+				Name:    "extF_per_model_iterations",
+				XLabel:  "model_index",
+				Order:   []string{"iterations", "final_sigma"},
+				Columns: map[string][]float64{},
+			}
 			mismatches := 0
 			for i := range bat {
-				if brep.Results[i].Err != nil {
-					return hypothesis.Trial{}, fmt.Errorf("batch model %d: %w", i, brep.Results[i].Err)
+				res := brep.Results[i]
+				if res.Err != nil {
+					return hypothesis.Trial{}, fmt.Errorf("batch model %d: %w", i, res.Err)
 				}
 				for k := range bat[i].Residues {
 					if !bat[i].Residues[k].Equalish(seq[i].Residues[k], 0) {
 						mismatches++
 					}
 				}
+				series.X = append(series.X, float64(i))
+				series.Columns["iterations"] = append(series.Columns["iterations"], float64(res.Report.Iterations))
+				series.Columns["final_sigma"] = append(series.Columns["final_sigma"], res.Report.Final.MaxSigma)
 			}
+			st := brep.Stats
 			return hypothesis.Trial{
 				Primary: float64(mismatches),
-				Pass:    mismatches == 0 && passive == libSize && brep.Stats.Passive == libSize,
+				Pass: mismatches == 0 && passive == libSize && st.Passive == libSize &&
+					st.Failed == 0 && st.TotalIterations == seqIters,
 				Metrics: map[string]float64{
 					"library_size":       libSize,
 					"bitwise_mismatches": float64(mismatches),
 					"sequential_passive": float64(passive),
-					"batch_passive":      float64(brep.Stats.Passive),
+					"batch_passive":      float64(st.Passive),
+					"batch_failed":       float64(st.Failed),
+					"sequential_iters":   float64(seqIters),
+					"batch_iterations":   float64(st.TotalIterations),
 				},
+				Series: []*hypothesis.Series{series},
 			}, nil
 		},
 	}
 }
 
-// extGGramianOracle — Ext-G promoted: the closed-form cascade Gramian
-// matches the dense Lyapunov oracle to near machine precision.
+// extGGramianOracle — Ext-G: the closed-form cascade Gramian matches the
+// dense Lyapunov oracle to near machine precision, and enforcement with
+// either cost lands on the same passive models.
 func extGGramianOracle() hypothesis.Spec {
 	return hypothesis.Spec{
 		ID:      "ext-g-gramian-oracle",
 		Title:   "Closed-form cascade Gramian matches the dense Lyapunov oracle",
 		Class:   hypothesis.Deterministic,
 		Subtype: hypothesis.Invariant,
-		Claim:   "rational-model weighted Gramians from the closed-form cascade construction agree with the dense statespace Lyapunov oracle within 1e-10 relative Frobenius error across model orders.",
+		Claim:   "rational-model weighted Gramians from the closed-form cascade construction agree with the dense statespace Lyapunov oracle within 1e-10 relative Frobenius error at model orders 100, 250 and 500; weighted enforcement with the closed-form cost and with the dense-oracle cost agrees within 1e-6, and weighted batch enforcement is bitwise identical to sequential.",
 		Primary: "worst_rel_frobenius_err",
 		Run: func(seed int64) (hypothesis.Trial, error) {
 			rng := rand.New(rand.NewSource(seed))
@@ -166,21 +246,31 @@ func extGGramianOracle() hypothesis.Spec {
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
+			series := &hypothesis.Series{
+				Name:    "extG_gramian_scaling",
+				XLabel:  "model_order_np",
+				Order:   []string{"closed_ms", "dense_ms", "speedup", "rel_frob_err"},
+				Columns: map[string][]float64{},
+			}
 			worst := 0.0
-			for _, np := range []int{100, 250} {
+			for _, np := range []int{100, 250, 500} {
 				poles := rational.RandomStablePoles(rng, np)
 				model, err := rational.NewScalar(poles, make([]complex128, len(poles)), 0)
 				if err != nil {
 					return hypothesis.Trial{}, err
 				}
+				t0 := time.Now()
 				fast, err := core.WeightedGramian(model, weight)
 				if err != nil {
 					return hypothesis.Trial{}, err
 				}
+				closedMS := float64(time.Since(t0).Microseconds()) / 1e3
+				t0 = time.Now()
 				dense, err := core.WeightedGramianDense(model, weight)
 				if err != nil {
 					return hypothesis.Trial{}, err
 				}
+				denseMS := float64(time.Since(t0).Microseconds()) / 1e3
 				var num, den float64
 				for i := 0; i < dense.Rows; i++ {
 					for j := 0; j < dense.Cols; j++ {
@@ -189,15 +279,95 @@ func extGGramianOracle() hypothesis.Spec {
 						den += dense.At(i, j) * dense.At(i, j)
 					}
 				}
-				worst = math.Max(worst, math.Sqrt(num/den))
+				rel := math.Sqrt(num / den)
+				worst = math.Max(worst, rel)
+				series.X = append(series.X, float64(np))
+				series.Columns["closed_ms"] = append(series.Columns["closed_ms"], closedMS)
+				series.Columns["dense_ms"] = append(series.Columns["dense_ms"], denseMS)
+				series.Columns["speedup"] = append(series.Columns["speedup"], denseMS/math.Max(closedMS, 1e-6))
+				series.Columns["rel_frob_err"] = append(series.Columns["rel_frob_err"], rel)
+			}
+
+			// Enforcement equivalence: one violating library enforced with
+			// the closed-form cost, with the dense-oracle cost, and through
+			// the weighted batch path.
+			const libSize = 4
+			base := passivity.EnforceOptions{Check: passivity.CheckOptions{Method: passivity.MethodAdaptive}}
+			closedLib, err := violatingLibrary(libSize, seed*1000+500)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			for i, m := range closedLib {
+				if _, err := core.EnforceWeighted(m, weight, base); err != nil {
+					return hypothesis.Trial{}, fmt.Errorf("closed-cost enforcement of model %d: %w", i, err)
+				}
+			}
+			denseLib, err := violatingLibrary(libSize, seed*1000+500)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			for i, m := range denseLib {
+				opts := base
+				if opts.CostGramian, err = core.WeightedGramianDense(m, weight); err != nil {
+					return hypothesis.Trial{}, err
+				}
+				if _, err := passivity.Enforce(m, opts); err != nil {
+					return hypothesis.Trial{}, fmt.Errorf("dense-cost enforcement of model %d: %w", i, err)
+				}
+			}
+			maxDev := 0.0
+			for i := range closedLib {
+				for _, w := range []float64{0.3, 2.1, 17, 140, 2500} {
+					a, b := closedLib[i].Eval(w), denseLib[i].Eval(w)
+					for e := range a.Data {
+						maxDev = math.Max(maxDev, cmplx.Abs(a.Data[e]-b.Data[e]))
+					}
+				}
+			}
+			batchLib, err := violatingLibrary(libSize, seed*1000+500)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			brep := passivity.EnforceBatch(batchLib, passivity.BatchOptions{Enforce: base, Weight: weight, Workers: 4})
+			mismatches := 0
+			for i := range batchLib {
+				if err := brep.Results[i].Err; err != nil {
+					return hypothesis.Trial{}, fmt.Errorf("weighted batch model %d: %w", i, err)
+				}
+				for k := range batchLib[i].Residues {
+					if !batchLib[i].Residues[k].Equalish(closedLib[i].Residues[k], 0) {
+						mismatches++
+					}
+				}
 			}
 			return hypothesis.Trial{
 				Primary: worst,
-				Pass:    worst <= 1e-10,
-				Metrics: map[string]float64{"worst_rel_frobenius_err": worst},
+				Pass:    worst <= 1e-10 && maxDev <= 1e-6 && mismatches == 0,
+				Metrics: map[string]float64{
+					"worst_rel_frobenius_err": worst,
+					"enforce_max_abs_s_dev":   maxDev,
+					"batch_mismatches":        float64(mismatches),
+				},
+				Series: []*hypothesis.Series{series},
 			}, nil
 		},
 	}
+}
+
+// violatingLibrary builds size violating 2-port 24-pole synthetic models
+// with consecutive seeds from seed0.
+func violatingLibrary(size int, seed0 int64) ([]*rational.Model, error) {
+	lib := make([]*rational.Model, size)
+	for i := range lib {
+		m, err := passivity.SyntheticModel(passivity.SyntheticOptions{
+			Ports: 2, Poles: 24, Seed: seed0 + int64(i), PeakGain: 1.1,
+		})
+		if err != nil {
+			return nil, err
+		}
+		lib[i] = m
+	}
+	return lib, nil
 }
 
 // extHCorpus builds the Ext-H certification corpus: 100 random 10-pole
@@ -240,34 +410,54 @@ func extHEnforce(models []*rational.Model, certify bool) (*passivity.BatchReport
 	return rep, time.Since(t0), nil
 }
 
-// extHCertifiedClosure — the terminal contour-counter claim on the Ext-H
-// corpus: certified enforcement leaves zero unsettled intervals and zero
-// oracle escapes. Before the counter stage the probe pipeline could leave
-// Open intervals behind (best-effort verdicts); with it every certificate
-// must finish the whole axis.
+// extHCertifiedClosure — the certified-enforcement claim on the Ext-H
+// corpus: enforced at the stage-capped operating point without
+// certification, some models still fail the dense Hamiltonian oracle
+// (escapes); with the counter-terminated certification pipeline every
+// certificate covers the whole axis (no Open intervals), nothing escapes,
+// and the pipeline rescues at least as many convergences as escaped.
 func extHCertifiedClosure() hypothesis.Spec {
 	return hypothesis.Spec{
 		ID:      "ext-h-certified-closure",
 		Title:   "Certified enforcement settles every interval (Open == nil) with zero escapes",
 		Class:   hypothesis.Deterministic,
 		Subtype: hypothesis.Invariant,
-		Claim:   "On the Ext-H 100-model weighted-enforcement corpus, every certificate returned by the counter-terminated pipeline is Certified with zero Open intervals, and the dense Hamiltonian oracle rejects none of the enforced models.",
+		Claim:   "On the Ext-H 100-model weighted-enforcement corpus, every certificate returned by the counter-terminated pipeline is Certified with zero Open intervals, and the dense Hamiltonian oracle rejects none of the enforced models; enforced without certification the same corpus has oracle escapes, and the certified run rescues at least as many convergences as there are escapes.",
 		Primary: "open_intervals_plus_escapes",
 		Run: func(int64) (hypothesis.Trial, error) {
-			models, err := extHCorpus(100)
+			const libSize = 100
+			plainLib, err := extHCorpus(libSize)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			rep, elapsed, err := extHEnforce(models, true)
+			plainRep, plainElapsed, err := extHEnforce(plainLib, false)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			openIntervals, uncertified, escapes, nodes := 0, 0, 0, 0
-			for i, res := range rep.Results {
-				if res.Err != nil {
-					return hypothesis.Trial{}, fmt.Errorf("model %d: %w", i, res.Err)
+			certLib, err := extHCorpus(libSize)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			certRep, certElapsed, err := extHEnforce(certLib, true)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			series := &hypothesis.Series{
+				Name:    "extH_escape_rate",
+				XLabel:  "model_index",
+				Order:   []string{"oracle_sigma_uncertified", "oracle_sigma_certified", "rescues"},
+				Columns: map[string][]float64{},
+			}
+			oracle := func(m *rational.Model) (*passivity.Report, error) {
+				return passivity.Check(m, passivity.CheckOptions{Method: passivity.MethodHamiltonian})
+			}
+			openIntervals, uncertified, escapes, plainEscapes, nodes := 0, 0, 0, 0, 0
+			for i := range certLib {
+				if plainRep.Results[i].Err != nil || certRep.Results[i].Err != nil {
+					return hypothesis.Trial{}, fmt.Errorf("model %d: %v / %v", i, plainRep.Results[i].Err, certRep.Results[i].Err)
 				}
-				cert := res.Report.Certificate
+				res := certRep.Results[i].Report
+				cert := res.Certificate
 				if cert == nil || !cert.Certified {
 					uncertified++
 				}
@@ -277,26 +467,42 @@ func extHCertifiedClosure() hypothesis.Spec {
 						nodes += st.Nodes
 					}
 				}
-				oracle, err := passivity.Check(models[i], passivity.CheckOptions{Method: passivity.MethodHamiltonian})
+				plainOracle, err := oracle(plainLib[i])
 				if err != nil {
 					return hypothesis.Trial{}, err
 				}
-				if !oracle.Passive {
+				certOracle, err := oracle(certLib[i])
+				if err != nil {
+					return hypothesis.Trial{}, err
+				}
+				if !plainOracle.Passive {
+					plainEscapes++
+				}
+				if !certOracle.Passive {
 					escapes++
 				}
+				series.X = append(series.X, float64(i))
+				series.Columns["oracle_sigma_uncertified"] = append(series.Columns["oracle_sigma_uncertified"], plainOracle.MaxSigma)
+				series.Columns["oracle_sigma_certified"] = append(series.Columns["oracle_sigma_certified"], certOracle.MaxSigma)
+				series.Columns["rescues"] = append(series.Columns["rescues"], float64(res.CertifiedRescues))
 			}
+			rescues := certRep.Stats.CertifiedRescues
 			return hypothesis.Trial{
 				Primary: float64(openIntervals + escapes),
-				Pass:    openIntervals == 0 && escapes == 0 && uncertified == 0,
+				Pass: openIntervals == 0 && escapes == 0 && uncertified == 0 &&
+					plainEscapes > 0 && rescues >= plainEscapes,
 				Metrics: map[string]float64{
-					"library_size":      float64(len(models)),
-					"open_intervals":    float64(openIntervals),
-					"uncertified":       float64(uncertified),
-					"oracle_escapes":    float64(escapes),
-					"counter_nodes":     float64(nodes),
-					"certified_rescues": float64(rep.Stats.CertifiedRescues),
-					"elapsed_ms":        float64(elapsed.Milliseconds()),
+					"library_size":        libSize,
+					"open_intervals":      float64(openIntervals),
+					"uncertified":         float64(uncertified),
+					"oracle_escapes":      float64(escapes),
+					"escaped_uncertified": float64(plainEscapes),
+					"counter_nodes":       float64(nodes),
+					"certified_rescues":   float64(rescues),
+					"uncertified_ms":      float64(plainElapsed.Milliseconds()),
+					"certified_ms":        float64(certElapsed.Milliseconds()),
 				},
+				Series: []*hypothesis.Series{series},
 			}, nil
 		},
 	}

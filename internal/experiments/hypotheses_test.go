@@ -2,30 +2,43 @@ package experiments
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments/hypothesis"
 )
 
-// TestHypothesesShape pins down the registered specs: the promoted
-// Ext-E..Ext-H experiments must keep their IDs, classes and judgement
-// subtypes, because FINDINGS artifacts and the CLI refer to them by ID.
+// TestHypothesesShape pins down the registered specs: every experiment
+// must keep its ID, class and judgement subtype, because FINDINGS
+// artifacts and the CLI refer to them by ID.
 func TestHypothesesShape(t *testing.T) {
-	reg, err := Hypotheses()
+	reg, err := Hypotheses(Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	det, stat := hypothesis.Deterministic, hypothesis.Statistical
+	inv := hypothesis.Invariant
 	want := []struct {
 		id      string
 		class   hypothesis.Class
 		subtype hypothesis.Subtype
 	}{
-		{"ext-e-adaptive-economy", hypothesis.Statistical, hypothesis.Dominance},
-		{"ext-f-batch-bitwise", hypothesis.Deterministic, hypothesis.Invariant},
-		{"ext-g-gramian-oracle", hypothesis.Deterministic, hypothesis.Invariant},
-		{"ext-h-certified-closure", hypothesis.Deterministic, hypothesis.Invariant},
-		{"ext-h-certified-overhead", hypothesis.Statistical, hypothesis.Bounded},
+		{"fig-1-standard-fit", det, inv},
+		{"fig-2-fit-target-impedance", det, inv},
+		{"fig-3-sensitivity-weight", det, inv},
+		{"fig-4-singular-values", det, inv},
+		{"fig-5-enforced-target-impedance", det, inv},
+		{"fig-6-weighted-passive-scattering", det, inv},
+		{"ext-a-representation-independence", det, inv},
+		{"ext-b-transient-verification", det, inv},
+		{"ext-c-mor-baseline", det, inv},
+		{"ext-d-enforcement-ablation", det, inv},
+		{"ext-e-adaptive-economy", stat, hypothesis.Dominance},
+		{"ext-f-batch-bitwise", det, inv},
+		{"ext-g-gramian-oracle", det, inv},
+		{"ext-h-certified-closure", det, inv},
+		{"ext-h-certified-overhead", stat, hypothesis.Bounded},
 	}
 	specs := reg.Specs()
 	if len(specs) != len(want) {
@@ -37,8 +50,8 @@ func TestHypothesesShape(t *testing.T) {
 			t.Fatalf("spec %d = %s/%s/%s, want %s/%s/%s",
 				i, s.ID, s.Class, s.Subtype, w.id, w.class, w.subtype)
 		}
-		if s.Claim == "" || s.Primary == "" {
-			t.Fatalf("spec %s missing claim or primary metric", s.ID)
+		if s.Title == "" || s.Claim == "" || s.Primary == "" {
+			t.Fatalf("spec %s missing title, claim or primary metric", s.ID)
 		}
 		if s.Subtype == hypothesis.Bounded && s.Threshold <= 0 {
 			t.Fatalf("bounded spec %s has no explicit threshold", s.ID)
@@ -46,48 +59,59 @@ func TestHypothesesShape(t *testing.T) {
 	}
 }
 
-// TestHypothesesDeterministicConfirm evaluates the cheap deterministic
-// specs end-to-end and checks the artifacts they emit. The statistical
-// timing specs (ext-e economy, ext-h overhead) are exercised by the CLI
-// and their committed FINDINGS artifacts, not re-timed here.
+// TestHypothesesDeterministicConfirm evaluates every deterministic spec on
+// the small configuration — each spec's Pass is its figure's shape
+// criterion — and checks the artifacts it emits: FINDINGS JSON and
+// markdown plus one CSV per plotted series. The sample-count economy spec
+// ext-e rides along; the wall-clock overhead bound (ext-h overhead) is not
+// re-timed here, its committed FINDINGS artifact records it.
 func TestHypothesesDeterministicConfirm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping model-building hypothesis runs in -short mode")
-	}
-	reg, err := Hypotheses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, id := range []string{"ext-f-batch-bitwise", "ext-g-gramian-oracle"} {
-		spec, ok := reg.Get(id)
-		if !ok {
-			t.Fatalf("spec %s not registered", id)
+	for _, spec := range smallRegistry(t).Specs() {
+		if spec.Class != hypothesis.Deterministic && spec.ID != "ext-e-adaptive-economy" {
+			continue
 		}
-		f, err := hypothesis.Evaluate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Verdict != hypothesis.Confirmed {
-			t.Fatalf("%s judged %s: %s", id, f.Verdict, f.Reason)
-		}
-		jsPath, err := f.Write(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := hypothesis.ReadFinding(jsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.ID != id || back.Verdict != hypothesis.Confirmed {
-			t.Fatalf("artifact for %s read back as %s/%s", id, back.ID, back.Verdict)
-		}
-		md, err := os.ReadFile(strings.TrimSuffix(jsPath, ".json") + ".md")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(md), "## Verdict: CONFIRMED") {
-			t.Fatalf("%s markdown artifact missing verdict header", id)
-		}
+		t.Run(spec.ID, func(t *testing.T) {
+			f, err := hypothesis.Evaluate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Verdict != hypothesis.Confirmed {
+				t.Fatalf("judged %s: %s (metrics %v)", f.Verdict, f.Reason, f.Seeds[0].Metrics)
+			}
+			sr := f.Seeds[0]
+			if len(sr.Metrics) == 0 {
+				t.Fatal("trial carries no metrics")
+			}
+			if spec.Class == hypothesis.Deterministic && len(sr.Series) == 0 {
+				t.Fatal("trial carries no plotted series")
+			}
+			dir := t.TempDir()
+			jsPath, err := f.Write(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := hypothesis.ReadFinding(jsPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.ID != spec.ID || back.Verdict != hypothesis.Confirmed {
+				t.Fatalf("artifact read back as %s/%s", back.ID, back.Verdict)
+			}
+			md, err := os.ReadFile(strings.TrimSuffix(jsPath, ".json") + ".md")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(md), "## Verdict: CONFIRMED") {
+				t.Fatal("markdown artifact missing verdict header")
+			}
+			for _, s := range sr.Series {
+				if len(s.X) == 0 {
+					t.Fatalf("series %s is empty", s.Name)
+				}
+				if _, err := os.Stat(filepath.Join(dir, s.Name+".csv")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -90,13 +90,51 @@ type Trial struct {
 	// (for Dominance/Equivalence a ratio, for Bounded the bounded value;
 	// ignored semantically for Invariant but still recorded).
 	Primary float64
-	// Pass is the per-seed invariant verdict (deterministic class only).
+	// Pass is the per-seed check: the invariant for the deterministic
+	// class, any side condition of the claim (such as verdict agreement)
+	// for the statistical one. A false Pass refutes the hypothesis
+	// whatever its class.
 	Pass bool
 	// Metrics are the supporting per-seed measurements, recorded in the
 	// finding for transparency.
 	Metrics map[string]float64
 	// Notes are free-form per-seed observations.
 	Notes []string
+	// Series are the plotted data of the trial, written as CSV files next
+	// to the FINDINGS artifacts (not part of the JSON).
+	Series []*Series
+}
+
+// Series is one plottable column set: an x column plus named columns.
+type Series struct {
+	Name    string // file stem: the series is written as <Name>.csv
+	X       []float64
+	XLabel  string // CSV header of the x column; "" means "freq_hz"
+	Order   []string
+	Columns map[string][]float64
+}
+
+// WriteCSV writes the series to dir/<Name>.csv.
+func (s *Series) WriteCSV(dir string) error {
+	var b strings.Builder
+	x := s.XLabel
+	if x == "" {
+		x = "freq_hz"
+	}
+	b.WriteString(x)
+	for _, c := range s.Order {
+		b.WriteString(",")
+		b.WriteString(c)
+	}
+	b.WriteString("\n")
+	for i := range s.X {
+		fmt.Fprintf(&b, "%.10e", s.X[i])
+		for _, c := range s.Order {
+			fmt.Fprintf(&b, ",%.10e", s.Columns[c][i])
+		}
+		b.WriteString("\n")
+	}
+	return os.WriteFile(filepath.Join(dir, s.Name+".csv"), []byte(b.String()), 0o644)
 }
 
 // Spec declares one hypothesis experiment.
@@ -131,6 +169,7 @@ type SeedResult struct {
 	Pass    bool               `json:"pass"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	Notes   []string           `json:"notes,omitempty"`
+	Series  []*Series          `json:"-"`
 }
 
 // Finding is the reproducible artifact of one evaluated hypothesis.
@@ -225,7 +264,7 @@ func Evaluate(s *Spec) (*Finding, error) {
 		}
 		f.Seeds = append(f.Seeds, SeedResult{
 			Seed: seed, Primary: tr.Primary, Pass: tr.Pass,
-			Metrics: tr.Metrics, Notes: tr.Notes,
+			Metrics: tr.Metrics, Notes: tr.Notes, Series: tr.Series,
 		})
 	}
 	f.Mean, f.Min, f.Max = summarize(f.Seeds)
@@ -246,18 +285,23 @@ func summarize(seeds []SeedResult) (mean, mn, mx float64) {
 	return mean, mn, mx
 }
 
-// judge applies the class/subtype rules: deterministic failure is always a
-// bug (refuted); statistical verdicts demand directional consistency on
-// every seed and the full effect threshold on every seed to confirm.
+// judge applies the class/subtype rules: a seed whose Pass is false
+// refutes (for an invariant that is always a bug); statistical verdicts
+// demand directional consistency on every seed and the full effect
+// threshold on every seed to confirm.
 func judge(s *Spec, f *Finding) (Verdict, string) {
+	for _, sr := range f.Seeds {
+		if sr.Pass {
+			continue
+		}
+		if s.Subtype == Invariant {
+			return Refuted, fmt.Sprintf("invariant failed at seed %d — a deterministic failure is a bug, not noise", sr.Seed)
+		}
+		return Refuted, fmt.Sprintf("per-seed check failed at seed %d", sr.Seed)
+	}
 	thr := s.threshold()
 	switch s.Subtype {
 	case Invariant:
-		for _, sr := range f.Seeds {
-			if !sr.Pass {
-				return Refuted, fmt.Sprintf("invariant failed at seed %d — a deterministic failure is a bug, not noise", sr.Seed)
-			}
-		}
 		return Confirmed, fmt.Sprintf("invariant held on all %d run(s)", len(f.Seeds))
 	case Dominance:
 		// Primary is the ratio A/B; effect per seed is ratio − 1.
@@ -337,7 +381,8 @@ func (f *Finding) Markdown() string {
 }
 
 // Write persists the finding under dir as FINDINGS-<id>.json and
-// FINDINGS-<id>.md, returning the JSON path.
+// FINDINGS-<id>.md, plus one <series>.csv per plotted series of its
+// trials, returning the JSON path.
 func (f *Finding) Write(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -353,6 +398,13 @@ func (f *Finding) Write(dir string) (string, error) {
 	mdPath := filepath.Join(dir, "FINDINGS-"+f.ID+".md")
 	if err := os.WriteFile(mdPath, []byte(f.Markdown()), 0o644); err != nil {
 		return "", err
+	}
+	for _, sr := range f.Seeds {
+		for _, ser := range sr.Series {
+			if err := ser.WriteCSV(dir); err != nil {
+				return "", err
+			}
+		}
 	}
 	return jsPath, nil
 }

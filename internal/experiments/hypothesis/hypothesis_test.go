@@ -87,6 +87,37 @@ func TestDominanceVerdicts(t *testing.T) {
 	}
 }
 
+// TestFailedSeedRefutesStatistical pins that a statistical trial whose
+// per-seed check fails refutes the hypothesis even when its primary metric
+// alone would confirm it (e.g. adaptive cheaper than the sweep, but with a
+// different passivity verdict).
+func TestFailedSeedRefutesStatistical(t *testing.T) {
+	for _, c := range []struct {
+		subtype   Subtype
+		primary   float64
+		threshold float64
+	}{
+		{Dominance, 2, 0},
+		{Bounded, 0.1, 0.25},
+		{Equivalence, 1, 0},
+	} {
+		s := Spec{
+			ID: "failed-seed-" + string(c.subtype), Title: "t", Claim: "c",
+			Class: Statistical, Subtype: c.subtype, Primary: "m", Threshold: c.threshold,
+			Run: func(seed int64) (Trial, error) {
+				return Trial{Primary: c.primary, Pass: seed != 123}, nil
+			},
+		}
+		f, err := Evaluate(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Verdict != Refuted {
+			t.Fatalf("%s with a failed seed judged %s: %s", c.subtype, f.Verdict, f.Reason)
+		}
+	}
+}
+
 func TestBoundedVerdicts(t *testing.T) {
 	s := Spec{
 		ID: "bounded", Title: "t", Claim: "c", Class: Statistical, Subtype: Bounded,

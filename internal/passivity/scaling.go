@@ -27,8 +27,8 @@ type ScalingReport struct {
 // This is the crudest guaranteed-passive scheme: it wipes out accuracy
 // uniformly across frequency instead of perturbing only where violations
 // live, and serves as the strawman baseline in the enforcement-accuracy
-// ablation (EXPERIMENTS.md). Real flows should use Enforce or the
-// sensitivity-weighted scheme.
+// ablation (FINDINGS ext-d-enforcement-ablation). Real flows should use
+// Enforce or the sensitivity-weighted scheme.
 func EnforceByResidueScaling(model *rational.Model, opts EnforceOptions) (*ScalingReport, error) {
 	if opts.Margin <= 0 {
 		opts.Margin = 1e-4

@@ -208,9 +208,6 @@ const (
 type CheckOptions struct {
 	// Method selects the detection algorithm (default CheckAuto).
 	Method CheckMethod
-	// ForceSweep skips the Hamiltonian test regardless of model size.
-	// Deprecated shorthand for Method: CheckSweep; an explicit Method wins.
-	ForceSweep bool
 	// FreqMin/FreqMax bound the sweep band in Hz (0 = derive from poles).
 	FreqMin, FreqMax float64
 	// SweepPoints sets the sweep grid density (0 = default 1000).
@@ -254,10 +251,6 @@ func (o CheckOptions) internal() passivity.CheckOptions {
 		opts.Method = passivity.MethodSweep
 	case CheckAdaptive:
 		opts.Method = passivity.MethodAdaptive
-	default:
-		if o.ForceSweep {
-			opts.Method = passivity.MethodSweep
-		}
 	}
 	return opts
 }

@@ -274,7 +274,7 @@ func TestEnforceStandardVsWeightedBothPassive(t *testing.T) {
 	for _, weight := range []*repro.Weight{nil, w} {
 		m := m0.Clone()
 		rep, err := repro.EnforcePassivity(m, repro.EnforceOptions{
-			Check:  repro.CheckOptions{ForceSweep: true, FreqMin: 500, FreqMax: 4e9},
+			Check:  repro.CheckOptions{Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9},
 			Weight: weight,
 			ClampD: true,
 		})

@@ -449,7 +449,7 @@ func (s *Session) progressFunc() passivity.ProgressFunc {
 // certification on (an explicitly certified call stays certified either
 // way).
 func (s *Session) applyDefaults(opts CheckOptions) CheckOptions {
-	if opts.Method == CheckAuto && !opts.ForceSweep && s.method != CheckAuto {
+	if opts.Method == CheckAuto && s.method != CheckAuto {
 		opts.Method = s.method
 	}
 	if opts.Workers == 0 && s.workers != 0 {

@@ -20,7 +20,7 @@ func extractSmall(t *testing.T) (*repro.ExtractResult, *repro.SyntheticPDN) {
 	res, err := repro.Extract(syn.Data, syn.Load, repro.ExtractOptions{
 		NumPoles: 8,
 		Enforce: repro.EnforceOptions{
-			Check: repro.CheckOptions{ForceSweep: true, FreqMin: 500, FreqMax: 4e9, SweepPoints: 800},
+			Check: repro.CheckOptions{Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 800},
 		},
 	})
 	if err != nil {
