@@ -31,12 +31,15 @@
 // the final models under their original base names.
 //
 // All work runs through a long-lived repro.Session. -cache-dir names a
-// directory of persisted evaluation caches (one file per pole-set
-// fingerprint): existing caches are loaded before the run, so repeated
-// library sweeps over fixed pole sets start warm, and the session state is
-// saved back afterwards. SIGINT/SIGTERM cancel the run gracefully — in-
-// flight models drain, partial results are reported, caches are still
-// saved — and exit with status 130.
+// directory of persisted evaluation caches (one checksummed file of σ
+// samples per pole-set fingerprint): existing caches are loaded before
+// the run, so repeated library sweeps over fixed pole sets start warm,
+// and the session state is saved back afterwards. A corrupt or
+// older-format cache file is quarantined (renamed *.corrupt) and its pole
+// set starts cold; the load line reports how many were set aside.
+// SIGINT/SIGTERM cancel the run gracefully — in-flight models drain,
+// partial results are reported, caches are still saved — and exit with
+// status 130.
 //
 // Enforcement is sensitivity-weighted (the paper's scheme, built on the
 // closed-form cascade Gramian) when either weight source is given:
@@ -113,8 +116,8 @@ func (r *run) saveCaches() {
 		return
 	}
 	st := r.sess.CacheStats()
-	fmt.Printf("saved %d evaluation caches to %s (%d basis + %d σ entries)\n",
-		st.Models, r.cacheDir, st.BasisEntries, st.SigmaEntries)
+	fmt.Printf("saved %d evaluation caches to %s (%d σ entries)\n",
+		st.Models, r.cacheDir, st.SigmaEntries)
 }
 
 // interrupted reports a context cancellation, saves the caches and exits
@@ -189,11 +192,13 @@ func main() {
 		cacheDir: *cacheDir,
 	}
 	if *cacheDir != "" {
-		if err := r.sess.LoadCache(*cacheDir); err != nil {
+		loaded, quarantined, err := r.sess.LoadCache(*cacheDir)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "passcheck: loading caches: %v\n", err)
-		} else if st := r.sess.CacheStats(); st.Models > 0 {
-			fmt.Printf("loaded %d evaluation caches from %s (%d basis + %d σ entries)\n",
-				st.Models, *cacheDir, st.BasisEntries, st.SigmaEntries)
+		}
+		if loaded+quarantined > 0 {
+			fmt.Printf("loaded %d evaluation caches from %s (%d σ entries, %d quarantined)\n",
+				loaded, *cacheDir, r.sess.CacheStats().SigmaEntries, quarantined)
 		}
 	}
 

@@ -182,9 +182,11 @@
 //     in a per-cache stash while its siblings run, so cycling through a
 //     parameter-sweep library keeps every variant warm. Repeated library
 //     sweeps over fixed pole sets run several times faster warm
-//     (BENCH_5.json), and SaveCache / LoadCache persist the warm state
-//     across processes (passcheck -cache-dir). A byte budget
-//     (WithCacheBudget) evicts whole least-recently-used model caches.
+//     (BENCH_5.json), and SaveCache / LoadCache persist the σ layers
+//     across processes (passcheck -cache-dir) in the same checksummed
+//     blob ExportCache / ImportCache ship between hosts; pole bases are
+//     recomputed on demand. A byte budget (WithCacheBudget) evicts whole
+//     least-recently-used model caches.
 //   - Cancellation. Every Session method takes a context.Context.
 //     Cancellation is cooperative and drains deterministically: parallel
 //     fan-outs stop claiming new work but finish what is in flight, no
@@ -212,9 +214,11 @@
 // a per-job attempt budget, while the client side retries connection
 // errors, 429 and 5xx with jittered exponential backoff (passcheck
 // -retries / -retry-wait). Cache files carry a checksum footer; a file
-// corrupted between save and load is quarantined (renamed *.corrupt) and
-// its pole set simply starts cold. The "Service layer" section of
-// ARCHITECTURE.md has the design and the failure-mode table.
+// corrupted between save and load, or written in an older format, is
+// quarantined by LoadCache (renamed *.corrupt) and its pole set simply
+// starts cold; every rejection wraps ErrCacheCorrupt. The "Service
+// layer" section of ARCHITECTURE.md has the design and the failure-mode
+// table.
 //
 // ARCHITECTURE.md maps the paper's equations to packages and expands on
 // these conventions.

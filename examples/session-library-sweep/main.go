@@ -3,9 +3,10 @@
 // checked three times — cold, warm (same Session, caches resident), and
 // warm-from-disk (a new Session that reloaded the persisted caches, as a
 // restarted service would) — with identical reports every time and the
-// warm sweeps several times faster. A progress sink shows the service-side
-// observability hooks; passcheck -cache-dir exposes the same machinery on
-// the command line.
+// warm sweeps several times faster. The persisted caches carry σ samples
+// only, one small checksummed file per pole set. A progress sink shows
+// the service-side observability hooks; passcheck -cache-dir exposes the
+// same machinery on the command line.
 package main
 
 import (
@@ -71,7 +72,9 @@ func main() {
 		tWarm.Round(time.Microsecond), float64(tCold)/float64(tWarm))
 
 	// Persist the caches and start a "new process": a fresh Session that
-	// loads them back and sweeps warm immediately.
+	// loads them back and sweeps warm immediately. The files hold only the
+	// σ samples; the reloaded session recomputes a pole-basis vector only
+	// where a check needs a σ value the file does not have.
 	dir, err := os.MkdirTemp("", "session-caches-")
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +84,7 @@ func main() {
 		log.Fatal(err)
 	}
 	restarted := repro.NewSession(repro.WithMethod(repro.CheckAdaptive))
-	if err := restarted.LoadCache(dir); err != nil {
+	if _, _, err := restarted.LoadCache(dir); err != nil {
 		log.Fatal(err)
 	}
 	disk, tDisk := sweep(restarted)

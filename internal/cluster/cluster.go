@@ -51,16 +51,17 @@
 //
 // # Warm-state transfer
 //
-// Warm state moves as the v3 checksummed Session cache files. After a
-// completion the worker uploads the model's per-fingerprint cache blob;
-// the coordinator verifies the CRC-64 footer and stores it
-// content-addressed (a corrupt upload is quarantined — counted, never
-// stored — and the job's result stands). When a job is placed or stolen
-// onto a member whose catalog lacks the fingerprint, the lease carries
-// the blob's address; the agent downloads and imports it ahead of the
-// model, so a rebalanced or recovered host starts warm. The import path
-// re-verifies the checksum end to end — a blob torn in flight costs one
-// cold pole set, never a poisoned cache.
+// Warm state moves as checksummed Session cache blobs (the σ layers of
+// one pole set; see repro.Session.ExportCache). After a completion the
+// worker uploads the model's per-fingerprint cache blob; the coordinator
+// verifies the CRC-64 footer and stores it content-addressed (a corrupt
+// upload is quarantined — counted, never stored — and the job's result
+// stands). When a job is placed or stolen onto a member whose catalog
+// lacks the fingerprint, the lease carries the blob's address; the agent
+// downloads and imports it ahead of the model, so a rebalanced or
+// recovered host starts warm. The import path re-verifies the checksum
+// end to end — a blob torn in flight costs one cold pole set, never a
+// poisoned cache.
 package cluster
 
 import (
@@ -162,7 +163,7 @@ type CompleteRequest struct {
 	Status int `json:"status"`
 	// Response is the job's wire result.
 	Response serve.Response `json:"response"`
-	// Cache, when present, is the v3 checksummed cache blob for the
+	// Cache, when present, is the checksummed cache blob for the
 	// model's fingerprint (base64 over JSON), uploaded after completion.
 	Cache []byte `json:"cache,omitempty"`
 }

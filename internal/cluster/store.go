@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"sync"
 
 	repro "repro"
@@ -11,10 +11,10 @@ import (
 
 // cacheStore is the coordinator's content-addressed warm-state store:
 // validated Session cache blobs keyed by their own content (fingerprint +
-// CRC-64 + length), with a per-fingerprint "latest" pointer and an LRU
-// byte budget. Content addressing makes re-uploads of an unchanged cache
-// free to store and lets a blob be shipped to any number of members
-// without coordination.
+// the blob's CRC-64 footer + length), with a per-fingerprint "latest"
+// pointer and an LRU byte budget. Content addressing makes re-uploads of
+// an unchanged cache free to store and lets a blob be shipped to any
+// number of members without coordination.
 type cacheStore struct {
 	mu     sync.Mutex
 	blobs  map[string]*storeEntry
@@ -31,8 +31,6 @@ type storeEntry struct {
 	elem *list.Element
 }
 
-var storeCRC = crc64.MakeTable(crc64.ECMA)
-
 func newCacheStore(budget int64) *cacheStore {
 	return &cacheStore{
 		blobs:  make(map[string]*storeEntry),
@@ -42,7 +40,7 @@ func newCacheStore(budget int64) *cacheStore {
 	}
 }
 
-// put validates blob as a well-formed checksummed cache file and stores
+// put validates blob as a well-formed checksummed cache blob and stores
 // it, returning its content address. A corrupt blob is rejected without
 // storing anything — the caller quarantines (counts) it.
 func (st *cacheStore) put(blob []byte) (addr string, fp uint64, err error) {
@@ -50,7 +48,11 @@ func (st *cacheStore) put(blob []byte) (addr string, fp uint64, err error) {
 	if err != nil {
 		return "", 0, fmt.Errorf("cluster: corrupt cache upload: %w", err)
 	}
-	addr = fmt.Sprintf("%016x-%016x-%d", fp, crc64.Checksum(blob, storeCRC), len(blob))
+	// The footer is the CRC-64 of everything before it, so it already
+	// hashes the content. (A CRC over the whole blob would not: for every
+	// blob that ends in its own CRC it is the same constant.)
+	footer := binary.LittleEndian.Uint64(blob[len(blob)-8:])
+	addr = fmt.Sprintf("%016x-%016x-%d", fp, footer, len(blob))
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, ok := st.blobs[addr]; ok {

@@ -35,18 +35,20 @@ type basisEntry struct {
 //   - σ_max values additionally depend on the residues and must be dropped
 //     whenever the model is perturbed (InvalidateSigma).
 //
-// The basis layer is LRU-bounded (MaxEntries); evicting a basis vector
-// drops its σ entry with it, so the two layers never disagree about which
-// frequencies are resident.
+// The basis layer is LRU-bounded (DefaultEvalCacheEntries); evicting a
+// basis vector drops its σ entry with it. A σ entry does not need a
+// resident basis vector, though: a σ value stays correct after its basis
+// vector was evicted, and a cache decoded from a blob (DecodeCacheBlob)
+// starts with σ layers only, recomputing a basis vector on the first σ
+// miss at its frequency.
 //
 // Beyond the single active σ layer, the cache parks up to maxSigmaStash
 // complete σ layers keyed by an opaque residue fingerprint (SwapSigma):
 // when a caller cycles between residue variants that share the poles — a
 // parameter-sweep library re-checked every round — each variant's σ
 // samples survive the visits of its siblings instead of being recomputed
-// from the shared basis every time. Stashed layers are plain value maps;
-// they are exempt from the basis-residency invariant above (a σ value
-// stays correct even after its basis vector was evicted).
+// from the shared basis every time. Stashed layers are plain value maps,
+// untouched by basis evictions.
 //
 // The cache also carries the violation-band frequencies found by the
 // previous check (HotFrequencies) into the next check's seed grid, so that
@@ -70,10 +72,9 @@ type EvalCache struct {
 	stash      map[uint64]map[float64]float64
 	stashOrder []uint64
 
-	// MaxEntries bounds the basis layer (≤ 0 selects
-	// DefaultEvalCacheEntries). Lower it for services that keep many caches
-	// alive at once.
-	MaxEntries int
+	// maxEntries bounds the basis layer (≤ 0 selects
+	// DefaultEvalCacheEntries); tests lower it to exercise eviction.
+	maxEntries int
 
 	// Counters for benchmarks and experiment reports.
 	SigmaHits, SigmaMisses int
@@ -194,8 +195,8 @@ func (c *EvalCache) sigmaFreqsSorted() []float64 {
 }
 
 func (c *EvalCache) cap() int {
-	if c.MaxEntries > 0 {
-		return c.MaxEntries
+	if c.maxEntries > 0 {
+		return c.maxEntries
 	}
 	return DefaultEvalCacheEntries
 }

@@ -1,302 +1,224 @@
 package passivity
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
+	"hash/crc64"
 	"math"
 	"sort"
 )
 
-// EvalCache persistence: a versioned little-endian binary stream holding
-// both cache layers and the warm-start seeds, so a library service can
-// save the per-frequency work of a sweep and start the next run warm
-// (the Session layer wraps this with pole-set fingerprints and a file
-// per model). Basis entries are written coldest → warmest; reloading
-// replays them in that order, which reproduces the LRU recency exactly.
+// Cache blob codec: the one serialized form of an EvalCache, used for
+// cache files on disk and for warm-state transfers between hosts alike.
+// It carries only what a receiver cannot cheaply recompute — the σ
+// samples — in a versioned little-endian stream:
 //
-// The active σ layer is only valid for the exact residues it was computed
-// from — the caller (Session) guards it with a residue fingerprint and
-// parks it in the per-variant stash (SwapSigma) on mismatch; stashed
-// layers are persisted with their keys so a reloaded cache keeps serving
-// every variant of the sweep warm. The basis layer depends on the poles
-// alone. The hot-seed list is persisted for snapshot fidelity (Save/Load
-// round-trips the whole cache), but note the Session layer clears hot
-// seeds at every checkout to keep session-routed sampling identical to
-// stateless sampling, so loaded seeds only matter to direct EvalCache
-// users.
+//	u64  magic "SESC" << 32 | version 4
+//	u64  pole-set fingerprint
+//	u64  residue fingerprint of the active σ layer
+//	u64  n, then n poles as (re, im) float64 pairs
+//	layer: the active σ layer
+//	u64  k ≤ maxSigmaStash, then k × (u64 residue key, layer): the
+//	     stashed σ layers, least recently parked first
+//	u64  CRC-64/ECMA of every preceding byte
+//
+// where a layer is a u64 count followed by that many (ω, σ) float64
+// pairs in strictly increasing ω. Basis vectors are recomputed from the
+// poles on the first σ miss at each frequency (n complex divisions), and
+// neither the hot seeds (a Session clears them at every checkout) nor the
+// basis LRU bound (a property of the receiving cache) travels.
+//
+// The encoding is canonical: DecodeCacheBlob accepts exactly the blobs
+// CacheBlob.Encode can produce, so an accepted blob re-encodes byte for
+// byte. Every rejection wraps ErrCacheCorrupt, and every count is
+// checked against the bytes that remain before anything is allocated.
 
 const (
-	cacheMagic   = 0x45564143 // "EVAC"
-	cacheVersion = 2          // v2 appends the stashed σ layers
-	// cacheMaxCount caps every persisted collection length, rejecting
-	// corrupt or hostile streams before any allocation.
-	cacheMaxCount = 1 << 28
+	cacheMagic   = 0x53455343 // "SESC"
+	cacheVersion = 4          // v4: σ layers only; earlier versions are rejected
+	cacheHead    = 4 * 8      // magic|version, two fingerprints, pole count
+	cacheFoot    = 8          // CRC-64 footer
 )
 
-// ErrCacheFormat reports a malformed or incompatible persisted cache.
-var ErrCacheFormat = fmt.Errorf("passivity: malformed eval-cache stream")
+// ErrCacheCorrupt is wrapped by every rejection of a serialized
+// evaluation cache: bad magic, unsupported version, checksum mismatch,
+// truncation, a count beyond what the blob can hold, a non-finite or
+// negative value, or (checked by the caller) a pole fingerprint that does
+// not match the poles.
+var ErrCacheCorrupt = errors.New("corrupt evaluation cache")
+
+var cacheCRC = crc64.MakeTable(crc64.ECMA)
+
+// CacheBlob is the decoded form of one serialized evaluation cache: the
+// pole set it is valid for, the residue fingerprint of its active σ
+// layer, and the cache holding every σ layer.
+type CacheBlob struct {
+	PoleFP, ResFP uint64
+	Poles         []complex128
+	Cache         *EvalCache
+}
 
 // SigmaEntries returns the number of σ samples in the active layer;
 // parked variant layers are counted by StashedSigmaEntries.
 func (c *EvalCache) SigmaEntries() int { return len(c.sigma) }
 
-// Save writes the cache (basis layer in LRU order, σ layer, hot seeds,
-// LRU bound) to w in the versioned binary format read by LoadEvalCache.
-func (c *EvalCache) Save(dst io.Writer) error {
-	bw := bufio.NewWriter(dst)
+// Encode serializes b in the v4 format read by DecodeCacheBlob.
+func (b *CacheBlob) Encode() []byte {
+	c := b.Cache
+	n := cacheHead + 16*len(b.Poles) + 16 + 16*len(c.sigma) + cacheFoot
+	for _, layer := range c.stash {
+		n += 16 + 16*len(layer)
+	}
 	le := binary.LittleEndian
-	var scratch [8]byte
-	u64 := func(v uint64) error {
-		le.PutUint64(scratch[:], v)
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	f64 := func(v float64) error { return u64(math.Float64bits(v)) }
-	var scratch4 [4]byte
-	u32 := func(v uint32) error {
-		le.PutUint32(scratch4[:], v)
-		_, err := bw.Write(scratch4[:])
-		return err
-	}
-	if err := u32(cacheMagic); err != nil {
-		return err
-	}
-	if err := u32(cacheVersion); err != nil {
-		return err
-	}
-	if err := u64(uint64(int64(c.MaxEntries))); err != nil {
-		return err
-	}
-	// Basis layer, coldest first so the reload replays the recency order.
-	if err := u64(uint64(len(c.basis))); err != nil {
-		return err
-	}
-	for e := c.tail; e != nil; e = e.prev {
-		if err := f64(e.omega); err != nil {
-			return err
-		}
-		if err := u64(uint64(len(e.k))); err != nil {
-			return err
-		}
-		for _, z := range e.k {
-			if err := f64(real(z)); err != nil {
-				return err
-			}
-			if err := f64(imag(z)); err != nil {
-				return err
-			}
-		}
-	}
-	// σ layer, sorted by frequency for a deterministic stream.
-	sws := c.sigmaFreqsSorted()
-	if err := u64(uint64(len(sws))); err != nil {
-		return err
-	}
-	for _, w := range sws {
-		if err := f64(w); err != nil {
-			return err
-		}
-		if err := f64(c.sigma[w]); err != nil {
-			return err
-		}
-	}
-	if err := u64(uint64(len(c.hot))); err != nil {
-		return err
-	}
-	for _, w := range c.hot {
-		if err := f64(w); err != nil {
-			return err
-		}
-	}
-	// Stashed σ layers, oldest first so the reload replays the parking
-	// order; entries sorted by frequency for a deterministic stream.
-	if err := u64(uint64(len(c.stashOrder))); err != nil {
-		return err
-	}
-	for _, key := range c.stashOrder {
-		layer := c.stash[key]
-		if err := u64(key); err != nil {
-			return err
-		}
-		if err := u64(uint64(len(layer))); err != nil {
-			return err
-		}
-		ws := make([]float64, 0, len(layer))
-		for w := range layer {
+	out := make([]byte, 0, n)
+	f64 := func(v float64) { out = le.AppendUint64(out, math.Float64bits(v)) }
+	layer := func(l map[float64]float64) {
+		ws := make([]float64, 0, len(l))
+		for w := range l {
 			ws = append(ws, w)
 		}
 		sort.Float64s(ws)
+		out = le.AppendUint64(out, uint64(len(ws)))
 		for _, w := range ws {
-			if err := f64(w); err != nil {
-				return err
-			}
-			if err := f64(layer[w]); err != nil {
-				return err
-			}
+			f64(w)
+			f64(l[w])
 		}
 	}
-	return bw.Flush()
+	out = le.AppendUint64(out, cacheMagic<<32|cacheVersion)
+	out = le.AppendUint64(out, b.PoleFP)
+	out = le.AppendUint64(out, b.ResFP)
+	out = le.AppendUint64(out, uint64(len(b.Poles)))
+	for _, p := range b.Poles {
+		f64(real(p))
+		f64(imag(p))
+	}
+	layer(c.sigma)
+	out = le.AppendUint64(out, uint64(len(c.stashOrder)))
+	for _, key := range c.stashOrder {
+		out = le.AppendUint64(out, key)
+		layer(c.stash[key])
+	}
+	return le.AppendUint64(out, crc64.Checksum(out, cacheCRC))
 }
 
-// LoadEvalCache reads a cache persisted by Save. The returned cache is
-// ready for use; its hit/miss/eviction counters start at zero.
-func LoadEvalCache(r io.Reader) (*EvalCache, error) {
-	br := bufio.NewReader(r)
+// DecodeCacheBlob verifies and decodes a blob written by Encode: magic,
+// version and the CRC-64 footer first, then the payload with every count
+// bounded by the bytes that remain. The returned cache holds the σ layers
+// and no basis vectors; its counters start at zero. It does not check
+// PoleFP against Poles (the fingerprint function belongs to the caller).
+func DecodeCacheBlob(blob []byte) (*CacheBlob, error) {
+	if len(blob) < cacheHead+cacheFoot {
+		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrCacheCorrupt, len(blob))
+	}
 	le := binary.LittleEndian
-	var scratch [8]byte
-	u64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return le.Uint64(scratch[:]), nil
+	if head := le.Uint64(blob); head>>32 != cacheMagic {
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrCacheCorrupt, head>>32)
+	} else if v := head & 0xffffffff; v != cacheVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCacheCorrupt, v)
 	}
-	f64 := func() (float64, error) {
-		v, err := u64()
-		return math.Float64frombits(v), err
+	// The footer covers every byte before it; verify it before parsing, so
+	// corruption is one deterministic error instead of whatever a damaged
+	// payload happens to decode as.
+	body := blob[:len(blob)-cacheFoot]
+	if want, got := le.Uint64(blob[len(body):]), crc64.Checksum(body, cacheCRC); got != want {
+		return nil, fmt.Errorf("%w: checksum mismatch (blob %016x, computed %016x)", ErrCacheCorrupt, want, got)
 	}
-	count := func() (int, error) {
-		v, err := u64()
-		if err != nil {
-			return 0, err
-		}
-		if v > cacheMaxCount {
-			return 0, fmt.Errorf("%w: count %d exceeds limit", ErrCacheFormat, v)
-		}
-		return int(v), nil
-	}
-	var scratch4 [4]byte
-	u32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch4[:]); err != nil {
-			return 0, err
-		}
-		return le.Uint32(scratch4[:]), nil
-	}
-	if magic, err := u32(); err != nil {
-		return nil, err
-	} else if magic != cacheMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCacheFormat, magic)
-	}
-	if version, err := u32(); err != nil {
-		return nil, err
-	} else if version != cacheVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCacheFormat, version)
-	}
-	c := NewEvalCache()
-	maxEntries, err := u64()
-	if err != nil {
-		return nil, err
-	}
-	c.MaxEntries = int(int64(maxEntries))
-	nBasis, err := count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nBasis; i++ {
-		w, err := f64()
-		if err != nil {
-			return nil, err
-		}
-		klen, err := count()
-		if err != nil {
-			return nil, err
-		}
-		k := make([]complex128, klen)
-		for j := range k {
-			re, err := f64()
-			if err != nil {
-				return nil, err
+	r := blobReader{b: body[8:]}
+	b := &CacheBlob{PoleFP: r.u64(), ResFP: r.u64(), Cache: NewEvalCache()}
+	if n := r.count(16, "pole"); r.err == nil {
+		b.Poles = make([]complex128, n)
+		for i := range b.Poles {
+			re, im := r.f64(), r.f64()
+			if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
+				r.fail("non-finite pole %d", i)
 			}
-			im, err := f64()
-			if err != nil {
-				return nil, err
+			b.Poles[i] = complex(re, im)
+		}
+	}
+	b.Cache.sigma = r.layer()
+	if k := r.count(16, "stash"); r.err == nil {
+		if k > maxSigmaStash {
+			return nil, fmt.Errorf("%w: %d stashed layers exceeds limit %d", ErrCacheCorrupt, k, maxSigmaStash)
+		}
+		if k > 0 {
+			b.Cache.stash = make(map[uint64]map[float64]float64, k)
+		}
+		for i := 0; i < k && r.err == nil; i++ {
+			key := r.u64()
+			if _, dup := b.Cache.stash[key]; dup {
+				r.fail("duplicate stash key %016x", key)
 			}
-			k[j] = complex(re, im)
-		}
-		c.storeBasis(w, k)
-	}
-	nSigma, err := count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nSigma; i++ {
-		w, err := f64()
-		if err != nil {
-			return nil, err
-		}
-		s, err := f64()
-		if err != nil {
-			return nil, err
-		}
-		// A σ value is only admitted alongside its basis entry, keeping the
-		// two-layer residency invariant of the live cache.
-		if _, ok := c.basis[w]; ok {
-			c.sigma[w] = s
+			b.Cache.stash[key] = r.layer()
+			b.Cache.stashOrder = append(b.Cache.stashOrder, key)
 		}
 	}
-	nHot, err := count()
-	if err != nil {
-		return nil, err
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("%d trailing bytes", len(r.b))
 	}
-	hot := make([]float64, nHot)
-	for i := range hot {
-		if hot[i], err = f64(); err != nil {
-			return nil, err
-		}
+	if r.err != nil {
+		return nil, r.err
 	}
-	c.hot = hot
-	nStash, err := count()
-	if err != nil {
-		return nil, err
-	}
-	if nStash > 0 {
-		c.stash = make(map[uint64]map[float64]float64, nStash)
-	}
-	for i := 0; i < nStash; i++ {
-		key, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		nLayer, err := count()
-		if err != nil {
-			return nil, err
-		}
-		layer := make(map[float64]float64, nLayer)
-		for j := 0; j < nLayer; j++ {
-			w, err := f64()
-			if err != nil {
-				return nil, err
-			}
-			s, err := f64()
-			if err != nil {
-				return nil, err
-			}
-			layer[w] = s
-		}
-		if _, dup := c.stash[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate stash key %016x", ErrCacheFormat, key)
-		}
-		c.stash[key] = layer
-		c.stashOrder = append(c.stashOrder, key)
-	}
-	if len(c.stashOrder) > maxSigmaStash {
-		return nil, fmt.Errorf("%w: %d stashed layers exceeds limit", ErrCacheFormat, len(c.stashOrder))
-	}
-	// Replaying storeBasis counts LRU-bound evictions of an over-full
-	// stream as if they happened live; reset the counters so a freshly
-	// loaded cache reports only what happens after the load.
-	c.SigmaHits, c.SigmaMisses, c.Evictions = 0, 0, 0
-	return c, nil
+	return b, nil
 }
 
-// sortedBasisFreqs is a test hook: the resident basis frequencies in
-// ascending order.
-func (c *EvalCache) sortedBasisFreqs() []float64 {
-	out := make([]float64, 0, len(c.basis))
-	for w := range c.basis {
-		out = append(out, w)
+// blobReader consumes a checksummed payload; the first failure sticks and
+// turns every later read into a zero.
+type blobReader struct {
+	b   []byte
+	err error
+}
+
+func (r *blobReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCacheCorrupt}, args...)...)
 	}
-	sort.Float64s(out)
-	return out
+}
+
+func (r *blobReader) u64() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) < 8 {
+		r.fail("truncated payload")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *blobReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// count reads a length prefix and rejects it unless that many items of at
+// least size bytes each fit in the remaining payload.
+func (r *blobReader) count(size int, what string) int {
+	n := r.u64()
+	if r.err == nil && n > uint64(len(r.b)/size) {
+		r.fail("%s count %d does not fit in the %d remaining bytes", what, n, len(r.b))
+	}
+	return int(n)
+}
+
+// layer reads one σ layer: finite non-negative samples in strictly
+// increasing ω, the order Encode writes.
+func (r *blobReader) layer() map[float64]float64 {
+	n := r.count(16, "σ")
+	if r.err != nil {
+		return nil
+	}
+	l := make(map[float64]float64, n)
+	prev := math.Inf(-1)
+	for i := 0; i < n && r.err == nil; i++ {
+		w, s := r.f64(), r.f64()
+		switch {
+		case !(w >= 0 && w <= math.MaxFloat64) || !(s >= 0 && s <= math.MaxFloat64):
+			r.fail("non-finite or negative sample (ω=%g, σ=%g)", w, s)
+		case !(w > prev):
+			r.fail("σ layer out of order at ω=%g", w)
+		}
+		l[w] = s
+		prev = w
+	}
+	return l
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // primeCache runs a check with a cache so both layers carry real entries.
-func primeCache(t *testing.T) (*EvalCache, int) {
+func primeCache(t *testing.T) (*EvalCache, *CacheBlob) {
 	t.Helper()
 	model, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 14, Seed: 7})
 	if err != nil {
@@ -21,101 +21,58 @@ func primeCache(t *testing.T) (*EvalCache, int) {
 	if c.BasisEntries() == 0 || c.SigmaEntries() == 0 {
 		t.Fatalf("priming left an empty cache: %d basis, %d sigma", c.BasisEntries(), c.SigmaEntries())
 	}
-	return c, model.NumPoles()
+	return c, &CacheBlob{PoleFP: 0x1234, ResFP: 0x5678, Poles: model.Poles, Cache: c}
 }
 
+// TestEvalCacheSaveLoadRoundtrip: the blob carries the header, the poles
+// and the σ layer exactly; basis vectors, hot seeds and the LRU bound
+// stay behind, and the decoded cache re-encodes byte for byte.
 func TestEvalCacheSaveLoadRoundtrip(t *testing.T) {
-	c, nPoles := primeCache(t)
-	c.MaxEntries = 12345
-
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadEvalCache(bytes.NewReader(buf.Bytes()))
+	c, b := primeCache(t)
+	c.maxEntries = 12345
+	blob := b.Encode()
+	got, err := DecodeCacheBlob(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if got.MaxEntries != c.MaxEntries {
-		t.Errorf("MaxEntries %d, want %d", got.MaxEntries, c.MaxEntries)
+	if got.PoleFP != b.PoleFP || got.ResFP != b.ResFP || len(got.Poles) != len(b.Poles) {
+		t.Fatalf("header %016x/%016x/%d poles, want %016x/%016x/%d",
+			got.PoleFP, got.ResFP, len(got.Poles), b.PoleFP, b.ResFP, len(b.Poles))
 	}
-	if got.BasisEntries() != c.BasisEntries() {
-		t.Fatalf("basis entries %d, want %d", got.BasisEntries(), c.BasisEntries())
+	for i, p := range b.Poles {
+		if got.Poles[i] != p {
+			t.Fatalf("pole %d: %v, want %v", i, got.Poles[i], p)
+		}
 	}
-	if got.SigmaEntries() != c.SigmaEntries() {
-		t.Fatalf("sigma entries %d, want %d", got.SigmaEntries(), c.SigmaEntries())
-	}
-	for _, w := range c.sortedBasisFreqs() {
-		a, b := c.basisFor(w), got.basisFor(w)
-		if b == nil {
-			t.Fatalf("basis for ω=%g missing after reload", w)
-		}
-		if len(a) != nPoles || len(b) != len(a) {
-			t.Fatalf("basis length %d/%d at ω=%g, want %d", len(a), len(b), w, nPoles)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("basis mismatch at ω=%g index %d: %v vs %v", w, k, a[k], b[k])
-			}
-		}
+	gc := got.Cache
+	if gc.SigmaEntries() != c.SigmaEntries() {
+		t.Fatalf("sigma entries %d, want %d", gc.SigmaEntries(), c.SigmaEntries())
 	}
 	for _, w := range c.sigmaFreqsSorted() {
 		a, _ := c.sigmaFor(w)
-		b, ok := got.sigmaFor(w)
-		if !ok || a != b {
-			t.Fatalf("σ mismatch at ω=%g: %v (resident %v) vs %v", w, b, ok, a)
+		if v, ok := gc.sigmaFor(w); !ok || v != a {
+			t.Fatalf("σ mismatch at ω=%g: %v (resident %v) vs %v", w, v, ok, a)
 		}
 	}
-	if len(got.Hot()) != 2 || got.Hot()[0] != 3.5 || got.Hot()[1] != 88 {
-		t.Fatalf("hot seeds %v, want [3.5 88]", got.Hot())
+	if gc.BasisEntries() != 0 || len(gc.Hot()) != 0 || gc.maxEntries != 0 {
+		t.Fatalf("blob carried more than σ: %d basis, hot %v, maxEntries %d",
+			gc.BasisEntries(), gc.Hot(), gc.maxEntries)
 	}
-	if got.SigmaHits != 0 || got.Evictions != 0 {
-		t.Fatalf("counters not reset: hits=%d evictions=%d", got.SigmaHits, got.Evictions)
+	if gc.SigmaHits != 0 || gc.SigmaMisses != 0 || gc.Evictions != 0 {
+		t.Fatalf("counters not zero: hits=%d misses=%d evictions=%d", gc.SigmaHits, gc.SigmaMisses, gc.Evictions)
 	}
-}
-
-func TestEvalCacheLoadPreservesLRUOrder(t *testing.T) {
-	c := NewEvalCache()
-	for i := 1; i <= 5; i++ {
-		c.storeBasis(float64(i), []complex128{complex(float64(i), 0)})
-	}
-	c.basisFor(2) // touch ω=2 to the head
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadEvalCache(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reloaded recency must match: evicting down to 2 entries keeps the
-	// two warmest (ω=5 and the touched ω=2) on both caches.
-	got.MaxEntries = 2
-	got.storeBasis(6, []complex128{6}) // trigger evictions
-	for _, w := range []float64{2, 6} {
-		if got.basisFor(w) == nil {
-			t.Fatalf("warm entry ω=%g evicted; resident: %v", w, got.sortedBasisFreqs())
-		}
-	}
-	for _, w := range []float64{1, 3, 4, 5} {
-		if got.basisFor(w) != nil {
-			t.Fatalf("cold entry ω=%g survived eviction; resident: %v", w, got.sortedBasisFreqs())
-		}
+	if again := got.Encode(); !bytes.Equal(again, blob) {
+		t.Fatalf("re-encoded blob differs (%d vs %d bytes)", len(again), len(blob))
 	}
 }
 
 func TestEvalCacheLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadEvalCache(bytes.NewReader([]byte("not a cache stream"))); !errors.Is(err, ErrCacheFormat) {
-		t.Fatalf("got %v, want ErrCacheFormat", err)
+	if _, err := DecodeCacheBlob([]byte("not a cache stream at all, just text")); !errors.Is(err, ErrCacheCorrupt) {
+		t.Fatalf("got %v, want ErrCacheCorrupt", err)
 	}
-	// Truncated valid stream.
-	c, _ := primeCache(t)
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEvalCache(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Fatal("truncated stream loaded without error")
+	_, b := primeCache(t)
+	blob := b.Encode()
+	if _, err := DecodeCacheBlob(blob[:len(blob)/2]); !errors.Is(err, ErrCacheCorrupt) {
+		t.Fatalf("truncated blob: got %v, want ErrCacheCorrupt", err)
 	}
 }

@@ -1,16 +1,13 @@
 package passivity
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// TestEvalCacheLRUBound: the basis layer must respect MaxEntries, evict
+// TestEvalCacheLRUBound: the basis layer must respect maxEntries, evict
 // least-recently-used frequencies first, and drop the σ entry together
 // with its basis.
 func TestEvalCacheLRUBound(t *testing.T) {
 	c := NewEvalCache()
-	c.MaxEntries = 3
+	c.maxEntries = 3
 	k := func(w float64) []complex128 { return []complex128{complex(w, 0)} }
 
 	for _, w := range []float64{1, 2, 3} {
@@ -62,7 +59,7 @@ func TestEvalCacheLRUDoesNotChangeResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := build()
-	small.MaxEntries = 8
+	small.maxEntries = 8
 	m := nonPassiveMIMO(t)
 	got, err := Check(m, CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: small})
 	if err != nil {
@@ -197,14 +194,11 @@ func TestSigmaStashPersistRoundtrip(t *testing.T) {
 	c.SwapSigma(0xbb, 0xcc)
 	c.sigma[1.0] = 0.75
 
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadEvalCache(bytes.NewReader(buf.Bytes()))
+	blob, err := DecodeCacheBlob((&CacheBlob{Cache: c}).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := blob.Cache
 	if s, ok := got.sigmaFor(1.0); !ok || s != 0.75 {
 		t.Fatalf("active layer: σ = %v (resident %v), want 0.75", s, ok)
 	}

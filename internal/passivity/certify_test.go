@@ -194,7 +194,7 @@ func TestCertifyBoundedCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := CheckOptions{Method: MethodAdaptive, Cache: NewEvalCache()}
-	opts.Cache.MaxEntries = 48
+	opts.Cache.maxEntries = 48
 	opts.defaults(model)
 	if _, err := Check(model, opts); err != nil {
 		t.Fatal(err)

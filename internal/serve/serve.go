@@ -352,7 +352,7 @@ func (s *Server) liveSessions() []*repro.Session {
 }
 
 // ExportCache serializes the evaluation cache one of the live workers
-// holds for fp, in the checksummed Session cache format (see
+// holds for fp as a checksummed Session cache blob (see
 // repro.Session.ExportCache). ErrNoCache when nobody holds it — or the
 // holder has it checked out by a running job; warm-state shippers treat
 // that as "send nothing".
@@ -397,8 +397,9 @@ func (s *Server) workerCacheDir(id int) string {
 }
 
 // LoadCaches warms every worker Session from Options.CacheDir (written
-// by a previous Drain). Unreadable or corrupt cache files — a crash can
-// tear one — are quarantined (renamed with a .corrupt suffix, counted in
+// by a previous Drain) through repro.Session.LoadCache. Unreadable,
+// corrupt or older-format cache files — a crash can tear one — are
+// quarantined (renamed with a .corrupt suffix, counted in
 // quarantined and the quarantined_caches_total metric) and that pole set
 // simply starts cold; the load never fails on corruption. The returned
 // error covers only infrastructure failures. The ledger rediscovers the
@@ -410,7 +411,7 @@ func (s *Server) LoadCaches() (quarantined int, err error) {
 	}
 	var firstErr error
 	for _, w := range s.workers {
-		_, q, err := w.sess.Load().LoadCacheQuarantine(s.workerCacheDir(w.id))
+		_, q, err := w.sess.Load().LoadCache(s.workerCacheDir(w.id))
 		quarantined += q
 		if err != nil && firstErr == nil {
 			firstErr = err

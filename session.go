@@ -1,14 +1,10 @@
 package repro
 
 import (
-	"bytes"
 	"container/list"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -142,8 +138,10 @@ type sessionCache struct {
 // library reuse the pole-basis vectors and the σ samples — each residue
 // variant's σ layer is parked in a per-cache stash while its siblings run,
 // so a re-checked parameter sweep stays warm end to end — instead of
-// recomputing them. Caches persist across processes via
-// SaveCache/LoadCache.
+// recomputing them. The σ layers persist across processes
+// (SaveCache/LoadCache) and travel between hosts (ExportCache/
+// ImportCache) as one checksummed blob format; pole bases are recomputed
+// on demand after a load.
 //
 // All methods take a leading context.Context and stop cooperatively when
 // it is cancelled: parallel fan-outs drain deterministically, no goroutine
@@ -316,6 +314,15 @@ func cacheBytes(c *passivity.EvalCache, nPoles int) int64 {
 		int64(len(c.Hot()))*8
 }
 
+// measure refreshes the entry's size estimate and layer-size snapshots
+// from its cache; the caller owns the cache (checked out or not yet
+// installed).
+func (e *sessionCache) measure() {
+	e.bytes = cacheBytes(e.cache, len(e.poles))
+	e.basisN = e.cache.BasisEntries()
+	e.sigmaN = e.cache.SigmaEntries() + e.cache.StashedSigmaEntries()
+}
+
 // checkout hands the caller the session cache for the model's pole set,
 // marking it busy. When the model's residues differ from the ones the
 // active σ layer was computed for, the layers are swapped through the
@@ -369,9 +376,7 @@ func (s *Session) checkin(e *sessionCache, m *rational.Model) {
 	defer s.mu.Unlock()
 	e.resFP = residueFingerprint(m)
 	s.used -= e.bytes
-	e.bytes = cacheBytes(e.cache, len(e.poles))
-	e.basisN = e.cache.BasisEntries()
-	e.sigmaN = e.cache.SigmaEntries() + e.cache.StashedSigmaEntries()
+	e.measure()
 	s.used += e.bytes
 	e.busy = false
 	s.evictLocked()
@@ -620,175 +625,107 @@ func (s *Session) EnforceBatch(ctx context.Context, models []*Macromodel, opts B
 // --- Cache persistence -------------------------------------------------
 
 const (
-	sessionCacheMagic   = 0x53455343 // "SESC"
-	sessionCacheVersion = 3          // v3 added the CRC-64 footer; v2 files reload cold
 	// SessionCacheExt is the filename extension of persisted session
 	// caches (one file per pole-set fingerprint).
 	SessionCacheExt = ".evc"
 	// SessionCacheCorruptExt is appended to a cache file's name when
-	// LoadCacheQuarantine sets it aside as unreadable or corrupt.
+	// LoadCache sets it aside as unreadable or corrupt.
 	SessionCacheCorruptExt = ".corrupt"
 )
 
-// sessionCacheCRC is the checksum of the version-3 cache-file footer: a
-// CRC-64/ECMA over every preceding byte of the file, written as the last
-// 8 bytes. A half-written or bit-flipped file (power loss mid-rename on
-// a non-atomic filesystem, disk corruption) fails the footer check and
-// is rejected before any payload is parsed.
-var sessionCacheCRC = crc64.MakeTable(crc64.ECMA)
+// ErrCacheCorrupt is wrapped by every rejection of a serialized
+// evaluation cache (ImportCache, CacheBlobFingerprint, and the files
+// LoadCache quarantines): bad magic, unsupported format version, CRC-64
+// checksum mismatch, truncation, a count beyond what the blob can hold, a
+// non-finite or negative value, or a pole fingerprint that does not match
+// the poles.
+var ErrCacheCorrupt = passivity.ErrCacheCorrupt
 
-// SaveCache persists every resident evaluation cache to dir (created if
-// missing), one file per pole-set fingerprint, readable by LoadCache.
-// Repeated library sweeps across process restarts then start warm: the
-// pole-basis layers — and the σ layers of every unchanged residue
-// variant, active or stashed — are reloaded instead of recomputed. Caches checked out by
-// concurrently running operations are skipped. Files are written
-// atomically (temp file + rename), so a SIGINT during save leaves no torn
-// cache behind.
+// SaveCache persists every idle resident evaluation cache to dir (created
+// if missing), one file per pole-set fingerprint holding exactly the
+// ExportCache blob, readable by LoadCache. Repeated library sweeps across
+// process restarts then start warm: the σ layers of every residue
+// variant, active or stashed, are reloaded instead of recomputed (pole
+// bases are recomputed on demand). Caches checked out by concurrently
+// running operations are skipped. Files are written atomically (temp
+// file + rename), so a SIGINT during save leaves no torn cache behind.
 func (s *Session) SaveCache(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	var entries []*sessionCache
-	for _, e := range s.caches {
-		if !e.busy {
-			e.busy = true // pin against concurrent checkout during the save
-			entries = append(entries, e)
+	for _, fp := range s.CacheFingerprints() {
+		blob, err := s.ExportCache(fp)
+		if err != nil {
+			continue // checked out or evicted since the listing
 		}
-	}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		for _, e := range entries {
-			e.busy = false
-		}
-		s.mu.Unlock()
-	}()
-	sort.Slice(entries, func(a, b int) bool { return entries[a].poleFP < entries[b].poleFP })
-	for _, e := range entries {
-		if err := saveSessionCacheFile(dir, e); err != nil {
+		if err := writeCacheFile(dir, fp, blob); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func saveSessionCacheFile(dir string, e *sessionCache) error {
-	path := filepath.Join(dir, fmt.Sprintf("cache-%016x%s", e.poleFP, SessionCacheExt))
+func writeCacheFile(dir string, fp uint64, blob []byte) error {
 	tmp, err := os.CreateTemp(dir, "cache-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := writeSessionCache(tmp, e); err != nil {
+	if _, err := tmp.Write(blob); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	return os.Rename(tmp.Name(), filepath.Join(dir, fmt.Sprintf("cache-%016x%s", fp, SessionCacheExt)))
 }
 
-func writeSessionCache(w io.Writer, e *sessionCache) error {
-	// Everything before the footer runs through the CRC so the loader can
-	// verify the whole file in one pass.
-	h := crc64.New(sessionCacheCRC)
-	hw := io.MultiWriter(w, h)
-	head := []uint64{
-		uint64(sessionCacheMagic)<<32 | sessionCacheVersion,
-		e.poleFP,
-		e.resFP,
-		uint64(len(e.poles)),
-	}
-	if err := binary.Write(hw, binary.LittleEndian, head); err != nil {
-		return err
-	}
-	if err := binary.Write(hw, binary.LittleEndian, e.poles); err != nil {
-		return err
-	}
-	if err := e.cache.Save(hw); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, h.Sum64())
-}
-
-// LoadCache loads every cache file previously written by SaveCache from
-// dir into the session, skipping fingerprints that are already resident
-// (the live cache is at least as warm) and unreadable or corrupt files
-// (reported in the returned error after all loadable files are in). The
-// session byte budget applies: caches beyond it are LRU-evicted.
-func (s *Session) LoadCache(dir string) error {
+// LoadCache loads every cache file SaveCache wrote to dir into the
+// session. A file that cannot be read or is rejected by ImportCache —
+// torn, bit-flipped, or written in an older format version — is
+// quarantined: renamed to its own name plus SessionCacheCorruptExt, so
+// the next load never trips over it again, and its pole set simply
+// starts cold. A fingerprint already resident keeps its live cache (and
+// counts as loaded); the session byte budget applies as usual. err
+// covers only infrastructure failures (an unreadable directory, a rename
+// that itself failed), never cache corruption, so a torn file costs one
+// cold pole set, not the whole warm start.
+func (s *Session) LoadCache(dir string) (loaded, quarantined int, err error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "cache-*"+SessionCacheExt))
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	sort.Strings(paths)
-	var firstErr error
 	for _, path := range paths {
-		if err := s.loadCacheFile(path); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("repro: loading %s: %w", path, err)
+		blob, loadErr := os.ReadFile(path)
+		if loadErr == nil {
+			_, loadErr = s.ImportCache(blob)
 		}
-	}
-	return firstErr
-}
-
-// LoadCacheQuarantine loads every cache file written by SaveCache from
-// dir, like LoadCache, but instead of reporting unreadable or corrupt
-// files as errors it quarantines them: the offending file is renamed to
-// its own name plus SessionCacheCorruptExt and skipped, so the next load
-// never trips over it again and the caller starts cold for just that
-// pole set. It returns the number of caches loaded and quarantined; err
-// covers only infrastructure failures (an unreadable directory, a rename
-// that itself failed), never cache corruption. Services reloading caches
-// after an unclean shutdown want this entry point — a torn cache file
-// must cost one cold pole set, not the whole warm start.
-func (s *Session) LoadCacheQuarantine(dir string) (loaded, quarantined int, err error) {
-	paths, globErr := filepath.Glob(filepath.Join(dir, "cache-*"+SessionCacheExt))
-	if globErr != nil {
-		return 0, 0, globErr
-	}
-	sort.Strings(paths)
-	var firstErr error
-	for _, path := range paths {
-		loadErr := s.loadCacheFile(path)
 		if loadErr == nil {
 			loaded++
 			continue
 		}
 		if renameErr := os.Rename(path, path+SessionCacheCorruptExt); renameErr != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("repro: quarantining %s (%v): %w", path, loadErr, renameErr)
+			if err == nil {
+				err = fmt.Errorf("repro: quarantining %s (%v): %w", path, loadErr, renameErr)
 			}
 			continue
 		}
 		quarantined++
 	}
-	return loaded, quarantined, firstErr
+	return loaded, quarantined, err
 }
 
-func (s *Session) loadCacheFile(path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	e, err := parseSessionCacheBlob(blob)
-	if err != nil {
-		return err
-	}
-	s.installCacheEntry(e)
-	return nil
-}
-
-// CacheBlobFingerprint validates a serialized evaluation cache — the
-// bytes of a SaveCache file or an ExportCache blob — and returns the
-// pole-set fingerprint it belongs to. The whole blob is verified (magic,
-// version, CRC-64 footer, fingerprint consistency) before anything is
-// trusted, so transports and content-addressed stores can use it as the
-// admission check that quarantines corrupt cache transfers.
+// CacheBlobFingerprint validates a serialized evaluation cache — an
+// ExportCache blob or the bytes of a SaveCache file — and returns the
+// pole-set fingerprint it belongs to. The whole blob is decoded and
+// verified (magic, version, CRC-64 footer, bounded counts, finite values,
+// fingerprint consistency) before anything is trusted, so transports and
+// content-addressed stores can use it as the admission check that
+// quarantines corrupt cache transfers. Rejections wrap ErrCacheCorrupt.
 func CacheBlobFingerprint(blob []byte) (uint64, error) {
-	e, err := parseSessionCacheBlob(blob)
+	e, err := decodeCacheEntry(blob)
 	if err != nil {
 		return 0, err
 	}
@@ -796,11 +733,12 @@ func CacheBlobFingerprint(blob []byte) (uint64, error) {
 }
 
 // ExportCache serializes the session's resident evaluation cache for the
-// given pole-set fingerprint in the same versioned, CRC-64-checksummed
-// format SaveCache writes to disk, so the blob can travel over a wire and
-// be installed elsewhere with ImportCache. It fails with
-// ErrCacheUnavailable when the session holds no cache for fp or the cache
-// is checked out by a concurrently running operation.
+// given pole-set fingerprint — its poles, residue fingerprint and σ
+// layers, behind a CRC-64 footer — so the blob can be written to disk
+// (SaveCache) or travel over a wire and be installed elsewhere with
+// ImportCache. It fails with ErrCacheUnavailable when the session holds
+// no cache for fp or the cache is checked out by a concurrently running
+// operation.
 func (s *Session) ExportCache(fp uint64) ([]byte, error) {
 	s.mu.Lock()
 	e, ok := s.caches[fp]
@@ -808,18 +746,13 @@ func (s *Session) ExportCache(fp uint64) ([]byte, error) {
 		s.mu.Unlock()
 		return nil, ErrCacheUnavailable
 	}
-	e.busy = true // pin against concurrent checkout during the write
+	e.busy = true // pin against concurrent checkout during the encode
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		e.busy = false
-		s.mu.Unlock()
-	}()
-	var buf bytes.Buffer
-	if err := writeSessionCache(&buf, e); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	blob := (&passivity.CacheBlob{PoleFP: e.poleFP, ResFP: e.resFP, Poles: e.poles, Cache: e.cache}).Encode()
+	s.mu.Lock()
+	e.busy = false
+	s.mu.Unlock()
+	return blob, nil
 }
 
 // ErrCacheUnavailable reports that ExportCache found no resident, idle
@@ -832,17 +765,25 @@ var ErrCacheUnavailable = errors.New("repro: evaluation cache unavailable")
 // ImportCache installs a serialized evaluation cache (an ExportCache blob
 // or the bytes of a SaveCache file) into the session, returning the
 // pole-set fingerprint it now answers HasCache for. The blob is fully
-// validated first — magic, version, CRC-64 footer, fingerprint
-// consistency — and a corrupt one is rejected without touching the
-// session, so a torn transfer costs one cold pole set, never a poisoned
-// cache. A fingerprint already resident is kept (the live cache is at
-// least as warm); the session byte budget applies as usual.
+// validated first (see CacheBlobFingerprint) and a corrupt one is
+// rejected with an error wrapping ErrCacheCorrupt, without allocating
+// beyond the blob's own size or touching the session, so a torn transfer
+// costs one cold pole set, never a poisoned cache. A fingerprint already
+// resident is kept (the live cache is at least as warm); the session
+// byte budget applies as usual.
 func (s *Session) ImportCache(blob []byte) (uint64, error) {
-	e, err := parseSessionCacheBlob(blob)
+	e, err := decodeCacheEntry(blob)
 	if err != nil {
 		return 0, err
 	}
-	s.installCacheEntry(e)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, exists := s.caches[e.poleFP]; !exists {
+		s.caches[e.poleFP] = e
+		s.used += e.bytes
+		s.touchLocked(e)
+		s.evictLocked()
+	}
 	return e.poleFP, nil
 }
 
@@ -861,70 +802,17 @@ func (s *Session) CacheFingerprints() []uint64 {
 	return fps
 }
 
-// installCacheEntry adds a parsed cache entry to the pool under the
-// budget, keeping an already-resident cache for the same fingerprint.
-func (s *Session) installCacheEntry(e *sessionCache) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.caches[e.poleFP]; exists {
-		return // live cache wins
-	}
-	s.caches[e.poleFP] = e
-	s.used += e.bytes
-	s.touchLocked(e)
-	s.evictLocked()
-}
-
-// parseSessionCacheBlob decodes and fully validates one serialized cache
-// (the SaveCache file format): magic, version, whole-blob CRC-64 footer,
-// then the payload, with the pole fingerprint cross-checked against the
-// poles actually read.
-func parseSessionCacheBlob(blob []byte) (*sessionCache, error) {
-	const headBytes, footBytes = 4 * 8, 8
-	if len(blob) < headBytes+footBytes {
-		return nil, fmt.Errorf("truncated cache file (%d bytes)", len(blob))
-	}
-	var head [4]uint64
-	for i := range head {
-		head[i] = binary.LittleEndian.Uint64(blob[i*8:])
-	}
-	if head[0]>>32 != sessionCacheMagic {
-		return nil, fmt.Errorf("bad magic %#x", head[0]>>32)
-	}
-	if v := head[0] & 0xffffffff; v != sessionCacheVersion {
-		return nil, fmt.Errorf("unsupported version %d", v)
-	}
-	// The footer CRC covers every byte before it; verify before parsing
-	// anything, so corruption is one deterministic error instead of
-	// whatever a damaged payload happens to decode as.
-	body := blob[:len(blob)-footBytes]
-	want := binary.LittleEndian.Uint64(blob[len(blob)-footBytes:])
-	if got := crc64.Checksum(body, sessionCacheCRC); got != want {
-		return nil, fmt.Errorf("checksum mismatch (file %016x, computed %016x)", want, got)
-	}
-	r := bytes.NewReader(body[headBytes:])
-	nPoles := head[3]
-	if nPoles > 1<<20 {
-		return nil, fmt.Errorf("implausible pole count %d", nPoles)
-	}
-	poles := make([]complex128, nPoles)
-	if err := binary.Read(r, binary.LittleEndian, poles); err != nil {
-		return nil, err
-	}
-	if fp := poleFingerprint(poles); fp != head[1] {
-		return nil, fmt.Errorf("pole fingerprint mismatch (file %016x, poles %016x)", head[1], fp)
-	}
-	cache, err := passivity.LoadEvalCache(r)
+// decodeCacheEntry decodes and fully validates one serialized cache,
+// cross-checking the pole fingerprint against the poles actually read.
+func decodeCacheEntry(blob []byte) (*sessionCache, error) {
+	b, err := passivity.DecodeCacheBlob(blob)
 	if err != nil {
 		return nil, err
 	}
-	return &sessionCache{
-		cache:  cache,
-		poles:  poles,
-		poleFP: head[1],
-		resFP:  head[2],
-		bytes:  cacheBytes(cache, len(poles)),
-		basisN: cache.BasisEntries(),
-		sigmaN: cache.SigmaEntries() + cache.StashedSigmaEntries(),
-	}, nil
+	if fp := poleFingerprint(b.Poles); fp != b.PoleFP {
+		return nil, fmt.Errorf("%w: pole fingerprint mismatch (blob %016x, poles %016x)", ErrCacheCorrupt, b.PoleFP, fp)
+	}
+	e := &sessionCache{cache: b.Cache, poles: b.Poles, poleFP: b.PoleFP, resFP: b.ResFP}
+	e.measure()
+	return e, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -122,8 +123,9 @@ func TestSessionCheckCancelledContext(t *testing.T) {
 	}
 }
 
-// TestSessionCachePersistence: SaveCache/LoadCache carry the evaluation
-// state across sessions; a loaded-warm check returns the identical report.
+// TestSessionCachePersistence: SaveCache/LoadCache carry the σ layers
+// across sessions (pole bases are recomputed on demand, not persisted); a
+// loaded-warm check returns the identical report.
 func TestSessionCachePersistence(t *testing.T) {
 	m := violatingLibrary(t, 1, 20)[0]
 	opts := repro.CheckOptions{Method: repro.CheckAdaptive}
@@ -143,36 +145,36 @@ func TestSessionCachePersistence(t *testing.T) {
 	}
 
 	s2 := repro.NewSession()
-	if err := s2.LoadCache(dir); err != nil {
-		t.Fatal(err)
+	if loaded, quarantined, err := s2.LoadCache(dir); err != nil || loaded != 1 || quarantined != 0 {
+		t.Fatalf("LoadCache: loaded %d quarantined %d err %v, want 1/0/nil", loaded, quarantined, err)
 	}
 	st2 := s2.CacheStats()
-	if st2.Models != 1 || st2.BasisEntries != st1.BasisEntries || st2.SigmaEntries != st1.SigmaEntries {
-		t.Fatalf("reloaded cache state %+v, want %+v", st2, st1)
+	if st2.Models != 1 || st2.BasisEntries != 0 || st2.SigmaEntries != st1.SigmaEntries {
+		t.Fatalf("reloaded cache state %+v, want 1 model, 0 basis and %d σ entries", st2, st1.SigmaEntries)
 	}
 	got, err := s2.Check(context.Background(), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MaxSigma != want.MaxSigma || got.Samples != want.Samples || len(got.Violations) != len(want.Violations) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("warm-loaded check drifted: %+v vs %+v", got, want)
 	}
 	// Loading into a session that already holds the fingerprint is a no-op.
-	if err := s2.LoadCache(dir); err != nil {
+	if _, _, err := s2.LoadCache(dir); err != nil {
 		t.Fatal(err)
 	}
 	if st := s2.CacheStats(); st.Models != 1 {
 		t.Fatalf("duplicate load created %d caches", st.Models)
 	}
 	// An empty directory loads cleanly.
-	if err := repro.NewSession().LoadCache(t.TempDir()); err != nil {
-		t.Fatal(err)
+	if loaded, quarantined, err := repro.NewSession().LoadCache(t.TempDir()); err != nil || loaded+quarantined != 0 {
+		t.Fatalf("empty dir: %d/%d/%v, want 0/0/nil", loaded, quarantined, err)
 	}
 }
 
 // TestSessionCacheChecksum: a saved cache file carries a CRC-64 footer;
-// a flipped byte anywhere makes LoadCache fail deterministically and
-// makes LoadCacheQuarantine set the file aside as .corrupt and continue.
+// a flipped byte anywhere fails the checksum deterministically, and
+// LoadCache sets the file aside as .corrupt and loads the rest.
 func TestSessionCacheChecksum(t *testing.T) {
 	models := violatingLibrary(t, 2, 20)
 	opts := repro.CheckOptions{Method: repro.CheckAdaptive}
@@ -202,21 +204,21 @@ func TestSessionCacheChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := repro.NewSession()
-	if err := s2.LoadCache(dir); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("LoadCache of corrupt file: %v, want checksum mismatch", err)
-	}
-	if st := s2.CacheStats(); st.Models != 1 {
-		t.Fatalf("corrupt load left %d caches, want 1 (the intact file)", st.Models)
+	if _, err := repro.CacheBlobFingerprint(blob); !errors.Is(err, repro.ErrCacheCorrupt) ||
+		!strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("corrupt file: %v, want ErrCacheCorrupt with checksum mismatch", err)
 	}
 
 	s3 := repro.NewSession()
-	loaded, quarantined, err := s3.LoadCacheQuarantine(dir)
+	loaded, quarantined, err := s3.LoadCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded != 1 || quarantined != 1 {
 		t.Fatalf("quarantine load: loaded %d quarantined %d, want 1/1", loaded, quarantined)
+	}
+	if st := s3.CacheStats(); st.Models != 1 {
+		t.Fatalf("corrupt load left %d caches, want 1 (the intact file)", st.Models)
 	}
 	if _, err := os.Stat(paths[0]); !os.IsNotExist(err) {
 		t.Fatalf("corrupt file still present: %v", err)
@@ -225,7 +227,7 @@ func TestSessionCacheChecksum(t *testing.T) {
 		t.Fatalf("quarantined file missing: %v", err)
 	}
 	// A repeat load no longer sees the quarantined file.
-	if loaded, quarantined, err = repro.NewSession().LoadCacheQuarantine(dir); err != nil || loaded != 1 || quarantined != 0 {
+	if loaded, quarantined, err = repro.NewSession().LoadCache(dir); err != nil || loaded != 1 || quarantined != 0 {
 		t.Fatalf("post-quarantine reload: %d/%d/%v, want 1/0/nil", loaded, quarantined, err)
 	}
 
@@ -233,7 +235,7 @@ func TestSessionCacheChecksum(t *testing.T) {
 	if err := os.WriteFile(paths[0], blob[:20], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, quarantined, err = repro.NewSession().LoadCacheQuarantine(dir); err != nil || quarantined != 1 {
+	if _, quarantined, err = repro.NewSession().LoadCache(dir); err != nil || quarantined != 1 {
 		t.Fatalf("truncated-file quarantine: %d/%v, want 1/nil", quarantined, err)
 	}
 }
