@@ -8,6 +8,7 @@ package repro_test
 // context, so the first bench to need an artifact pays for building it.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -221,9 +222,11 @@ func BenchmarkAblationSweepWorkers(b *testing.B) {
 			name = "gomaxprocs"
 		}
 		b.Run(name, func(b *testing.B) {
+			s := repro.NewSession(repro.WithWorkers(workers))
 			for i := 0; i < b.N; i++ {
-				if _, err := repro.CheckPassivity(m, repro.CheckOptions{
-					Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 1200, Workers: workers,
+				s.Reset() // measure the σ fan-out, not the session cache
+				if _, err := s.Check(context.Background(), m, repro.CheckOptions{
+					Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 1200,
 				}); err != nil {
 					b.Fatal(err)
 				}

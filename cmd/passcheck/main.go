@@ -12,7 +12,7 @@
 // -method selects the detection algorithm: auto (Hamiltonian for small
 // models, multi-stage adaptive sampling otherwise), hamiltonian, sweep, or
 // adaptive. -sweep tunes the fixed sweep's grid density; the adaptive
-// method ignores it and is tuned by -seedpoints instead.
+// method ignores it.
 //
 // -certify escalates every passive verdict through the staged
 // certification pipeline (closed-form tail-bound interval certificates,
@@ -147,7 +147,6 @@ func main() {
 	certify := flag.Bool("certify", false, "escalate passive verdicts through the certification pipeline (see doc)")
 	save := flag.String("save", "", "save the final model as JSON")
 	sweep := flag.Int("sweep", 1200, "sweep grid points for the model check")
-	seedPoints := flag.Int("seedpoints", 0, "adaptive method: coarse seed grid points (0 = library default)")
 	method := flag.String("method", "auto", "passivity check method: auto|hamiltonian|sweep|adaptive")
 	batch := flag.String("batch", "", "glob of saved macromodel JSON files to process as a library")
 	workers := flag.Int("workers", 0, "batch mode: model-level parallel shards (0 = GOMAXPROCS)")
@@ -166,10 +165,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	checkMethod, err := serve.ParseCheckMethod(*method)
+	if err != nil {
+		fail(2, "%v", err)
+	}
 	if *remote != "" {
-		if _, err := serve.ParseCheckMethod(*method); err != nil {
-			fail(2, "%v", err)
-		}
 		if *weightPath != "" || *loadSpec != "" {
 			fail(2, "weighted enforcement is local-only; drop -weight/-load in -remote mode")
 		}
@@ -202,20 +202,6 @@ func main() {
 		}
 	}
 
-	var checkMethod repro.CheckMethod
-	switch *method {
-	case "auto":
-		checkMethod = repro.CheckAuto
-	case "hamiltonian":
-		checkMethod = repro.CheckHamiltonian
-	case "sweep":
-		checkMethod = repro.CheckSweep
-	case "adaptive":
-		checkMethod = repro.CheckAdaptive
-	default:
-		fail(2, "unknown -method %q (want auto, hamiltonian, sweep or adaptive)", *method)
-	}
-
 	var weight *repro.Weight
 	if *weightPath != "" {
 		if *loadSpec != "" {
@@ -224,7 +210,6 @@ func main() {
 		if !*enforce {
 			fail(2, "-weight selects the weighted enforcement cost and needs -enforce")
 		}
-		var err error
 		if weight, err = repro.LoadWeightFile(*weightPath); err != nil {
 			fail(2, "loading weight: %v", err)
 		}
@@ -234,7 +219,7 @@ func main() {
 		fail(2, "-load weights only matter with -enforce")
 	}
 
-	chkBase := repro.CheckOptions{Method: checkMethod, SweepPoints: *sweep, AdaptiveSeedPoints: *seedPoints, Certify: *certify}
+	chkBase := repro.CheckOptions{Method: checkMethod, SweepPoints: *sweep, Certify: *certify}
 	if *batch != "" {
 		if flag.NArg() != 0 {
 			fail(2, "-batch takes no positional arguments (got %d)", flag.NArg())
@@ -249,7 +234,6 @@ func main() {
 	var model *repro.Macromodel
 	switch {
 	case *modelPath != "":
-		var err error
 		model, err = repro.LoadMacromodel(*modelPath)
 		if err != nil {
 			fail(2, "loading model: %v", err)

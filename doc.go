@@ -95,8 +95,8 @@
 //	                        certified. Free when nothing is open. One
 //	                        contour node costs O(N·p²) on the structured
 //	                        diagonal-plus-low-rank determinant kernel
-//	                        (p = 2·ports), and the stage declines above
-//	                        CertifyOptions.CounterMaxDim (default 6000),
+//	                        (p = 2·ports), and the stage declines above a
+//	                        fixed gate of N = 6000 (its DimGate),
 //	                        recording the refused intervals in
 //	                        CertificateStage.Declined.
 //
@@ -148,7 +148,7 @@
 //     a workspace (e.g. the CSVD of CSVDecomposeInto) stay valid only
 //     until the next call on the same workspace.
 //   - Workspaces are single-goroutine. Parallel sweeps hand each worker a
-//     private workspace (parallel.ForWorker provides the stable worker
+//     private workspace (parallel.ForWorkerCtx provides the stable worker
 //     identity); every index still writes only its own output slot, so
 //     results remain bitwise independent of the worker count.
 //
@@ -195,8 +195,10 @@
 //     and ctx-cancelled slots inside a batch).
 //   - Progress. WithProgress installs a sink receiving check, iteration
 //     and certificate-stage events, serialized across batch workers.
-//   - Defaults. WithWorkers, WithMethod and WithCertify set session-wide
-//     policies that individual calls inherit.
+//   - Workers. WithWorkers sets the σ fan-out width of every call and the
+//     default model-level parallelism of batch runs; results do not depend
+//     on it. The detection method and certification stay per-call
+//     options (CheckOptions.Method/Certify, EnforceOptions.Certify).
 //
 // The stateless root functions (CheckPassivity, EnforcePassivity,
 // EnforcePassivityBatch, Extract) are thin wrappers over a shared default

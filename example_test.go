@@ -46,14 +46,15 @@ func ExampleNewSession() {
 	// so the second check of the same model is served from the σ layer —
 	// with results bitwise identical to the stateless CheckPassivity.
 	m := violatingModel(3)
-	sess := repro.NewSession(repro.WithMethod(repro.CheckAdaptive))
+	sess := repro.NewSession()
 	ctx := context.Background()
+	opts := repro.CheckOptions{Method: repro.CheckAdaptive}
 
-	cold, err := sess.Check(ctx, m, repro.CheckOptions{})
+	cold, err := sess.Check(ctx, m, opts)
 	if err != nil {
 		panic(err)
 	}
-	warm, err := sess.Check(ctx, m, repro.CheckOptions{})
+	warm, err := sess.Check(ctx, m, opts)
 	if err != nil {
 		panic(err)
 	}

@@ -38,7 +38,6 @@ func main() {
 	// sink sees every check; a real service would export these as metrics.
 	var checks int
 	sess := repro.NewSession(
-		repro.WithMethod(repro.CheckAdaptive),
 		repro.WithProgress(func(ev repro.ProgressEvent) {
 			if ev.Kind == repro.ProgressCheck {
 				checks++
@@ -46,12 +45,13 @@ func main() {
 		}),
 	)
 	ctx := context.Background()
+	opts := repro.CheckOptions{Method: repro.CheckAdaptive}
 
 	sweep := func(s *repro.Session) ([]float64, time.Duration) {
 		start := time.Now()
 		sigmas := make([]float64, len(models))
 		for i, m := range models {
-			rep, err := s.Check(ctx, m, repro.CheckOptions{})
+			rep, err := s.Check(ctx, m, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func main() {
 	if err := sess.SaveCache(dir); err != nil {
 		log.Fatal(err)
 	}
-	restarted := repro.NewSession(repro.WithMethod(repro.CheckAdaptive))
+	restarted := repro.NewSession()
 	if _, _, err := restarted.LoadCache(dir); err != nil {
 		log.Fatal(err)
 	}

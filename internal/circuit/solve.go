@@ -2,10 +2,9 @@ package circuit
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/mat"
+	"repro/internal/parallel"
 )
 
 // Solve performs a driven AC analysis at frequency f (Hz) with the given
@@ -77,73 +76,13 @@ func (c *Circuit) AddSeriesRLC(a, b int, r, l, cap float64) {
 // parallel, normalized to r0.
 func (c *Circuit) SweepS(freqs []float64, r0 float64) ([]*mat.CMatrix, error) {
 	out := make([]*mat.CMatrix, len(freqs))
-	errs := make([]error, len(freqs))
-	var wg sync.WaitGroup
-	workers := runtime.NumCPU()
-	if workers > len(freqs) {
-		workers = len(freqs)
-	}
-	var next int
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(freqs) {
-					return
-				}
-				s, err := c.PortS(freqs[i], r0)
-				out[i], errs[i] = s, err
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// SweepZ computes the port impedance matrix at every frequency in parallel.
-func (c *Circuit) SweepZ(freqs []float64) ([]*mat.CMatrix, error) {
-	out := make([]*mat.CMatrix, len(freqs))
-	errs := make([]error, len(freqs))
-	var wg sync.WaitGroup
-	workers := runtime.NumCPU()
-	if workers > len(freqs) {
-		workers = len(freqs)
-	}
-	var next int
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(freqs) {
-					return
-				}
-				z, err := c.PortZ(freqs[i])
-				out[i], errs[i] = z, err
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := parallel.ForErr(0, len(freqs), func(i int) error {
+		s, err := c.PortS(freqs[i], r0)
+		out[i] = s
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

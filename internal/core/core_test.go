@@ -369,8 +369,12 @@ func TestWeightedBatchMatchesSequentialEnforceWeighted(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		lib := build()
+		weights := make([]*rational.Model, len(lib))
+		for i := range weights {
+			weights[i] = weight
+		}
 		rep := passivity.EnforceBatch(lib, passivity.BatchOptions{
-			Enforce: base, Weight: weight, Workers: workers,
+			Enforce: base, Weights: weights, Workers: workers,
 		})
 		for i := range lib {
 			if rep.Results[i].Err != nil {

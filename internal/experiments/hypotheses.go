@@ -328,7 +328,7 @@ func extGGramianOracle() hypothesis.Spec {
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			brep := passivity.EnforceBatch(batchLib, passivity.BatchOptions{Enforce: base, Weight: weight, Workers: 4})
+			brep := passivity.EnforceBatch(batchLib, passivity.BatchOptions{Enforce: base, Weights: sameWeight(weight, len(batchLib)), Workers: 4})
 			mismatches := 0
 			for i := range batchLib {
 				if err := brep.Results[i].Err; err != nil {
@@ -404,10 +404,19 @@ func extHEnforce(models []*rational.Model, certify bool) (*passivity.BatchReport
 			Check:   passivity.CheckOptions{Method: passivity.MethodAdaptive, AdaptiveMaxStages: 6},
 			Certify: certify,
 		},
-		Weight:  weight,
+		Weights: sameWeight(weight, len(models)),
 		Workers: 1,
 	})
 	return rep, time.Since(t0), nil
+}
+
+// sameWeight shares one sensitivity weight across a library of n models.
+func sameWeight(w *rational.Model, n int) []*rational.Model {
+	ws := make([]*rational.Model, n)
+	for i := range ws {
+		ws[i] = w
+	}
+	return ws
 }
 
 // extHCertifiedClosure — the certified-enforcement claim on the Ext-H

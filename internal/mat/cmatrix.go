@@ -244,15 +244,6 @@ func (m *CMatrix) Real() *Matrix {
 	return out
 }
 
-// Imag returns the element-wise imaginary part.
-func (m *CMatrix) Imag() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = imag(v)
-	}
-	return out
-}
-
 // Equalish reports whether m and b agree entry-wise within tol.
 func (m *CMatrix) Equalish(b *CMatrix, tol float64) bool {
 	if m.Rows != b.Rows || m.Cols != b.Cols {

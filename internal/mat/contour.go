@@ -102,13 +102,6 @@ func (e *ContourEvaluator) Dim() int { return e.b.Dim() }
 // every eigenvalue of the matrix.
 func (e *ContourEvaluator) EigenBound() float64 { return e.b.EigenBound() }
 
-// DetPhase returns the principal argument of det(zI − M) in (−π, π].
-// ErrSingular reports that z is (numerically) an eigenvalue.
-func (e *ContourEvaluator) DetPhase(z complex128) (float64, error) {
-	p, _, err := e.detPhasePivot(z)
-	return p, err
-}
-
 // detPhasePivot counts the node and delegates to the backend; the second
 // result is the spectrum-proximity alarm (an upper bound on σ_min(zI − M)
 // that collapses as z approaches the spectrum). The quadrature uses it to

@@ -239,43 +239,6 @@ func TestSymEigDecompose(t *testing.T) {
 	}
 }
 
-func TestHermEigDecompose(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	n := 8
-	b := randCMatrix(rng, n, n)
-	a := b.H().Mul(b) // Hermitian PSD
-	he := HermEigDecompose(a)
-	av := a.Mul(he.V)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			want := he.V.At(i, j) * complex(he.Values[j], 0)
-			if cAbs(av.At(i, j)-want) > 1e-8*(1+cAbs(want)) {
-				t.Fatalf("herm eigpair %d fails", j)
-			}
-		}
-	}
-	for _, v := range he.Values {
-		if v < -1e-10 {
-			t.Fatalf("PSD matrix has negative eigenvalue %v", v)
-		}
-	}
-	if !he.V.H().Mul(he.V).Equalish(CIdentity(n), 1e-10) {
-		t.Fatalf("V not unitary")
-	}
-	// Hermitian eigenvalues equal squared singular values of b.
-	sv := SingularValues(b)
-	sq := make([]float64, n)
-	for i, s := range sv {
-		sq[i] = s * s
-	}
-	sort.Float64s(sq)
-	for i := range sq {
-		if math.Abs(sq[i]-he.Values[i]) > 1e-8*(1+sq[i]) {
-			t.Fatalf("eig(BᴴB) != σ(B)²: %v vs %v", he.Values, sq)
-		}
-	}
-}
-
 func TestBalancePreservesEigenvalues(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := randMatrix(rng, 6, 6)

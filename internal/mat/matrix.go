@@ -71,14 +71,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// CopyFrom copies src into m; dimensions must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic("mat: CopyFrom dimension mismatch")
-	}
-	copy(m.Data, src.Data)
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
@@ -270,25 +262,6 @@ func (m *Matrix) Equalish(b *Matrix, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Kron returns the Kronecker product m ⊗ b.
-func (m *Matrix) Kron(b *Matrix) *Matrix {
-	out := NewMatrix(m.Rows*b.Rows, m.Cols*b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			a := m.At(i, j)
-			if a == 0 {
-				continue
-			}
-			for p := 0; p < b.Rows; p++ {
-				for q := 0; q < b.Cols; q++ {
-					out.Set(i*b.Rows+p, j*b.Cols+q, a*b.At(p, q))
-				}
-			}
-		}
-	}
-	return out
 }
 
 // String formats the matrix for debugging.

@@ -115,18 +115,6 @@ func TestMatrixSliceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKronDims(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
-	b := Identity(3)
-	k := a.Kron(b)
-	if k.Rows != 6 || k.Cols != 6 {
-		t.Fatalf("Kron dims")
-	}
-	if k.At(0, 0) != 1 || k.At(3, 3) != 4 || k.At(0, 3) != 2 || k.At(1, 4) != 2 {
-		t.Fatalf("Kron values wrong:\n%v", k)
-	}
-}
-
 func TestCMatrixHermitian(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randCMatrix(rng, 4, 5)

@@ -110,9 +110,6 @@ func NewStructuredShifted(diag, skew []float64, u, v *Matrix) *StructuredShifted
 // Dim returns the matrix dimension N.
 func (s *StructuredShifted) Dim() int { return len(s.diag) }
 
-// Rank returns the number of low-rank columns p.
-func (s *StructuredShifted) Rank() int { return s.u.Cols }
-
 // EigenBound returns min over the ∞- and 1-norm triangle-inequality bounds
 // ‖Λ‖ + ‖U·Vᵀ‖: every eigenvalue of M satisfies |λ| ≤ ‖M‖ for any induced
 // norm, |（UVᵀ)|'s row i absolute sum is at most Σ_k |U(i,k)|·‖V(:,k)‖₁,

@@ -95,97 +95,6 @@ func SingularValuesOnly(a *CMatrix) []float64 {
 	return SingularValuesInto(&CSVDWorkspace{}, a, nil)
 }
 
-// MaxSingularValueSubspace estimates the largest singular value of a by
-// block (subspace) power iteration on AᴴA with block size k. Unlike the
-// single-vector variant, it converges reliably when the top singular
-// values are nearly degenerate — the situation at shallow passivity
-// violations, where σ₁ ≈ σ₂ ≈ 1. v0 (n×k, column-major blocks of length
-// a.Cols) warm-starts the subspace and is overwritten; pass nil to start
-// fresh.
-func MaxSingularValueSubspace(a *CMatrix, v0 [][]complex128, k int, tol float64, maxIter int) (float64, [][]complex128) {
-	n := a.Cols
-	if n == 0 {
-		return 0, nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	v := v0
-	if len(v) != k {
-		v = make([][]complex128, k)
-		for j := range v {
-			col := make([]complex128, n)
-			for i := range col {
-				// Deterministic, linearly independent starts.
-				col[i] = complex(1+0.013*float64((i*(j+3))%11), 0.007*float64((i+j*5)%7))
-			}
-			v[j] = col
-		}
-	}
-	orthonormalize(v)
-	sigma := 0.0
-	stable := 0
-	for it := 0; it < maxIter; it++ {
-		// W_j = AᴴA v_j.
-		lambdaMax := 0.0
-		for j := range v {
-			av := a.MulVec(v[j])
-			w := a.MulVecH(av)
-			// Rayleigh quotient before overwriting.
-			if l := real(CDot(v[j], w)); l > lambdaMax {
-				lambdaMax = l
-			}
-			v[j] = w
-		}
-		orthonormalize(v)
-		newSigma := math.Sqrt(math.Max(lambdaMax, 0))
-		if math.Abs(newSigma-sigma) <= tol*math.Max(1, newSigma) {
-			stable++
-			if stable >= 2 {
-				sigma = newSigma
-				break
-			}
-		} else {
-			stable = 0
-		}
-		sigma = newSigma
-	}
-	return sigma, v
-}
-
-// orthonormalize applies modified Gram–Schmidt to the columns in place,
-// re-randomizing (deterministically) any column that collapses.
-func orthonormalize(v [][]complex128) {
-	for j := range v {
-		for i := 0; i < j; i++ {
-			c := CDot(v[i], v[j])
-			for t := range v[j] {
-				v[j][t] -= c * v[i][t]
-			}
-		}
-		nrm := CNorm2(v[j])
-		if nrm < 1e-300 {
-			for t := range v[j] {
-				v[j][t] = complex(float64((t*7+j*3)%13)-6, float64((t*5+j)%11)-5)
-			}
-			for i := 0; i < j; i++ {
-				c := CDot(v[i], v[j])
-				for t := range v[j] {
-					v[j][t] -= c * v[i][t]
-				}
-			}
-			nrm = CNorm2(v[j])
-		}
-		inv := complex(1/nrm, 0)
-		for t := range v[j] {
-			v[j][t] *= inv
-		}
-	}
-}
-
 // SVD holds a thin real singular value decomposition A = U·diag(S)·Vᵀ.
 type SVD struct {
 	U *Matrix

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"math"
-	"math/cmplx"
 	"sort"
 )
 
@@ -92,105 +91,4 @@ func SymEigDecompose(a *Matrix) *SymEig {
 		}
 	}
 	return &SymEig{Values: outVals, V: outV}
-}
-
-// HermEig holds the eigendecomposition of a Hermitian matrix:
-// A = V·diag(Values)·Vᴴ with unitary V and ascending real eigenvalues.
-type HermEig struct {
-	Values []float64
-	V      *CMatrix
-}
-
-// HermEigDecompose computes the eigendecomposition of a Hermitian matrix
-// with the complex cyclic Jacobi method.
-func HermEigDecompose(a *CMatrix) *HermEig {
-	if a.Rows != a.Cols {
-		panic("mat: HermEigDecompose of non-square matrix")
-	}
-	n := a.Rows
-	w := a.Clone()
-	// Enforce Hermitian symmetry of the working copy.
-	for i := 0; i < n; i++ {
-		w.Set(i, i, complex(real(w.At(i, i)), 0))
-		for j := i + 1; j < n; j++ {
-			m := 0.5 * (w.At(i, j) + cmplx.Conj(w.At(j, i)))
-			w.Set(i, j, m)
-			w.Set(j, i, cmplx.Conj(m))
-		}
-	}
-	v := CIdentity(n)
-	const tol = 1e-14
-	for sweep := 0; sweep < 100; sweep++ {
-		off := 0.0
-		diagScale := 0.0
-		for i := 0; i < n; i++ {
-			diagScale += math.Abs(real(w.At(i, i)))
-			for j := i + 1; j < n; j++ {
-				off += cmplx.Abs(w.At(i, j))
-			}
-		}
-		if off <= tol*math.Max(diagScale, 1e-300) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				mag := cmplx.Abs(apq)
-				if mag <= tol*(math.Abs(real(w.At(p, p)))+math.Abs(real(w.At(q, q))))/2 {
-					continue
-				}
-				alpha := apq / complex(mag, 0)
-				theta := (real(w.At(q, q)) - real(w.At(p, p))) / (2 * mag)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := c * t
-				// Unitary rotation J with J[p][p]=c, J[p][q]=s·alpha,
-				// J[q][p]=−s·conj(alpha), J[q][q]=c;  w ← Jᴴ w J.
-				cs := complex(c, 0)
-				sa := complex(s, 0) * alpha
-				sac := complex(s, 0) * cmplx.Conj(alpha)
-				for k := 0; k < n; k++ {
-					wkp := w.At(k, p)
-					wkq := w.At(k, q)
-					w.Set(k, p, cs*wkp-sac*wkq)
-					w.Set(k, q, sa*wkp+cs*wkq)
-				}
-				for k := 0; k < n; k++ {
-					wpk := w.At(p, k)
-					wqk := w.At(q, k)
-					w.Set(p, k, cs*wpk-cmplx.Conj(sac)*wqk)
-					w.Set(q, k, cmplx.Conj(sa)*wpk+cs*wqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, cs*vkp-sac*vkq)
-					v.Set(k, q, sa*vkp+cs*vkq)
-				}
-			}
-		}
-	}
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = real(w.At(i, i))
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-	outV := NewCMatrix(n, n)
-	outVals := make([]float64, n)
-	for newj, oldj := range idx {
-		outVals[newj] = vals[oldj]
-		for i := 0; i < n; i++ {
-			outV.Set(i, newj, v.At(i, oldj))
-		}
-	}
-	return &HermEig{Values: outVals, V: outV}
 }

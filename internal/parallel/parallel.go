@@ -51,61 +51,18 @@ func For(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForWorker is For with a stable worker identity: fn(w, i) runs index i on
-// worker w ∈ [0, workers), letting callers hand each goroutine its own
-// reusable workspace. Like For, every index writes only its own output, so
-// results stay bitwise independent of the worker count — the workspaces
-// must only carry scratch state, never values that feed other indices.
-func ForWorker(workers, n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ForCtx is For with cooperative cancellation: once ctx is done, workers
-// stop claiming new indices, indices already in flight run to completion,
-// and every goroutine is joined before the call returns — the drain is
-// deterministic in the sense that a claimed index is never abandoned
-// halfway and no goroutine outlives the call. It returns nil when all n
-// indices completed (even if ctx was cancelled after the last claim) and
-// ctx.Err() when the cancellation left indices unclaimed; callers must
-// treat their output as partial in that case.
-func ForCtx(ctx context.Context, workers, n int, fn func(i int)) error {
-	return ForWorkerCtx(ctx, workers, n, func(_, i int) { fn(i) })
-}
-
-// ForWorkerCtx is ForWorker with the cooperative cancellation of ForCtx:
-// stable worker identities, no new claims after ctx is done, in-flight
-// indices drained, all goroutines joined. Returns nil when every index
-// completed, ctx.Err() otherwise.
+// ForWorkerCtx is For with a stable worker identity and cooperative
+// cancellation. fn(w, i) runs index i on worker w ∈ [0, workers), letting
+// callers hand each goroutine its own reusable workspace; like For, every
+// index writes only its own output, so results stay bitwise independent of
+// the worker count — the workspaces must only carry scratch state, never
+// values that feed other indices. Once ctx is done (a nil ctx never is),
+// workers stop claiming new indices, indices already in flight run to
+// completion, and every goroutine is joined before the call returns: a
+// claimed index is never abandoned halfway and no goroutine outlives the
+// call. It returns nil when all n indices completed (even if ctx was
+// cancelled after the last claim) and ctx.Err() when the cancellation left
+// indices unclaimed; callers must treat their output as partial then.
 func ForWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return nil

@@ -62,12 +62,15 @@ func TestForWorkerVisitsEachIndexOnceWithValidWorker(t *testing.T) {
 		if bound <= 0 {
 			bound = n // GOMAXPROCS-resolved; any id below n is structurally valid
 		}
-		ForWorker(workers, n, func(w, i int) {
+		err := ForWorkerCtx(context.Background(), workers, n, func(w, i int) {
 			if w < 0 || w >= bound {
 				t.Errorf("workers=%d: worker id %d out of range", workers, w)
 			}
 			atomic.AddInt64(&counts[i], 1)
 		})
+		if err != nil {
+			t.Fatalf("workers=%d: unexpected error %v", workers, err)
+		}
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
@@ -83,7 +86,9 @@ func TestForWorkerIsolatesWorkerState(t *testing.T) {
 	workers := 8
 	n := 5000
 	sums := make([]int64, workers)
-	ForWorker(workers, n, func(w, i int) { sums[w] += int64(i) })
+	if err := ForWorkerCtx(context.Background(), workers, n, func(w, i int) { sums[w] += int64(i) }); err != nil {
+		t.Fatal(err)
+	}
 	var total int64
 	for _, s := range sums {
 		total += s
@@ -97,7 +102,7 @@ func TestForCtxCompletesWithoutCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		n := 500
 		counts := make([]int64, n)
-		err := ForCtx(context.Background(), workers, n, func(i int) {
+		err := ForWorkerCtx(context.Background(), workers, n, func(_, i int) {
 			atomic.AddInt64(&counts[i], 1)
 		})
 		if err != nil {
@@ -116,7 +121,7 @@ func TestForCtxAlreadyCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran int64
-		err := ForCtx(ctx, workers, 100, func(int) { atomic.AddInt64(&ran, 1) })
+		err := ForWorkerCtx(ctx, workers, 100, func(int, int) { atomic.AddInt64(&ran, 1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
 		}

@@ -313,14 +313,24 @@ func dedupeSorted(ws []float64) []float64 {
 	return out
 }
 
+const (
+	// adaptiveSeedPoints is the coarse log-grid density the adaptive
+	// characterizer starts from; pole resonances are always added on top.
+	adaptiveSeedPoints = 64
+	// adaptiveRelTol is the relative tolerance to which violation-band
+	// edges are bracketed (also the width floor of the certifier's
+	// subdividing stages).
+	adaptiveRelTol = 1e-3
+)
+
 func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 	rep := &Report{Method: "adaptive", Passive: true}
 	st := &adaptiveState{
 		model:  model,
 		feats:  poleFeatures(model, opts.work.get(0)),
 		dSigma: mat.MaxSingularValue(mat.RealToComplex(model.D)),
-		limit:  1 + opts.Tol,
-		relTol: opts.AdaptiveRelTol,
+		limit:  1 + passivityTol,
+		relTol: adaptiveRelTol,
 	}
 	st.scan = newBoundScanner(st.feats)
 	st.wrs = st.scan.wrs
@@ -328,7 +338,7 @@ func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 	// Stage 0: coarse log seed grid with every pole resonance and its
 	// half-width neighbours (shared with the fixed sweep), plus warm-start
 	// frequencies from the previous check of this enforcement run.
-	grid := poleSeededGrid(model, opts.AdaptiveSeedPoints, opts.OmegaMin, opts.OmegaMax)
+	grid := poleSeededGrid(model, adaptiveSeedPoints, opts.OmegaMin, opts.OmegaMax)
 	if opts.Cache != nil {
 		for _, w := range opts.Cache.Hot() {
 			if w > 0 && !math.IsInf(w, 1) && !math.IsNaN(w) {

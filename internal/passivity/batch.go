@@ -1,7 +1,6 @@
 package passivity
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,39 +12,27 @@ import (
 // BatchOptions configures EnforceBatch.
 type BatchOptions struct {
 	// Enforce is the base enforcement configuration applied to every model.
-	// Its Cache and workspace fields are ignored: each model receives a
-	// private EvalCache (caches memoize a single pole set) and each worker
-	// a persistent workspace pool.
+	// Its Check.Cache and workspace fields are ignored: each model receives
+	// a private EvalCache (caches memoize a single pole set) and each
+	// worker a persistent workspace pool. Check.Ctx cancels the whole
+	// batch and Check.Progress receives every model's events, tagged with
+	// the model index; the sink is called from concurrent worker
+	// goroutines and must be safe for that.
 	Enforce EnforceOptions
 	// Workers bounds the model-level shards (0 = GOMAXPROCS, 1 = serial).
 	// Results are bitwise independent of the value: each model is enforced
 	// by exactly one worker with the same per-model state it would see in a
 	// sequential run.
 	Workers int
-	// Weight, when non-nil, selects the sensitivity-weighted cost for every
-	// model: the cost Gramian of model i is the closed-form cascade block
-	// P^Ξ,11 = rational.CascadeGramian(model.Poles, Weight), computed on the
-	// worker goroutine that owns the model (the block depends on the model's
-	// pole set, so it cannot be shared across models). The weight must be a
-	// stable SISO rational model.
-	Weight *rational.Model
-	// Weights supplies a per-model weight, overriding Weight for the models
-	// whose entry is non-nil (a nil entry falls back to Weight, or to the
-	// unweighted cost when Weight is nil too). When non-nil its length must
-	// equal the model count.
+	// Weights supplies a per-model weight: a non-nil Weights[i] selects the
+	// sensitivity-weighted cost for model i, whose cost Gramian is the
+	// closed-form cascade block P^Ξ,11 = rational.CascadeGramian(model.Poles,
+	// Weights[i]), computed on the worker goroutine that owns the model (the
+	// block depends on the model's pole set, so it cannot be shared across
+	// models). A nil entry, or a nil slice, selects the unweighted cost.
+	// Each weight must be a stable SISO rational model; when non-nil the
+	// slice length must equal the model count.
 	Weights []*rational.Model
-	// PerModel, when non-nil, derives the enforcement options of model i
-	// from the base options (e.g. a custom per-model cost Gramian). It runs
-	// on the worker goroutine that owns model i and must not share mutable
-	// state across calls. It sees — and may override — the weight-derived
-	// CostGramian installed by Weight/Weights.
-	PerModel func(i int, m *rational.Model, base EnforceOptions) (EnforceOptions, error)
-	// Ctx, when non-nil, cancels the batch cooperatively: workers stop
-	// claiming new models, the model in flight on each worker stops at its
-	// own next cancellation point (returning its partial report), and
-	// models never claimed get ctx.Err() in their result slot. No
-	// goroutines outlive the call.
-	Ctx context.Context
 	// CacheFor, when non-nil, supplies the evaluation cache of model i. It
 	// is called on the worker goroutine that owns the model, immediately
 	// before its enforcement, and pairs with CacheDone(i) right after the
@@ -61,10 +48,6 @@ type BatchOptions struct {
 	// finished (successfully or not). Called on the owning worker
 	// goroutine; may be nil.
 	CacheDone func(i int)
-	// Progress, when non-nil, receives the progress events of every
-	// per-model enforcement run, tagged with the model index. It is called
-	// from concurrent worker goroutines and must be safe for that.
-	Progress ProgressFunc
 }
 
 // ErrBatchWeightCount is returned when BatchOptions.Weights is non-nil but
@@ -109,7 +92,7 @@ type BatchReport struct {
 // model is attempted regardless of other models' failures; per-model
 // errors land in the result slots. The per-model reports and the final
 // residues are bitwise identical to running sequential Enforce on each
-// model with the same base options; with Weight/Weights set they are
+// model with the same base options; with Weights set they are
 // bitwise identical to the sequential sensitivity-weighted run (the
 // per-model cost Gramian comes from the same closed-form
 // rational.CascadeGramian in both paths).
@@ -125,8 +108,8 @@ type BatchReport struct {
 // the scheduling): model-level parallelism already saturates the cores,
 // and nested fan-outs would only thrash them.
 //
-// Cancellation: when Ctx is cancelled the workers drain deterministically —
-// no new models are claimed, in-flight models stop at their own next
+// Cancellation: when Enforce.Check.Ctx is cancelled the workers drain
+// deterministically — no new models are claimed, in-flight models stop at their own next
 // cancellation point with partial per-model reports, never-claimed models
 // get ctx.Err() in their result slot, and no goroutine outlives the call.
 // The aggregate stats cover whatever completed; cancelled models count as
@@ -152,27 +135,15 @@ func EnforceBatch(models []*rational.Model, opts BatchOptions) *BatchReport {
 	for i := range pools {
 		pools[i] = newWorkspacePool()
 	}
-	ctxFailed := parallel.ForWorkerCtx(opts.Ctx, workers, len(models), func(wk, i int) {
+	ctxFailed := parallel.ForWorkerCtx(opts.Enforce.Check.Ctx, workers, len(models), func(wk, i int) {
 		eopts := opts.Enforce
-		weight := opts.Weight
 		if opts.Weights != nil && opts.Weights[i] != nil {
-			weight = opts.Weights[i]
-		}
-		if weight != nil {
-			gram, err := rational.CascadeGramian(models[i].Poles, weight)
+			gram, err := rational.CascadeGramian(models[i].Poles, opts.Weights[i])
 			if err != nil {
 				rep.Results[i] = ModelResult{Err: fmt.Errorf("passivity: weighted cost Gramian of model %d: %w", i, err)}
 				return
 			}
 			eopts.CostGramian = gram
-		}
-		if opts.PerModel != nil {
-			var err error
-			eopts, err = opts.PerModel(i, models[i], eopts)
-			if err != nil {
-				rep.Results[i] = ModelResult{Err: err}
-				return
-			}
 		}
 		eopts.Check.Cache = nil
 		if opts.CacheFor != nil {
@@ -181,8 +152,6 @@ func EnforceBatch(models []*rational.Model, opts BatchOptions) *BatchReport {
 		if eopts.Check.Cache == nil {
 			eopts.Check.Cache = NewEvalCache()
 		}
-		eopts.Check.Ctx = opts.Ctx
-		eopts.Check.Progress = opts.Progress
 		eopts.Check.ProgressModel = i
 		eopts.Check.work = pools[wk]
 		if workers > 1 {

@@ -110,30 +110,13 @@ func TestEnforceBatchIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestEnforceBatchPerModelHook: the hook can supply per-model options (an
-// identity cost here) and its errors land in the model's result slot.
-func TestEnforceBatchPerModelHook(t *testing.T) {
-	lib := batchLibrary(t, 3)
-	hookErr := make([]bool, len(lib))
-	rep := EnforceBatch(lib, BatchOptions{
-		Enforce: EnforceOptions{Check: CheckOptions{Method: MethodAdaptive}},
-		Workers: 2,
-		PerModel: func(i int, m *rational.Model, base EnforceOptions) (EnforceOptions, error) {
-			if i == 1 {
-				hookErr[i] = true
-				return base, ErrEnforceFailed
-			}
-			return base, nil
-		},
-	})
-	if rep.Results[1].Err == nil || !hookErr[1] {
-		t.Fatalf("hook error not propagated: %+v", rep.Results[1])
+// sameWeight shares one weight across a library of n models.
+func sameWeight(w *rational.Model, n int) []*rational.Model {
+	ws := make([]*rational.Model, n)
+	for i := range ws {
+		ws[i] = w
 	}
-	for _, i := range []int{0, 2} {
-		if rep.Results[i].Err != nil || !rep.Results[i].Report.Passive {
-			t.Fatalf("model %d: %+v", i, rep.Results[i])
-		}
-	}
+	return ws
 }
 
 // weightForBatch builds a deterministic stable SISO weight.
@@ -177,7 +160,7 @@ func TestEnforceBatchWeightedMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		lib := batchLibrary(t, n)
-		rep := EnforceBatch(lib, BatchOptions{Enforce: base, Weight: weight, Workers: workers})
+		rep := EnforceBatch(lib, BatchOptions{Enforce: base, Weights: sameWeight(weight, n), Workers: workers})
 		if rep.Stats.Models != n || rep.Stats.Failed != 0 || rep.Stats.Passive != n {
 			t.Fatalf("workers=%d: bad stats %+v", workers, rep.Stats)
 		}
@@ -197,9 +180,9 @@ func TestEnforceBatchWeightedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEnforceBatchPerModelWeights: Weights[i] overrides the shared Weight;
-// nil entries fall back to it, and a mis-sized slice fails every slot with
-// the sentinel instead of panicking mid-shard.
+// TestEnforceBatchPerModelWeights: Weights[i] selects model i's weight, a
+// nil entry selects the unweighted cost, and a mis-sized slice fails every
+// slot with the sentinel instead of panicking mid-shard.
 func TestEnforceBatchPerModelWeights(t *testing.T) {
 	const n = 3
 	weight := weightForBatch(t)
@@ -209,19 +192,18 @@ func TestEnforceBatchPerModelWeights(t *testing.T) {
 	}
 	base := EnforceOptions{Check: CheckOptions{Method: MethodAdaptive}}
 
-	// Reference: model 1 under alt, others under the shared weight.
+	// Reference: model 0 under weight, model 1 under alt, model 2 unweighted.
+	weights := []*rational.Model{weight, alt, nil}
 	seq := batchLibrary(t, n)
 	for i, m := range seq {
-		w := weight
-		if i == 1 {
-			w = alt
-		}
-		gram, err := rational.CascadeGramian(m.Poles, w)
-		if err != nil {
-			t.Fatal(err)
-		}
 		opts := base
-		opts.CostGramian = gram
+		if weights[i] != nil {
+			gram, err := rational.CascadeGramian(m.Poles, weights[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.CostGramian = gram
+		}
 		if _, err := Enforce(m, opts); err != nil {
 			t.Fatalf("sequential model %d: %v", i, err)
 		}
@@ -230,8 +212,7 @@ func TestEnforceBatchPerModelWeights(t *testing.T) {
 	lib := batchLibrary(t, n)
 	rep := EnforceBatch(lib, BatchOptions{
 		Enforce: base,
-		Weight:  weight,
-		Weights: []*rational.Model{nil, alt, nil},
+		Weights: weights,
 		Workers: 2,
 	})
 	for i := range lib {

@@ -59,6 +59,29 @@ func TestEnforceCancelledBetweenSweeps(t *testing.T) {
 	}
 }
 
+// TestEnforceBatchHonoursCheckCtx: the batch is cancelled through the
+// per-model check context it already carries; a context cancelled before
+// the call leaves every slot with ctx.Err() at every worker count.
+func TestEnforceBatchHonoursCheckCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		models := violatingModels(t, 4, 16)
+		rep := EnforceBatch(models, BatchOptions{
+			Enforce: EnforceOptions{Check: CheckOptions{Method: MethodAdaptive, Ctx: ctx}, ClampD: true},
+			Workers: workers,
+		})
+		for i, r := range rep.Results {
+			if !errors.Is(r.Err, ctx.Err()) {
+				t.Fatalf("workers=%d model %d: got %v, want %v", workers, i, r.Err, ctx.Err())
+			}
+		}
+		if rep.Stats.Failed != len(models) {
+			t.Fatalf("workers=%d: %d failed, want all %d", workers, rep.Stats.Failed, len(models))
+		}
+	}
+}
+
 func TestEnforceBatchCancellationDrainsAndMarksSlots(t *testing.T) {
 	models := violatingModels(t, 8, 24)
 	before := runtime.NumGoroutine()
@@ -66,17 +89,22 @@ func TestEnforceBatchCancellationDrainsAndMarksSlots(t *testing.T) {
 	defer cancel()
 	var events int64
 	rep := EnforceBatch(models, BatchOptions{
-		Enforce: EnforceOptions{Check: CheckOptions{Method: MethodAdaptive}, ClampD: true},
-		Workers: 2,
-		Ctx:     ctx,
-		Progress: func(ev ProgressEvent) {
-			if atomic.AddInt64(&events, 1) == 2 {
-				cancel()
-			}
-			if ev.Model < 0 || ev.Model >= len(models) {
-				t.Errorf("progress event with out-of-range model %d", ev.Model)
-			}
+		Enforce: EnforceOptions{
+			Check: CheckOptions{
+				Method: MethodAdaptive,
+				Ctx:    ctx,
+				Progress: func(ev ProgressEvent) {
+					if atomic.AddInt64(&events, 1) == 2 {
+						cancel()
+					}
+					if ev.Model < 0 || ev.Model >= len(models) {
+						t.Errorf("progress event with out-of-range model %d", ev.Model)
+					}
+				},
+			},
+			ClampD: true,
 		},
+		Workers: 2,
 	})
 	if rep.Stats.Models != len(models) {
 		t.Fatalf("stats cover %d models, want %d", rep.Stats.Models, len(models))

@@ -67,7 +67,7 @@ type StageCost struct {
 // certificate; when it is false with no Violations, the Open intervals
 // exhausted the rigorous stages — the counter stalled, ran out of nodes,
 // met a crossing cluster it could not confirm, or declined at
-// CounterMaxDim — and the verdict is best-effort.
+// counterMaxDim — and the verdict is best-effort.
 type Certificate struct {
 	Certified  bool
 	Stage      string // stage that settled the verdict (certified or found the violations)
@@ -91,33 +91,35 @@ type CertifyOptions struct {
 	// RestrictedMaxDim caps the per-interval reduced eigenproblem dimension
 	// 2·n_near·P (default 1200).
 	RestrictedMaxDim int
-	// TailMaxIntervals bounds the tail-bound stage's subdivision work
-	// (default 4096 interval evaluations).
-	TailMaxIntervals int
-	// TailBudget is the fraction of the passivity headroom (limit − σmax(D))
-	// the restricted stage may allocate to truncated far-pole tails
-	// (default 0.25). Smaller values keep more poles in the reduced models.
-	TailBudget float64
-	// SweepMaxSamples caps the σ evaluations of the Lipschitz certified
-	// sweep (default 20000; they route through the run's EvalCache).
-	SweepMaxSamples int
-	// CounterMaxNodes caps the determinant evaluations the terminal
-	// contour-counter stage spends per certification run (default 250000).
-	// One node is an O(N·p²) structured factorization — cheap enough that
-	// the sharper structured proximity alarm, which bisects harder near
-	// eigenvalue clusters than the dense LU min-pivot did, is worth paying
-	// for (the old dense-LU default was 50000). Intervals whose quadrature
-	// exhausts the budget stay open with a Note.
-	CounterMaxNodes int
-	// CounterMaxDim caps the Hamiltonian dimension N = 2·n·P the counter
-	// stage will walk contours around (default 6000). The structured
-	// diagonal-plus-low-rank kernel prices one quadrature node at O(N·p²)
-	// with p = 2·ports — the dense O(N³) complex LU pinned the old default
-	// at 600 — so the gate tracks node affordability, not factorization
-	// cost. Larger models keep their unsettled intervals open with a Note
-	// and a Declined count.
-	CounterMaxDim int
 }
+
+const (
+	// tailMaxIntervals bounds the tail-bound stage's subdivision work
+	// (interval evaluations).
+	tailMaxIntervals = 4096
+	// tailBudget is the fraction of the passivity headroom (limit −
+	// σmax(D)) the restricted stage may allocate to truncated far-pole
+	// tails. Smaller values keep more poles in the reduced models.
+	tailBudget = 0.25
+	// sweepMaxSamples caps the σ evaluations of the Lipschitz certified
+	// sweep (they route through the run's EvalCache).
+	sweepMaxSamples = 20000
+	// counterMaxNodes caps the determinant evaluations the terminal
+	// contour-counter stage spends per certification run. One node is an
+	// O(N·p²) structured factorization — cheap enough that the sharper
+	// structured proximity alarm, which bisects harder near eigenvalue
+	// clusters than the dense LU min-pivot did, is worth paying for (the
+	// old dense-LU cap was 50000). Intervals whose quadrature exhausts the
+	// budget stay open with a Note.
+	counterMaxNodes = 250000
+	// counterMaxDim caps the Hamiltonian dimension N = 2·n·P the counter
+	// stage will walk contours around. The structured diagonal-plus-low-
+	// rank kernel prices one quadrature node at O(N·p²) with p = 2·ports —
+	// the dense O(N³) complex LU pinned the old cap at 600 — so the gate
+	// tracks node affordability, not factorization cost. Larger models keep
+	// their unsettled intervals open with a Note and a Declined count.
+	counterMaxDim = 6000
+)
 
 func (o *CertifyOptions) defaults() {
 	if o.MaxDim <= 0 {
@@ -125,21 +127,6 @@ func (o *CertifyOptions) defaults() {
 	}
 	if o.RestrictedMaxDim <= 0 {
 		o.RestrictedMaxDim = 1200
-	}
-	if o.TailMaxIntervals <= 0 {
-		o.TailMaxIntervals = 4096
-	}
-	if o.TailBudget <= 0 || o.TailBudget >= 1 {
-		o.TailBudget = 0.25
-	}
-	if o.SweepMaxSamples <= 0 {
-		o.SweepMaxSamples = 20000
-	}
-	if o.CounterMaxNodes <= 0 {
-		o.CounterMaxNodes = 250000
-	}
-	if o.CounterMaxDim <= 0 {
-		o.CounterMaxDim = 6000
 	}
 }
 
@@ -215,9 +202,9 @@ func DefaultPipeline(model *rational.Model, copts CertifyOptions) *Pipeline {
 }
 
 // Certify runs the default certification pipeline over the whole frequency
-// axis. opts supplies the passivity tolerance and the evaluation cache/
-// workspaces of the surrounding run (both optional); copts tunes the
-// pipeline. The zero value of both option structs works.
+// axis. opts supplies the context and the evaluation cache/workspaces of
+// the surrounding run (all optional); copts sets the eigentest dimension
+// gates. The zero value of both option structs works.
 func Certify(model *rational.Model, opts CheckOptions, copts CertifyOptions) (*Certificate, error) {
 	copts.defaults()
 	return DefaultPipeline(model, copts).Run(model, opts, copts)
@@ -230,8 +217,8 @@ func (p *Pipeline) Run(model *rational.Model, opts CheckOptions, copts CertifyOp
 	cc := &certContext{
 		model:  model,
 		dSigma: mat.MaxSingularValue(mat.RealToComplex(model.D)),
-		limit:  1 + opts.Tol,
-		relTol: opts.AdaptiveRelTol,
+		limit:  1 + passivityTol,
+		relTol: adaptiveRelTol,
 		copts:  copts,
 		cache:  opts.Cache,
 		ws:     opts.work.get(0),
@@ -466,7 +453,7 @@ func (tailStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, 
 	for _, iv := range open {
 		work = append(work, job{iv: iv})
 	}
-	budget := cc.copts.TailMaxIntervals
+	budget := tailMaxIntervals
 	var rem []CertInterval
 	for len(work) > 0 {
 		j := work[len(work)-1]
@@ -548,7 +535,7 @@ type lipJob struct {
 
 func (lipschitzStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
 	cost := StageCost{Stage: StageLipschitz}
-	budget := cc.copts.SweepMaxSamples
+	budget := sweepMaxSamples
 	sample := func(w float64) float64 {
 		// A resident σ is free: only genuine evaluations are charged
 		// against the budget and reported as stage cost.
@@ -825,7 +812,7 @@ func certifyRestricted(cc *certContext, iv CertInterval, cost *StageCost) (bool,
 		return false, nil, nil
 	}
 	units := intervalUnits(cc, iv.Lo, iv.Hi)
-	budget := cc.copts.TailBudget * headroom
+	budget := tailBudget * headroom
 	maxNear := cc.copts.RestrictedMaxDim / (2 * cc.model.Ports())
 	// Two attempts: the nominal far budget, then half of it (twice the
 	// poles) when the nominal reduction is too coarse to settle the band.

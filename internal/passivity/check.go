@@ -33,7 +33,7 @@ const (
 //
 //	Method       | Cost                     | Wins when
 //	-------------+--------------------------+----------------------------------
-//	Hamiltonian  | O(N³) eigensolve         | N ≲ HamiltonianMaxDim; exact
+//	Hamiltonian  | O(N³) eigensolve         | N ≤ hamiltonianMaxDim; exact
 //	             |                          | crossings needed (certification,
 //	             |                          | oracle for the other methods).
 //	Sweep        | SweepPoints × O(P²n+P³)  | mid-size models with broad, well
@@ -44,8 +44,8 @@ const (
 //	             |                          | resonant bands a fixed grid can
 //	             |                          | step over; cheapest inside
 //	             |                          | Enforce via the EvalCache.
-//	Auto         | —                        | Hamiltonian below
-//	             |                          | HamiltonianMaxDim, Adaptive above.
+//	Auto         | —                        | Hamiltonian up to
+//	             |                          | hamiltonianMaxDim, Adaptive above.
 //
 // All methods except Hamiltonian only ever sample σ(ω) and can therefore
 // step over a residual band. CheckOptions.Certify escalates a passive
@@ -61,7 +61,7 @@ const (
 //	                       |                        | exact, one shot.
 //	lipschitz              | one σ sample per       | N > MaxDim, passive pole
 //	                       | bisection, capped by   | bands: σ-anchored bound
-//	                       | SweepMaxSamples        | sees residue cancellation.
+//	                       | sweepMaxSamples        | sees residue cancellation.
 //	hamiltonian-restricted | Σ O((2·n_near·P)³)     | large N, local violations:
 //	                       | per open interval      | level-γ test on reduced
 //	                       |                        | models, γ charged by the
@@ -75,12 +75,21 @@ const (
 //	                       |                        | proves none.
 //	contour-counter        | O(N·p²) per contour    | whatever is still open;
 //	                       | node, capped by        | free when nothing is.
-//	                       | CounterMaxNodes        |
+//	                       | counterMaxNodes        |
 //
 // There is no shift-and-invert probe stage between the restricted stage
 // and the counter: forced onto 240 synthetic models (MaxDim 16) one ran
 // on 58 and found a violation on none, and removing it changed no
 // certificate.
+
+const (
+	// hamiltonianMaxDim is the largest Hamiltonian dimension N = 2·n·P
+	// that MethodAuto still treats exactly.
+	hamiltonianMaxDim = 400
+	// passivityTol is the passivity slack: σ ≤ 1+passivityTol counts as
+	// passive.
+	passivityTol = 1e-9
+)
 
 // CheckOptions configures a passivity check.
 type CheckOptions struct {
@@ -90,24 +99,11 @@ type CheckOptions struct {
 	OmegaMin, OmegaMax float64
 	// SweepPoints is the log-grid density of the sweep (default 1000).
 	SweepPoints int
-	// HamiltonianMaxDim is the largest Hamiltonian dimension (2·n·P) that
-	// MethodAuto still treats exactly (default 400).
-	HamiltonianMaxDim int
-	// Tol is the passivity slack: σ ≤ 1+Tol counts as passive
-	// (default 1e-9).
-	Tol float64
 	// Workers bounds the goroutines used by the sweep grid evaluation
 	// (0 = GOMAXPROCS, 1 = serial). Results are independent of the value.
 	Workers int
-	// AdaptiveSeedPoints is the coarse log-grid density the adaptive
-	// characterizer starts from (default 64). Pole resonances are always
-	// added on top.
-	AdaptiveSeedPoints int
 	// AdaptiveMaxStages caps the number of refinement stages (default 64).
 	AdaptiveMaxStages int
-	// AdaptiveRelTol is the relative tolerance to which violation-band
-	// edges are bracketed (default 1e-3).
-	AdaptiveRelTol float64
 	// AdaptiveMaxSamples caps the σ evaluations the adaptive refinement
 	// stages may spend beyond the mandatory seed grid (default 20000).
 	AdaptiveMaxSamples int
@@ -120,8 +116,6 @@ type CheckOptions struct {
 	// the fast method every sweep and escalates only on convergence — so
 	// this flag matters for standalone checks.
 	Certify bool
-	// CertifyOpts tunes the certification pipeline (zero value = defaults).
-	CertifyOpts CertifyOptions
 	// Ctx, when non-nil, cancels the check cooperatively: parallel σ
 	// fan-outs stop claiming new frequencies (in-flight evaluations drain
 	// deterministically, no goroutine leaks), the adaptive stage loop and
@@ -179,23 +173,11 @@ func (o *CheckOptions) defaults(model *rational.Model) {
 	if o.SweepPoints <= 0 {
 		o.SweepPoints = 1000
 	}
-	if o.HamiltonianMaxDim <= 0 {
-		o.HamiltonianMaxDim = 400
-	}
-	if o.AdaptiveSeedPoints <= 1 {
-		o.AdaptiveSeedPoints = 64
-	}
 	if o.AdaptiveMaxStages <= 0 {
 		o.AdaptiveMaxStages = 64
 	}
-	if o.AdaptiveRelTol <= 0 {
-		o.AdaptiveRelTol = 1e-3
-	}
 	if o.AdaptiveMaxSamples <= 0 {
 		o.AdaptiveMaxSamples = 20000
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
 	}
 	if o.work == nil {
 		o.work = newWorkspacePool()
@@ -232,7 +214,7 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 	dSigma := mat.MaxSingularValue(mat.RealToComplex(model.D))
 	method := opts.Method
 	if method == MethodAuto {
-		if 2*model.NumPoles()*model.Ports() <= opts.HamiltonianMaxDim {
+		if 2*model.NumPoles()*model.Ports() <= hamiltonianMaxDim {
 			method = MethodHamiltonian
 		} else {
 			method = MethodAdaptive
@@ -254,7 +236,7 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 		return nil, err
 	}
 	rep.DSigma = dSigma
-	if dSigma > 1+opts.Tol {
+	if dSigma > 1+passivityTol {
 		rep.Passive = false
 	}
 	if opts.Certify && rep.Passive {
@@ -286,7 +268,7 @@ func certifyReport(model *rational.Model, rep *Report, method Method, opts Check
 		}
 		return nil
 	}
-	cert, err := Certify(model, opts, opts.CertifyOpts)
+	cert, err := Certify(model, opts, CertifyOptions{})
 	if err != nil {
 		return err
 	}
@@ -341,7 +323,7 @@ func checkHamiltonian(model *rational.Model, opts CheckOptions) (*Report, error)
 		if sv > rep.MaxSigma {
 			rep.MaxSigma, rep.MaxOmega = sv, test
 		}
-		if sv > 1+opts.Tol {
+		if sv > 1+passivityTol {
 			peakW, peakS := refinePeak(model, lo, hi, test, opts.Cache, ws)
 			if peakS > rep.MaxSigma {
 				rep.MaxSigma, rep.MaxOmega = peakS, peakW
@@ -467,7 +449,7 @@ func assembleReport(model *rational.Model, grid, sv []float64, opts CheckOptions
 	// Refine every local maximum that comes close to the limit: a peak
 	// sampled slightly off-crest can hide a violation.
 	for i := 1; i+1 < len(grid); i++ {
-		if sv[i] < 1-5e-3 || sv[i] <= sv[i-1] || sv[i] <= sv[i+1] || sv[i] > 1+opts.Tol {
+		if sv[i] < 1-5e-3 || sv[i] <= sv[i-1] || sv[i] <= sv[i+1] || sv[i] > 1+passivityTol {
 			continue
 		}
 		lo := grid[i-1]
@@ -485,7 +467,7 @@ func assembleReport(model *rational.Model, grid, sv []float64, opts CheckOptions
 		}
 	}
 	// Contiguous runs above 1 become violation bands.
-	limit := 1 + opts.Tol
+	limit := 1 + passivityTol
 	i := 0
 	for i < len(grid) {
 		if sv[i] <= limit {

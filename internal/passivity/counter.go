@@ -208,20 +208,20 @@ type counterStage struct{}
 func (counterStage) Name() string { return StageCounter }
 
 func (counterStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
-	cost := StageCost{Stage: StageCounter, DimGate: cc.copts.CounterMaxDim}
+	cost := StageCost{Stage: StageCounter, DimGate: counterMaxDim}
 	if len(open) == 0 {
 		// Nothing left to settle: skip building the Hamiltonian entirely —
 		// the terminal stage must be free on the steady-state path where the
 		// earlier certificates already covered the axis.
 		return nil, nil, cost, nil
 	}
-	if dim := 2 * len(cc.model.Poles) * cc.model.D.Rows; dim > cc.copts.CounterMaxDim {
+	if dim := 2 * len(cc.model.Poles) * cc.model.D.Rows; dim > counterMaxDim {
 		// Each quadrature node costs O(N·p²) on the structured kernel; past
 		// the configured frontier the node budget would dominate the run.
 		// Decline honestly instead of stalling, and count the declined
 		// intervals so the gate is visible in metrics, not just in this
 		// note.
-		cost.Note = fmt.Sprintf("counter declined: Hamiltonian dim %d exceeds CounterMaxDim %d", dim, cc.copts.CounterMaxDim)
+		cost.Note = fmt.Sprintf("counter declined: Hamiltonian dim %d exceeds the counter dimension gate %d", dim, counterMaxDim)
 		cost.Declined = len(open)
 		return open, nil, cost, nil
 	}
@@ -232,7 +232,7 @@ func (counterStage) certify(cc *certContext, open []CertInterval) ([]CertInterva
 		cost.Note = err.Error()
 		return open, nil, cost, nil
 	}
-	ic.Budget = cc.copts.CounterMaxNodes
+	ic.Budget = counterMaxNodes
 	cost.EigenDim = ic.Dim()
 	var rem []CertInterval
 	var viols []Violation

@@ -23,19 +23,11 @@ type EnforceOptions struct {
 	// (default 1e-4) so that the linearization error does not leave
 	// residual violations.
 	Margin float64
-	// GuardBand adds preventive constraints on singular values that are
-	// still below one but within GuardBand of it (default 2e-3), damping
-	// the whack-a-mole effect of violations reappearing next to freshly
-	// fixed bands.
-	GuardBand float64
 	// CostGramian is the n×n SPD matrix G defining the perturbation norm
 	// ‖δS‖² = Σ_ij δc_ij·G·δc_ijᵀ. Nil selects the standard L2 cost, the
 	// controllability Gramian of the pole basis (paper eq. 10). The
 	// sensitivity-weighted scheme passes P^Ξ,11 (paper eq. 20).
 	CostGramian *mat.Matrix
-	// MaxBandSubdivision adds up to this many interior constraint
-	// frequencies for wide violation bands (default 3).
-	MaxBandSubdivision int
 	// ClampD allows a one-time singular-value clip of the direct-coupling
 	// matrix D to 1−Margin when the fitted model violates passivity
 	// asymptotically (σmax(D) ≥ 1). Residue perturbation cannot repair D,
@@ -49,9 +41,17 @@ type EnforceOptions struct {
 	// construction. The per-sweep checks themselves stay on the fast
 	// method; certification runs only when they report passive.
 	Certify bool
-	// CertifyOpts tunes the certification pipeline (zero value = defaults).
-	CertifyOpts CertifyOptions
 }
+
+const (
+	// guardBand adds preventive constraints on singular values that are
+	// still below one but within guardBand of it, damping the whack-a-mole
+	// effect of violations reappearing next to freshly fixed bands.
+	guardBand = 2e-3
+	// maxBandSubdivision is the number of interior constraint frequencies
+	// added for a wide violation band.
+	maxBandSubdivision = 3
+)
 
 // IterationStats records one enforcement sweep.
 type IterationStats struct {
@@ -123,12 +123,6 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 	}
 	if opts.Margin <= 0 {
 		opts.Margin = 1e-4
-	}
-	if opts.GuardBand <= 0 {
-		opts.GuardBand = 2e-3
-	}
-	if opts.MaxBandSubdivision <= 0 {
-		opts.MaxBandSubdivision = 3
 	}
 	rep := &EnforceReport{}
 	dSigma := mat.MaxSingularValue(mat.RealToComplex(model.D))
@@ -273,7 +267,7 @@ func escalateConverged(model *rational.Model, opts *EnforceOptions, rep *Enforce
 	if !opts.Certify {
 		return true, nil
 	}
-	cert, err := Certify(model, opts.Check, opts.CertifyOpts)
+	cert, err := Certify(model, opts.Check, CertifyOptions{})
 	if err != nil {
 		return false, err
 	}
@@ -342,7 +336,7 @@ func buildConstraints(model *rational.Model, chk *Report, opts EnforceOptions, c
 		svd := mat.CSVDecomposeInto(&ws.svd, ws.h)
 		n := len(ktil)
 		for i, sigma := range svd.S {
-			if sigma <= 1-opts.GuardBand {
+			if sigma <= 1-guardBand {
 				break // sorted descending
 			}
 			c := constraint{
@@ -375,7 +369,7 @@ func constraintFrequencies(chk *Report, opts EnforceOptions) []float64 {
 		lo, hi := v.OmegaLo, v.OmegaHi
 		if lo > 0 && !math.IsInf(hi, 1) && hi > lo*1.05 {
 			// Wide band: sprinkle interior points geometrically.
-			k := opts.MaxBandSubdivision
+			k := maxBandSubdivision
 			for i := 1; i <= k; i++ {
 				t := float64(i) / float64(k+1)
 				w := lo * math.Pow(hi/lo, t)

@@ -136,9 +136,9 @@ func TestCertifiedBatchWorkerInvariance(t *testing.T) {
 			}
 			lib = append(lib, m)
 		}
-		// The shared weight: each model's cost Gramian is built on its
-		// owning worker from its own pole set.
-		bopts := BatchOptions{Enforce: *opts, Weight: weight}
+		// One weight for every model: each model's cost Gramian is built
+		// on its owning worker from its own pole set.
+		bopts := BatchOptions{Enforce: *opts, Weights: sameWeight(weight, len(lib))}
 		bopts.Enforce.CostGramian = nil
 		bopts.Enforce.Certify = true
 		return lib, bopts

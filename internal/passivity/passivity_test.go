@@ -117,12 +117,20 @@ func TestCheckAutoSelectsMethod(t *testing.T) {
 	if rep.Method != "hamiltonian" {
 		t.Fatalf("small model should use hamiltonian, got %s", rep.Method)
 	}
-	rep, err = Check(m, CheckOptions{Method: MethodAuto, HamiltonianMaxDim: 2})
+	// 2 ports × 102 poles: N = 408 lies just past the Hamiltonian gate.
+	big, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 102, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := 2 * big.NumPoles() * big.Ports(); n <= hamiltonianMaxDim {
+		t.Fatalf("test model N = %d does not exceed the gate %d", n, hamiltonianMaxDim)
+	}
+	rep, err = Check(big, CheckOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Method != "adaptive" {
-		t.Fatalf("forced-large model should use the adaptive characterizer, got %s", rep.Method)
+		t.Fatalf("model above the gate should use the adaptive characterizer, got %s", rep.Method)
 	}
 }
 
@@ -184,7 +192,7 @@ func TestAssembleDualMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := EnforceOptions{Margin: 1e-4, GuardBand: 2e-3, MaxBandSubdivision: 3}
+	opts := EnforceOptions{Margin: 1e-4}
 	cons, err := buildConstraints(m, chk, opts, chol)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 // singular-value slice and a basis scratch. After the first evaluation at a
 // given model size every σ evaluation through the workspace is
 // allocation-free. A workspace is not safe for concurrent use — the
-// workspacePool hands a private one to each parallel.ForWorker goroutine.
+// workspacePool hands a private one to each parallel.ForWorkerCtx goroutine.
 type checkWorkspace struct {
 	svd   mat.CSVDWorkspace
 	h     *mat.CMatrix

@@ -12,7 +12,6 @@ package rational
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 
 	"repro/internal/mat"
@@ -299,24 +298,6 @@ func BasisFromPoles(poles []complex128) (*mat.Matrix, []float64) {
 	return a, b
 }
 
-// EntryRealization returns the SISO state-space realization of entry (i,j).
-func (m *Model) EntryRealization(i, j int) *statespace.System {
-	a, b1 := m.BasisRealization()
-	n := len(b1)
-	b := mat.NewMatrix(n, 1)
-	for k := 0; k < n; k++ {
-		b.Set(k, 0, b1[k])
-	}
-	cv := m.CVector(i, j)
-	c := mat.NewMatrix(1, n)
-	for k := 0; k < n; k++ {
-		c.Set(0, k, cv[k])
-	}
-	d := mat.NewMatrix(1, 1)
-	d.Set(0, 0, m.D.At(i, j))
-	return statespace.MustNew(a, b, c, d)
-}
-
 // Realization returns the full MIMO realization with A = I_P ⊗ A₁,
 // B = I_P ⊗ b₁, and rows of C holding the per-entry residue coordinates.
 // State ordering is port-major: states n·j..n·j+n−1 belong to input j.
@@ -340,23 +321,4 @@ func (m *Model) Realization() *statespace.System {
 		}
 	}
 	return statespace.MustNew(a, b, c, m.D.Clone())
-}
-
-// IsSymmetric reports whether the model is reciprocal: every residue matrix
-// and D symmetric within tol (scaled by the matrix magnitude).
-func (m *Model) IsSymmetric(tol float64) bool {
-	p := m.Ports()
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			if math.Abs(m.D.At(i, j)-m.D.At(j, i)) > tol {
-				return false
-			}
-			for _, r := range m.Residues {
-				if cmplx.Abs(r.At(i, j)-r.At(j, i)) > tol*(1+cmplx.Abs(r.At(i, j))) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

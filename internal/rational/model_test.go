@@ -79,25 +79,6 @@ func TestRealizationMatchesEval(t *testing.T) {
 	}
 }
 
-func TestEntryRealizationMatchesEvalEntry(t *testing.T) {
-	m := testModel(t)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			sys := m.EntryRealization(i, j)
-			for _, omega := range []float64{0.3, 5, 9} {
-				h, err := sys.Eval(omega)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := m.EvalEntry(i, j, omega)
-				if cmplx.Abs(h.At(0, 0)-want) > 1e-10*(1+cmplx.Abs(want)) {
-					t.Fatalf("entry (%d,%d) ω=%v: %v vs %v", i, j, omega, h.At(0, 0), want)
-				}
-			}
-		}
-	}
-}
-
 func TestCVectorRoundTrip(t *testing.T) {
 	m := testModel(t)
 	c01 := m.CVector(0, 1)
@@ -298,17 +279,6 @@ func TestSortPairsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIsSymmetric(t *testing.T) {
-	m := testModel(t)
-	if !m.IsSymmetric(1e-12) {
-		t.Fatalf("test model is reciprocal by construction")
-	}
-	m.Residues[0].Set(0, 1, 99)
-	if m.IsSymmetric(1e-12) {
-		t.Fatalf("asymmetry not detected")
 	}
 }
 

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"runtime"
-	"sync"
 
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/rational"
 )
 
@@ -204,19 +203,17 @@ func fitCore(points []complex128, responses [][]complex128, opts Options) ([]com
 	cMat := make([][]float64, nr)
 	dVec := make([]float64, nr)
 	phi := basisMatrix(points, poles)
-	runParallel(nr, opts.Sequential, func(r int) error {
+	err = parallel.ForErr(fanout(opts.Sequential), nr, func(r int) error {
 		c, d, err := residueLS(phi, points, responses[r], weights, opts.SkipD)
 		if err != nil {
-			return err
+			return fmt.Errorf("response %d: %w", r, err)
 		}
 		cMat[r] = c
 		dVec[r] = d
 		return nil
 	})
-	for r := 0; r < nr; r++ {
-		if cMat[r] == nil {
-			return nil, nil, nil, nil, fmt.Errorf("vecfit: residue identification failed for response %d", r)
-		}
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("vecfit: residue identification failed for %w", err)
 	}
 	_ = n
 	return poles, cMat, dVec, rep, nil
@@ -270,7 +267,7 @@ func sigmaSolve(phi *mat.CMatrix, points []complex128, responses [][]complex128,
 		rhs []float64   // nct
 	}
 	blocks := make([]block, nr)
-	err := runParallel(nr, opts.Sequential, func(r int) error {
+	err := parallel.ForErr(fanout(opts.Sequential), nr, func(r int) error {
 		h := responses[r]
 		m := mat.NewMatrix(2*k, width)
 		for ki := 0; ki < k; ki++ {
@@ -470,52 +467,13 @@ func poleMovement(old, cur []complex128) float64 {
 	return mx
 }
 
-// runParallel executes fn(i) for i in [0,n), using a worker pool unless
-// sequential execution is requested. The first error wins.
-func runParallel(n int, sequential bool, fn func(int) error) error {
-	if sequential || n < 2 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
+// fanout maps Options.Sequential to a parallel.ForErr worker count
+// (0 = GOMAXPROCS).
+func fanout(sequential bool) int {
+	if sequential {
+		return 1
 	}
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs error
-		next int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if errs == nil {
-						errs = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
+	return 0
 }
 
 // constrainD enforces σmax(D) ≤ cap on the assembled per-response constant
@@ -548,7 +506,7 @@ func constrainD(points []complex128, responses [][]complex128, weights []float64
 	}
 	phi := basisMatrix(points, poles)
 	k := len(points)
-	err := runParallel(len(responses), sequential, func(r int) error {
+	err := parallel.ForErr(fanout(sequential), len(responses), func(r int) error {
 		adj := make([]complex128, k)
 		for ki := 0; ki < k; ki++ {
 			adj[ki] = responses[r][ki] - complex(dVec[r], 0)

@@ -212,18 +212,6 @@ type CheckOptions struct {
 	FreqMin, FreqMax float64
 	// SweepPoints sets the sweep grid density (0 = default 1000).
 	SweepPoints int
-	// Workers bounds the goroutines of the sweep evaluation
-	// (0 = GOMAXPROCS, 1 = serial); the result does not depend on it.
-	Workers int
-	// AdaptiveSeedPoints sets the adaptive characterizer's coarse seed
-	// grid density (0 = default 64); pole resonances are always added.
-	AdaptiveSeedPoints int
-	// AdaptiveRelTol is the relative tolerance to which the adaptive
-	// characterizer brackets violation-band edges (0 = default 1e-3).
-	AdaptiveRelTol float64
-	// AdaptiveMaxSamples caps the adaptive refinement's σ evaluations
-	// beyond the seed grid (0 = default 20000).
-	AdaptiveMaxSamples int
 	// Certify escalates a passive verdict through the staged certification
 	// pipeline — closed-form tail-bound interval certificates, then an
 	// exact or restricted-band Hamiltonian eigentest — so that "no
@@ -235,14 +223,10 @@ type CheckOptions struct {
 
 func (o CheckOptions) internal() passivity.CheckOptions {
 	opts := passivity.CheckOptions{
-		OmegaMin:           2 * math.Pi * o.FreqMin,
-		OmegaMax:           2 * math.Pi * o.FreqMax,
-		SweepPoints:        o.SweepPoints,
-		Workers:            o.Workers,
-		AdaptiveSeedPoints: o.AdaptiveSeedPoints,
-		AdaptiveRelTol:     o.AdaptiveRelTol,
-		AdaptiveMaxSamples: o.AdaptiveMaxSamples,
-		Certify:            o.Certify,
+		OmegaMin:    2 * math.Pi * o.FreqMin,
+		OmegaMax:    2 * math.Pi * o.FreqMax,
+		SweepPoints: o.SweepPoints,
+		Certify:     o.Certify,
 	}
 	switch o.Method {
 	case CheckHamiltonian:
@@ -344,6 +328,18 @@ type EnforceOptions struct {
 	Certify bool
 }
 
+// internal converts the options to the engine's; Weight is resolved by
+// the caller into a cost Gramian or per-model batch weights.
+func (o EnforceOptions) internal() passivity.EnforceOptions {
+	return passivity.EnforceOptions{
+		Check:         o.Check.internal(),
+		MaxIterations: o.MaxIterations,
+		Margin:        o.Margin,
+		ClampD:        o.ClampD,
+		Certify:       o.Certify,
+	}
+}
+
 // EnforceReport summarizes an enforcement run.
 type EnforceReport struct {
 	Passive    bool
@@ -380,11 +376,7 @@ type ScalingEnforceReport struct {
 // baseline, kept for the enforcement-accuracy ablation. opts.Weight is
 // ignored; use EnforcePassivity for the perturbation schemes.
 func EnforcePassivityByScaling(m *Macromodel, opts EnforceOptions) (*ScalingEnforceReport, error) {
-	rep, err := passivity.EnforceByResidueScaling(m.model, passivity.EnforceOptions{
-		Check:  opts.Check.internal(),
-		Margin: opts.Margin,
-		ClampD: opts.ClampD,
-	})
+	rep, err := passivity.EnforceByResidueScaling(m.model, opts.internal())
 	if err != nil {
 		return nil, err
 	}

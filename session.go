@@ -66,24 +66,12 @@ const DefaultSessionCacheBudget int64 = 256 << 20
 // SessionOption configures NewSession.
 type SessionOption func(*Session)
 
-// WithWorkers sets the default worker count of the session's checks and
-// batch runs (0 keeps the per-call/GOMAXPROCS default). An explicit
-// Workers in a call's options still wins.
+// WithWorkers sets the worker count of the session's σ fan-outs and the
+// default model-level parallelism of its batch runs (0 = GOMAXPROCS,
+// 1 = serial; an explicit BatchEnforceOptions.Workers still wins). Results
+// do not depend on it.
 func WithWorkers(n int) SessionOption {
 	return func(s *Session) { s.workers = n }
-}
-
-// WithMethod sets the default passivity detection method applied whenever
-// a call's CheckOptions leave Method at CheckAuto.
-func WithMethod(m CheckMethod) SessionOption {
-	return func(s *Session) { s.method = m }
-}
-
-// WithCertify makes every check and enforcement of the session certified
-// (equivalent to setting Certify on each call's options): passive verdicts
-// escalate through the staged certification pipeline.
-func WithCertify(on bool) SessionOption {
-	return func(s *Session) { s.certify = on }
 }
 
 // WithProgress installs a progress sink receiving sweep, iteration and
@@ -130,12 +118,11 @@ type sessionCache struct {
 }
 
 // Session is a long-lived engine for the iterative fit → weight → enforce →
-// re-check workflow. It owns shared defaults (workers, detection method,
-// certification policy, progress sink) and — unlike the stateless root
-// functions, which rebuild evaluation state on every call — a bounded pool
-// of per-pole-set EvalCaches that survive across Check, Enforce,
-// EnforceBatch and Extract calls: repeated sweeps over a fixed-pole model
-// library reuse the pole-basis vectors and the σ samples — each residue
+// re-check workflow. It owns shared settings (worker count, progress
+// sink) and — unlike the stateless root functions, which rebuild
+// evaluation state on every call — a bounded pool of per-pole-set
+// EvalCaches that survive across Check, Enforce, EnforceBatch and
+// Extract calls: repeated sweeps over a fixed-pole model library reuse the pole-basis vectors and the σ samples — each residue
 // variant's σ layer is parked in a per-cache stash while its siblings run,
 // so a re-checked parameter sweep stays warm end to end — instead of
 // recomputing them. The σ layers persist across processes
@@ -153,8 +140,6 @@ type sessionCache struct {
 // recomputed, never the values themselves.
 type Session struct {
 	workers  int
-	method   CheckMethod
-	certify  bool
 	progress func(ProgressEvent)
 	budget   int64
 
@@ -448,33 +433,14 @@ func (s *Session) progressFunc() passivity.ProgressFunc {
 	}
 }
 
-// applyDefaults folds the session-wide defaults into one call's check
-// options: the session method fills an Auto method, the session worker
-// count fills an unset Workers, and the session certify policy turns
-// certification on (an explicitly certified call stays certified either
-// way).
-func (s *Session) applyDefaults(opts CheckOptions) CheckOptions {
-	if opts.Method == CheckAuto && s.method != CheckAuto {
-		opts.Method = s.method
-	}
-	if opts.Workers == 0 && s.workers != 0 {
-		opts.Workers = s.workers
-	}
-	if s.certify {
-		opts.Certify = true
-	}
-	return opts
-}
-
-// internalCheck builds the internal options for a session call: session
-// defaults, context, progress sink and the checked-out cache.
-func (s *Session) internalCheck(ctx context.Context, opts CheckOptions, cache *passivity.EvalCache, model int) passivity.CheckOptions {
-	iopts := s.applyDefaults(opts).internal()
-	iopts.Ctx = ctx
-	iopts.Progress = s.progressFunc()
-	iopts.ProgressModel = model
-	iopts.Cache = cache
-	return iopts
+// bind attaches the session's worker count, progress sink, the call's
+// context and the checked-out cache to one call's internal check options.
+func (s *Session) bind(ctx context.Context, o *passivity.CheckOptions, cache *passivity.EvalCache, model int) {
+	o.Workers = s.workers
+	o.Ctx = ctx
+	o.Progress = s.progressFunc()
+	o.ProgressModel = model
+	o.Cache = cache
 }
 
 // Check assesses the passivity of the model like CheckPassivity, reusing
@@ -484,7 +450,8 @@ func (s *Session) internalCheck(ctx context.Context, opts CheckOptions, cache *p
 // vector. Cancelling ctx aborts cooperatively with ctx.Err().
 func (s *Session) Check(ctx context.Context, m *Macromodel, opts CheckOptions) (*PassivityReport, error) {
 	e, cache := s.checkout(m.model)
-	iopts := s.internalCheck(ctx, opts, cache, -1)
+	iopts := opts.internal()
+	s.bind(ctx, &iopts, cache, -1)
 	rep, err := passivity.Check(m.model, iopts)
 	s.checkin(e, m.model)
 	if err != nil {
@@ -507,16 +474,8 @@ func (s *Session) Enforce(ctx context.Context, m *Macromodel, opts EnforceOption
 
 // enforceWith runs one enforcement with an explicit cache and model tag.
 func (s *Session) enforceWith(ctx context.Context, m *Macromodel, opts EnforceOptions, cache *passivity.EvalCache, model int) (*EnforceReport, error) {
-	eopts := passivity.EnforceOptions{
-		Check:         s.internalCheck(ctx, opts.Check, cache, model),
-		MaxIterations: opts.MaxIterations,
-		Margin:        opts.Margin,
-		ClampD:        opts.ClampD,
-		Certify:       opts.Certify || s.certify,
-	}
-	// The engine certifies on convergence itself; the per-sweep checks stay
-	// on the fast method (mirrors EnforcePassivity).
-	eopts.Check.Certify = false
+	eopts := opts.internal()
+	s.bind(ctx, &eopts.Check, cache, model)
 	var rep *passivity.EnforceReport
 	var err error
 	if opts.Weight != nil {
@@ -571,15 +530,8 @@ func (s *Session) EnforceBatch(ctx context.Context, models []*Macromodel, opts B
 	// worker goroutine — no cross-worker sharing.
 	entries := make([]*sessionCache, len(models))
 	bopts := passivity.BatchOptions{
-		Enforce: passivity.EnforceOptions{
-			Check:         s.internalCheck(ctx, opts.Enforce.Check, nil, -1),
-			MaxIterations: opts.Enforce.MaxIterations,
-			Margin:        opts.Enforce.Margin,
-			ClampD:        opts.Enforce.ClampD,
-			Certify:       opts.Enforce.Certify || s.certify,
-		},
+		Enforce: opts.Enforce.internal(),
 		Workers: opts.Workers,
-		Ctx:     ctx,
 		CacheFor: func(i int) *passivity.EvalCache {
 			e, c := s.checkout(raw[i])
 			entries[i] = e
@@ -589,19 +541,18 @@ func (s *Session) EnforceBatch(ctx context.Context, models []*Macromodel, opts B
 			s.checkin(entries[i], raw[i])
 			entries[i] = nil
 		},
-		Progress: s.progressFunc(),
 	}
-	bopts.Enforce.Check.Certify = false
-	bopts.Enforce.Check.Cache = nil
-	if opts.Workers == 0 && s.workers != 0 {
+	s.bind(ctx, &bopts.Enforce.Check, nil, -1)
+	if opts.Workers == 0 {
 		bopts.Workers = s.workers
 	}
-	if w := opts.Enforce.Weight; w != nil {
-		bopts.Weight = w.model
-	}
-	if opts.Weights != nil {
-		bopts.Weights = make([]*rational.Model, len(opts.Weights))
-		for i, w := range opts.Weights {
+	if opts.Weights != nil || opts.Enforce.Weight != nil {
+		bopts.Weights = make([]*rational.Model, len(models))
+		for i := range models {
+			w := opts.Enforce.Weight
+			if opts.Weights != nil && opts.Weights[i] != nil {
+				w = opts.Weights[i]
+			}
 			if w != nil {
 				bopts.Weights[i] = w.model
 			}

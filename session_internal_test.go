@@ -41,10 +41,10 @@ func preSessionCheck(t *testing.T, m *Macromodel, opts CheckOptions) *PassivityR
 func TestSessionCheckBitwiseIdenticalToStateless(t *testing.T) {
 	for _, method := range []CheckMethod{CheckAdaptive, CheckSweep, CheckHamiltonian} {
 		m := syntheticViolator(t, 11)
-		opts := CheckOptions{Method: method, Workers: 2}
+		opts := CheckOptions{Method: method}
 		want := preSessionCheck(t, m, opts)
 
-		s := NewSession()
+		s := NewSession(WithWorkers(2))
 		cold, err := s.Check(context.Background(), m, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +66,7 @@ func TestSessionCheckBitwiseIdenticalToStateless(t *testing.T) {
 
 func TestSessionEnforceBitwiseIdenticalToStateless(t *testing.T) {
 	base := syntheticViolator(t, 23)
-	opts := EnforceOptions{Check: CheckOptions{Method: CheckAdaptive, Workers: 1}, ClampD: true}
+	opts := EnforceOptions{Check: CheckOptions{Method: CheckAdaptive}, ClampD: true}
 
 	// Pre-Session path: fresh internal enforcement on a clone.
 	mA := base.Clone()
@@ -82,7 +82,7 @@ func TestSessionEnforceBitwiseIdenticalToStateless(t *testing.T) {
 
 	// Session path, then a warm re-enforcement of another clone: the pole
 	// set matches, so the basis layer is shared, but results must not move.
-	s := NewSession()
+	s := NewSession(WithWorkers(1))
 	for pass, name := range map[int]string{0: "cold", 1: "warm"} {
 		mB := base.Clone()
 		got, err := s.Enforce(context.Background(), mB, opts)
@@ -113,7 +113,7 @@ func TestSessionEnforceClampDInvalidatesSigma(t *testing.T) {
 	for i := 0; i < p; i++ {
 		base.model.D.Set(i, i, base.model.D.At(i, i)+0.4)
 	}
-	opts := EnforceOptions{Check: CheckOptions{Method: CheckAdaptive, Workers: 1}, ClampD: true}
+	opts := EnforceOptions{Check: CheckOptions{Method: CheckAdaptive}, ClampD: true}
 
 	mA := base.Clone()
 	repA, err := passivity.Enforce(mA.model, passivity.EnforceOptions{Check: opts.Check.internal(), ClampD: true})
@@ -125,7 +125,7 @@ func TestSessionEnforceClampDInvalidatesSigma(t *testing.T) {
 	}
 	want := toPublicEnforceReport(repA)
 
-	s := NewSession()
+	s := NewSession(WithWorkers(1))
 	mB := base.Clone()
 	// Warm the σ layer with the UNCLAMPED D.
 	if _, err := s.Check(context.Background(), mB, opts.Check); err != nil {
@@ -156,14 +156,14 @@ func TestSessionCacheSigmaInvalidationOnResidueChange(t *testing.T) {
 	delta[0] = 0.05
 	b.model.AddToCVector(0, 0, delta)
 
-	opts := CheckOptions{Method: CheckAdaptive, Workers: 1}
+	opts := CheckOptions{Method: CheckAdaptive}
 	wantA := preSessionCheck(t, a, opts)
 	wantB := preSessionCheck(t, b, opts)
 	if wantA.MaxSigma == wantB.MaxSigma {
 		t.Fatal("test premise broken: perturbed clone has identical σmax")
 	}
 
-	s := NewSession()
+	s := NewSession(WithWorkers(1))
 	gotA, err := s.Check(context.Background(), a, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestSessionBatchBitwiseIdenticalToStateless(t *testing.T) {
 		orig[i] = syntheticViolator(t, 100+int64(i))
 		seq[i] = orig[i].Clone()
 	}
-	opts := EnforceOptions{Check: CheckOptions{Method: CheckAdaptive, Workers: 1}, ClampD: true}
+	opts := EnforceOptions{Check: CheckOptions{Method: CheckAdaptive}, ClampD: true}
 	wantReps := make([]*EnforceReport, n)
 	for i, m := range seq {
 		eopts := passivity.EnforceOptions{Check: opts.Check.internal(), ClampD: true}
@@ -208,7 +208,7 @@ func TestSessionBatchBitwiseIdenticalToStateless(t *testing.T) {
 		}
 		wantReps[i] = toPublicEnforceReport(rep)
 	}
-	s := NewSession()
+	s := NewSession(WithWorkers(1))
 	for pass := 0; pass < 2; pass++ {
 		models := make([]*Macromodel, n)
 		for i := range models {
@@ -245,9 +245,9 @@ func TestSessionSigmaStashKeepsVariantsWarm(t *testing.T) {
 	delta[0] = 0.05
 	b.model.AddToCVector(0, 0, delta)
 
-	opts := CheckOptions{Method: CheckAdaptive, Workers: 1}
+	opts := CheckOptions{Method: CheckAdaptive}
 	ctx := context.Background()
-	s := NewSession()
+	s := NewSession(WithWorkers(1))
 	for _, m := range []*Macromodel{a, b} { // first round: both cold
 		if _, err := s.Check(ctx, m, opts); err != nil {
 			t.Fatal(err)

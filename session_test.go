@@ -301,35 +301,34 @@ func TestSessionResetAndDefaultSession(t *testing.T) {
 	}
 }
 
-// TestSessionDefaultsAndProgress: session-wide method/certify defaults
-// apply, and the progress sink sees check, iteration and certificate
-// events with the single-model tag.
+// TestSessionDefaultsAndProgress: the per-call method and certify
+// options apply under session-wide settings, and the progress sink sees
+// check, iteration and certificate events with the single-model tag.
 func TestSessionDefaultsAndProgress(t *testing.T) {
 	m := violatingLibrary(t, 1, 10)[0]
 	kinds := map[repro.ProgressKind]int{}
 	models := map[int]bool{}
 	s := repro.NewSession(
-		repro.WithMethod(repro.CheckAdaptive),
-		repro.WithCertify(true),
 		repro.WithWorkers(1),
 		repro.WithProgress(func(ev repro.ProgressEvent) {
 			kinds[ev.Kind]++ // serialized delivery: no locking needed
 			models[ev.Model] = true
 		}),
 	)
-	rep, err := s.Check(context.Background(), m, repro.CheckOptions{})
+	chk := repro.CheckOptions{Method: repro.CheckAdaptive, Certify: true}
+	rep, err := s.Check(context.Background(), m, chk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Method != "adaptive" {
-		t.Fatalf("session method default ignored: %q", rep.Method)
+		t.Fatalf("per-call method ignored: %q", rep.Method)
 	}
-	enf, err := s.Enforce(context.Background(), m, repro.EnforceOptions{ClampD: true})
+	enf, err := s.Enforce(context.Background(), m, repro.EnforceOptions{Check: chk, ClampD: true, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if enf.Certificate == nil || !enf.Certificate.Certified {
-		t.Fatal("session certify default did not produce a certificate")
+		t.Fatal("certified enforcement did not produce a certificate")
 	}
 	if kinds[repro.ProgressCheck] == 0 || kinds[repro.ProgressIteration] == 0 || kinds[repro.ProgressCertificateStage] == 0 {
 		t.Fatalf("missing progress kinds: %+v", kinds)
