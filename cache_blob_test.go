@@ -82,7 +82,7 @@ func oversizeBlob() []byte {
 
 // TestCacheBlobSize: a blob carries σ layers only, so the cache of a
 // 4-port, 60-pole model after one check and one enforcement is tens of
-// kilobytes, not the megabytes its pole-basis vectors would take.
+// kilobytes.
 func TestCacheBlobSize(t *testing.T) {
 	m, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{Ports: 4, Poles: 60, Seed: 3, PeakGain: 0.9})
 	if err != nil {

@@ -152,10 +152,12 @@
 //     identity); every index still writes only its own output slot, so
 //     results remain bitwise independent of the worker count.
 //
-// Enforcement additionally shares one EvalCache per run: pole-basis
-// vectors are computed once per frequency and survive residue
-// perturbations (including the golden-section peak refinement's off-grid
-// probes), with an LRU bound for long-running services.
+// Enforcement additionally shares one EvalCache per run. It memoizes σ
+// samples only: each sweep's samples (including the golden-section peak
+// refinement's off-grid probes) anchor the certification sweep, and the
+// violation bands of the last check seed the next one. Every σ miss runs
+// through the worker's workspace, building the pole-basis vector into
+// workspace scratch.
 //
 // Model libraries are processed by EnforcePassivityBatch, which shards
 // models across workers — per-worker workspaces, per-model caches — and
@@ -176,17 +178,16 @@
 //
 //   - Persistent evaluation caches. A Session keeps one EvalCache per
 //     pole-set fingerprint (FNV-1a over the pole bits, verified exactly)
-//     across Check / Enforce / EnforceBatch / Extract calls. Pole-basis
-//     vectors survive residue changes; σ samples are additionally guarded
-//     by a residue fingerprint, and each residue variant's σ layer parks
-//     in a per-cache stash while its siblings run, so cycling through a
-//     parameter-sweep library keeps every variant warm. Repeated library
-//     sweeps over fixed pole sets run several times faster warm
-//     (BENCH_5.json), and SaveCache / LoadCache persist the σ layers
-//     across processes (passcheck -cache-dir) in the same checksummed
-//     blob ExportCache / ImportCache ship between hosts; pole bases are
-//     recomputed on demand. A byte budget (WithCacheBudget) evicts whole
-//     least-recently-used model caches.
+//     across Check / Enforce / EnforceBatch / Extract calls. σ samples
+//     are guarded by a residue fingerprint, and each residue variant's σ
+//     layer parks in a per-cache stash while its siblings run, so cycling
+//     through a parameter-sweep library keeps every variant warm.
+//     Repeated library sweeps over fixed pole sets run several times
+//     faster warm (BENCH_5.json), and SaveCache / LoadCache persist the σ
+//     layers across processes (passcheck -cache-dir) in the same
+//     checksummed blob ExportCache / ImportCache ship between hosts. A
+//     byte budget (WithCacheBudget) evicts whole least-recently-used model
+//     caches; it is the only bound on cache memory.
 //   - Cancellation. Every Session method takes a context.Context.
 //     Cancellation is cooperative and drains deterministically: parallel
 //     fan-outs stop claiming new work but finish what is in flight, no

@@ -60,11 +60,11 @@ func main() {
 		return sigmas, time.Since(start)
 	}
 
-	// Sweep 1: cold — every pole-basis vector and σ sample is computed.
+	// Sweep 1: cold — every σ sample is computed.
 	cold, tCold := sweep(sess)
 	st := sess.CacheStats()
-	fmt.Printf("cold sweep:  %8v  (%d caches, %d basis + %d σ entries resident)\n",
-		tCold.Round(time.Microsecond), st.Models, st.BasisEntries, st.SigmaEntries)
+	fmt.Printf("cold sweep:  %8v  (%d caches, %d σ entries resident)\n",
+		tCold.Round(time.Microsecond), st.Models, st.SigmaEntries)
 
 	// Sweep 2: warm — the same library, served from the session caches.
 	warm, tWarm := sweep(sess)
@@ -72,9 +72,9 @@ func main() {
 		tWarm.Round(time.Microsecond), float64(tCold)/float64(tWarm))
 
 	// Persist the caches and start a "new process": a fresh Session that
-	// loads them back and sweeps warm immediately. The files hold only the
-	// σ samples; the reloaded session recomputes a pole-basis vector only
-	// where a check needs a σ value the file does not have.
+	// loads them back and sweeps warm immediately. The files hold the σ
+	// samples; the reloaded session evaluates only where a check needs a σ
+	// value the file does not have.
 	dir, err := os.MkdirTemp("", "session-caches-")
 	if err != nil {
 		log.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -540,53 +541,60 @@ func extHCertifiedOverhead() hypothesis.Spec {
 			// keeps every seed on the eigensolve-free tail-bound + Lipschitz
 			// path — the steady state the ≤25% bound is about.
 			const libSize = 8
-			build := func() ([]*rational.Model, error) {
-				lib := make([]*rational.Model, libSize)
-				for i := range lib {
-					m, err := passivity.SyntheticModel(passivity.SyntheticOptions{
-						Ports: 2, Poles: 250 + 125*(i%3), Seed: seed*100 + int64(i),
-						PeakGain: 0.04, DSigma: 0.6,
-					})
-					if err != nil {
-						return nil, err
-					}
-					lib[i] = m
-				}
-				return lib, nil
-			}
-			run := func(certify bool) (time.Duration, int, error) {
-				lib, err := build()
+			lib := make([]*rational.Model, libSize)
+			for i := range lib {
+				m, err := passivity.SyntheticModel(passivity.SyntheticOptions{
+					Ports: 2, Poles: 250 + 125*(i%3), Seed: seed*100 + int64(i),
+					PeakGain: 0.04, DSigma: 0.6,
+				})
 				if err != nil {
-					return 0, 0, err
+					return hypothesis.Trial{}, err
 				}
+				lib[i] = m
+			}
+			// Each model is enforced plain and certified back to back on
+			// fresh copies, the arm that goes first alternating by model
+			// index, and the time is summed per arm: host load drifting
+			// over the run then lands on both arms alike instead of on
+			// whichever arm ran second. The pairs repeat timingReps times,
+			// which averages out contention bursts on a shared host.
+			const timingReps = 5
+			enforce := func(i int, m *rational.Model, certify bool) (time.Duration, bool, error) {
 				opts := passivity.EnforceOptions{
 					Check:   passivity.CheckOptions{Method: passivity.MethodAdaptive},
 					Certify: certify,
 				}
+				m = m.Clone()
+				runtime.GC() // neither arm pays for the other's garbage
 				t0 := time.Now()
-				certified := 0
-				for i, m := range lib {
-					rep, err := passivity.Enforce(m, opts)
-					if err != nil {
-						return 0, 0, fmt.Errorf("model %d: %w", i, err)
-					}
-					if !rep.Passive {
-						return 0, 0, fmt.Errorf("model %d unexpectedly non-passive", i)
-					}
-					if rep.Certificate != nil && rep.Certificate.Certified {
-						certified++
+				rep, err := passivity.Enforce(m, opts)
+				elapsed := time.Since(t0)
+				if err != nil {
+					return 0, false, fmt.Errorf("model %d: %w", i, err)
+				}
+				if !rep.Passive {
+					return 0, false, fmt.Errorf("model %d unexpectedly non-passive", i)
+				}
+				return elapsed, rep.Certificate != nil && rep.Certificate.Certified, nil
+			}
+			var elapsed [2]time.Duration // plain, certified
+			certified := 0
+			for i, m := range lib {
+				for rep := 0; rep < timingReps; rep++ {
+					for k := 0; k < 2; k++ {
+						arm := (i + k) % 2 // 1 = certified
+						d, ok, err := enforce(i, m, arm == 1)
+						if err != nil {
+							return hypothesis.Trial{}, err
+						}
+						elapsed[arm] += d
+						if arm == 1 && rep == 0 && ok {
+							certified++
+						}
 					}
 				}
-				return time.Since(t0), certified, nil
 			}
-			plainElapsed, _, err := run(false)
-			if err != nil {
-				return hypothesis.Trial{}, err
-			}
-			certElapsed, certified, err := run(true)
-			if err != nil {
-				return hypothesis.Trial{}, err
-			}
+			plainElapsed, certElapsed := elapsed[0], elapsed[1]
 			overhead := certElapsed.Seconds()/math.Max(plainElapsed.Seconds(), 1e-9) - 1
 			return hypothesis.Trial{
 				Primary: overhead,

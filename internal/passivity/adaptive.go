@@ -92,6 +92,14 @@ type adaptiveState struct {
 	lg     []float64 // log(grid), -Inf at DC; memoized for the curvature math
 	sv     []float64
 	cert   []int8 // cert[i] covers interval [grid[i], grid[i+1]]
+
+	// spare is the second buffer set merge writes into before swapping
+	// it with the live arrays, so refinement stages reuse two sets of
+	// buffers instead of allocating fresh arrays every stage.
+	spare struct {
+		grid, lg, sv []float64
+		cert         []int8
+	}
 }
 
 // setGrid installs a fresh sorted grid with its σ samples, resetting the
@@ -264,13 +272,19 @@ func midpointOmega(w0, w1 float64) float64 {
 // merge inserts the freshly evaluated midpoints into the sorted grid,
 // carrying the log coordinates and the per-interval certification cache:
 // an interval that survives unsplit keeps its tail-bound verdict, while
-// the sub-intervals created around a midpoint start unknown.
+// the sub-intervals created around a midpoint start unknown. The merged
+// arrays are written into the spare buffer set (grown geometrically) and
+// the old live arrays become the next stage's spares.
 func (a *adaptiveState) merge(ws, svs []float64) {
 	n := len(a.grid) + len(ws)
-	grid := make([]float64, 0, n)
-	lg := make([]float64, 0, n)
-	sv := make([]float64, 0, n)
-	cert := make([]int8, 0, n)
+	b := &a.spare
+	if cap(b.grid) < n || cap(b.lg) < n || cap(b.sv) < n || cap(b.cert) < n {
+		b.grid = make([]float64, 0, 2*n)
+		b.lg = make([]float64, 0, 2*n)
+		b.sv = make([]float64, 0, 2*n)
+		b.cert = make([]int8, 0, 2*n)
+	}
+	grid, lg, sv, cert := b.grid[:0], b.lg[:0], b.sv[:0], b.cert[:0]
 	i, j := 0, 0
 	prevOld := -2 // old index of the previously appended point; -2 = midpoint
 	for i < len(a.grid) || j < len(ws) {
@@ -298,6 +312,7 @@ func (a *adaptiveState) merge(ws, svs []float64) {
 			j++
 		}
 	}
+	b.grid, b.lg, b.sv, b.cert = a.grid, a.lg, a.sv, a.cert
 	a.grid, a.lg, a.sv, a.cert = grid, lg, sv, cert
 }
 

@@ -9,46 +9,19 @@ import (
 	"repro/internal/rational"
 )
 
-// DefaultEvalCacheEntries is the default bound on the number of cached
-// pole-basis vectors. It exceeds the worst single-run footprint — the
-// adaptive refinement budget (AdaptiveMaxSamples, default 20000) plus seed
-// grid and golden-section probes — so one enforcement run never evicts its
-// own warm entries, while a long-running service that sweeps many pole
-// sets stays bounded: at the cap, a 250-pole model holds ~128 MB of basis
-// vectors.
-const DefaultEvalCacheEntries = 32768
-
-// basisEntry is one node of the basis LRU: the cached k̃(ω) plus its
-// recency links.
-type basisEntry struct {
-	omega      float64
-	k          []complex128
-	prev, next *basisEntry
-}
-
-// EvalCache memoizes per-frequency transfer evaluations across repeated
-// passivity checks of the SAME pole set. Two layers with different
-// lifetimes:
-//
-//   - basis vectors k̃(ω) depend only on the poles, which Enforce never
-//     moves, so they stay valid for an entire enforcement run;
-//   - σ_max values additionally depend on the residues and must be dropped
-//     whenever the model is perturbed (InvalidateSigma).
-//
-// The basis layer is LRU-bounded (DefaultEvalCacheEntries); evicting a
-// basis vector drops its σ entry with it. A σ entry does not need a
-// resident basis vector, though: a σ value stays correct after its basis
-// vector was evicted, and a cache decoded from a blob (DecodeCacheBlob)
-// starts with σ layers only, recomputing a basis vector on the first σ
-// miss at its frequency.
+// EvalCache memoizes σ_max samples across repeated passivity checks of the
+// SAME pole set. A σ value depends on the residues too, so the active σ
+// layer must be dropped whenever the model is perturbed (InvalidateSigma).
+// The layer holds the samples of one residue set and is refilled after
+// every perturbation; the Session byte budget bounds how many caches stay
+// resident.
 //
 // Beyond the single active σ layer, the cache parks up to maxSigmaStash
 // complete σ layers keyed by an opaque residue fingerprint (SwapSigma):
 // when a caller cycles between residue variants that share the poles — a
 // parameter-sweep library re-checked every round — each variant's σ
 // samples survive the visits of its siblings instead of being recomputed
-// from the shared basis every time. Stashed layers are plain value maps,
-// untouched by basis evictions.
+// every time.
 //
 // The cache also carries the violation-band frequencies found by the
 // previous check (HotFrequencies) into the next check's seed grid, so that
@@ -59,41 +32,28 @@ type basisEntry struct {
 // batches each refinement stage: cache lookups and stores happen on the
 // calling goroutine, only the cache misses fan out through parallel.For,
 // each miss writing its own slot. Results are therefore independent of the
-// worker count, and of the LRU bound (an eviction can only force a
-// recomputation, never change a value).
+// worker count.
 type EvalCache struct {
-	basis      map[float64]*basisEntry
-	sigma      map[float64]float64
-	hot        []float64
-	head, tail *basisEntry // recency list: head = most recent
+	sigma map[float64]float64
+	hot   []float64
 
 	// stash holds parked σ layers by residue fingerprint (SwapSigma);
 	// stashOrder tracks their recency, most recent last.
 	stash      map[uint64]map[float64]float64
 	stashOrder []uint64
 
-	// maxEntries bounds the basis layer (≤ 0 selects
-	// DefaultEvalCacheEntries); tests lower it to exercise eviction.
-	maxEntries int
-
 	// Counters for benchmarks and experiment reports.
 	SigmaHits, SigmaMisses int
-	// Evictions counts basis entries dropped by the LRU bound.
-	Evictions int
 }
 
-// NewEvalCache returns an empty cache with the default LRU bound.
+// NewEvalCache returns an empty cache.
 func NewEvalCache() *EvalCache {
-	return &EvalCache{
-		basis: make(map[float64]*basisEntry),
-		sigma: make(map[float64]float64),
-	}
+	return &EvalCache{sigma: make(map[float64]float64)}
 }
 
 // InvalidateSigma drops the active σ layer (the model's residues changed
 // in place, as enforcement perturbations do) while keeping the
-// pole-dependent basis layer, the hot-frequency seeds and any stashed σ
-// layers of other residue sets.
+// hot-frequency seeds and any stashed σ layers of other residue sets.
 func (c *EvalCache) InvalidateSigma() {
 	if c == nil {
 		return
@@ -175,9 +135,6 @@ func (c *EvalCache) SetHot(ws []float64) {
 // Hot returns the warm-start frequencies recorded by the previous check.
 func (c *EvalCache) Hot() []float64 { return c.hot }
 
-// BasisEntries returns the number of resident basis vectors.
-func (c *EvalCache) BasisEntries() int { return len(c.basis) }
-
 // sigmaFreqsSorted returns the frequencies resident in the σ layer in
 // ascending order (nil for a nil cache). The certification sweep anchors
 // on them: their evaluations are already paid for, and inside Enforce they
@@ -194,94 +151,9 @@ func (c *EvalCache) sigmaFreqsSorted() []float64 {
 	return out
 }
 
-func (c *EvalCache) cap() int {
-	if c.maxEntries > 0 {
-		return c.maxEntries
-	}
-	return DefaultEvalCacheEntries
-}
-
-// touch moves e to the recency head.
-func (c *EvalCache) touch(e *basisEntry) {
-	if c.head == e {
-		return
-	}
-	// Unlink.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	// Push front.
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// basisFor returns the cached basis vector for ω (marking it recently
-// used), or nil.
-func (c *EvalCache) basisFor(w float64) []complex128 {
-	e, ok := c.basis[w]
-	if !ok {
-		return nil
-	}
-	c.touch(e)
-	return e.k
-}
-
-// storeBasis inserts (or refreshes) the basis vector for ω and applies the
-// LRU bound, evicting the coldest entries together with their σ values.
-func (c *EvalCache) storeBasis(w float64, k []complex128) {
-	if e, ok := c.basis[w]; ok {
-		e.k = k
-		c.touch(e)
-		return
-	}
-	e := &basisEntry{omega: w, k: k}
-	c.basis[w] = e
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-	for limit := c.cap(); len(c.basis) > limit && c.tail != nil; {
-		cold := c.tail
-		c.tail = cold.prev
-		if c.tail != nil {
-			c.tail.next = nil
-		} else {
-			c.head = nil
-		}
-		delete(c.basis, cold.omega)
-		delete(c.sigma, cold.omega)
-		c.Evictions++
-	}
-}
-
-// sigmaFor returns the cached σ_max for ω when resident. A σ hit also
-// refreshes the recency of ω's basis entry: frequencies that keep hitting
-// in the σ layer are exactly the ones whose bases must survive the LRU
-// bound.
+// sigmaFor returns the cached σ_max for ω when resident.
 func (c *EvalCache) sigmaFor(w float64) (float64, bool) {
 	s, ok := c.sigma[w]
-	if ok {
-		if e, found := c.basis[w]; found {
-			c.touch(e)
-		}
-	}
 	return s, ok
 }
 
@@ -323,35 +195,25 @@ func sigmaBatch(ctx context.Context, model *rational.Model, ws []float64, worker
 	if len(miss) == 0 {
 		return out, nil
 	}
-	// Parallel evaluation of the misses: each index owns its output slot
-	// and its (freshly allocated or previously cached) basis vector.
-	bases := make([][]complex128, len(miss))
-	for bi, i := range miss {
-		bases[bi] = c.basisFor(ws[i]) // nil when absent; filled in the loop
-	}
 	pool.ensure(workers)
 	if err := parallel.ForWorkerCtx(ctx, workers, len(miss), func(wk, bi int) {
 		i := miss[bi]
-		if bases[bi] == nil {
-			bases[bi] = model.EvalBasis(ws[i])
-		}
-		out[i] = pool.get(wk).sigma(model, bases[bi])
+		out[i] = pool.get(wk).sigmaAt(model, ws[i])
 	}); err != nil {
 		return nil, err
 	}
 	// Serial store.
-	for bi, i := range miss {
-		c.storeBasis(ws[i], bases[bi])
+	for _, i := range miss {
 		c.sigma[ws[i]] = out[i]
 	}
 	return out, nil
 }
 
-// cachedSigma evaluates σ_max at one frequency through the cache (both
-// layers), falling back to a direct workspace evaluation without one. This
-// is the kernel behind the golden-section peak refinement, whose off-grid
-// frequencies historically bypassed the cache and were re-evaluated every
-// enforcement sweep.
+// cachedSigma evaluates σ_max at one frequency through the cache, falling
+// back to a direct workspace evaluation without one. This is the kernel
+// behind the golden-section peak refinement, whose off-grid frequencies
+// historically bypassed the cache and were re-evaluated every enforcement
+// sweep.
 func cachedSigma(model *rational.Model, w float64, c *EvalCache, ws *checkWorkspace) float64 {
 	if ws == nil {
 		ws = &checkWorkspace{}
@@ -364,12 +226,7 @@ func cachedSigma(model *rational.Model, w float64, c *EvalCache, ws *checkWorksp
 		return s
 	}
 	c.SigmaMisses++
-	k := c.basisFor(w)
-	if k == nil {
-		k = model.EvalBasis(w)
-		c.storeBasis(w, k)
-	}
-	s := ws.sigma(model, k)
+	s := ws.sigmaAt(model, w)
 	c.sigma[w] = s
 	return s
 }

@@ -24,10 +24,8 @@ import (
 //	u64  CRC-64/ECMA of every preceding byte
 //
 // where a layer is a u64 count followed by that many (ω, σ) float64
-// pairs in strictly increasing ω. Basis vectors are recomputed from the
-// poles on the first σ miss at each frequency (n complex divisions), and
-// neither the hot seeds (a Session clears them at every checkout) nor the
-// basis LRU bound (a property of the receiving cache) travels.
+// pairs in strictly increasing ω. The hot seeds do not travel (a Session
+// clears them at every checkout).
 //
 // The encoding is canonical: DecodeCacheBlob accepts exactly the blobs
 // CacheBlob.Encode can produce, so an accepted blob re-encodes byte for
@@ -104,8 +102,8 @@ func (b *CacheBlob) Encode() []byte {
 
 // DecodeCacheBlob verifies and decodes a blob written by Encode: magic,
 // version and the CRC-64 footer first, then the payload with every count
-// bounded by the bytes that remain. The returned cache holds the σ layers
-// and no basis vectors; its counters start at zero. It does not check
+// bounded by the bytes that remain. The returned cache holds the σ layers;
+// its counters start at zero. It does not check
 // PoleFP against Poles (the fingerprint function belongs to the caller).
 func DecodeCacheBlob(blob []byte) (*CacheBlob, error) {
 	if len(blob) < cacheHead+cacheFoot {

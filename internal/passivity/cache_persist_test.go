@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// primeCache runs a check with a cache so both layers carry real entries.
+// primeCache runs a check with a cache so its σ layer carries real entries.
 func primeCache(t *testing.T) (*EvalCache, *CacheBlob) {
 	t.Helper()
 	model, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 14, Seed: 7})
@@ -18,18 +18,17 @@ func primeCache(t *testing.T) (*EvalCache, *CacheBlob) {
 		t.Fatal(err)
 	}
 	c.SetHot([]float64{3.5, 88})
-	if c.BasisEntries() == 0 || c.SigmaEntries() == 0 {
-		t.Fatalf("priming left an empty cache: %d basis, %d sigma", c.BasisEntries(), c.SigmaEntries())
+	if c.SigmaEntries() == 0 {
+		t.Fatal("priming left an empty σ layer")
 	}
 	return c, &CacheBlob{PoleFP: 0x1234, ResFP: 0x5678, Poles: model.Poles, Cache: c}
 }
 
 // TestEvalCacheSaveLoadRoundtrip: the blob carries the header, the poles
-// and the σ layer exactly; basis vectors, hot seeds and the LRU bound
-// stay behind, and the decoded cache re-encodes byte for byte.
+// and the σ layer exactly; the hot seeds stay behind, and the decoded
+// cache re-encodes byte for byte.
 func TestEvalCacheSaveLoadRoundtrip(t *testing.T) {
 	c, b := primeCache(t)
-	c.maxEntries = 12345
 	blob := b.Encode()
 	got, err := DecodeCacheBlob(blob)
 	if err != nil {
@@ -54,12 +53,11 @@ func TestEvalCacheSaveLoadRoundtrip(t *testing.T) {
 			t.Fatalf("σ mismatch at ω=%g: %v (resident %v) vs %v", w, v, ok, a)
 		}
 	}
-	if gc.BasisEntries() != 0 || len(gc.Hot()) != 0 || gc.maxEntries != 0 {
-		t.Fatalf("blob carried more than σ: %d basis, hot %v, maxEntries %d",
-			gc.BasisEntries(), gc.Hot(), gc.maxEntries)
+	if len(gc.Hot()) != 0 {
+		t.Fatalf("blob carried hot seeds %v", gc.Hot())
 	}
-	if gc.SigmaHits != 0 || gc.SigmaMisses != 0 || gc.Evictions != 0 {
-		t.Fatalf("counters not zero: hits=%d misses=%d evictions=%d", gc.SigmaHits, gc.SigmaMisses, gc.Evictions)
+	if gc.SigmaHits != 0 || gc.SigmaMisses != 0 {
+		t.Fatalf("counters not zero: hits=%d misses=%d", gc.SigmaHits, gc.SigmaMisses)
 	}
 	if again := got.Encode(); !bytes.Equal(again, blob) {
 		t.Fatalf("re-encoded blob differs (%d vs %d bytes)", len(again), len(blob))

@@ -2,97 +2,26 @@ package passivity
 
 import "testing"
 
-// TestEvalCacheLRUBound: the basis layer must respect maxEntries, evict
-// least-recently-used frequencies first, and drop the σ entry together
-// with its basis.
-func TestEvalCacheLRUBound(t *testing.T) {
-	c := NewEvalCache()
-	c.maxEntries = 3
-	k := func(w float64) []complex128 { return []complex128{complex(w, 0)} }
-
-	for _, w := range []float64{1, 2, 3} {
-		c.storeBasis(w, k(w))
-		c.sigma[w] = w * 10
-	}
-	if c.BasisEntries() != 3 || c.Evictions != 0 {
-		t.Fatalf("setup: %d entries, %d evictions", c.BasisEntries(), c.Evictions)
-	}
-
-	// Touch ω=1 so ω=2 becomes the coldest, then insert a fourth entry.
-	if c.basisFor(1) == nil {
-		t.Fatal("ω=1 should be resident")
-	}
-	c.storeBasis(4, k(4))
-	c.sigma[4] = 40
-	if c.BasisEntries() != 3 || c.Evictions != 1 {
-		t.Fatalf("after insert: %d entries, %d evictions", c.BasisEntries(), c.Evictions)
-	}
-	if c.basisFor(2) != nil {
-		t.Fatal("ω=2 (least recently used) should have been evicted")
-	}
-	if _, ok := c.sigmaFor(2); ok {
-		t.Fatal("σ entry must be evicted together with its basis")
-	}
-	for _, w := range []float64{1, 3, 4} {
-		if c.basisFor(w) == nil {
-			t.Fatalf("ω=%v should be resident", w)
-		}
-		if _, ok := c.sigmaFor(w); !ok {
-			t.Fatalf("σ(ω=%v) should be resident", w)
-		}
-	}
-
-	c.storeBasis(5, k(5))
-	if c.BasisEntries() != 3 {
-		t.Fatalf("cap not enforced: %d entries", c.BasisEntries())
-	}
-}
-
-// TestEvalCacheLRUDoesNotChangeResults: a brutally small LRU bound forces
-// constant eviction; the check verdict and report must still be identical
-// to the unbounded cache (an eviction can only cost a recomputation).
-func TestEvalCacheLRUDoesNotChangeResults(t *testing.T) {
-	build := func() *EvalCache { return NewEvalCache() }
-	mRef := nonPassiveMIMO(t)
-	ref, err := Check(mRef, CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: build()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := build()
-	small.maxEntries = 8
-	m := nonPassiveMIMO(t)
-	got, err := Check(m, CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: small})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Evictions == 0 {
-		t.Fatal("bound of 8 entries should force evictions on this check")
-	}
-	if !reportsEqual(ref, got) {
-		t.Fatalf("LRU bound changed the report:\n%+v\nvs\n%+v", ref, got)
-	}
-}
-
 // TestEnforceSteadyStateAllocBound: once an enforcement-style loop has
 // warmed the cache and workspace pool, re-checking the model (the
-// steady-state sweep of Enforce: σ invalidated, bases cached) must spend
-// only the per-check bookkeeping — grid assembly, stage slices, report —
-// and nothing per frequency. The per-frequency kernels themselves are
-// asserted exactly allocation-free in internal/mat and internal/rational;
-// here a generous structural bound guards the integration: the historical
-// figure for this model was ~40 allocations PER SAMPLE, the workspace path
-// needs ~2 including all fixed overhead.
+// steady-state sweep of Enforce: σ invalidated, workspaces warm) must
+// spend only the per-check and per-stage bookkeeping — grid assembly,
+// stage slices, report — and nothing per frequency. The per-frequency
+// kernels themselves are asserted exactly allocation-free in internal/mat
+// and internal/rational; here a fixed bound guards the integration. It
+// does not grow with the sample count, so one allocation per σ miss or
+// per merged grid point (over a hundred of each here) breaks it.
 func TestEnforceSteadyStateAllocBound(t *testing.T) {
 	m := nonPassiveMIMO(t)
 	cache := NewEvalCache()
-	opts := CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: cache, Workers: 1}
+	opts := CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: cache, Workers: 1,
+		work: newWorkspacePool()}
 	first, err := Check(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := first.Samples
-	if samples == 0 {
-		t.Fatal("no samples recorded")
+	if first.Samples < 100 {
+		t.Fatalf("%d samples: too few for a per-sample allocation to break the bound", first.Samples)
 	}
 	// One invalidated re-check settles residual warm-up (map capacity).
 	cache.InvalidateSigma()
@@ -105,10 +34,11 @@ func TestEnforceSteadyStateAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	bound := float64(6*samples + 400)
+	// Measured: 112 allocations for 106 samples on this model.
+	const bound = 150
 	if allocs > bound {
-		t.Fatalf("steady-state check allocates %.0f times for %d samples; want ≤ %.0f",
-			allocs, samples, bound)
+		t.Fatalf("steady-state check allocates %.0f times for %d samples; want ≤ %d",
+			allocs, first.Samples, bound)
 	}
 }
 
@@ -187,7 +117,6 @@ func TestSigmaStashBound(t *testing.T) {
 // layers and checks each one restores with its exact samples.
 func TestSigmaStashPersistRoundtrip(t *testing.T) {
 	c := NewEvalCache()
-	c.storeBasis(1.0, []complex128{1})
 	c.sigma[1.0] = 0.25
 	c.SwapSigma(0xaa, 0xbb)
 	c.sigma[1.0] = 0.5

@@ -353,9 +353,9 @@ func testPoint(lo, hi float64) float64 {
 
 // refinePeak locates the maximum of σ_max(jω) within a violation band by
 // golden-section search on a bounded bracket. Evaluations route through
-// the shared EvalCache (when present): the basis vectors at the probed
-// frequencies survive residue perturbations, so enforcement sweeps that
-// re-polish the same shrinking band stop paying the full evaluation.
+// the shared EvalCache (when present): a repeated check of unchanged
+// residues re-polishes the band from σ hits, and the stored probes become
+// anchors of the certification sweep.
 func refinePeak(model *rational.Model, lo, hi, seed float64, c *EvalCache, ws *checkWorkspace) (float64, float64) {
 	a, b := lo, hi
 	if a == 0 {

@@ -133,7 +133,7 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 		clampDMatrix(model, 1-2*opts.Margin)
 		// D moved: σ samples a caller-supplied warm cache may carry (the
 		// Session layer passes caches whose σ layer was computed from the
-		// unclamped D) are stale. The pole-basis layer survives.
+		// unclamped D) are stale.
 		opts.Check.Cache.InvalidateSigma()
 		rep.DClamped = true
 	}
@@ -154,9 +154,9 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 	}
 	if opts.Check.Cache == nil {
 		// The loop re-checks the model every sweep with the poles fixed:
-		// share one evaluation cache so the basis vectors k̃(ω) are built
-		// once per frequency, and let the adaptive characterizer warm-start
-		// from the previous sweep's violation bands.
+		// share one evaluation cache so the adaptive characterizer
+		// warm-starts from the previous sweep's violation bands and the
+		// certification pipeline anchors on the last check's σ samples.
 		opts.Check.Cache = NewEvalCache()
 	}
 	if opts.Check.work == nil {
@@ -211,8 +211,7 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 		if err != nil {
 			return nil, fmt.Errorf("passivity: iteration %d: %w", iter, err)
 		}
-		// The residues moved: cached σ values are stale, the pole-dependent
-		// basis vectors stay valid.
+		// The residues moved: cached σ values are stale.
 		opts.Check.Cache.InvalidateSigma()
 		rep.History = append(rep.History, IterationStats{
 			MaxSigma:    chk.MaxSigma,
@@ -308,13 +307,12 @@ func StandardGramian(model *rational.Model) (*mat.Matrix, error) {
 // buildConstraints collects linearized singular-value constraints at the
 // violation peaks (plus interior points of wide bands), including
 // preventive constraints on singular values within the guard band. The
-// transfer evaluation and SVD run through the shared cache and workspace;
+// basis vector, transfer evaluation and SVD run in the shared workspace;
 // the per-constraint slices are freshly allocated because they outlive the
 // call (constraints are few — one per near-limit singular value per
 // constrained frequency).
 func buildConstraints(model *rational.Model, chk *Report, opts EnforceOptions, chol *mat.Cholesky) ([]constraint, error) {
 	freqs := constraintFrequencies(chk, opts)
-	cache := opts.Check.Cache
 	pool := opts.Check.work
 	if pool == nil {
 		pool = newWorkspacePool()
@@ -322,16 +320,8 @@ func buildConstraints(model *rational.Model, chk *Report, opts EnforceOptions, c
 	ws := pool.get(0)
 	var cons []constraint
 	for _, w := range freqs {
-		var ktil []complex128
-		if cache != nil {
-			ktil = cache.basisFor(w)
-		}
-		if ktil == nil {
-			ktil = model.EvalBasis(w)
-			if cache != nil {
-				cache.storeBasis(w, ktil)
-			}
-		}
+		ws.basis = model.EvalBasisInto(ws.basis, w)
+		ktil := ws.basis
 		ws.h = model.EvalWithBasisInto(ws.h, ktil)
 		svd := mat.CSVDecomposeInto(&ws.svd, ws.h)
 		n := len(ktil)

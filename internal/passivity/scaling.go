@@ -43,8 +43,8 @@ func EnforceByResidueScaling(model *rational.Model, opts EnforceOptions) (*Scali
 	}
 
 	if opts.Check.Cache == nil {
-		// Every bisection probe shares the pole set; the cache keeps the
-		// basis vectors and the adaptive warm-start grid across probes.
+		// Every bisection probe shares the pole set; the cache carries the
+		// adaptive warm-start grid across probes.
 		opts.Check.Cache = NewEvalCache()
 	}
 	passiveAt := func(gamma float64) (bool, *Report, error) {

@@ -18,23 +18,17 @@ type checkWorkspace struct {
 	basis []complex128
 }
 
-// sigma evaluates σ_max of S(jω) from a precomputed basis vector, exactly
-// (one-sided Jacobi; see the caveat on sigmaMax), reusing the workspace
-// buffers.
-func (ws *checkWorkspace) sigma(model *rational.Model, k []complex128) float64 {
-	ws.h = model.EvalWithBasisInto(ws.h, k)
+// sigmaAt evaluates σ_max of S(jω) exactly (one-sided Jacobi; see the
+// caveat on sigmaMax), building the basis vector into the workspace scratch
+// and reusing the workspace buffers.
+func (ws *checkWorkspace) sigmaAt(model *rational.Model, omega float64) float64 {
+	ws.basis = model.EvalBasisInto(ws.basis, omega)
+	ws.h = model.EvalWithBasisInto(ws.h, ws.basis)
 	ws.sv = mat.SingularValuesInto(&ws.svd, ws.h, ws.sv)
 	if len(ws.sv) == 0 {
 		return 0
 	}
 	return ws.sv[0]
-}
-
-// sigmaAt evaluates σ_max of S(jω), building the basis vector into the
-// workspace scratch.
-func (ws *checkWorkspace) sigmaAt(model *rational.Model, omega float64) float64 {
-	ws.basis = model.EvalBasisInto(ws.basis, omega)
-	return ws.sigma(model, ws.basis)
 }
 
 // workspacePool is a grow-only set of per-worker workspaces. ensure must be

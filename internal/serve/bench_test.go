@@ -44,8 +44,8 @@ func BenchmarkAffinityRouting(b *testing.B) {
 	chk := repro.CheckOptions{Method: repro.CheckAdaptive}
 
 	// Size the per-worker budget off a probe sweep of the whole library:
-	// 40% of the full steady-state footprint (basis unions plus every
-	// variant's stashed σ layer) accommodates any worker's 2-of-8
+	// 40% of the full steady-state footprint (every variant's σ layer,
+	// active or stashed) accommodates any worker's 2-of-8
 	// fingerprint share under affinity — per-fingerprint footprints vary,
 	// so sizing off one fingerprint starves workers that draw heavy ones —
 	// while a randomly routed worker, which eventually needs all 8

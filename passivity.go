@@ -474,8 +474,9 @@ func toPublicBatchReport(n int, brep *passivity.BatchReport) *BatchEnforceReport
 // The per-model outcomes are bitwise identical to calling EnforcePassivity
 // on each model sequentially with the same options. Like the other root
 // functions it delegates to the shared default Session, so a repeated
-// sweep over the same library starts with warm pole-basis caches; use
-// Session.EnforceBatch directly for cancellation and progress events.
+// sweep over the same library starts with the σ samples of unchanged
+// models warm; use Session.EnforceBatch directly for cancellation and
+// progress events.
 func EnforcePassivityBatch(models []*Macromodel, opts BatchEnforceOptions) (*BatchEnforceReport, error) {
 	return defaultSession.EnforceBatch(context.Background(), models, opts)
 }

@@ -95,20 +95,20 @@ func WithCacheBudget(bytes int64) SessionOption {
 // with the fingerprints guarding its validity and its LRU links.
 type sessionCache struct {
 	cache *passivity.EvalCache
-	// poles is the exact pole set the basis layer was computed from; a
+	// poles is the exact pole set the σ layers were computed for; a
 	// fingerprint match is only trusted after an exact pole comparison.
 	poles []complex128
 	// poleFP keys the cache (FNV-1a over the pole bits).
 	poleFP uint64
 	// resFP fingerprints the residues + D the σ layer is valid for; on
-	// mismatch the σ layer is dropped, the basis layer kept.
+	// mismatch the active σ layer is parked in the stash (SwapSigma).
 	resFP uint64
 	// bytes is the estimated resident size, updated at check-in.
 	bytes int64
-	// basisN/sigmaN snapshot the cache layer sizes at check-in (or load):
+	// sigmaN snapshots the σ entry count at check-in (or load):
 	// CacheStats must not read the live cache maps, which a checked-out
 	// operation may be writing concurrently.
-	basisN, sigmaN int
+	sigmaN int
 	// busy marks the cache as checked out by a running operation (caches
 	// are single-goroutine state; concurrent operations on the same pole
 	// set fall back to a private transient cache).
@@ -122,13 +122,12 @@ type sessionCache struct {
 // sink) and — unlike the stateless root functions, which rebuild
 // evaluation state on every call — a bounded pool of per-pole-set
 // EvalCaches that survive across Check, Enforce, EnforceBatch and
-// Extract calls: repeated sweeps over a fixed-pole model library reuse the pole-basis vectors and the σ samples — each residue
-// variant's σ layer is parked in a per-cache stash while its siblings run,
-// so a re-checked parameter sweep stays warm end to end — instead of
-// recomputing them. The σ layers persist across processes
-// (SaveCache/LoadCache) and travel between hosts (ExportCache/
-// ImportCache) as one checksummed blob format; pole bases are recomputed
-// on demand after a load.
+// Extract calls: repeated sweeps over a fixed-pole model library reuse the
+// σ samples instead of recomputing them — each residue variant's σ layer
+// is parked in a per-cache stash while its siblings run, so a re-checked
+// parameter sweep stays warm end to end. The σ layers persist across
+// processes (SaveCache/LoadCache) and travel between hosts (ExportCache/
+// ImportCache) as one checksummed blob format.
 //
 // All methods take a leading context.Context and stop cooperatively when
 // it is cancelled: parallel fan-outs drain deterministically, no goroutine
@@ -290,13 +289,12 @@ func (s *Session) evictLocked() {
 	}
 }
 
-// cacheBytes estimates the resident size of one cache: per basis entry the
-// vector itself plus node/map overhead, plus the σ layers (active and
-// stashed variants) and hot seeds.
+// cacheBytes estimates the resident size of one cache: the σ layers
+// (active and stashed variants, with map overhead), the hot seeds and the
+// entry's copy of the poles.
 func cacheBytes(c *passivity.EvalCache, nPoles int) int64 {
-	return int64(c.BasisEntries())*(int64(nPoles)*16+120) +
-		int64(c.SigmaEntries()+c.StashedSigmaEntries())*32 +
-		int64(len(c.Hot()))*8
+	return int64(c.SigmaEntries()+c.StashedSigmaEntries())*32 +
+		int64(len(c.Hot()))*8 + int64(nPoles)*16
 }
 
 // measure refreshes the entry's size estimate and layer-size snapshots
@@ -304,7 +302,6 @@ func cacheBytes(c *passivity.EvalCache, nPoles int) int64 {
 // installed).
 func (e *sessionCache) measure() {
 	e.bytes = cacheBytes(e.cache, len(e.poles))
-	e.basisN = e.cache.BasisEntries()
 	e.sigmaN = e.cache.SigmaEntries() + e.cache.StashedSigmaEntries()
 }
 
@@ -372,10 +369,10 @@ func (s *Session) checkin(e *sessionCache, m *rational.Model) {
 type SessionCacheStats struct {
 	// Models counts the resident pole-set caches.
 	Models int
-	// BasisEntries and SigmaEntries sum the two cache layers over all
-	// resident caches; SigmaEntries includes the per-variant σ layers
-	// parked in each cache's stash alongside the active one.
-	BasisEntries, SigmaEntries int
+	// SigmaEntries sums the σ samples over all resident caches, including
+	// the per-variant σ layers parked in each cache's stash alongside the
+	// active one.
+	SigmaEntries int
 	// Bytes is the estimated resident size charged against the budget.
 	Bytes int64
 	// Evictions counts whole caches dropped by the session LRU bound.
@@ -391,7 +388,6 @@ func (s *Session) CacheStats() SessionCacheStats {
 	defer s.mu.Unlock()
 	st := SessionCacheStats{Models: len(s.caches), Bytes: s.used, Evictions: s.evictions}
 	for _, e := range s.caches {
-		st.BasisEntries += e.basisN
 		st.SigmaEntries += e.sigmaN
 	}
 	return st
@@ -445,9 +441,8 @@ func (s *Session) bind(ctx context.Context, o *passivity.CheckOptions, cache *pa
 
 // Check assesses the passivity of the model like CheckPassivity, reusing
 // the session's evaluation cache for the model's pole set: a repeated
-// check of an unchanged model is served almost entirely from the σ layer,
-// and a re-check after residue perturbations still reuses every pole-basis
-// vector. Cancelling ctx aborts cooperatively with ctx.Err().
+// check of an unchanged model is served almost entirely from the σ layer.
+// Cancelling ctx aborts cooperatively with ctx.Err().
 func (s *Session) Check(ctx context.Context, m *Macromodel, opts CheckOptions) (*PassivityReport, error) {
 	e, cache := s.checkout(m.model)
 	iopts := opts.internal()
@@ -508,7 +503,7 @@ func (s *Session) Extract(ctx context.Context, data *SData, load *Load, opts Ext
 // EnforceBatch enforces passivity on a library of macromodels like
 // EnforcePassivityBatch, sharding models across workers with the session's
 // per-pole-set caches: a second sweep over the same library starts with
-// every pole basis (and unchanged σ sample) warm. When ctx cancellation
+// the σ samples of every unchanged model warm. When ctx cancellation
 // cuts the batch short, the returned report is partial — completed models
 // keep their results, cancelled ones carry ctx.Err() — and the error is
 // ctx.Err(); a cancellation arriving only after every model drained

@@ -14,9 +14,10 @@ import (
 // iterating designer does. "cold" rebuilds the evaluation state every
 // sweep (one fresh Session per iteration — the pre-Session behavior of
 // the stateless root functions); "warm" reuses one long-lived Session, so
-// repeated checks are served from the σ layer and re-enforcements of
-// re-cloned models reuse every pole-basis vector. The acceptance target
-// is warm ≥ 2× cold on the check workload (BENCH_5.json).
+// repeated checks of unchanged models are served from their σ layers.
+// Enforcement perturbs the residues every sweep and recomputes its σ
+// samples, so enforce-warm tracks enforce-cold. The acceptance target is
+// warm ≥ 2× cold on the check workload (BENCH_5.json).
 func BenchmarkSessionWarmCache(b *testing.B) {
 	const libSize = 6
 	models := make([]*repro.Macromodel, libSize)
@@ -72,7 +73,7 @@ func BenchmarkSessionWarmCache(b *testing.B) {
 	b.Run("enforce-warm", func(b *testing.B) {
 		b.ReportAllocs()
 		s := repro.NewSession()
-		enforceLib(b, s) // prime: the pole-basis layers stay resident
+		enforceLib(b, s) // prime
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			enforceLib(b, s)

@@ -81,7 +81,7 @@ func TestSessionEnforceBitwiseIdenticalToStateless(t *testing.T) {
 	wantRep := toPublicEnforceReport(repA)
 
 	// Session path, then a warm re-enforcement of another clone: the pole
-	// set matches, so the basis layer is shared, but results must not move.
+	// set matches, so the cache is shared, but results must not move.
 	s := NewSession(WithWorkers(1))
 	for pass, name := range map[int]string{0: "cold", 1: "warm"} {
 		mB := base.Clone()
