@@ -9,10 +9,10 @@
 //	passcheck -batch 'lib/*.json' [-enforce] [-certify] [-weight w.json | -load spec] [-workers N] [-save-dir out/]
 //	passcheck -remote http://host:7077 {-model m.json | -batch 'lib/*.json'} [-enforce] [-certify] [-deadline 30s] [-retries 5] [-retry-wait 250ms]
 //
-// -method selects the detection algorithm: auto (Hamiltonian for small
-// models, multi-stage adaptive sampling otherwise), hamiltonian, sweep, or
-// adaptive. -sweep tunes the fixed sweep's grid density; the adaptive
-// method ignores it.
+// -method selects the detection algorithm: auto (multi-stage adaptive
+// sampling, with a passive verdict on a small model closed by the
+// Hamiltonian eigentest), hamiltonian, sweep, or adaptive. -sweep tunes
+// the fixed sweep's grid density; the adaptive method ignores it.
 //
 // -certify escalates every passive verdict through the staged
 // certification pipeline (closed-form tail-bound interval certificates,

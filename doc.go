@@ -43,7 +43,7 @@
 // (CheckOptions.Method). With N = 2·n·P the Hamiltonian dimension:
 //
 //	CheckHamiltonian  exact imaginary-eigenvalue test, O(N³). The oracle
-//	                  and certifier for small models (N ≲ 400).
+//	                  and certifier for small models (N ≤ 400).
 //	CheckSweep        fixed pole-seeded log grid. Flat cost, trivially
 //	                  parallel; adequate for broad violation bands but a
 //	                  narrow resonant band can fall between grid points.
@@ -56,8 +56,10 @@
 //	                  EnforcePassivity it shares a per-frequency
 //	                  evaluation cache and warm-starts from the previous
 //	                  sweep's bands.
-//	CheckAuto         Hamiltonian below the dimension threshold, adaptive
-//	                  above (the default).
+//	CheckAuto         adaptive first; a sampled violation is the verdict,
+//	                  and a passive verdict with N ≤ 400 is closed by the
+//	                  Hamiltonian test (the default). Enforcement thus
+//	                  re-checks fast and pays the eigensolve once.
 //
 // # Certification
 //

@@ -23,9 +23,12 @@ func CholFactor(a *Matrix) (*Cholesky, error) {
 	n := a.Rows
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
+		// The inner products run over contiguous row prefixes of L in
+		// ascending k, the summation order of the textbook loop.
+		lj := l.Row(j)[:j]
 		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+		for _, v := range lj {
+			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotPD
@@ -33,11 +36,12 @@ func CholFactor(a *Matrix) (*Cholesky, error) {
 		ljj := math.Sqrt(d)
 		l.Set(j, j, ljj)
 		for i := j + 1; i < n; i++ {
+			li := l.Row(i)[:j+1]
 			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			for k, v := range lj {
+				s -= li[k] * v
 			}
-			l.Set(i, j, s/ljj)
+			li[j] = s / ljj
 		}
 	}
 	return &Cholesky{l: l}, nil

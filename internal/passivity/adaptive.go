@@ -68,8 +68,6 @@ func poleFeatures(model *rational.Model, ws *checkWorkspace) []poleFeature {
 	return feats
 }
 
-// adaptiveState carries the refinement grid and the per-model quantities
-// the split criteria need.
 // Tail-bound certification states, cached per interval (the bound depends
 // only on the interval endpoints, so its verdict never changes once
 // computed; sub-intervals of a certified interval are certified too, but
@@ -80,18 +78,14 @@ const (
 	certOpen
 )
 
-type adaptiveState struct {
-	model  *rational.Model
-	feats  []poleFeature // sorted ascending by wr
-	wrs    []float64     // feats[i].wr, for binary search
-	scan   *boundScanner // outward-scanning interval bounds over feats
-	dSigma float64
-	limit  float64
-	relTol float64
-	grid   []float64
-	lg     []float64 // log(grid), -Inf at DC; memoized for the curvature math
-	sv     []float64
-	cert   []int8 // cert[i] covers interval [grid[i], grid[i+1]]
+// adaptiveBuffers holds the refinement grid of one adaptive check. It
+// lives in the worker-0 checkWorkspace, so the per-sweep checks of one
+// Enforce run reuse the arrays instead of allocating them every check.
+type adaptiveBuffers struct {
+	grid []float64
+	lg   []float64 // log(grid), -Inf at DC; memoized for the curvature math
+	sv   []float64
+	cert []int8 // cert[i] covers interval [grid[i], grid[i+1]]
 
 	// spare is the second buffer set merge writes into before swapping
 	// it with the live arrays, so refinement stages reuse two sets of
@@ -102,15 +96,44 @@ type adaptiveState struct {
 	}
 }
 
-// setGrid installs a fresh sorted grid with its σ samples, resetting the
-// per-interval caches.
+// adaptiveState carries the refinement grid and the per-model quantities
+// the split criteria need.
+type adaptiveState struct {
+	*adaptiveBuffers
+	model  *rational.Model
+	feats  []poleFeature // sorted ascending by wr
+	wrs    []float64     // feats[i].wr, for binary search
+	scan   *boundScanner // outward-scanning interval bounds over feats
+	dSigma float64
+	limit  float64
+	relTol float64
+}
+
+// setGrid installs a sorted grid, built in the live grid buffer, with its
+// σ samples, resetting the per-interval caches. A buffer is reallocated
+// only when its capacity is short; sv is adopted rather than copied then.
 func (a *adaptiveState) setGrid(grid, sv []float64) {
-	a.grid, a.sv = grid, sv
-	a.lg = make([]float64, len(grid))
+	a.grid = grid
+	if cap(a.sv) < len(sv) {
+		a.sv = sv
+	} else {
+		a.sv = append(a.sv[:0], sv...)
+	}
+	a.lg = resize(a.lg, len(grid))
 	for i, w := range grid {
 		a.lg[i] = math.Log(w)
 	}
-	a.cert = make([]int8, max(len(grid)-1, 0))
+	a.cert = resize(a.cert, max(len(grid)-1, 0))
+	clear(a.cert) // certUnknown
+}
+
+// resize returns buf resliced to length n, reallocated only when its
+// capacity is short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // tailBound is a rigorous interval bound on σ over [w0, w1]: the tightened
@@ -340,12 +363,14 @@ const (
 
 func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 	rep := &Report{Method: "adaptive", Passive: true}
+	ws := opts.work.get(0)
 	st := &adaptiveState{
-		model:  model,
-		feats:  poleFeatures(model, opts.work.get(0)),
-		dSigma: mat.MaxSingularValue(mat.RealToComplex(model.D)),
-		limit:  1 + passivityTol,
-		relTol: adaptiveRelTol,
+		adaptiveBuffers: &ws.adaptive,
+		model:           model,
+		feats:           poleFeatures(model, ws),
+		dSigma:          mat.MaxSingularValue(mat.RealToComplex(model.D)),
+		limit:           1 + passivityTol,
+		relTol:          adaptiveRelTol,
 	}
 	st.scan = newBoundScanner(st.feats)
 	st.wrs = st.scan.wrs
@@ -353,7 +378,7 @@ func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 	// Stage 0: coarse log seed grid with every pole resonance and its
 	// half-width neighbours (shared with the fixed sweep), plus warm-start
 	// frequencies from the previous check of this enforcement run.
-	grid := poleSeededGrid(model, adaptiveSeedPoints, opts.OmegaMin, opts.OmegaMax)
+	grid := poleSeededGrid(st.grid[:0], model, adaptiveSeedPoints, opts.OmegaMin, opts.OmegaMax)
 	if opts.Cache != nil {
 		for _, w := range opts.Cache.Hot() {
 			if w > 0 && !math.IsInf(w, 1) && !math.IsNaN(w) {
@@ -393,21 +418,10 @@ func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 
 	rep.Samples = len(st.grid)
 	assembleReport(model, st.grid, st.sv, opts, rep)
-	if opts.Cache != nil {
-		// Seed the next check of this enforcement run with the band
-		// geometry found now: edges and peaks re-localize shrinking bands
-		// in a single stage.
-		var hot []float64
-		for _, v := range rep.Violations {
-			if v.OmegaLo > 0 && !math.IsInf(v.OmegaLo, 1) {
-				hot = append(hot, v.OmegaLo)
-			}
-			hot = append(hot, v.OmegaPeak)
-			if v.OmegaHi > 0 && !math.IsInf(v.OmegaHi, 1) {
-				hot = append(hot, v.OmegaHi)
-			}
-		}
-		opts.Cache.SetHot(hot)
-	}
+	// Seed the next check of this enforcement run with the band geometry
+	// found now: edges and peaks re-localize shrinking bands in a single
+	// stage.
+	opts.Cache.SetHot(nil)
+	addHot(opts.Cache, rep.Violations)
 	return rep, nil
 }

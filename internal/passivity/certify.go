@@ -346,68 +346,73 @@ func newBoundScanner(feats []poleFeature) *boundScanner {
 // finite limit it exits early in either direction and callers must only
 // use the comparison against limit.
 func (s *boundScanner) tailBound(dSigma, limit, w0, w1 float64) float64 {
-	n := len(s.feats)
+	wrs, feats, pre := s.wrs, s.feats, s.pre
+	n := len(feats)
+	bounded, finite := !math.IsInf(w1, 1), !math.IsInf(limit, 1)
 	sumLo, sumHi := dSigma, dSigma
 	near := 0.0
-	add := func(f *poleFeature, d float64) {
-		if d >= f.gamma {
-			// Far: convex over the interval, evaluate at both endpoints.
-			dLo := w0 - f.wr
-			sumLo += f.rnorm / math.Sqrt(f.gamma*f.gamma+dLo*dLo)
-			if !math.IsInf(w1, 1) {
-				dHi := w1 - f.wr
-				sumHi += f.rnorm / math.Sqrt(f.gamma*f.gamma+dHi*dHi)
-			}
-		} else {
-			near += f.rnorm / math.Sqrt(f.gamma*f.gamma+d*d)
-		}
-	}
-	lo := sort.SearchFloat64s(s.wrs, w0)
+	// Poles resonating inside the interval: distance 0, per-term supremum.
+	lo := sort.SearchFloat64s(wrs, w0)
 	r := lo
-	for r < n && s.wrs[r] <= w1 {
-		add(&s.feats[r], 0)
+	for r < n && wrs[r] <= w1 {
+		f := &feats[r]
+		near += f.rnorm / math.Sqrt(f.gamma*f.gamma)
 		r++
-		if math.Max(sumLo, sumHi)+near > limit {
-			return math.Max(sumLo, sumHi) + near
+		if max(sumLo, sumHi)+near > limit {
+			return max(sumLo, sumHi) + near
 		}
 	}
 	l := lo - 1
 	for l >= 0 || r < n {
 		dl, dr := math.Inf(1), math.Inf(1)
 		if l >= 0 {
-			dl = w0 - s.wrs[l]
+			dl = w0 - wrs[l]
 		}
 		if r < n {
-			dr = s.wrs[r] - w1
+			dr = wrs[r] - w1
 		}
 		// Everything not yet visited sits at least dl (left) / dr (right)
 		// away from the interval, so it adds at most mass/d to either
 		// endpoint sum. Only valid as an early exit against a finite limit
 		// — the full scan is required for the exact tightened value.
-		if !math.IsInf(limit, 1) {
+		if finite {
 			rem := 0.0
 			if l >= 0 {
-				rem += s.pre[l+1] / dl
+				rem += pre[l+1] / dl
 			}
 			if r < n {
-				rem += (s.pre[n] - s.pre[r]) / dr
+				rem += (pre[n] - pre[r]) / dr
 			}
-			if b := math.Max(sumLo, sumHi) + near + rem; b <= limit {
+			if b := max(sumLo, sumHi) + near + rem; b <= limit {
 				return b
 			}
 		}
+		var f *poleFeature
+		var d float64
 		if dl <= dr {
-			add(&s.feats[l], dl)
+			f, d = &feats[l], dl
 			l--
 		} else {
-			add(&s.feats[r], dr)
+			f, d = &feats[r], dr
 			r++
 		}
-		if math.Max(sumLo, sumHi)+near > limit {
+		g2 := f.gamma * f.gamma
+		if d >= f.gamma {
+			// Far: convex over the interval, evaluate at both endpoints.
+			dLo := w0 - f.wr
+			sumLo += f.rnorm / math.Sqrt(g2+dLo*dLo)
+			if bounded {
+				dHi := w1 - f.wr
+				sumHi += f.rnorm / math.Sqrt(g2+dHi*dHi)
+			}
+		} else {
+			near += f.rnorm / math.Sqrt(g2+d*d)
+		}
+		if max(sumLo, sumHi)+near > limit {
 			break
 		}
 	}
-	return math.Max(sumLo, sumHi) + near
+	return max(sumLo, sumHi) + near
 }
 
 // certMidpoint bisects an interval for the tail stage (log axis; linear at

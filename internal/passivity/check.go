@@ -13,8 +13,10 @@ import (
 type Method int
 
 const (
-	// MethodAuto uses the Hamiltonian test for small state dimensions and
-	// the multi-stage adaptive characterizer otherwise.
+	// MethodAuto runs the multi-stage adaptive characterizer first. A
+	// violation it samples is already a proof; a passive verdict is closed
+	// by the exact Hamiltonian test when N = 2·n·P ≤ hamiltonianMaxDim and
+	// stands on the sampling otherwise.
 	MethodAuto Method = iota
 	// MethodHamiltonian always uses the Hamiltonian eigenvalue test
 	// (exact, O((2nP)³)).
@@ -44,8 +46,16 @@ const (
 //	             |                          | resonant bands a fixed grid can
 //	             |                          | step over; cheapest inside
 //	             |                          | Enforce via the EvalCache.
-//	Auto         | —                        | Hamiltonian up to
-//	             |                          | hamiltonianMaxDim, Adaptive above.
+//	Auto         | Adaptive, plus one O(N³) | always Adaptive first; a passive
+//	             | eigensolve per passive   | verdict with N ≤ hamiltonianMaxDim
+//	             | verdict at small N       | is closed by the Hamiltonian test.
+//
+// Auto is two-speed because a sampled σ > 1+passivityTol is an exact σ
+// evaluation at a real frequency: a non-passive verdict needs no
+// eigensolve, and inside Enforce every sweep but the converged one is
+// non-passive. Exactness is paid once, when a passive verdict would end
+// the loop; a band the eigentest finds there is seeded into the
+// EvalCache hot set, so the next adaptive sweep samples it.
 //
 // All methods except Hamiltonian only ever sample σ(ω) and can therefore
 // step over a residual band. CheckOptions.Certify escalates a passive
@@ -84,7 +94,8 @@ const (
 
 const (
 	// hamiltonianMaxDim is the largest Hamiltonian dimension N = 2·n·P
-	// that MethodAuto still treats exactly.
+	// at which MethodAuto closes a passive verdict with the eigentest, so
+	// Auto stays exact up to it.
 	hamiltonianMaxDim = 400
 	// passivityTol is the passivity slack: σ ≤ 1+passivityTol counts as
 	// passive.
@@ -212,22 +223,14 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 	}
 	opts.defaults(model)
 	dSigma := mat.MaxSingularValue(mat.RealToComplex(model.D))
-	method := opts.Method
-	if method == MethodAuto {
-		if 2*model.NumPoles()*model.Ports() <= hamiltonianMaxDim {
-			method = MethodHamiltonian
-		} else {
-			method = MethodAdaptive
-		}
-	}
 	var rep *Report
 	var err error
-	switch method {
+	switch opts.Method {
 	case MethodHamiltonian:
 		rep, err = checkHamiltonian(model, opts)
 	case MethodSweep:
 		rep, err = checkSweep(model, opts)
-	case MethodAdaptive:
+	case MethodAuto, MethodAdaptive:
 		rep, err = checkAdaptive(model, opts)
 	default:
 		return nil, fmt.Errorf("passivity: unknown method %d", opts.Method)
@@ -235,12 +238,18 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.Method == MethodAuto && rep.Passive && dSigma <= 1+passivityTol &&
+		2*model.NumPoles()*model.Ports() <= hamiltonianMaxDim {
+		if rep, err = closeExact(model, rep, opts); err != nil {
+			return nil, err
+		}
+	}
 	rep.DSigma = dSigma
 	if dSigma > 1+passivityTol {
 		rep.Passive = false
 	}
 	if opts.Certify && rep.Passive {
-		if err := certifyReport(model, rep, method, opts); err != nil {
+		if err := certifyReport(model, rep, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -253,12 +262,44 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 	return rep, nil
 }
 
+// closeExact re-checks a passive sampled verdict with the Hamiltonian
+// eigentest and returns the exact report, which keeps the sampled report's
+// σ sample count. Bands the eigentest finds join the cache's hot set.
+func closeExact(model *rational.Model, sampled *Report, opts CheckOptions) (*Report, error) {
+	rep, err := checkHamiltonian(model, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep.Samples = sampled.Samples
+	addHot(opts.Cache, rep.Violations)
+	return rep, nil
+}
+
+// addHot appends the finite edges and the peak of every violation band to
+// the cache's hot set, so the next adaptive check of this pole set samples
+// those bands in its seed grid. A nil cache is a no-op.
+func addHot(c *EvalCache, viols []Violation) {
+	if c == nil {
+		return
+	}
+	for _, v := range viols {
+		if v.OmegaLo > 0 && !math.IsInf(v.OmegaLo, 1) {
+			c.hot = append(c.hot, v.OmegaLo)
+		}
+		c.hot = append(c.hot, v.OmegaPeak)
+		if v.OmegaHi > 0 && !math.IsInf(v.OmegaHi, 1) {
+			c.hot = append(c.hot, v.OmegaHi)
+		}
+	}
+}
+
 // certifyReport escalates a passive method-level verdict through the
-// certification pipeline and folds the outcome into the report. A
-// Hamiltonian method pass is already exact, so it certifies itself without
-// a second eigensolve.
-func certifyReport(model *rational.Model, rep *Report, method Method, opts CheckOptions) error {
-	if method == MethodHamiltonian {
+// certification pipeline and folds the outcome into the report. A pass of
+// the Hamiltonian eigentest is already exact, so it certifies itself
+// without a second eigensolve. The standalone check and the enforcement
+// engine's convergence both certify through here.
+func certifyReport(model *rational.Model, rep *Report, opts CheckOptions) error {
+	if rep.Method == "hamiltonian" {
 		dim := 2 * model.NumPoles() * model.Ports()
 		rep.Certificate = &Certificate{
 			Certified: true,
@@ -273,24 +314,16 @@ func certifyReport(model *rational.Model, rep *Report, method Method, opts Check
 		return err
 	}
 	rep.Certificate = cert
-	if len(cert.Violations) > 0 {
-		mergeCertified(rep, cert)
-	}
-	return nil
-}
-
-// mergeCertified folds pipeline-proven violations into a report: appended
-// to the violation list, reflected in the maximum, and flipping the
-// verdict. Shared by the standalone check and the enforcement engine so
-// the two paths cannot drift.
-func mergeCertified(rep *Report, cert *Certificate) {
-	rep.Passive = false
+	// Proven violations are appended to the report, reflected in its
+	// maximum, and flip the verdict.
 	for _, v := range cert.Violations {
+		rep.Passive = false
 		rep.Violations = append(rep.Violations, v)
 		if v.SigmaPeak > rep.MaxSigma {
 			rep.MaxSigma, rep.MaxOmega = v.SigmaPeak, v.OmegaPeak
 		}
 	}
+	return nil
 }
 
 // sigmaMax evaluates the largest singular value of S(jω) exactly via
@@ -393,9 +426,12 @@ func refinePeak(model *rational.Model, lo, hi, seed float64, c *EvalCache, ws *c
 // [omegaMin, omegaMax], and every pole's resonance frequency with
 // neighbours scaled by its damping. Narrow resonance peaks can slip
 // between log-grid points; the pole seeds put samples where σ maxima
-// live. The result is unsorted.
-func poleSeededGrid(model *rational.Model, n int, omegaMin, omegaMax float64) []float64 {
-	grid := make([]float64, 0, n+1+3*len(model.Poles))
+// live. The grid is appended to dst[:0] and is unsorted.
+func poleSeededGrid(dst []float64, model *rational.Model, n int, omegaMin, omegaMax float64) []float64 {
+	grid := dst[:0]
+	if need := n + 1 + 3*len(model.Poles); cap(grid) < need {
+		grid = make([]float64, 0, need)
+	}
 	grid = append(grid, 0)
 	for i := 0; i < n; i++ {
 		t := float64(i) / float64(n-1)
@@ -422,7 +458,7 @@ func poleSeededGrid(model *rational.Model, n int, omegaMin, omegaMax float64) []
 
 func checkSweep(model *rational.Model, opts CheckOptions) (*Report, error) {
 	rep := &Report{Method: "sweep", Passive: true}
-	grid := poleSeededGrid(model, opts.SweepPoints, opts.OmegaMin, opts.OmegaMax)
+	grid := poleSeededGrid(nil, model, opts.SweepPoints, opts.OmegaMin, opts.OmegaMax)
 	sortFloats(grid)
 	sv, err := sigmaBatch(opts.Ctx, model, grid, opts.Workers, opts.Cache, opts.work)
 	if err != nil {

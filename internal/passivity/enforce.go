@@ -253,42 +253,31 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 	return rep, nil
 }
 
-// escalateConverged runs the certification pipeline on a model the fast
-// check declared passive. It returns true when the verdict stands (no
-// certification requested, or the pipeline proved no violation). Proven
-// violations are merged into chk — flipping its verdict and updating its
-// maximum. With resume set (the loop still has iterations), the catch
-// counts as a rescue and the band geometry is pushed into the evaluation
-// cache's hot set so the next fast sweep samples the band instead of
-// stepping over it again; without it (iteration budget spent) the merge
-// only documents why the run fails.
+// escalateConverged certifies a model the per-sweep check declared
+// passive, by the rule the standalone check uses (certifyReport): a
+// converged Hamiltonian report certifies itself, any other runs the
+// certification pipeline. It returns true when the verdict stands (no
+// certification requested, or no violation proven). Proven violations are
+// merged into chk — flipping its verdict and updating its maximum. With
+// resume set (the loop still has iterations), the catch counts as a rescue
+// and the band geometry is pushed into the evaluation cache's hot set so
+// the next fast sweep samples the band instead of stepping over it again;
+// without it (iteration budget spent) the merge only documents why the run
+// fails.
 func escalateConverged(model *rational.Model, opts *EnforceOptions, rep *EnforceReport, chk *Report, resume bool) (bool, error) {
 	if !opts.Certify {
 		return true, nil
 	}
-	cert, err := Certify(model, opts.Check, CertifyOptions{})
-	if err != nil {
+	if err := certifyReport(model, chk, opts.Check); err != nil {
 		return false, err
 	}
-	rep.Certificate = cert
-	chk.Certificate = cert
-	if len(cert.Violations) == 0 {
+	rep.Certificate = chk.Certificate
+	if chk.Passive {
 		return true, nil
 	}
-	mergeCertified(chk, cert)
 	if resume {
 		rep.CertifiedRescues++
-		hot := append([]float64(nil), opts.Check.Cache.Hot()...)
-		for _, v := range cert.Violations {
-			if v.OmegaLo > 0 && !math.IsInf(v.OmegaLo, 1) {
-				hot = append(hot, v.OmegaLo)
-			}
-			hot = append(hot, v.OmegaPeak)
-			if v.OmegaHi > 0 && !math.IsInf(v.OmegaHi, 1) {
-				hot = append(hot, v.OmegaHi)
-			}
-		}
-		opts.Check.Cache.SetHot(hot)
+		addHot(opts.Check.Cache, chk.Certificate.Violations)
 	}
 	return false, nil
 }

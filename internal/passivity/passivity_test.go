@@ -108,14 +108,31 @@ func TestCheckHamiltonianVsSweepAgree(t *testing.T) {
 	}
 }
 
+// TestCheckAutoSelectsMethod pins Auto's two speeds: the adaptive
+// characterizer decides every non-passive verdict on its own samples, the
+// Hamiltonian eigentest closes every passive one up to the gate, and above
+// the gate the adaptive verdict stands.
 func TestCheckAutoSelectsMethod(t *testing.T) {
 	m := nonPassiveSISO(t, 0.12)
 	rep, err := Check(m, CheckOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Method != "hamiltonian" {
-		t.Fatalf("small model should use hamiltonian, got %s", rep.Method)
+	if rep.Passive || rep.Method != "adaptive" || rep.Samples == 0 {
+		t.Fatalf("small non-passive model: passive=%v method=%s samples=%d, want a sampled adaptive violation",
+			rep.Passive, rep.Method, rep.Samples)
+	}
+	passive, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 10, Seed: 1, PeakGain: 0.15, DSigma: 0.85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Check(passive, CheckOptions{Method: MethodAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passive || rep.Method != "hamiltonian" || rep.Samples == 0 {
+		t.Fatalf("small passive model: passive=%v method=%s samples=%d, want a Hamiltonian close keeping the adaptive samples",
+			rep.Passive, rep.Method, rep.Samples)
 	}
 	// 2 ports × 102 poles: N = 408 lies just past the Hamiltonian gate.
 	big, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 102, Seed: 7})
@@ -132,6 +149,100 @@ func TestCheckAutoSelectsMethod(t *testing.T) {
 	if rep.Method != "adaptive" {
 		t.Fatalf("model above the gate should use the adaptive characterizer, got %s", rep.Method)
 	}
+}
+
+// TestCheckAutoMatchesHamiltonianVerdict is the oracle for the two-speed
+// rule: on seeded passive, violating and narrow-band models with
+// N ≤ hamiltonianMaxDim, Auto's verdict equals the Hamiltonian test's on
+// every model.
+func TestCheckAutoMatchesHamiltonianVerdict(t *testing.T) {
+	type group struct {
+		cfg   SyntheticOptions
+		seeds int64
+	}
+	groups := []group{
+		{SyntheticOptions{Ports: 2, Poles: 10, PeakGain: 0.15, DSigma: 0.85}, 30},    // passive
+		{SyntheticOptions{Ports: 3, Poles: 12, PeakGain: 1.2, DSigma: 0.75}, 30},     // violating
+		{SyntheticOptions{Ports: 2, Poles: 10, PeakGain: 0.4, NarrowBand: true}, 30}, // narrow band
+		{SyntheticOptions{Ports: 4, Poles: 50, PeakGain: 0.2, DSigma: 0.85}, 12},     // N = 400, at the gate: mostly passive
+	}
+	models, passive, closed := 0, 0, 0
+	for _, g := range groups {
+		for seed := int64(0); seed < g.seeds; seed++ {
+			cfg := g.cfg
+			cfg.Seed = seed
+			m, err := SyntheticModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := 2 * m.NumPoles() * m.Ports(); n > hamiltonianMaxDim {
+				t.Fatalf("%+v: N = %d exceeds the gate %d", cfg, n, hamiltonianMaxDim)
+			}
+			ham, err := Check(m, CheckOptions{Method: MethodHamiltonian})
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto, err := Check(m, CheckOptions{Method: MethodAuto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auto.Passive != ham.Passive {
+				t.Fatalf("%+v: Auto passive=%v (%s, σ %v), Hamiltonian passive=%v (σ %v)",
+					cfg, auto.Passive, auto.Method, auto.MaxSigma, ham.Passive, ham.MaxSigma)
+			}
+			models++
+			if ham.Passive {
+				passive++
+			}
+			if !auto.Passive && auto.Method == "hamiltonian" {
+				closed++
+			}
+		}
+	}
+	t.Logf("%d models: %d passive, %d violations found by sampling, %d only by the eigentest close",
+		models, passive, models-passive-closed, closed)
+	if models < 100 || passive == 0 || passive == models {
+		t.Fatalf("population: %d models, %d passive; want ≥ 100 with both verdicts", models, passive)
+	}
+}
+
+// TestCheckAutoCatchesAdaptiveFalsePass runs the false-pass repro (see
+// falsepass_test.go) under Auto with the same capped refinement depth and
+// no certification. The eigentest close must catch the residual band the
+// capped adaptive check steps over, and Enforce under Auto must turn that
+// catch into constraints and deliver a model the oracle finds passive.
+func TestCheckAutoCatchesAdaptiveFalsePass(t *testing.T) {
+	model, _, opts := falsePassModel(t)
+	auto := CheckOptions{Method: MethodAuto, AdaptiveMaxStages: 6}
+
+	plain := model.Clone()
+	prep, err := Enforce(plain, *opts)
+	if err != nil || !prep.Passive {
+		t.Fatalf("adaptive-only enforcement: err=%v — repro conditions changed", err)
+	}
+	rep, err := Check(plain, auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Passive || rep.Method != "hamiltonian" {
+		t.Fatalf("Auto check of the false-passing model: passive=%v method=%s, want a violation from the eigentest",
+			rep.Passive, rep.Method)
+	}
+
+	enforced := model.Clone()
+	aopts := *opts
+	aopts.Check = auto
+	erep, err := Enforce(enforced, aopts)
+	if err != nil {
+		t.Fatalf("Auto enforcement: %v", err)
+	}
+	if !erep.Passive {
+		t.Fatal("Auto enforcement did not converge")
+	}
+	if worst, at := oracleWorstSigma(t, enforced); worst > 1+1e-9 {
+		t.Fatalf("oracle finds σ=%.9f at ω=%.6g after Auto enforcement", worst, at)
+	}
+	t.Logf("iterations: adaptive-only %d, Auto %d (final check %s)", prep.Iterations, erep.Iterations, erep.Final.Method)
 }
 
 func TestSigmaLinearization(t *testing.T) {

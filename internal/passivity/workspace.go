@@ -16,6 +16,9 @@ type checkWorkspace struct {
 	h     *mat.CMatrix
 	sv    []float64
 	basis []complex128
+	// adaptive is the adaptive characterizer's refinement grid; only the
+	// worker-0 workspace's is used.
+	adaptive adaptiveBuffers
 }
 
 // sigmaAt evaluates σ_max of S(jω) exactly (one-sided Jacobi; see the

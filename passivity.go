@@ -189,12 +189,16 @@ type PassivityCertificate struct {
 // the sweep is a fixed pole-seeded log grid; the adaptive characterizer
 // refines a coarse grid only where σ(ω) curvature or pole proximity leaves
 // room for a violation, scaling to models far beyond the eigensolve while
-// still resolving narrow resonant bands a fixed grid steps over.
+// still resolving narrow resonant bands a fixed grid steps over. The
+// default, CheckAuto, runs the adaptive characterizer and spends the
+// eigensolve only to close a passive verdict on a small model.
 type CheckMethod int
 
 const (
-	// CheckAuto picks the Hamiltonian test for small state dimensions and
-	// the adaptive characterizer otherwise.
+	// CheckAuto runs the adaptive characterizer first: a violation it
+	// samples is already exact. A passive verdict is closed by the
+	// Hamiltonian test when 2·n·P ≤ 400 (the report's Method is then
+	// "hamiltonian") and stands on the sampling above that.
 	CheckAuto CheckMethod = iota
 	// CheckHamiltonian forces the exact Hamiltonian eigenvalue test.
 	CheckHamiltonian
@@ -292,9 +296,10 @@ func toPublicReport(rep *passivity.Report) *PassivityReport {
 	return out
 }
 
-// CheckPassivity assesses the model: Hamiltonian imaginary-eigenvalue test
-// for small state dimensions, multi-stage adaptive singular-value
-// characterization otherwise (see CheckMethod to force one). It is a thin
+// CheckPassivity assesses the model: multi-stage adaptive singular-value
+// characterization, with a passive verdict on a small model closed by the
+// Hamiltonian imaginary-eigenvalue test (see CheckAuto; CheckMethod forces
+// one algorithm). It is a thin
 // wrapper over the shared default Session with a background context —
 // repeated checks of the same pole set reuse its evaluation caches; use
 // NewSession for cancellation, progress reporting or an isolated cache
