@@ -18,19 +18,40 @@ type QR struct {
 func QRFactor(a *Matrix) *QR {
 	m, n := a.Rows, a.Cols
 	qr := a.Clone()
-	k := m
-	if n < k {
-		k = n
+	beta := make([]float64, min(m, n))
+	householder(qr, beta, make([]float64, m), make([]float64, n))
+	return &QR{qr: qr, beta: beta}
+}
+
+// QRTriangularize overwrites a with the triangular factor R of its
+// Householder QR: R on and above the diagonal, zeros below. The reflectors
+// are discarded. v and s are scratch of length ≥ a.Rows and ≥ a.Cols. R
+// is bit for bit the R of QRFactor(a).
+func QRTriangularize(a *Matrix, v, s []float64) {
+	householder(a, nil, v, s)
+	for i := 1; i < a.Rows; i++ {
+		clear(a.Row(i)[:min(i, a.Cols)])
 	}
-	beta := make([]float64, k)
-	v := make([]float64, m)
-	data := qr.Data
-	for j := 0; j < k; j++ {
+}
+
+// householder reduces a in place, column by column, with Householder
+// reflectors: R on and above the diagonal, each reflector's normalized
+// vector below it and its scalar in beta (zeroed by the caller, nil to
+// drop the scalars; a zero column keeps beta 0). v and s are scratch of
+// length ≥ a.Rows and ≥ a.Cols. Reflector j depends only on column j
+// after reflectors 0..j−1, and every column is updated by the same
+// per-column operation sequence, so columns never influence one another's
+// arithmetic: that is what lets QR.ApplyQTMatrix reproduce this reduction
+// for extra columns.
+func householder(a *Matrix, beta, v, s []float64) {
+	m, n := a.Rows, a.Cols
+	data := a.Data
+	for j := 0; j < min(m, n); j++ {
 		// Build Householder vector for column j, rows j..m-1. The scan
 		// works on the flat backing array with a strided index: the QR of
-		// the per-response Vector Fitting blocks is the hottest loop in
-		// the library, so the column norm uses a scaled two-pass sum
-		// instead of per-element math.Hypot.
+		// the Vector Fitting blocks is a hot loop of the library, so the
+		// column norm uses a scaled two-pass sum instead of per-element
+		// math.Hypot.
 		amax := 0.0
 		for i := j; i < m; i++ {
 			if a := math.Abs(data[i*n+j]); a > amax {
@@ -38,7 +59,6 @@ func QRFactor(a *Matrix) *QR {
 			}
 		}
 		if amax == 0 {
-			beta[j] = 0
 			continue
 		}
 		sumSq := 0.0
@@ -59,31 +79,35 @@ func QRFactor(a *Matrix) *QR {
 			v[i] = data[i*n+j] / v0
 		}
 		bj := -v0 / alpha
-		beta[j] = bj
+		if beta != nil {
+			beta[j] = bj
+		}
 		// Apply H = I − beta·v·vᵀ to the trailing columns: one pass per
 		// row instead of per column to stay cache-friendly on the
-		// row-major layout. s[c] accumulates vᵀ·A[:, c].
-		s := make([]float64, n-j)
+		// row-major layout. sj[c] accumulates vᵀ·A[:, c].
+		sj := s[:n-j]
 		row := data[j*n : j*n+n]
-		copy(s, row[j:])
+		copy(sj, row[j:])
 		for i := j + 1; i < m; i++ {
-			ri := data[i*n : i*n+n]
+			ri := data[i*n+j : i*n+n]
+			ri = ri[:len(sj)]
 			vi := v[i]
-			for c := j; c < n; c++ {
-				s[c-j] += vi * ri[c]
+			for c, x := range ri {
+				sj[c] += vi * x
 			}
 		}
-		for c := j; c < n; c++ {
-			s[c-j] *= bj
+		for c := range sj {
+			sj[c] *= bj
 		}
-		for c := j; c < n; c++ {
-			row[c] -= s[c-j]
+		for c, x := range sj {
+			row[j+c] -= x
 		}
 		for i := j + 1; i < m; i++ {
-			ri := data[i*n : i*n+n]
+			ri := data[i*n+j : i*n+n]
+			ri = ri[:len(sj)]
 			vi := v[i]
-			for c := j; c < n; c++ {
-				ri[c] -= s[c-j] * vi
+			for c, x := range sj {
+				ri[c] -= x * vi
 			}
 		}
 		// Store the (normalized) Householder vector below the diagonal,
@@ -93,7 +117,6 @@ func QRFactor(a *Matrix) *QR {
 			data[i*n+j] = v[i]
 		}
 	}
-	return &QR{qr: qr, beta: beta}
 }
 
 // R returns the upper-triangular factor as a square n×n matrix (top block).
@@ -134,6 +157,51 @@ func (f *QR) ApplyQT(b []float64) {
 	}
 }
 
+// ApplyQTMatrix overwrites b (as many rows as the factored matrix) with
+// Qᵀ·b, running on every column of b exactly the operation sequence that
+// QRFactor runs on a trailing column. For A = [A₁ A₂] and f = QRFactor(A₁),
+// f.ApplyQTMatrix(A₂) therefore leaves A₂ bit for bit as the first
+// A₁.Cols reflectors of QRFactor(A) leave it, however many times f is
+// reused. s is scratch of length ≥ b.Cols.
+func (f *QR) ApplyQTMatrix(b *Matrix, s []float64) {
+	m, n, nb := f.qr.Rows, f.qr.Cols, b.Cols
+	if b.Rows != m {
+		panic("mat: ApplyQTMatrix row mismatch")
+	}
+	q, data := f.qr.Data, b.Data
+	s = s[:nb]
+	for j, bj := range f.beta {
+		if bj == 0 {
+			continue
+		}
+		row := data[j*nb : j*nb+nb]
+		copy(s, row)
+		for i := j + 1; i < m; i++ {
+			ri := data[i*nb : i*nb+nb]
+			ri = ri[:len(s)]
+			vi := q[i*n+j]
+			for c, x := range ri {
+				s[c] += vi * x
+			}
+		}
+		for c := range s {
+			s[c] *= bj
+		}
+		row = row[:len(s)]
+		for c, x := range s {
+			row[c] -= x
+		}
+		for i := j + 1; i < m; i++ {
+			ri := data[i*nb : i*nb+nb]
+			ri = ri[:len(s)]
+			vi := q[i*n+j]
+			for c, x := range s {
+				ri[c] -= x * vi
+			}
+		}
+	}
+}
+
 // SolveVec solves the least-squares problem min‖A·x − b‖₂ for tall A.
 func (f *QR) SolveVec(b []float64) ([]float64, error) {
 	m, n := f.qr.Rows, f.qr.Cols
@@ -168,9 +236,12 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 
 // QRCompressR computes the QR factorization of a and returns only the
 // trailing diagonal block R[c0:, c0:] of the triangular factor, an
-// (n−c0)×(n−c0) matrix. This is the compression step used by fast vector
+// (n−c0)×(n−c0) matrix. This is the compression step of fast vector
 // fitting: for a block matrix [A₁ A₂], the R₂₂ block captures the projection
-// of A₂ onto the orthogonal complement of range(A₁).
+// of A₂ onto the orthogonal complement of range(A₁). Vector Fitting reaches
+// the same block without refactoring a shared A₁ (QRFactor(A₁) once, then
+// ApplyQTMatrix and QRTriangularize per A₂); this direct form is the
+// oracle its tests compare against.
 func QRCompressR(a *Matrix, c0 int) *Matrix {
 	f := QRFactor(a)
 	n := a.Cols

@@ -105,6 +105,62 @@ func TestQRCompressR(t *testing.T) {
 	}
 }
 
+// TestQRSharedCompressionBitwise pins the fast-VF compression identity:
+// factoring A₁ once, reducing A₂ with ApplyQTMatrix and triangularizing
+// the trailing rows reproduces QRCompressR([A₁ A₂], n1) bit for bit, with
+// one factorization of A₁ shared by several A₂ blocks and with an
+// all-zero column on either side.
+func TestQRSharedCompressionBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 20; trial++ {
+		m := 10 + rng.Intn(40)
+		n1 := 1 + rng.Intn(6)
+		n2 := min(1+rng.Intn(m-n1), 7)
+		a1 := randMatrix(rng, m, n1)
+		if trial%5 == 4 {
+			for i := 0; i < m; i++ {
+				a1.Set(i, n1-1, 0)
+			}
+		}
+		f := QRFactor(a1)
+		v, s := make([]float64, m), make([]float64, n2)
+		for rep := 0; rep < 3; rep++ {
+			a2 := randMatrix(rng, m, n2)
+			if rep == 2 {
+				for i := 0; i < m; i++ {
+					a2.Set(i, 0, 0)
+				}
+			}
+			full := NewMatrix(m, n1+n2)
+			for i := 0; i < m; i++ {
+				copy(full.Row(i), a1.Row(i))
+				copy(full.Row(i)[n1:], a2.Row(i))
+			}
+			want := QRCompressR(full, n1)
+			f.ApplyQTMatrix(a2, s)
+			tail := &Matrix{Rows: m - n1, Cols: n2, Data: a2.Data[n1*n2:]}
+			QRTriangularize(tail, v, s)
+			for i := 0; i < n2; i++ {
+				for j := 0; j < n2; j++ {
+					if math.Float64bits(tail.At(i, j)) != math.Float64bits(want.At(i, j)) {
+						t.Fatalf("trial %d rep %d: R22(%d,%d) = %v, want %v", trial, rep, i, j, tail.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		}
+		r := f.R()
+		tri := a1.Clone()
+		QRTriangularize(tri, make([]float64, m), make([]float64, n1))
+		for i := 0; i < n1; i++ {
+			for j := 0; j < n1; j++ {
+				if math.Float64bits(tri.At(i, j)) != math.Float64bits(r.At(i, j)) {
+					t.Fatalf("trial %d: QRTriangularize R(%d,%d) = %v, QRFactor %v", trial, i, j, tri.At(i, j), r.At(i, j))
+				}
+			}
+		}
+	}
+}
+
 func TestQRPropertyResidualOrthogonal(t *testing.T) {
 	// LS residual must be orthogonal to the column space of A.
 	f := func(seed int64) bool {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/rational"
@@ -195,10 +196,17 @@ func HamiltonianCrossingsLevel(model *rational.Model, gamma float64) ([]float64,
 	return crossings, nil
 }
 
+// sortFloats sorts NaN-free v ascending by <, stably: values that compare
+// equal (duplicates, −0 and +0) keep their input order, exactly as an
+// insertion sort would leave them, in O(n log n) comparisons.
 func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
+	slices.SortStableFunc(v, func(a, b float64) int {
+		switch {
+		case a < b:
+			return -1
+		case b < a:
+			return 1
 		}
-	}
+		return 0
+	})
 }

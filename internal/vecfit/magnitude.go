@@ -138,12 +138,11 @@ func FitMagnitude(omega []float64, xi []float64, opts MagOptions) (*rational.Mod
 		// Refit the residues without a constant term so the strictly
 		// proper structure is exact, then factor the numerator.
 		if d != 0 {
-			phi := basisMatrix(points, uPoles)
-			c2, _, err := residueLS(phi, points, data, weights, true)
+			c2, _, err := residueStep(points, uPoles, [][]complex128{data}, weights, true, true)
 			if err != nil {
 				return nil, nil, fmt.Errorf("vecfit: strictly-proper refit: %w", err)
 			}
-			c = c2
+			c = c2[0]
 		}
 		residues := coordsToResidues(uPoles, c)
 		var sumR complex128
