@@ -17,7 +17,7 @@ import (
 )
 
 const (
-	blobHead     = 0x53455343<<32 | 4   // "SESC", version 4
+	blobHead     = 0x53455343<<32 | 5   // "SESC", version 5
 	emptyPolesFP = 14695981039346656037 // PoleFingerprint of an empty pole set
 )
 
@@ -146,6 +146,9 @@ func TestCacheBlobErrorsAreTyped(t *testing.T) {
 		{"short", "truncated", good[:39]},
 		{"bad magic", "bad magic", reseal(append(append(good[:4:4], "EVAC"...), good[8:]...))},
 		{"version 3", "unsupported version", seal(0x53455343<<32|3, emptyPolesFP, 0, 0, 0, 0)},
+		// v4 blobs hold σ samples of the Jacobi kernel: importing one would
+		// break "a hit returns the same float the miss would compute".
+		{"version 4", "unsupported version", seal(0x53455343<<32|4, emptyPolesFP, 0, 0, 0, 0)},
 		{"checksum", "checksum mismatch", flipped},
 		{"truncated payload", "truncated", seal(blobHead, emptyPolesFP, 0, 0)},
 		{"cut layer", "does not fit", reseal(good[:len(good)-16])},

@@ -136,15 +136,18 @@
 // # Performance: workspaces and batch enforcement
 //
 // The per-frequency hot path of characterization and enforcement —
-// transfer evaluation plus a P×P singular value decomposition, repeated
-// across every sweep — is allocation-free after warm-up. The internal
+// transfer evaluation plus σ_max of the P×P result, repeated across every
+// sweep — is allocation-free after warm-up. The internal
 // packages follow a uniform "…Into" convention for this:
 //
 //   - An …Into function writes into a caller-owned buffer (a slice or a
 //     workspace struct) and returns it; the buffer is grown only when too
 //     small, so a warmed buffer is reused forever. Examples:
-//     rational.EvalBasisInto / EvalWithBasisInto, mat.CSVDecomposeInto /
-//     SingularValuesInto (driven by a mat.CSVDWorkspace),
+//     rational.EvalBasisInto / EvalWithBasisInto, mat.MaxSingularValueInto
+//     (the per-frequency σ_max kernel: Gram matrix, Householder
+//     tridiagonal, Sturm bisection; error bound in the mat package doc) and
+//     mat.CSVDecomposeInto (the full SVD that enforcement takes at
+//     violation peaks), both driven by a mat.CSVDWorkspace,
 //     mat.Cholesky.SolveVecInto, mat.MulInto / CMulInto.
 //   - The caller owns the buffers and their lifetime. Results returned by
 //     a workspace (e.g. the CSVD of CSVDecomposeInto) stay valid only

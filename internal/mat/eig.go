@@ -65,6 +65,12 @@ func Balance(a *Matrix) []float64 {
 // HessenbergReduce reduces a to upper Hessenberg form in place using
 // Householder reflections: H = QᵀAQ. If wantQ is true the orthogonal
 // transformation Q is accumulated and returned; otherwise nil is returned.
+//
+// Every loop runs over row slices. The left reflector is applied row-outer,
+// column-inner into a per-column accumulator, which keeps the summation
+// order of each element (ascending row) of the column-at-a-time form, so
+// the result is bit for bit the same while the memory access is
+// contiguous.
 func HessenbergReduce(a *Matrix, wantQ bool) *Matrix {
 	n := a.Rows
 	if n != a.Cols {
@@ -75,11 +81,13 @@ func HessenbergReduce(a *Matrix, wantQ bool) *Matrix {
 		vs = make([][]float64, 0, n)
 	}
 	v := make([]float64, n)
+	acc := make([]float64, n) // per-column sums of the left reflector
+	d := a.Data
 	for k := 0; k < n-2; k++ {
 		// Householder on column k, rows k+1..n-1.
 		norm := 0.0
 		for i := k + 1; i < n; i++ {
-			norm = math.Hypot(norm, a.At(i, k))
+			norm = math.Hypot(norm, d[i*n+k])
 		}
 		if norm == 0 {
 			if wantQ {
@@ -88,44 +96,58 @@ func HessenbergReduce(a *Matrix, wantQ bool) *Matrix {
 			continue
 		}
 		alpha := norm
-		if a.At(k+1, k) > 0 {
+		if d[(k+1)*n+k] > 0 {
 			alpha = -norm
 		}
-		v0 := a.At(k+1, k) - alpha
+		v0 := d[(k+1)*n+k] - alpha
 		for i := range v {
 			v[i] = 0
 		}
 		v[k+1] = 1
 		for i := k + 2; i < n; i++ {
-			v[i] = a.At(i, k) / v0
+			v[i] = d[i*n+k] / v0
 		}
 		beta := -v0 / alpha
-		// A ← (I − β v vᵀ) A
-		for c := k; c < n; c++ {
-			s := 0.0
-			for i := k + 1; i < n; i++ {
-				s += v[i] * a.At(i, c)
+		// A ← (I − β v vᵀ) A: s_c = β·Σ_i v_i·a_ic over rows i ascending,
+		// then a_ic −= s_c·v_i.
+		s := acc[k:n]
+		for c := range s {
+			s[c] = 0
+		}
+		for i := k + 1; i < n; i++ {
+			row := d[i*n+k : (i+1)*n]
+			vi := v[i]
+			for c, x := range row {
+				s[c] += vi * x
 			}
-			s *= beta
-			for i := k + 1; i < n; i++ {
-				a.Set(i, c, a.At(i, c)-s*v[i])
+		}
+		for c := range s {
+			s[c] *= beta
+		}
+		for i := k + 1; i < n; i++ {
+			row := d[i*n+k : (i+1)*n]
+			vi := v[i]
+			for c, sc := range s {
+				row[c] -= sc * vi
 			}
 		}
 		// A ← A (I − β v vᵀ)
+		vt := v[k+1 : n]
 		for r := 0; r < n; r++ {
-			s := 0.0
-			for i := k + 1; i < n; i++ {
-				s += a.At(r, i) * v[i]
+			row := d[r*n+k+1 : (r+1)*n]
+			sum := 0.0
+			for i, x := range row {
+				sum += x * vt[i]
 			}
-			s *= beta
-			for i := k + 1; i < n; i++ {
-				a.Set(r, i, a.At(r, i)-s*v[i])
+			sum *= beta
+			for i, vi := range vt {
+				row[i] -= sum * vi
 			}
 		}
 		// Clean the annihilated entries exactly.
-		a.Set(k+1, k, alpha)
+		d[(k+1)*n+k] = alpha
 		for i := k + 2; i < n; i++ {
-			a.Set(i, k, 0)
+			d[i*n+k] = 0
 		}
 		if wantQ {
 			stored := make([]float64, n+1)
@@ -146,15 +168,17 @@ func HessenbergReduce(a *Matrix, wantQ bool) *Matrix {
 			continue
 		}
 		beta := stored[n]
+		vt := stored[k+1 : n]
 		// Q ← Q (I − β v vᵀ)
 		for r := 0; r < n; r++ {
-			s := 0.0
-			for i := k + 1; i < n; i++ {
-				s += q.At(r, i) * stored[i]
+			row := q.Data[r*n+k+1 : (r+1)*n]
+			sum := 0.0
+			for i, x := range row {
+				sum += x * vt[i]
 			}
-			s *= beta
-			for i := k + 1; i < n; i++ {
-				q.Set(r, i, q.At(r, i)-s*stored[i])
+			sum *= beta
+			for i, vi := range vt {
+				row[i] -= sum * vi
 			}
 		}
 	}

@@ -1,7 +1,30 @@
 // Package mat provides dense real and complex linear algebra used by the
-// macromodeling stack: LU, QR, Cholesky, SVD (one-sided Jacobi), symmetric
-// Jacobi eigendecomposition, Hessenberg reduction, real Schur form (Francis
-// double-shift QR), and Bartels–Stewart Lyapunov/Sylvester solvers.
+// macromodeling stack: LU, QR, Cholesky, SVD (one-sided Jacobi), a
+// values-only spectral-norm kernel, symmetric Jacobi eigendecomposition,
+// Hessenberg reduction, real Schur form (Francis double-shift QR), and
+// Bartels–Stewart Lyapunov/Sylvester solvers.
+//
+// # Spectral norm
+//
+// MaxSingularValueInto computes σ_max(A) alone, for an m×n complex A: it
+// forms the Gram matrix G = AᴴA (AAᴴ when m < n), reduces G to real
+// tridiagonal form with complex Householder reflectors and finds λ_max(G)
+// by Sturm-count bisection; σ_max = √λ_max. Each step is backward stable
+// in the normwise sense, so the computed σ̂ satisfies
+//
+//	|σ̂ − σ_max| ≤ c·n·ε·σ_max,  n = max(m, n), ε = 2⁻⁵³,
+//
+// with c a small constant: forming G perturbs λ_max by about n·ε·σ_max²
+// (worst case a further factor min(m, n), from ‖|A|‖₂² ≤ min(m, n)·‖A‖₂²),
+// the reduction and the bisection add a few ε·‖G‖, and a perturbation δ
+// of σ_max² moves σ_max by δ/(2σ_max). The tests hold the kernel to c = 4
+// against one-sided Jacobi, whose own error is of the same order; the
+// largest disagreement seen on random, ill-conditioned and clustered
+// matrices up to 45×45 is under 2·n·ε·σ_max. The bound is absolute in
+// σ_max, which is what a comparison σ_max > 1 needs, and it does not
+// depend on the gap to σ₂: bisection converges to the top eigenvalue
+// directly, so a cluster of nearly equal singular values neither slows it
+// nor biases it low, unlike power or subspace iteration.
 //
 // The package is self-contained (standard library only) and tuned for the
 // moderate matrix sizes that arise in rational macromodeling: state-space

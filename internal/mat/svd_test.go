@@ -80,39 +80,6 @@ func TestCSVDRankDeficient(t *testing.T) {
 	}
 }
 
-func TestMaxSingularValuePowerAgreesWithJacobi(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(12)
-		a := randCMatrix(rng, n, n)
-		exact := MaxSingularValue(a)
-		est, _ := MaxSingularValuePower(a, nil, 1e-12, 500)
-		if math.Abs(est-exact) > 1e-6*(1+exact) {
-			t.Fatalf("power iteration %v vs jacobi %v (n=%d)", est, exact, n)
-		}
-	}
-}
-
-func TestMaxSingularValuePowerWarmStart(t *testing.T) {
-	// A slowly-varying family: warm starting from the previous vector must
-	// still converge to the right value.
-	rng := rand.New(rand.NewSource(32))
-	a := randCMatrix(rng, 10, 10)
-	var v []complex128
-	for k := 0; k < 5; k++ {
-		b := a.Clone()
-		for i := range b.Data {
-			b.Data[i] *= complex(1+0.01*float64(k), 0)
-		}
-		exact := MaxSingularValue(b)
-		var est float64
-		est, v = MaxSingularValuePower(b, v, 1e-12, 500)
-		if math.Abs(est-exact) > 1e-6*(1+exact) {
-			t.Fatalf("step %d: %v vs %v", k, est, exact)
-		}
-	}
-}
-
 func TestRealSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := randMatrix(rng, 7, 4)
@@ -167,15 +134,5 @@ func BenchmarkCSVD45(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CSVDecompose(a)
-	}
-}
-
-func BenchmarkMaxSingularValuePower45(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	a := randCMatrix(rng, 45, 45)
-	b.ResetTimer()
-	var v []complex128
-	for i := 0; i < b.N; i++ {
-		_, v = MaxSingularValuePower(a, v, 1e-9, 200)
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"math/cmplx"
 )
 
-// CSVDWorkspace holds the reusable buffers of the one-sided Jacobi SVD
-// kernels: the packed column-major working copy, the right-rotation
-// accumulator, and the output matrices. A workspace amortizes every
-// allocation of CSVDecomposeInto / SingularValuesInto across calls — after
-// the first call at a given size the kernels are allocation-free.
+// CSVDWorkspace holds the reusable buffers of the SVD kernels: for the
+// one-sided Jacobi kernels the packed column-major working copy, the
+// right-rotation accumulator and the output matrices; for the σ_max kernel
+// the Gram matrix and its tridiagonal form. A workspace amortizes every
+// allocation of CSVDecomposeInto / SingularValuesInto /
+// MaxSingularValueInto across calls — after the first call at a given size
+// the kernels are allocation-free.
 //
 // Ownership: the CSVD returned by CSVDecomposeInto points into
 // workspace-owned storage and is valid only until the next call on the
@@ -24,6 +26,11 @@ type CSVDWorkspace struct {
 	u   *CMatrix     // output U, reused across calls
 	vm  *CMatrix     // output V, reused across calls
 	out CSVD         // returned header, reused across calls
+
+	g      []complex128 // σ_max kernel: packed lower Gram matrix (k×k)
+	p      []complex128 // σ_max kernel: Householder update vector
+	d, e2  []float64    // σ_max kernel: tridiagonal diagonal, squared off-diagonal
+	scaled *CMatrix     // σ_max kernel: power-of-two rescaled input
 }
 
 func growC(buf []complex128, n int) []complex128 {
@@ -238,8 +245,8 @@ func CSVDecomposeInto(ws *CSVDWorkspace, a *CMatrix) *CSVD {
 // SingularValuesInto computes the singular values of a in descending order
 // without accumulating singular vectors, appending into dst (which is
 // truncated first). With a warmed workspace and sufficient dst capacity the
-// call performs no allocations — this is the per-frequency kernel of the
-// passivity sweeps.
+// call performs no allocations. Callers that need only σ_max use
+// MaxSingularValueInto; this kernel is its reference in the tests.
 func SingularValuesInto(ws *CSVDWorkspace, a *CMatrix, dst []float64) []float64 {
 	m, n := a.Rows, a.Cols
 	swap := false

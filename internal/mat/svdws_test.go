@@ -38,15 +38,15 @@ func TestCSVDecomposeIntoMatchesCSVDecompose(t *testing.T) {
 	}
 }
 
-// TestSingularValuesIntoMatchesOnly: values and order must match the
-// allocating entry point bitwise.
-func TestSingularValuesIntoMatchesOnly(t *testing.T) {
+// TestSingularValuesIntoMatchesSingularValues: values and order must match
+// the allocating entry point bitwise.
+func TestSingularValuesIntoMatchesSingularValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var ws CSVDWorkspace
 	var buf []float64
 	for _, dims := range [][2]int{{5, 5}, {8, 3}, {3, 8}} {
 		a := randomCMatrix(rng, dims[0], dims[1])
-		want := SingularValuesOnly(a)
+		want := SingularValues(a)
 		buf = SingularValuesInto(&ws, a, buf)
 		if len(buf) != len(want) {
 			t.Fatalf("%v: %d values, want %d", dims, len(buf), len(want))

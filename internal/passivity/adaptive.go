@@ -43,11 +43,7 @@ func poleFeatureOf(model *rational.Model, k int, ws *checkWorkspace) poleFeature
 		// and bound arithmetic stays well defined.
 		gamma = 1e-12 * (1 + math.Abs(imag(p)))
 	}
-	ws.sv = mat.SingularValuesInto(&ws.svd, model.Residues[k], ws.sv)
-	rn := 0.0
-	if len(ws.sv) > 0 {
-		rn = ws.sv[0]
-	}
+	rn := mat.MaxSingularValueInto(&ws.svd, model.Residues[k])
 	return poleFeature{
 		wr:       math.Abs(imag(p)),
 		gamma:    gamma,

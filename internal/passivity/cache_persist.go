@@ -14,7 +14,7 @@ import (
 // It carries only what a receiver cannot cheaply recompute — the σ
 // samples — in a versioned little-endian stream:
 //
-//	u64  magic "SESC" << 32 | version 4
+//	u64  magic "SESC" << 32 | version 5
 //	u64  pole-set fingerprint
 //	u64  residue fingerprint of the active σ layer
 //	u64  n, then n poles as (re, im) float64 pairs
@@ -34,7 +34,7 @@ import (
 
 const (
 	cacheMagic   = 0x53455343 // "SESC"
-	cacheVersion = 4          // v4: σ layers only; earlier versions are rejected
+	cacheVersion = 5          // v5: σ from the direct σ_max kernel; earlier versions are rejected
 	cacheHead    = 4 * 8      // magic|version, two fingerprints, pole count
 	cacheFoot    = 8          // CRC-64 footer
 )
@@ -61,7 +61,7 @@ type CacheBlob struct {
 // parked variant layers are counted by StashedSigmaEntries.
 func (c *EvalCache) SigmaEntries() int { return len(c.sigma) }
 
-// Encode serializes b in the v4 format read by DecodeCacheBlob.
+// Encode serializes b in the v5 format read by DecodeCacheBlob.
 func (b *CacheBlob) Encode() []byte {
 	c := b.Cache
 	n := cacheHead + 16*len(b.Poles) + 16 + 16*len(c.sigma) + cacheFoot

@@ -415,6 +415,78 @@ func (s *boundScanner) tailBound(dSigma, limit, w0, w1 float64) float64 {
 	return max(sumLo, sumHi) + near
 }
 
+// floorExceeds reports whether the magnitude-sum floor of [w0, w1],
+//
+//	σ(D) + Σ_k ‖R_k‖₂/√(γ_k² + D_k²),  D_k = max(|w0 − ω_k|, |w1 − ω_k|),
+//
+// exceeds limit. The floor is at most the plain per-term bound at every
+// frequency of the interval, and tailBound of any subinterval is at least
+// the plain bound at each of its points (near terms take their suprema,
+// the convex far sum its larger endpoint value), so when the floor exceeds
+// limit no bisection of [w0, w1] can ever certify. The tail stage uses it
+// only to decide whether to bisect. The scan visits poles outward from the
+// interval and stops as soon as the partial floor crosses limit (true) or
+// cannot reach it with the remaining pole mass (false). An unbounded
+// interval has a zero floor beyond σ(D).
+func (s *boundScanner) floorExceeds(dSigma, limit, w0, w1 float64) bool {
+	if math.IsInf(w1, 1) {
+		return dSigma > limit
+	}
+	wrs, feats, pre := s.wrs, s.feats, s.pre
+	n := len(feats)
+	width := w1 - w0
+	sum := dSigma
+	lo := sort.SearchFloat64s(wrs, w0)
+	r := lo
+	for r < n && wrs[r] <= w1 {
+		f := &feats[r]
+		d := max(f.wr-w0, w1-f.wr)
+		sum += f.rnorm / math.Sqrt(f.gamma*f.gamma+d*d)
+		r++
+		if sum > limit {
+			return true
+		}
+	}
+	l := lo - 1
+	for l >= 0 || r < n {
+		dl, dr := math.Inf(1), math.Inf(1)
+		if l >= 0 {
+			dl = w0 - wrs[l]
+		}
+		if r < n {
+			dr = wrs[r] - w1
+		}
+		// Every pole not yet visited is at least dl (left) or dr (right)
+		// from the interval, so at least that plus the width from its far
+		// end.
+		rem := 0.0
+		if l >= 0 {
+			rem += pre[l+1] / (dl + width)
+		}
+		if r < n {
+			rem += (pre[n] - pre[r]) / (dr + width)
+		}
+		if sum+rem <= limit {
+			return false
+		}
+		var f *poleFeature
+		var d float64
+		if dl <= dr {
+			f, d = &feats[l], dl
+			l--
+		} else {
+			f, d = &feats[r], dr
+			r++
+		}
+		d += width
+		sum += f.rnorm / math.Sqrt(f.gamma*f.gamma+d*d)
+		if sum > limit {
+			return true
+		}
+	}
+	return false
+}
+
 // certMidpoint bisects an interval for the tail stage (log axis; linear at
 // DC; doubling into an unbounded tail).
 func certMidpoint(w0, w1 float64) float64 {
@@ -432,8 +504,9 @@ func certMidpoint(w0, w1 float64) float64 {
 }
 
 // tailStage retires intervals with the closed-form bound, bisecting the
-// ones the bound cannot settle up to a depth and work budget. It performs
-// no σ evaluations at all.
+// ones the bound cannot settle up to a depth and work budget unless
+// floorExceeds proves no subinterval can be settled. It performs no σ
+// evaluations at all.
 type tailStage struct{}
 
 // Name implements Certifier.
@@ -445,11 +518,24 @@ func (tailStage) Name() string { return StageTailBound }
 // cancellation), and the σ-anchored Lipschitz sweep retires those regions
 // for a fraction of the arithmetic. Depth 3 is enough for the sparse
 // outskirts — the DC cell, the unbounded tail, gaps between pole clusters
-// — where the bound genuinely wins.
+// — where the bound genuinely wins. Where floorExceeds proves the bound
+// cannot win at any depth, the stage does not bisect at all.
 const tailMaxDepth = 3
 
 func (tailStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
-	cost := StageCost{Stage: StageTailBound}
+	rem, certified := tailBisect(open,
+		func(lo, hi float64) bool { return cc.scan.tailBound(cc.dSigma, cc.limit, lo, hi) <= cc.limit },
+		func(lo, hi float64) bool { return cc.scan.floorExceeds(cc.dSigma, cc.limit, lo, hi) })
+	return rem, nil, StageCost{Stage: StageTailBound, Certified: certified}, nil
+}
+
+// tailBisect is the tail stage's subdivision: it retires the intervals
+// certifies settles and bisects the others, up to tailMaxDepth and
+// tailMaxIntervals evaluations, unless futile shows that no subinterval
+// can be settled either. futile only ever saves bisection work: it cannot
+// certify anything. It returns the coalesced unsettled intervals and the
+// number of settled ones.
+func tailBisect(open []CertInterval, certifies, futile func(lo, hi float64) bool) ([]CertInterval, int) {
 	type job struct {
 		iv    CertInterval
 		depth int
@@ -459,6 +545,7 @@ func (tailStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, 
 		work = append(work, job{iv: iv})
 	}
 	budget := tailMaxIntervals
+	certified := 0
 	var rem []CertInterval
 	for len(work) > 0 {
 		j := work[len(work)-1]
@@ -468,11 +555,11 @@ func (tailStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, 
 			continue
 		}
 		budget--
-		if cc.scan.tailBound(cc.dSigma, cc.limit, j.iv.Lo, j.iv.Hi) <= cc.limit {
-			cost.Certified++
+		if certifies(j.iv.Lo, j.iv.Hi) {
+			certified++
 			continue
 		}
-		if j.depth >= tailMaxDepth {
+		if j.depth >= tailMaxDepth || futile(j.iv.Lo, j.iv.Hi) {
 			rem = append(rem, j.iv)
 			continue
 		}
@@ -486,7 +573,7 @@ func (tailStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, 
 			job{iv: CertInterval{Lo: j.iv.Lo, Hi: mid}, depth: j.depth + 1},
 		)
 	}
-	return coalesce(rem), nil, cost, nil
+	return coalesce(rem), certified
 }
 
 // coalesce sorts disjoint intervals and merges the adjacent ones so the

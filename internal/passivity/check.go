@@ -326,12 +326,15 @@ func certifyReport(model *rational.Model, rep *Report, opts CheckOptions) error 
 	return nil
 }
 
-// sigmaMax evaluates the largest singular value of S(jω) exactly via
-// one-sided Jacobi. Iterative estimators (power/subspace iteration) are
-// NOT safe here: PDN scattering matrices carry large clusters of singular
-// values within 1e-4 of each other right at the passivity boundary, where
-// any underestimate flips the verdict. ws provides the reusable buffers
-// (nil allocates a transient workspace).
+// sigmaMax evaluates the largest singular value of S(jω) with the direct
+// kernel mat.MaxSingularValueInto (Gram matrix, Householder tridiagonal,
+// Sturm bisection), accurate to c·P·ε·σ_max whatever the singular value
+// gaps (see the mat package doc). Iterative estimators (power/subspace
+// iteration) are NOT safe here: PDN scattering matrices carry large
+// clusters of singular values within 1e-4 of each other right at the
+// passivity boundary, where an estimator stalls short of σ_max and any
+// underestimate flips the verdict. ws provides the reusable buffers (nil
+// allocates a transient workspace).
 func sigmaMax(model *rational.Model, omega float64, ws *checkWorkspace) float64 {
 	if ws == nil {
 		ws = &checkWorkspace{}

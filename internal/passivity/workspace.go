@@ -6,32 +6,30 @@ import (
 )
 
 // checkWorkspace bundles the reusable buffers one worker needs to evaluate
-// σ_max(S(jω)): the P×P transfer buffer, the Jacobi SVD workspace, the
-// singular-value slice and a basis scratch. After the first evaluation at a
-// given model size every σ evaluation through the workspace is
-// allocation-free. A workspace is not safe for concurrent use — the
-// workspacePool hands a private one to each parallel.ForWorkerCtx goroutine.
+// σ_max(S(jω)): the P×P transfer buffer, the SVD workspace (the σ_max
+// kernel's Gram and tridiagonal buffers, and the Jacobi buffers that
+// buildConstraints uses at violation peaks) and a basis scratch. After the
+// first evaluation at a given model size every σ evaluation through the
+// workspace is allocation-free. A workspace is not safe for concurrent
+// use — the workspacePool hands a private one to each
+// parallel.ForWorkerCtx goroutine.
 type checkWorkspace struct {
 	svd   mat.CSVDWorkspace
 	h     *mat.CMatrix
-	sv    []float64
 	basis []complex128
 	// adaptive is the adaptive characterizer's refinement grid; only the
 	// worker-0 workspace's is used.
 	adaptive adaptiveBuffers
 }
 
-// sigmaAt evaluates σ_max of S(jω) exactly (one-sided Jacobi; see the
-// caveat on sigmaMax), building the basis vector into the workspace scratch
-// and reusing the workspace buffers.
+// sigmaAt evaluates σ_max of S(jω) with the direct values-only kernel
+// mat.MaxSingularValueInto (see sigmaMax for why it must be direct), building
+// the basis vector into the workspace scratch and reusing the workspace
+// buffers.
 func (ws *checkWorkspace) sigmaAt(model *rational.Model, omega float64) float64 {
 	ws.basis = model.EvalBasisInto(ws.basis, omega)
 	ws.h = model.EvalWithBasisInto(ws.h, ws.basis)
-	ws.sv = mat.SingularValuesInto(&ws.svd, ws.h, ws.sv)
-	if len(ws.sv) == 0 {
-		return 0
-	}
-	return ws.sv[0]
+	return mat.MaxSingularValueInto(&ws.svd, ws.h)
 }
 
 // workspacePool is a grow-only set of per-worker workspaces. ensure must be
