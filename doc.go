@@ -158,11 +158,13 @@
 //     results remain bitwise independent of the worker count.
 //
 // Enforcement additionally shares one EvalCache per run. It memoizes σ
-// samples only: each sweep's samples (including the golden-section peak
-// refinement's off-grid probes) anchor the certification sweep, and the
-// violation bands of the last check seed the next one. Every σ miss runs
-// through the worker's workspace, building the pole-basis vector into
-// workspace scratch.
+// samples and, for the same residues, the Hamiltonian crossings: each
+// sweep's samples (including the golden-section peak refinement's
+// off-grid probes) anchor the certification sweep, the violation bands of
+// the last check seed the next one, and the eigensolve that closes a
+// converged run also serves a Session's certified check of the result.
+// Every σ miss runs through the worker's workspace, building the
+// pole-basis vector into workspace scratch.
 //
 // Model libraries are processed by EnforcePassivityBatch, which shards
 // models across workers — per-worker workspaces, per-model caches — and

@@ -187,8 +187,13 @@ type Finding struct {
 	Min           float64      `json:"min"`
 	Max           float64      `json:"max"`
 	Seeds         []SeedResult `json:"seeds"`
-	ElapsedMS     float64      `json:"elapsed_ms"`
-	Date          string       `json:"date"`
+	// ElapsedMS is the wall time of the evaluation. It includes building
+	// any artifact of the shared experiments.Context (the paper setup,
+	// fitted models) this spec was the first to need, so it depends on
+	// which specs ran before it in the same run and is not a per-spec
+	// cost.
+	ElapsedMS float64 `json:"elapsed_ms"`
+	Date      string  `json:"date"`
 }
 
 // validate applies the rigor rules a spec must satisfy before running.
@@ -376,7 +381,7 @@ func (f *Finding) Markdown() string {
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "_Evaluated in %.1f ms._\n", f.ElapsedMS)
+	fmt.Fprintf(&b, "_Evaluated in %.1f ms, including any shared context this spec was first to build (not a per-spec cost)._\n", f.ElapsedMS)
 	return b.String()
 }
 

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"context"
 	"errors"
 	"math"
 )
@@ -72,6 +73,14 @@ func Balance(a *Matrix) []float64 {
 // the result is bit for bit the same while the memory access is
 // contiguous.
 func HessenbergReduce(a *Matrix, wantQ bool) *Matrix {
+	q, _ := hessenbergReduce(nil, a, wantQ)
+	return q
+}
+
+// hessenbergReduce is HessenbergReduce, checking ctx (nil: never
+// cancelled) once per column; on cancellation it returns ctx.Err() and
+// leaves a only partly reduced.
+func hessenbergReduce(ctx context.Context, a *Matrix, wantQ bool) (*Matrix, error) {
 	n := a.Rows
 	if n != a.Cols {
 		panic("mat: HessenbergReduce of non-square matrix")
@@ -84,6 +93,9 @@ func HessenbergReduce(a *Matrix, wantQ bool) *Matrix {
 	acc := make([]float64, n) // per-column sums of the left reflector
 	d := a.Data
 	for k := 0; k < n-2; k++ {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		// Householder on column k, rows k+1..n-1.
 		norm := 0.0
 		for i := k + 1; i < n; i++ {
@@ -157,7 +169,7 @@ func HessenbergReduce(a *Matrix, wantQ bool) *Matrix {
 		}
 	}
 	if !wantQ {
-		return nil
+		return nil, nil
 	}
 	// Accumulate Q = H₀H₁… by applying reflectors to the identity from the
 	// right (equivalently build Q so that A_original = Q H Qᵀ).
@@ -182,7 +194,15 @@ func HessenbergReduce(a *Matrix, wantQ bool) *Matrix {
 			}
 		}
 	}
-	return q
+	return q, nil
+}
+
+// ctxErr is ctx.Err() for a possibly nil ctx.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // Schur holds a real Schur decomposition A = Q·T·Qᵀ where T is quasi-upper-
@@ -204,7 +224,7 @@ func SchurDecompose(a *Matrix, wantQ bool) (*Schur, error) {
 	if !wantQ {
 		q = nil
 	}
-	wr, wi, err := francisQR(h, q)
+	wr, wi, err := francisQR(nil, h, q)
 	if err != nil {
 		return nil, err
 	}
@@ -213,12 +233,35 @@ func SchurDecompose(a *Matrix, wantQ bool) (*Schur, error) {
 
 // EigenValues returns the eigenvalues of a general real square matrix as
 // complex numbers. The input is not modified. Balancing is applied for
-// accuracy.
+// accuracy. It is EigenValuesCtx without cancellation.
 func EigenValues(a *Matrix) ([]complex128, error) {
+	return EigenValuesCtx(nil, a)
+}
+
+// EigenValuesCtx is EigenValues under a context: ctx (nil: never
+// cancelled) is checked once per Hessenberg column and once per Francis
+// iteration, and cancellation returns ctx.Err().
+//
+// The eigenvalues come from francisValues, the values-only form of the
+// hqr2 iteration, and are bit for bit those of SchurDecompose's full
+// hqr2 on the same balanced Hessenberg matrix. When the deflation test
+// meets a zero scale (the s == 0 case, which needs the norm of the whole
+// matrix that the values-only form no longer updates), the solve is rerun
+// with full hqr2 from a.
+func EigenValuesCtx(ctx context.Context, a *Matrix) ([]complex128, error) {
 	w := a.Clone()
 	Balance(w)
-	HessenbergReduce(w, false)
-	wr, wi, err := francisQR(w, nil)
+	if _, err := hessenbergReduce(ctx, w, false); err != nil {
+		return nil, err
+	}
+	wr, wi, ok, err := francisValues(ctx, w)
+	if err == nil && !ok {
+		copy(w.Data, a.Data)
+		Balance(w)
+		if _, err = hessenbergReduce(ctx, w, false); err == nil {
+			wr, wi, err = francisQR(ctx, w, nil)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -229,15 +272,268 @@ func EigenValues(a *Matrix) ([]complex128, error) {
 	return out, nil
 }
 
+// francisValues runs the iteration of francisQR on the upper Hessenberg
+// matrix h (destroyed) for the eigenvalues alone. Three things differ,
+// none of which changes a value any later step reads:
+//   - the row update of a double QR step stops at the active window's last
+//     column n: no later window reaches past n, which only decreases;
+//   - a converged real 2×2 block is not rotated to triangular form: its
+//     rows and columns lie outside every later window;
+//   - every loop runs over row slices of h.Data.
+//
+// The column update keeps rows 0..iMax as hqr2 does: hqr2 never zeroes a
+// negligible subdiagonal, so a window can later grow back upward over
+// rows above its current top. The eigenvalues are therefore bit for bit
+// those of francisQR, except where the deflation test meets s == 0 and
+// would fall back to the norm of the whole matrix: francisValues then
+// stops and returns ok == false, and the caller reruns full hqr2.
+func francisValues(ctx context.Context, h *Matrix) (wr, wi []float64, ok bool, err error) {
+	nn := h.Rows
+	wr = make([]float64, nn)
+	wi = make([]float64, nn)
+	d := h.Data
+	eps := math.Pow(2, -52)
+	exshift := 0.0
+	var p, q, r, s, z, w, x, y float64
+
+	n := nn - 1
+	iter := 0
+	totalIter := 0
+	maxTotal := 40 * nn
+	for n >= 0 {
+		if err := ctxErr(ctx); err != nil {
+			return nil, nil, false, err
+		}
+		totalIter++
+		if totalIter > maxTotal {
+			return nil, nil, false, ErrNoConvergence
+		}
+		// Look for a single small sub-diagonal element.
+		l := n
+		for l > 0 {
+			s = math.Abs(d[(l-1)*nn+l-1]) + math.Abs(d[l*nn+l])
+			if s == 0 {
+				return nil, nil, false, nil
+			}
+			if math.Abs(d[l*nn+l-1]) < eps*s {
+				break
+			}
+			l--
+		}
+		rn := d[n*nn:]
+		switch {
+		case l == n:
+			// One root found.
+			rn[n] += exshift
+			wr[n] = rn[n]
+			wi[n] = 0
+			n--
+			iter = 0
+
+		case l == n-1:
+			// Two roots found.
+			rm := d[(n-1)*nn:]
+			w = rn[n-1] * rm[n]
+			p = (rm[n-1] - rn[n]) / 2
+			q = p*p + w
+			z = math.Sqrt(math.Abs(q))
+			rn[n] += exshift
+			rm[n-1] += exshift
+			x = rn[n]
+			if q >= 0 {
+				// Real pair.
+				if p >= 0 {
+					z = p + z
+				} else {
+					z = p - z
+				}
+				wr[n-1] = x + z
+				wr[n] = wr[n-1]
+				if z != 0 {
+					wr[n] = x - w/z
+				}
+				wi[n-1] = 0
+				wi[n] = 0
+			} else {
+				// Complex pair.
+				wr[n-1] = x + p
+				wr[n] = x + p
+				wi[n-1] = z
+				wi[n] = -z
+			}
+			n -= 2
+			iter = 0
+
+		default:
+			// No convergence yet: perform a double QR step.
+			x = rn[n]
+			y = d[(n-1)*nn+n-1]
+			w = rn[n-1] * d[(n-1)*nn+n]
+
+			// Wilkinson's original ad hoc shift.
+			if iter == 10 || iter == 20 {
+				exshift += x
+				for i := 0; i <= n; i++ {
+					d[i*nn+i] -= x
+				}
+				s = math.Abs(rn[n-1]) + math.Abs(d[(n-1)*nn+n-2])
+				x = 0.75 * s
+				y = x
+				w = -0.4375 * s * s
+			}
+			// MATLAB-style new ad hoc shift.
+			if iter == 30 {
+				s = (y - x) / 2
+				s = s*s + w
+				if s > 0 {
+					s = math.Sqrt(s)
+					if y < x {
+						s = -s
+					}
+					s = x - w/((y-x)/2+s)
+					for i := 0; i <= n; i++ {
+						d[i*nn+i] -= s
+					}
+					exshift += s
+					x = 0.964
+					y = x
+					w = x
+				}
+			}
+			iter++
+			if iter > 60 {
+				return nil, nil, false, ErrNoConvergence
+			}
+
+			// Look for two consecutive small sub-diagonal elements.
+			m := n - 2
+			for m >= l {
+				r0, r1, r2 := d[m*nn:], d[(m+1)*nn:], d[(m+2)*nn:]
+				z = r0[m]
+				r = x - z
+				s = y - z
+				p = (r*s-w)/r1[m] + r0[m+1]
+				q = r1[m+1] - z - r - s
+				r = r2[m+1]
+				s = math.Abs(p) + math.Abs(q) + math.Abs(r)
+				p /= s
+				q /= s
+				r /= s
+				if m == l {
+					break
+				}
+				if math.Abs(r0[m-1])*(math.Abs(q)+math.Abs(r)) <
+					eps*(math.Abs(p)*(math.Abs(d[(m-1)*nn+m-1])+math.Abs(z)+math.Abs(r1[m+1]))) {
+					break
+				}
+				m--
+			}
+			for i := m + 2; i <= n; i++ {
+				d[i*nn+i-2] = 0
+				if i > m+2 {
+					d[i*nn+i-3] = 0
+				}
+			}
+
+			// Double QR step on rows l..n, columns m..n.
+			for k := m; k <= n-1; k++ {
+				notlast := k != n-1
+				rk, rk1 := d[k*nn:(k+1)*nn], d[(k+1)*nn:(k+2)*nn]
+				var rk2 []float64
+				if notlast {
+					rk2 = d[(k+2)*nn : (k+3)*nn]
+				}
+				if k != m {
+					p = rk[k-1]
+					q = rk1[k-1]
+					if notlast {
+						r = rk2[k-1]
+					} else {
+						r = 0
+					}
+					x = math.Abs(p) + math.Abs(q) + math.Abs(r)
+					if x == 0 {
+						continue
+					}
+					p /= x
+					q /= x
+					r /= x
+				}
+				s = math.Sqrt(p*p + q*q + r*r)
+				if p < 0 {
+					s = -s
+				}
+				if s == 0 {
+					continue
+				}
+				if k != m {
+					rk[k-1] = -s * x
+				} else if l != m {
+					rk[k-1] = -rk[k-1]
+				}
+				p += s
+				x = p / s
+				y = q / s
+				z = r / s
+				q /= p
+				r /= p
+
+				// Row modification, columns k..n.
+				a0, a1 := rk[k:n+1], rk1[k:n+1]
+				if notlast {
+					a2 := rk2[k : n+1]
+					for j := range a0 {
+						p = a0[j] + q*a1[j]
+						p += r * a2[j]
+						a2[j] -= p * z
+						a0[j] -= p * x
+						a1[j] -= p * y
+					}
+				} else {
+					for j := range a0 {
+						p = a0[j] + q*a1[j]
+						a0[j] -= p * x
+						a1[j] -= p * y
+					}
+				}
+				// Column modification, rows 0..iMax.
+				iMax := n
+				if k+3 < iMax {
+					iMax = k + 3
+				}
+				if notlast {
+					for i := 0; i <= iMax; i++ {
+						c := d[i*nn+k : i*nn+k+3]
+						p = x*c[0] + y*c[1]
+						p += z * c[2]
+						c[2] -= p * r
+						c[0] -= p
+						c[1] -= p * q
+					}
+				} else {
+					for i := 0; i <= iMax; i++ {
+						c := d[i*nn+k : i*nn+k+2]
+						p = x*c[0] + y*c[1]
+						c[0] -= p
+						c[1] -= p * q
+					}
+				}
+			}
+		}
+	}
+	return wr, wi, true, nil
+}
+
 // francisQR runs the Francis double-shift QR iteration on the upper
 // Hessenberg matrix h (in place), reducing it to real Schur form. If v is
 // non-nil the transformations are accumulated into it (v ← v·Z). Returns
-// eigenvalue real/imaginary parts.
+// eigenvalue real/imaginary parts. ctx (nil: never cancelled) is checked
+// once per iteration.
 //
 // The implementation follows the classical hqr2 algorithm (EISPACK/JAMA):
 // 2×2 diagonal blocks with real eigenvalues are rotated into upper
 // triangular form, so remaining 2×2 blocks always carry complex pairs.
-func francisQR(h *Matrix, v *Matrix) (wr, wi []float64, err error) {
+func francisQR(ctx context.Context, h *Matrix, v *Matrix) (wr, wi []float64, err error) {
 	nn := h.Rows
 	wr = make([]float64, nn)
 	wi = make([]float64, nn)
@@ -255,6 +551,9 @@ func francisQR(h *Matrix, v *Matrix) (wr, wi []float64, err error) {
 	totalIter := 0
 	maxTotal := 40 * nn
 	for n >= low {
+		if err := ctxErr(ctx); err != nil {
+			return nil, nil, err
+		}
 		totalIter++
 		if totalIter > maxTotal {
 			return nil, nil, ErrNoConvergence
@@ -264,7 +563,7 @@ func francisQR(h *Matrix, v *Matrix) (wr, wi []float64, err error) {
 		for l > low {
 			s = math.Abs(h.At(l-1, l-1)) + math.Abs(h.At(l, l))
 			if s == 0 {
-				s = hessNorm(h, low, high)
+				s = hessNorm(h)
 			}
 			if math.Abs(h.At(l, l-1)) < eps*s {
 				break
@@ -489,7 +788,8 @@ func francisQR(h *Matrix, v *Matrix) (wr, wi []float64, err error) {
 	return wr, wi, nil
 }
 
-func hessNorm(h *Matrix, low, high int) float64 {
+// hessNorm is the entry-wise 1-norm of the upper Hessenberg part of h.
+func hessNorm(h *Matrix) float64 {
 	norm := 0.0
 	n := h.Rows
 	for i := 0; i < n; i++ {
@@ -501,7 +801,5 @@ func hessNorm(h *Matrix, low, high int) float64 {
 			norm += math.Abs(h.At(i, j))
 		}
 	}
-	_ = low
-	_ = high
 	return norm
 }

@@ -1,8 +1,9 @@
 // Package mat provides dense real and complex linear algebra used by the
 // macromodeling stack: LU, QR, Cholesky, SVD (one-sided Jacobi), a
 // values-only spectral-norm kernel, symmetric Jacobi eigendecomposition,
-// Hessenberg reduction, real Schur form (Francis double-shift QR), and
-// Bartels–Stewart Lyapunov/Sylvester solvers.
+// Hessenberg reduction, real Schur form (Francis double-shift QR), a
+// values-only eigenvalue path, and Bartels–Stewart Lyapunov/Sylvester
+// solvers.
 //
 // # Spectral norm
 //
@@ -26,10 +27,32 @@
 // directly, so a cluster of nearly equal singular values neither slows it
 // nor biases it low, unlike power or subspace iteration.
 //
+// # Eigenvalues
+//
+// SchurDecompose runs full hqr2 (EISPACK/JAMA): it keeps the whole
+// quasi-triangular T, rotating converged real 2×2 blocks to triangular
+// form. EigenValues and EigenValuesCtx read only the eigenvalues, so they
+// run a values-only form of the same iteration: the row update of each
+// double QR step stops at the active window's last column and the real
+// 2×2 rotation is skipped, which changes no entry a later step reads. The
+// values are bit for bit those of full hqr2 on the same balanced
+// Hessenberg matrix; the one case that reads the whole matrix (a zero
+// deflation scale) reruns full hqr2. EigenValuesCtx checks its context
+// once per Hessenberg column and once per Francis iteration.
+//
+// # Householder QR
+//
+// QRFactor keeps its factor column-major (ColMajor), and ApplyQTMatrix
+// and QRTriangularize work on column-major blocks, four columns per pass.
+// Each column's reflector dot product still accumulates in ascending row
+// order, so R, the reflectors and every reduced block are bit for bit
+// those of the row-major form they replaced (kept in the tests as the
+// oracle).
+//
 // The package is self-contained (standard library only) and tuned for the
 // moderate matrix sizes that arise in rational macromodeling: state-space
 // dimensions up to a few hundred and port counts up to ~100. Storage is
-// row-major in flat slices.
+// row-major in flat slices, except for the column-major QR kernels.
 package mat
 
 import (

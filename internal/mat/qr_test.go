@@ -123,7 +123,6 @@ func TestQRSharedCompressionBitwise(t *testing.T) {
 			}
 		}
 		f := QRFactor(a1)
-		v, s := make([]float64, m), make([]float64, n2)
 		for rep := 0; rep < 3; rep++ {
 			a2 := randMatrix(rng, m, n2)
 			if rep == 2 {
@@ -137,24 +136,25 @@ func TestQRSharedCompressionBitwise(t *testing.T) {
 				copy(full.Row(i)[n1:], a2.Row(i))
 			}
 			want := QRCompressR(full, n1)
-			f.ApplyQTMatrix(a2, s)
-			tail := &Matrix{Rows: m - n1, Cols: n2, Data: a2.Data[n1*n2:]}
-			QRTriangularize(tail, v, s)
+			b := colMajorOf(a2)
+			f.ApplyQTMatrix(b)
+			tail := b.RowsFrom(n1)
+			QRTriangularize(tail)
 			for i := 0; i < n2; i++ {
 				for j := 0; j < n2; j++ {
-					if math.Float64bits(tail.At(i, j)) != math.Float64bits(want.At(i, j)) {
-						t.Fatalf("trial %d rep %d: R22(%d,%d) = %v, want %v", trial, rep, i, j, tail.At(i, j), want.At(i, j))
+					if got := tail.Col(j)[i]; math.Float64bits(got) != math.Float64bits(want.At(i, j)) {
+						t.Fatalf("trial %d rep %d: R22(%d,%d) = %v, want %v", trial, rep, i, j, got, want.At(i, j))
 					}
 				}
 			}
 		}
 		r := f.R()
-		tri := a1.Clone()
-		QRTriangularize(tri, make([]float64, m), make([]float64, n1))
+		tri := colMajorOf(a1)
+		QRTriangularize(tri)
 		for i := 0; i < n1; i++ {
 			for j := 0; j < n1; j++ {
-				if math.Float64bits(tri.At(i, j)) != math.Float64bits(r.At(i, j)) {
-					t.Fatalf("trial %d: QRTriangularize R(%d,%d) = %v, QRFactor %v", trial, i, j, tri.At(i, j), r.At(i, j))
+				if got := tri.Col(j)[i]; math.Float64bits(got) != math.Float64bits(r.At(i, j)) {
+					t.Fatalf("trial %d: QRTriangularize R(%d,%d) = %v, QRFactor %v", trial, i, j, got, r.At(i, j))
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package passivity
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -23,6 +24,13 @@ import (
 // samples survive the visits of its siblings instead of being recomputed
 // every time.
 //
+// Alongside the active σ layer the cache memoizes the level-1 Hamiltonian
+// crossings of the same residue set (memoCrossings), so the exact
+// eigentest that closes an enforcement run and the certified check of the
+// result share one dense eigensolve. Whatever drops the active σ layer
+// (InvalidateSigma, SwapSigma) drops the crossings too; they are never
+// parked in the stash and never serialized.
+//
 // The cache also carries the violation-band frequencies found by the
 // previous check (HotFrequencies) into the next check's seed grid, so that
 // enforcement iterations re-localize their shrinking bands in a single
@@ -37,13 +45,20 @@ type EvalCache struct {
 	sigma map[float64]float64
 	hot   []float64
 
+	// crossings holds the level-1 Hamiltonian crossings of the active
+	// residue set when crossingsOK is set.
+	crossings   []float64
+	crossingsOK bool
+
 	// stash holds parked σ layers by residue fingerprint (SwapSigma);
 	// stashOrder tracks their recency, most recent last.
 	stash      map[uint64]map[float64]float64
 	stashOrder []uint64
 
-	// Counters for benchmarks and experiment reports.
+	// Counters for benchmarks and experiment reports. Eigensolves counts
+	// the dense Hamiltonian eigensolves memoCrossings ran for this cache.
 	SigmaHits, SigmaMisses int
+	Eigensolves            int
 }
 
 // NewEvalCache returns an empty cache.
@@ -51,13 +66,15 @@ func NewEvalCache() *EvalCache {
 	return &EvalCache{sigma: make(map[float64]float64)}
 }
 
-// InvalidateSigma drops the active σ layer (the model's residues changed
-// in place, as enforcement perturbations do) while keeping the
-// hot-frequency seeds and any stashed σ layers of other residue sets.
+// InvalidateSigma drops the active σ layer and the memoized crossings (the
+// model's residues or D changed in place, as enforcement perturbations
+// do) while keeping the hot-frequency seeds and any stashed σ layers of
+// other residue sets.
 func (c *EvalCache) InvalidateSigma() {
 	if c == nil {
 		return
 	}
+	c.dropCrossings()
 	// clear keeps the map's buckets: the next sweep re-stores σ at the same
 	// frequencies without re-growing the table from scratch.
 	clear(c.sigma)
@@ -75,11 +92,13 @@ const maxSigmaStash = 64
 // any) becomes active. Callers pass residue fingerprints as keys and must
 // guarantee the park key identifies the residues the active layer was
 // computed from. Cycling through a library of residue variants this way
-// turns every revisit into σ-layer hits instead of recomputations.
+// turns every revisit into σ-layer hits instead of recomputations. The
+// memoized crossings are dropped, not parked: a revisit re-solves them.
 func (c *EvalCache) SwapSigma(park, restore uint64) {
 	if c == nil || park == restore {
 		return
 	}
+	c.dropCrossings()
 	if c.stash == nil {
 		c.stash = make(map[uint64]map[float64]float64)
 	}
@@ -111,6 +130,28 @@ func (c *EvalCache) SwapSigma(park, restore uint64) {
 	} else {
 		clear(c.sigma)
 	}
+}
+
+func (c *EvalCache) dropCrossings() {
+	c.crossings, c.crossingsOK = nil, false
+}
+
+// memoCrossings returns the level-1 Hamiltonian crossings of the model
+// (HamiltonianCrossings under ctx) through the cache's memo: when the
+// cache already holds the crossings of its active residue set no
+// eigensolve runs. Only a successful solve is stored, and callers get
+// their own copy. A nil cache solves every time.
+func memoCrossings(ctx context.Context, model *rational.Model, c *EvalCache) ([]float64, error) {
+	if c != nil && c.crossingsOK {
+		return slices.Clone(c.crossings), nil
+	}
+	crossings, err := crossingsLevel(ctx, model, 1)
+	if c == nil || err != nil {
+		return crossings, err
+	}
+	c.Eigensolves++
+	c.crossings, c.crossingsOK = slices.Clone(crossings), true
+	return crossings, nil
 }
 
 // StashedSigmaEntries sums the σ samples held by parked layers (see

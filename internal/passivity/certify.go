@@ -1,6 +1,7 @@
 package passivity
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -135,6 +136,7 @@ func (o *CertifyOptions) defaults() {
 // the evaluation machinery (cache + workspaces) of the surrounding check
 // or enforcement run.
 type certContext struct {
+	ctx    context.Context
 	model  *rational.Model
 	feats  []poleFeature // index-aligned, NOT sorted
 	dSigma float64
@@ -215,6 +217,7 @@ func (p *Pipeline) Run(model *rational.Model, opts CheckOptions, copts CertifyOp
 	opts.defaults(model)
 	copts.defaults()
 	cc := &certContext{
+		ctx:    opts.Ctx,
 		model:  model,
 		dSigma: mat.MaxSingularValue(mat.RealToComplex(model.D)),
 		limit:  1 + passivityTol,
@@ -790,8 +793,11 @@ func (fullStage) Name() string { return StageHamiltonian }
 
 func (fullStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
 	cost := StageCost{Stage: StageHamiltonian, EigenDim: 2 * cc.model.NumPoles() * cc.model.Ports(), DimGate: cc.copts.MaxDim}
-	crossings, err := HamiltonianCrossings(cc.model)
+	crossings, err := memoCrossings(cc.ctx, cc.model, cc.cache)
 	if err != nil {
+		if cerr := ctxErr(cc.ctx); cerr != nil {
+			return nil, nil, cost, cerr
+		}
 		// Numerical failure: pass the intervals on instead of aborting the
 		// pipeline (the counter stage may still settle them).
 		cost.Note = err.Error()
@@ -973,8 +979,11 @@ func tryRestricted(cc *certContext, iv CertInterval, units []poleUnit, budget fl
 	if dim > cost.EigenDim {
 		cost.EigenDim = dim
 	}
-	crossings, herr := HamiltonianCrossingsLevel(reduced, gamma)
+	crossings, herr := crossingsLevel(cc.ctx, reduced, gamma)
 	if herr != nil {
+		if cerr := ctxErr(cc.ctx); cerr != nil {
+			return false, nil, false, cerr
+		}
 		cost.Note = herr.Error()
 		return false, nil, true, nil
 	}

@@ -343,7 +343,7 @@ func sigmaMax(model *rational.Model, omega float64, ws *checkWorkspace) float64 
 }
 
 func checkHamiltonian(model *rational.Model, opts CheckOptions) (*Report, error) {
-	crossings, err := HamiltonianCrossings(model)
+	crossings, err := memoCrossings(opts.Ctx, model, opts.Cache)
 	if err != nil {
 		return nil, err
 	}

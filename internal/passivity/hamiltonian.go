@@ -10,6 +10,7 @@
 package passivity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -170,13 +171,23 @@ func HamiltonianCrossings(model *rational.Model) ([]float64, error) {
 // some singular value of the model's scattering matrix crosses the level γ
 // (see HamiltonianMatrixLevel).
 func HamiltonianCrossingsLevel(model *rational.Model, gamma float64) ([]float64, error) {
+	return crossingsLevel(nil, model, gamma)
+}
+
+// crossingsLevel is HamiltonianCrossingsLevel under ctx (nil: never
+// cancelled): the eigensolve checks it once per Hessenberg column and once
+// per Francis iteration, and cancellation returns ctx.Err() itself.
+func crossingsLevel(ctx context.Context, model *rational.Model, gamma float64) ([]float64, error) {
 	sys := model.Realization()
 	h, err := HamiltonianMatrixLevel(sys.A, sys.B, sys.C, sys.D, gamma)
 	if err != nil {
 		return nil, err
 	}
-	ev, err := mat.EigenValues(h)
+	ev, err := mat.EigenValuesCtx(ctx, h)
 	if err != nil {
+		if cerr := ctxErr(ctx); cerr != nil {
+			return nil, cerr
+		}
 		return nil, fmt.Errorf("passivity: Hamiltonian eigenvalues: %w", err)
 	}
 	var crossings []float64

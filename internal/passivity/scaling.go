@@ -96,6 +96,9 @@ func EnforceByResidueScaling(model *rational.Model, opts EnforceOptions) (*Scali
 		loReport = chk
 	}
 	applyScale(model, lo)
+	// The cache's σ layer and crossings belong to the last probe's clone,
+	// not to the scaled model.
+	opts.Check.Cache.InvalidateSigma()
 	rep.Gamma = lo
 	rep.Passive = true
 	rep.Final = loReport

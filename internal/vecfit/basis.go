@@ -10,8 +10,8 @@
 // system [W[Φ 1] W[−H_rΦ, −H_r]] to an (n+1)×(n+1) triangular block. The
 // basis block W[Φ 1] is the same for every response, so a sweep factors
 // it once with Householder reflectors and applies those reflectors to each
-// response's 2k×(n+1) block W[−H_rΦ, −H_r], built in a per-worker
-// buffer; a QR of the trailing rows finishes the compression. The relaxed
+// response's 2k×(n+1) block W[−H_rΦ, −H_r], built column-major in a
+// per-worker buffer; a QR of the trailing rows finishes the compression. The relaxed
 // system uses the whole block, and the classical fallback (taken when the
 // relaxed d̃ nearly vanishes) uses its leading n×n part with the negated
 // d̃ column as right-hand side, so no response is compressed twice. The

@@ -244,21 +244,20 @@ func basisBlock(phi *mat.CMatrix, weights []float64, skipD bool) *mat.Matrix {
 }
 
 // sigmaWorkspace is one worker's scratch for a sweep's compressions: the
-// 2k×(n+1) block W[−HΦ, −H] of the response in hand and the Householder
-// scratch vectors.
+// 2k×(n+1) block W[−HΦ, −H] of the response in hand, column-major.
 type sigmaWorkspace struct {
-	block *mat.Matrix
-	v, s  []float64
+	block mat.ColMajor
 }
 
 // sigmaStep solves one sweep's pole-identification least squares for the
 // sigma-function coefficients (c̃, d̃) by fast VF compression (Deschrijver
 // et al. 2008). Response r's relaxed system is [A₁ B_r] with the shared
-// block A₁ = W[Φ 1] and B_r = W[−H_rΦ, −H_r]. A₁ is factored once; its
-// reflectors reduce each B_r, and a QR of B_r's trailing rows yields the
-// (n+1)×(n+1) block R_r that carries response r's information about
-// (c̃, d̃). Because Householder reflector j depends only on column j, this
-// is bit for bit the trailing R of a full QR of [A₁ B_r].
+// block A₁ = W[Φ 1] and B_r = W[−H_rΦ, −H_r]. A₁ is factored once, before
+// the fan-out; its reflectors reduce each B_r, and a QR of B_r's trailing
+// rows yields the (n+1)×(n+1) block R_r that carries response r's
+// information about (c̃, d̃). Because Householder reflector j depends only
+// on column j, this is bit for bit the trailing R of a full QR of
+// [A₁ B_r]. B_r is built column-major, the layout of the QR kernels.
 //
 // The unrelaxed system [A₁ W(−H_rΦ) | W H_r] has the same leading columns
 // and a right-hand side that is exactly the negated d̃ column, so its
@@ -283,28 +282,34 @@ func sigmaStep(points []complex128, responses [][]complex128, weights []float64,
 	wss := make([]sigmaWorkspace, workers)
 	parallel.ForWorkerCtx(context.TODO(), workers, nr, func(w, r int) {
 		ws := &wss[w]
-		if ws.block == nil {
-			ws.block = mat.NewMatrix(2*k, nct)
-			ws.v = make([]float64, 2*k)
-			ws.s = make([]float64, nct)
+		if ws.block.Data == nil {
+			ws.block = mat.NewColMajor(2*k, nct)
 		}
 		h := responses[r]
+		for j := 0; j < n; j++ {
+			col := ws.block.Col(j)
+			for ki := 0; ki < k; ki++ {
+				w := weights[ki]
+				v := -h[ki] * phi.At(ki, j)
+				col[2*ki] = w * real(v)
+				col[2*ki+1] = w * imag(v)
+			}
+		}
+		col := ws.block.Col(n)
 		for ki := 0; ki < k; ki++ {
 			w := weights[ki]
-			reRow := ws.block.Row(2 * ki)
-			imRow := ws.block.Row(2*ki + 1)
-			for j := 0; j < n; j++ {
-				v := -h[ki] * phi.At(ki, j)
-				reRow[j] = w * real(v)
-				imRow[j] = w * imag(v)
-			}
-			reRow[n] = -w * real(h[ki])
-			imRow[n] = -w * imag(h[ki])
+			col[2*ki] = -w * real(h[ki])
+			col[2*ki+1] = -w * imag(h[ki])
 		}
-		shared.ApplyQTMatrix(ws.block, ws.s)
-		tail := &mat.Matrix{Rows: 2*k - ncr, Cols: nct, Data: ws.block.Data[ncr*nct:]}
-		mat.QRTriangularize(tail, ws.v, ws.s)
-		copy(big.Data[r*nct*nct:(r+1)*nct*nct], tail.Data)
+		shared.ApplyQTMatrix(ws.block)
+		tail := ws.block.RowsFrom(ncr)
+		mat.QRTriangularize(tail)
+		for i := 0; i < nct; i++ {
+			row := big.Row(r*nct + i)
+			for j := i; j < nct; j++ {
+				row[j] = tail.Col(j)[i]
+			}
+		}
 	})
 
 	if !opts.Unrelaxed {
