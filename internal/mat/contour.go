@@ -18,9 +18,9 @@ import (
 // along the contour is the total change of arg det(zI − M), which the
 // kernel accumulates as a sum of wrapped phase steps over an adaptively
 // bisected node set — each step is refined until its principal-value phase
-// change is provably the true one (|Δφ| below MaxStep ≪ π), and the whole
-// quadrature is accepted only when the resulting winding is within IntTol
-// of an integer at two refinement levels (MaxStep and MaxStep/2) that
+// change is provably the true one (|Δφ| below contourMaxStep ≪ π), and the
+// whole quadrature is accepted only when the resulting winding is within
+// contourIntTol of an integer at two consecutive refinement levels that
 // agree. Each node costs one determinant evaluation through the
 // evaluator's DetBackend — a full complex LU of (zI − M) on the dense
 // oracle path, an O(N·p²) determinant-lemma sweep on the structured path —
@@ -48,14 +48,17 @@ type ContourOptions struct {
 	// MaxNodes bounds the determinant evaluations of one CountRect call
 	// (default 2048). Exceeding it returns ErrContourStall.
 	MaxNodes int
-	// MaxStep is the largest accepted phase step between adjacent nodes in
-	// radians (default π/2). The stability cross-check always re-runs the
-	// accumulation at MaxStep/2.
-	MaxStep float64
-	// IntTol is the accepted distance of the winding number from an
-	// integer (default 0.25).
-	IntTol float64
 }
+
+const (
+	// contourMaxStep is the largest accepted phase step between adjacent
+	// nodes at the first refinement level, in radians; every further level
+	// halves it.
+	contourMaxStep = math.Pi / 2
+	// contourIntTol is the accepted distance of the winding number from an
+	// integer.
+	contourIntTol = 0.25
+)
 
 func (o *ContourOptions) defaults() {
 	if o.InitNodes <= 0 {
@@ -63,12 +66,6 @@ func (o *ContourOptions) defaults() {
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 2048
-	}
-	if o.MaxStep <= 0 {
-		o.MaxStep = math.Pi / 2
-	}
-	if o.IntTol <= 0 {
-		o.IntTol = 0.25
 	}
 }
 
@@ -363,8 +360,8 @@ func (c *contourRun) winding(maxStep float64) (float64, error) {
 
 // CountRect counts the eigenvalues of the evaluator's matrix inside the
 // rectangle by the argument principle. The quadrature is accepted only when
-// the winding number lands within opts.IntTol of the same integer at two
-// refinement levels (opts.MaxStep and opts.MaxStep/2); otherwise it returns
+// the winding number lands within contourIntTol of the same integer at two
+// consecutive refinement levels; otherwise it returns
 // ErrContourStall (typically an eigenvalue on the contour — perturb the
 // rectangle and retry). ErrSingular reports a node landing exactly on an
 // eigenvalue.
@@ -385,11 +382,11 @@ func (e *ContourEvaluator) CountRect(rect RectContour, opts ContourOptions) (int
 	// step — is what breaks phase aliasing: a true step of 2π−ε wraps to −ε
 	// and passes any step threshold, but the inserted midpoint exposes it.
 	// The count is accepted when two consecutive levels land on the same
-	// integer within IntTol.
+	// integer within contourIntTol.
 	const maxLevels = 6
 	prev := math.NaN()
 	nodes := opts.InitNodes
-	step := opts.MaxStep
+	step := contourMaxStep
 	for level := 0; level < maxLevels; level++ {
 		run.initNodes = nodes
 		w, err := run.winding(step)
@@ -400,8 +397,8 @@ func (e *ContourEvaluator) CountRect(rect RectContour, opts ContourOptions) (int
 		if !math.IsNaN(prev) {
 			pk := math.Round(prev / (2 * math.Pi))
 			if pk == k &&
-				math.Abs(w/(2*math.Pi)-k) <= opts.IntTol &&
-				math.Abs(prev/(2*math.Pi)-pk) <= opts.IntTol {
+				math.Abs(w/(2*math.Pi)-k) <= contourIntTol &&
+				math.Abs(prev/(2*math.Pi)-pk) <= contourIntTol {
 				if k < 0 {
 					// A negative winding around a counterclockwise contour
 					// is a quadrature failure, never a valid count.

@@ -7,7 +7,8 @@ import (
 )
 
 // This file implements the structured diagonal-plus-low-rank kernel behind
-// the large-N certification path: a factored representation of
+// the contour counter of the large-N certification path: a factored
+// representation of
 //
 //	zI − M,   M = Λ + U·Vᵀ,
 //
@@ -15,14 +16,13 @@ import (
 // blocks [[d₁, e], [−e, d₂]] — and U, V are real N×p with p ≪ N. The
 // level-γ Hamiltonian of a pole-residue macromodel has exactly this shape
 // (Λ = blkdiag(A, −Aᵀ) in the poles, p = 2·ports), so the dense O(N³)
-// kernels of the contour counter collapse:
+// determinant of the contour counter collapses to the determinant lemma
 //
-//	det(zI − M) = det(zI − Λ) · det(I − Vᵀ(zI−Λ)⁻¹U)      (determinant lemma)
-//	(zI − M)⁻¹b = y + X·C⁻¹·Vᵀy                            (Woodbury)
+//	det(zI − M) = det(zI − Λ) · det(C),   C = I − Vᵀ(zI−Λ)⁻¹U,
 //
-// with y = (zI−Λ)⁻¹b, X = (zI−Λ)⁻¹U and C = I − VᵀX the p×p capacitance
-// matrix. One determinant evaluation costs an O(N·p²) sweep plus a p×p
-// complex LU; one solve against a cached factorization costs O(N·p + p²).
+// with C the p×p capacitance matrix: one determinant evaluation costs an
+// O(N·p²) sweep plus a p×p complex LU. The counter's proximity alarm reads
+// tr((zI − M)⁻¹) through the Woodbury identity from the same factors.
 // Memory is O(N·p) — the dense matrix is never materialized.
 
 // DetBackend is the determinant kernel a ContourEvaluator walks contours
@@ -51,8 +51,7 @@ type DetBackend interface {
 //
 // The factorization at one shift z (X, the capacitance LU, and the
 // determinant's phase/log-magnitude) is cached and reused while z is
-// unchanged, so DetPhasePivot followed by SolveInto at the same node pays
-// the O(N·p²) sweep once. Not safe for concurrent use.
+// unchanged. Not safe for concurrent use.
 type StructuredShifted struct {
 	diag, skew []float64
 	u, v       *Matrix
@@ -66,7 +65,7 @@ type StructuredShifted struct {
 	phase  float64      // principal argument of det(zI − M)
 	logAbs float64      // log|det(zI − M)|
 
-	w []complex128 // p-vector solve scratch
+	w []complex128 // p-vector capacitance-solve scratch
 	y []complex128 // N×p row-major scratch: Y = (zI−Λ)⁻¹X for the trace alarm
 }
 
@@ -282,34 +281,6 @@ func (s *StructuredShifted) capSolve(w []complex128) {
 	}
 }
 
-// diagSolve writes (zI − Λ)⁻¹·b into dst (dst and b may alias).
-func (s *StructuredShifted) diagSolve(z complex128, dst, b []complex128) error {
-	n := len(s.diag)
-	for k := 0; k < n; {
-		if s.skew[k] == 0 {
-			f := z - complex(s.diag[k], 0)
-			if f == 0 {
-				return ErrSingular
-			}
-			dst[k] = b[k] / f
-			k++
-			continue
-		}
-		z1 := z - complex(s.diag[k], 0)
-		z2 := z - complex(s.diag[k+1], 0)
-		e := complex(s.skew[k], 0)
-		det := z1*z2 + e*e
-		if det == 0 {
-			return ErrSingular
-		}
-		b1, b2 := b[k], b[k+1]
-		dst[k] = (z2*b1 + e*b2) / det
-		dst[k+1] = (z1*b2 - e*b1) / det
-		k += 2
-	}
-	return nil
-}
-
 // LogDetPhase returns the principal argument of det(zI − M) in (−π, π]
 // together with log|det(zI − M)| — one O(N·p²) sweep plus a p×p complex LU
 // via the determinant lemma. ErrSingular reports that z is (numerically)
@@ -319,43 +290,6 @@ func (s *StructuredShifted) LogDetPhase(z complex128) (float64, float64, error) 
 		return 0, 0, err
 	}
 	return s.phase, s.logAbs, nil
-}
-
-// SolveInto writes (zI − M)⁻¹·b into x via Woodbury against the cached
-// shift-z factorization (computed on first use per shift): O(N·p + p²)
-// when the shift repeats, O(N·p² + p³) on a fresh shift. x and b must have
-// length N and may alias.
-func (s *StructuredShifted) SolveInto(z complex128, x, b []complex128) error {
-	if len(x) != len(s.diag) || len(b) != len(s.diag) {
-		panic("mat: StructuredShifted.SolveInto length mismatch")
-	}
-	if err := s.factor(z); err != nil {
-		return err
-	}
-	if err := s.diagSolve(z, x, b); err != nil {
-		return err
-	}
-	n, p := len(s.diag), s.u.Cols
-	for i := 0; i < p; i++ {
-		s.w[i] = 0
-	}
-	for k := 0; k < n; k++ {
-		vr := s.v.Row(k)
-		yk := x[k]
-		for i := 0; i < p; i++ {
-			s.w[i] += complex(vr[i], 0) * yk
-		}
-	}
-	s.capSolve(s.w)
-	for k := 0; k < n; k++ {
-		xr := s.x[k*p : (k+1)*p]
-		var acc complex128
-		for i := 0; i < p; i++ {
-			acc += xr[i] * s.w[i]
-		}
-		x[k] += acc
-	}
-	return nil
 }
 
 // DetPhasePivot implements DetBackend: the determinant phase from
@@ -375,7 +309,8 @@ func (s *StructuredShifted) DetPhasePivot(z complex128) (float64, float64, error
 	}
 	n, p := len(s.diag), s.u.Cols
 	var tr complex128
-	// tr(R) and Y = R·X, block by block (same closed forms as diagSolve).
+	// tr(R) and Y = R·X, block by block (the closed-form block inverses of
+	// factor).
 	for k := 0; k < n; {
 		if s.skew[k] == 0 {
 			f := z - complex(s.diag[k], 0)

@@ -135,52 +135,6 @@ func TestStructuredDetOracle(t *testing.T) {
 	}
 }
 
-func TestStructuredSolveOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(30)
-		p := 1 + rng.Intn(5)
-		if p > n {
-			p = n
-		}
-		s := randStructured(rng, n, p, trial%7 == 0)
-		m := s.Materialize()
-		bound := s.EigenBound() + 1
-		for _, z := range testShifts(rng, bound)[:3] {
-			b := make([]complex128, n)
-			for i := range b {
-				b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			// Dense oracle: solve (zI − M)·x = b.
-			a := NewCMatrix(n, n)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					a.Set(i, j, -complex(m.At(i, j), 0))
-				}
-				a.Set(i, i, a.At(i, i)+z)
-			}
-			want, err := CSolveLin(a, append([]complex128(nil), b...))
-			if err != nil {
-				t.Fatalf("trial %d z=%v: dense solve: %v", trial, z, err)
-			}
-			got := make([]complex128, n)
-			if err := s.SolveInto(z, got, b); err != nil {
-				t.Fatalf("trial %d z=%v: SolveInto: %v", trial, z, err)
-			}
-			scale := 0.0
-			for _, w := range want {
-				scale += real(w)*real(w) + imag(w)*imag(w)
-			}
-			scale = math.Sqrt(scale)
-			for i := range want {
-				if d := cmplx.Abs(got[i] - want[i]); d > 1e-8*(1+scale) {
-					t.Fatalf("trial %d n=%d p=%d z=%v: x[%d]=%v vs dense %v", trial, n, p, z, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestStructuredEigenBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 20; trial++ {

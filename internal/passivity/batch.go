@@ -99,9 +99,9 @@ type BatchReport struct {
 //
 // With Enforce.Certify set, each model's convergences escalate through the
 // certification pipeline on the worker goroutine that owns the model —
-// its eigensolves, reduced models and probes touch only per-model state,
-// so certified batch results remain bitwise identical to sequential
-// certified runs at every worker count.
+// its eigensolves, reduced models and contour counts touch only per-model
+// state, so certified batch results remain bitwise identical to
+// sequential certified runs at every worker count.
 //
 // Inside a sharded run the per-check worker fan-out is forced serial
 // (Check results are worker-count independent, so this changes nothing but

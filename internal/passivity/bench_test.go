@@ -1,6 +1,7 @@
 package passivity
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -189,7 +190,7 @@ func BenchmarkCounterLargeN(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cnt, err := ic.Count(lo, hi)
+					cnt, err := ic.Count(context.Background(), lo, hi)
 					if err != nil {
 						b.Fatal(err)
 					}

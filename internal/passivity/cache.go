@@ -32,7 +32,7 @@ import (
 // parked in the stash and never serialized.
 //
 // The cache also carries the violation-band frequencies found by the
-// previous check (HotFrequencies) into the next check's seed grid, so that
+// previous check (Hot, SetHot) into the next check's seed grid, so that
 // enforcement iterations re-localize their shrinking bands in a single
 // refinement stage instead of rediscovering them from the coarse grid.
 //
@@ -137,21 +137,24 @@ func (c *EvalCache) dropCrossings() {
 }
 
 // memoCrossings returns the level-1 Hamiltonian crossings of the model
-// (HamiltonianCrossings under ctx) through the cache's memo: when the
-// cache already holds the crossings of its active residue set no
-// eigensolve runs. Only a successful solve is stored, and callers get
-// their own copy. A nil cache solves every time.
-func memoCrossings(ctx context.Context, model *rational.Model, c *EvalCache) ([]float64, error) {
+// (HamiltonianCrossings under ctx) through the cache's memo, and whether
+// it solved the eigenproblem for them: when the cache already holds the
+// crossings of its active residue set no eigensolve runs. Only a
+// successful solve is stored, and callers get their own copy. A nil cache
+// solves every time.
+func memoCrossings(ctx context.Context, model *rational.Model, c *EvalCache) ([]float64, bool, error) {
 	if c != nil && c.crossingsOK {
-		return slices.Clone(c.crossings), nil
+		return slices.Clone(c.crossings), false, nil
 	}
 	crossings, err := crossingsLevel(ctx, model, 1)
-	if c == nil || err != nil {
-		return crossings, err
+	if err != nil {
+		return nil, false, err
 	}
-	c.Eigensolves++
-	c.crossings, c.crossingsOK = slices.Clone(crossings), true
-	return crossings, nil
+	if c != nil {
+		c.Eigensolves++
+		c.crossings, c.crossingsOK = slices.Clone(crossings), true
+	}
+	return crossings, true, nil
 }
 
 // StashedSigmaEntries sums the σ samples held by parked layers (see

@@ -79,22 +79,19 @@ type Certificate struct {
 	Open       []CertInterval // intervals no rigorous stage could retire
 }
 
-// CertifyOptions tunes the certification pipeline. The zero value selects
-// the defaults.
-type CertifyOptions struct {
-	// MaxDim is the largest Hamiltonian dimension N = 2·n·P certified by
-	// the full eigentest (default 600). Beyond it the pipeline switches to
-	// restricted-band certification. The gate deliberately stays at the
-	// dense-QR frontier: the full eigentest needs the complete spectrum,
-	// which the structured determinant kernel does not accelerate — the
-	// counter gate is the one it lifts.
-	MaxDim int
-	// RestrictedMaxDim caps the per-interval reduced eigenproblem dimension
-	// 2·n_near·P (default 1200).
-	RestrictedMaxDim int
-}
-
 const (
+	// fullMaxDim is the largest Hamiltonian dimension N = 2·n·P the
+	// default pipeline certifies with the full eigentest. Beyond it the
+	// pipeline switches to restricted-band certification. The gate
+	// deliberately stays at the dense-QR frontier: the full eigentest
+	// needs the complete spectrum, which the structured determinant kernel
+	// does not accelerate — the counter gate is the one it lifts. It is
+	// not hamiltonianMaxDim: Auto's exact close stops at 400, and the
+	// models between the two gates certify with the full eigentest.
+	fullMaxDim = 600
+	// restrictedMaxDim caps the per-interval reduced eigenproblem
+	// dimension 2·n_near·P of the restricted stage.
+	restrictedMaxDim = 1200
 	// tailMaxIntervals bounds the tail-bound stage's subdivision work
 	// (interval evaluations).
 	tailMaxIntervals = 4096
@@ -122,15 +119,6 @@ const (
 	counterMaxDim = 6000
 )
 
-func (o *CertifyOptions) defaults() {
-	if o.MaxDim <= 0 {
-		o.MaxDim = 600
-	}
-	if o.RestrictedMaxDim <= 0 {
-		o.RestrictedMaxDim = 1200
-	}
-}
-
 // certContext carries the per-run state every stage shares: the model, its
 // pole features (index-aligned with model.Poles), the passivity limit, and
 // the evaluation machinery (cache + workspaces) of the surrounding check
@@ -141,8 +129,7 @@ type certContext struct {
 	feats  []poleFeature // index-aligned, NOT sorted
 	dSigma float64
 	limit  float64
-	relTol float64 // width floor of the subdividing stages
-	copts  CertifyOptions
+	relTol float64         // width floor of the subdividing stages
 	cache  *EvalCache      // full-model σ evaluations (may be nil)
 	ws     *checkWorkspace // full-model workspace
 	redWS  checkWorkspace  // reduced-model scratch (never touches the cache)
@@ -186,7 +173,7 @@ func RestrictedHamiltonianCertifier() Certifier { return restrictedStage{} }
 
 // DefaultPipeline builds the stage chain for the model's size: the
 // closed-form tail bound first always; then the full eigentest when
-// N = 2·n·P fits MaxDim (cheap and exact in one shot), or — beyond it —
+// N = 2·n·P ≤ 600 (cheap and exact in one shot), or — beyond it —
 // the Lipschitz certified sweep (which exploits the residue phase
 // cancellation the magnitude bounds cannot see) with the restricted
 // eigentest picking up the near-boundary slivers the sweep leaves open.
@@ -194,10 +181,8 @@ func RestrictedHamiltonianCertifier() Certifier { return restrictedStage{} }
 // rigorously retires whatever survives — every certificate finishes with
 // Open == nil unless the quadrature stalls or meets a crossing cluster it
 // cannot confirm.
-func DefaultPipeline(model *rational.Model, copts CertifyOptions) *Pipeline {
-	copts.defaults()
-	n := 2 * model.NumPoles() * model.Ports()
-	if n <= copts.MaxDim {
+func DefaultPipeline(model *rational.Model) *Pipeline {
+	if 2*model.NumPoles()*model.Ports() <= fullMaxDim {
 		return NewPipeline(TailBoundCertifier(), HamiltonianCertifier(), CounterCertifier())
 	}
 	return NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier(), CounterCertifier())
@@ -205,24 +190,20 @@ func DefaultPipeline(model *rational.Model, copts CertifyOptions) *Pipeline {
 
 // Certify runs the default certification pipeline over the whole frequency
 // axis. opts supplies the context and the evaluation cache/workspaces of
-// the surrounding run (all optional); copts sets the eigentest dimension
-// gates. The zero value of both option structs works.
-func Certify(model *rational.Model, opts CheckOptions, copts CertifyOptions) (*Certificate, error) {
-	copts.defaults()
-	return DefaultPipeline(model, copts).Run(model, opts, copts)
+// the surrounding run (all optional; the zero value works).
+func Certify(model *rational.Model, opts CheckOptions) (*Certificate, error) {
+	return DefaultPipeline(model).Run(model, opts)
 }
 
 // Run executes the pipeline. See Certify.
-func (p *Pipeline) Run(model *rational.Model, opts CheckOptions, copts CertifyOptions) (*Certificate, error) {
+func (p *Pipeline) Run(model *rational.Model, opts CheckOptions) (*Certificate, error) {
 	opts.defaults(model)
-	copts.defaults()
 	cc := &certContext{
 		ctx:    opts.Ctx,
 		model:  model,
 		dSigma: mat.MaxSingularValue(mat.RealToComplex(model.D)),
 		limit:  1 + passivityTol,
 		relTol: adaptiveRelTol,
-		copts:  copts,
 		cache:  opts.Cache,
 		ws:     opts.work.get(0),
 	}
@@ -293,15 +274,7 @@ func axisPartition(model *rational.Model) []CertInterval {
 		}
 	}
 	sortFloats(brk)
-	brk = dedupeSorted(brk)
-	out := make([]CertInterval, 0, len(brk)+1)
-	lo := 0.0
-	for _, w := range brk {
-		out = append(out, CertInterval{Lo: lo, Hi: w})
-		lo = w
-	}
-	out = append(out, CertInterval{Lo: lo, Hi: math.Inf(1)})
-	return out
+	return bandsBetween(0, math.Inf(1), dedupeSorted(brk))
 }
 
 // boundScanner evaluates the closed-form interval bounds over a
@@ -668,10 +641,9 @@ func (lipschitzStage) certify(cc *certContext, open []CertInterval) ([]CertInter
 			if w <= lo*(1+1e-12) {
 				continue
 			}
-			// Usually resident (a free anchor, not charged against the
-			// budget) — but the sampling below can LRU-evict a snapshotted
-			// anchor before we consume it, and an evicted anchor must be
-			// re-evaluated, never trusted as σ=0.
+			// Resident, since the σ layer only grows during the run: a free
+			// anchor, not charged against the budget. A missing anchor is
+			// re-evaluated, never trusted as σ = 0.
 			sw, ok := cc.cache.sigmaFor(w)
 			if !ok {
 				sw = sample(w)
@@ -792,36 +764,23 @@ type fullStage struct{}
 func (fullStage) Name() string { return StageHamiltonian }
 
 func (fullStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
-	cost := StageCost{Stage: StageHamiltonian, EigenDim: 2 * cc.model.NumPoles() * cc.model.Ports(), DimGate: cc.copts.MaxDim}
-	crossings, err := memoCrossings(cc.ctx, cc.model, cc.cache)
+	rep, err := checkHamiltonian(cc.ctx, cc.model, cc.cache, cc.ws)
 	if err != nil {
+		cost := StageCost{Stage: StageHamiltonian, DimGate: fullMaxDim}
 		if cerr := ctxErr(cc.ctx); cerr != nil {
 			return nil, nil, cost, cerr
 		}
 		// Numerical failure: pass the intervals on instead of aborting the
 		// pipeline (the counter stage may still settle them).
 		cost.Note = err.Error()
-		cost.EigenDim = 0
 		return open, nil, cost, nil
 	}
-	edges := append([]float64{0}, crossings...)
-	edges = append(edges, math.Inf(1))
-	var viols []Violation
-	for i := 0; i+1 < len(edges); i++ {
-		lo, hi := edges[i], edges[i+1]
-		test := testPoint(lo, hi)
-		sv := cachedSigma(cc.model, test, cc.cache, cc.ws)
-		cost.Samples++
-		if sv > cc.limit {
-			peakW, peakS := refinePeak(cc.model, lo, hi, test, cc.cache, cc.ws)
-			viols = append(viols, Violation{
-				OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: lo, OmegaHi: hi,
-			})
-		}
-	}
-	if len(viols) > 0 {
-		cost.Violations = len(viols)
-		return open, viols, cost, nil
+	cost := exactStageCost(rep)
+	cost.DimGate = fullMaxDim
+	cost.Samples = len(rep.Crossings) + 1
+	if len(rep.Violations) > 0 {
+		cost.Violations = len(rep.Violations)
+		return open, rep.Violations, cost, nil
 	}
 	cost.Certified = len(open)
 	return nil, nil, cost, nil
@@ -839,7 +798,7 @@ type restrictedStage struct{}
 func (restrictedStage) Name() string { return StageRestricted }
 
 func (restrictedStage) certify(cc *certContext, open []CertInterval) ([]CertInterval, []Violation, StageCost, error) {
-	cost := StageCost{Stage: StageRestricted, DimGate: cc.copts.RestrictedMaxDim}
+	cost := StageCost{Stage: StageRestricted, DimGate: restrictedMaxDim}
 	var rem []CertInterval
 	var viols []Violation
 	for _, iv := range open {
@@ -911,7 +870,7 @@ func certifyRestricted(cc *certContext, iv CertInterval, cost *StageCost) (bool,
 	}
 	units := intervalUnits(cc, iv.Lo, iv.Hi)
 	budget := tailBudget * headroom
-	maxNear := cc.copts.RestrictedMaxDim / (2 * cc.model.Ports())
+	maxNear := restrictedMaxDim / (2 * cc.model.Ports())
 	// Two attempts: the nominal far budget, then half of it (twice the
 	// poles) when the nominal reduction is too coarse to settle the band.
 	for attempt := 0; attempt < 2; attempt++ {
@@ -930,7 +889,7 @@ func certifyRestricted(cc *certContext, iv CertInterval, cost *StageCost) (bool,
 }
 
 // tryRestricted runs one reduced-model level test. fits=false reports that
-// the budget could not be met within RestrictedMaxDim at all.
+// the budget could not be met within restrictedMaxDim at all.
 func tryRestricted(cc *certContext, iv CertInterval, units []poleUnit, budget float64, maxNear int, cost *StageCost) (certified bool, viols []Violation, fits bool, err error) {
 	farSum := 0.0
 	for _, u := range units {
@@ -996,39 +955,19 @@ func tryRestricted(cc *certContext, iv CertInterval, units []poleUnit, budget fl
 	if len(inside) == 0 {
 		// The reduced σ never meets the level inside the interval: one spot
 		// sample decides on which side it sits throughout.
-		test := testPoint(iv.Lo, iv.Hi)
-		sr := cc.redWS.sigmaAt(reduced, test)
 		cost.Samples++
-		if sr <= gamma {
+		if cc.redWS.sigmaAt(reduced, testPoint(iv.Lo, iv.Hi)) <= gamma {
 			return true, nil, true, nil
 		}
 		// Reduced response sits above the level across the whole interval;
 		// check the full model directly.
-		sv := cachedSigma(cc.model, test, cc.cache, cc.ws)
-		cost.Samples++
-		if sv > cc.limit {
-			peakW, peakS := refinePeak(cc.model, iv.Lo, iv.Hi, test, cc.cache, cc.ws)
-			return false, []Violation{{OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: iv.Lo, OmegaHi: iv.Hi}}, true, nil
-		}
-		return false, nil, true, nil
 	}
-	// Candidate sub-bands between level crossings: confirm on the full model.
-	edges := append([]float64{iv.Lo}, inside...)
-	edges = append(edges, iv.Hi)
-	for i := 0; i+1 < len(edges); i++ {
-		lo, hi := edges[i], edges[i+1]
-		test := testPoint(lo, hi)
-		sv := cachedSigma(cc.model, test, cc.cache, cc.ws)
-		cost.Samples++
-		if sv > cc.limit {
-			peakW, peakS := refinePeak(cc.model, lo, hi, test, cc.cache, cc.ws)
-			viols = append(viols, Violation{OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: lo, OmegaHi: hi})
-		}
-	}
-	if len(viols) > 0 {
-		return false, viols, true, nil
-	}
-	// Level crossings without a confirmed full-model violation: ambiguous
-	// (the far-tail allocation was too coarse) — caller retries tighter.
-	return false, nil, true, nil
+	// Candidate sub-bands between level crossings (or the whole interval):
+	// confirm on the full model. Without a confirmed violation the outcome
+	// is ambiguous (the far-tail allocation was too coarse) and the caller
+	// retries tighter.
+	bands := bandsBetween(iv.Lo, iv.Hi, inside)
+	cost.Samples += len(bands)
+	viols, _, _ = judgeBands(cc.model, bands, cc.limit, cc.cache, cc.ws)
+	return false, viols, true, nil
 }

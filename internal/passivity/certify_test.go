@@ -93,7 +93,7 @@ func TestCertifyPassiveModelSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := Certify(model, CheckOptions{}, CertifyOptions{})
+	cert, err := Certify(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCertifyFindsNarrowViolation(t *testing.T) {
 	if len(crossings) == 0 {
 		t.Skip("gadget did not produce a violation at this seed")
 	}
-	cert, err := Certify(model, CheckOptions{}, CertifyOptions{})
+	cert, err := Certify(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,17 +136,21 @@ func TestCertifyFindsNarrowViolation(t *testing.T) {
 	}
 }
 
+// largeChain is the default pipeline's chain past the full eigentest's
+// gate (N > 600), built explicitly so that small models take it.
+func largeChain() *Pipeline {
+	return NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier(), CounterCertifier())
+}
+
 func TestCertifyLargeModelPipeline(t *testing.T) {
-	// Force the large-model path by lowering the full-eigentest cap below
-	// N = 2·n·P: the default pipeline becomes tail-bound → lipschitz →
-	// restricted → contour-counter, and the cheap σ-anchored sweep catches
+	// The large-model chain tail-bound → lipschitz → restricted →
+	// contour-counter on a small model: the cheap σ-anchored sweep catches
 	// the gadget violation before any eigensolve.
 	model, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 40, Seed: 9, NarrowBand: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	copts := CertifyOptions{MaxDim: 16}
-	cert, err := Certify(model, CheckOptions{}, copts)
+	cert, err := largeChain().Run(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +176,7 @@ func TestCertifyLargeModelPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err = Certify(passive, CheckOptions{}, copts)
+	cert, err = largeChain().Run(passive, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +201,7 @@ func TestCertifyWarmCacheAnchors(t *testing.T) {
 	if _, err := Check(model, opts); err != nil {
 		t.Fatal(err)
 	}
-	cert, err := Certify(model, opts, CertifyOptions{MaxDim: 16})
+	cert, err := largeChain().Run(model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +225,7 @@ func TestCertifyRestrictedStageDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPipeline(TailBoundCertifier(), RestrictedHamiltonianCertifier())
-	cert, err := p.Run(model, CheckOptions{}, CertifyOptions{MaxDim: 16})
+	cert, err := p.Run(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +248,11 @@ func TestCertifyDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Certify(model, CheckOptions{}, CertifyOptions{})
+	a, err := Certify(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Certify(model, CheckOptions{}, CertifyOptions{})
+	b, err := Certify(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,14 +290,13 @@ func TestEnforceCertifyProducesCertificate(t *testing.T) {
 }
 
 // TestLargeChainOracleAgreement checks the large-model chain (tail-bound →
-// lipschitz → hamiltonian-restricted → contour-counter, forced by
-// MaxDim: 16) against the dense Hamiltonian oracle on a corpus of passive,
+// lipschitz → hamiltonian-restricted → contour-counter, built explicitly)
+// against the dense Hamiltonian oracle on a corpus of passive,
 // violating, narrow-band and enforced synthetic models: every model the
 // oracle calls non-passive must come back with violations, every passive
 // one Certified with nothing left open.
 func TestLargeChainOracleAgreement(t *testing.T) {
 	const perKind = 15
-	copts := CertifyOptions{MaxDim: 16}
 	kinds := []string{"passive", "violating", "narrow-band", "enforced"}
 	counts := map[bool]int{}
 	for k, kind := range kinds {
@@ -321,7 +324,7 @@ func TestLargeChainOracleAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: oracle: %v", kind, seed, err)
 			}
-			cert, err := Certify(model, CheckOptions{}, copts)
+			cert, err := largeChain().Run(model, CheckOptions{})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", kind, seed, err)
 			}

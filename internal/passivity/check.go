@@ -67,9 +67,9 @@ const (
 //	tail-bound             | O(intervals·n), no σ   | headroom 1−σ(D) is ample
 //	                       | evaluations            | away from resonances —
 //	                       |                        | retires most of the axis.
-//	hamiltonian            | O(N³) eigensolve       | N ≲ CertifyOptions.MaxDim:
-//	                       |                        | exact, one shot.
-//	lipschitz              | one σ sample per       | N > MaxDim, passive pole
+//	hamiltonian            | O(N³) eigensolve       | N ≤ fullMaxDim: exact, one
+//	                       |                        | shot.
+//	lipschitz              | one σ sample per       | N > fullMaxDim, passive pole
 //	                       | bisection, capped by   | bands: σ-anchored bound
 //	                       | sweepMaxSamples        | sees residue cancellation.
 //	hamiltonian-restricted | Σ O((2·n_near·P)³)     | large N, local violations:
@@ -88,9 +88,9 @@ const (
 //	                       | counterMaxNodes        |
 //
 // There is no shift-and-invert probe stage between the restricted stage
-// and the counter: forced onto 240 synthetic models (MaxDim 16) one ran
-// on 58 and found a violation on none, and removing it changed no
-// certificate.
+// and the counter: in the large-model chain forced onto 240 small
+// synthetic models one ran on 58 and found a violation on none, and
+// removing it changed no certificate.
 
 const (
 	// hamiltonianMaxDim is the largest Hamiltonian dimension N = 2·n·P
@@ -130,8 +130,10 @@ type CheckOptions struct {
 	// Ctx, when non-nil, cancels the check cooperatively: parallel σ
 	// fan-outs stop claiming new frequencies (in-flight evaluations drain
 	// deterministically, no goroutine leaks), the adaptive stage loop and
-	// the certification pipeline stop between stages, and Check returns
-	// ctx.Err(). A nil Ctx never cancels.
+	// the certification pipeline stop between stages, the Hamiltonian
+	// eigensolves between iterations and the contour counter between
+	// rectangle counts, and Check returns ctx.Err(). A nil Ctx never
+	// cancels.
 	Ctx context.Context
 	// Progress, when non-nil, receives ProgressEvents (check completions,
 	// enforcement iterations, certification stages) synchronously on the
@@ -178,6 +180,9 @@ type Report struct {
 	// method-level check reported passive (a method-level violation needs
 	// no certificate — the model is exactly known to be non-passive).
 	Certificate *Certificate
+	// eigenDim is the dimension of the Hamiltonian eigenproblem the check
+	// solved: 0 for the sampling methods and for memoized crossings.
+	eigenDim int
 }
 
 func (o *CheckOptions) defaults(model *rational.Model) {
@@ -227,7 +232,7 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 	var err error
 	switch opts.Method {
 	case MethodHamiltonian:
-		rep, err = checkHamiltonian(model, opts)
+		rep, err = checkHamiltonian(opts.Ctx, model, opts.Cache, opts.work.get(0))
 	case MethodSweep:
 		rep, err = checkSweep(model, opts)
 	case MethodAuto, MethodAdaptive:
@@ -266,7 +271,7 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 // eigentest and returns the exact report, which keeps the sampled report's
 // σ sample count. Bands the eigentest finds join the cache's hot set.
 func closeExact(model *rational.Model, sampled *Report, opts CheckOptions) (*Report, error) {
-	rep, err := checkHamiltonian(model, opts)
+	rep, err := checkHamiltonian(opts.Ctx, model, opts.Cache, opts.work.get(0))
 	if err != nil {
 		return nil, err
 	}
@@ -300,16 +305,16 @@ func addHot(c *EvalCache, viols []Violation) {
 // engine's convergence both certify through here.
 func certifyReport(model *rational.Model, rep *Report, opts CheckOptions) error {
 	if rep.Method == "hamiltonian" {
-		dim := 2 * model.NumPoles() * model.Ports()
+		cost := exactStageCost(rep)
 		rep.Certificate = &Certificate{
 			Certified: true,
 			Stage:     StageHamiltonian,
-			EigenDim:  dim,
-			Stages:    []StageCost{{Stage: StageHamiltonian, EigenDim: dim}},
+			EigenDim:  cost.EigenDim,
+			Stages:    []StageCost{cost},
 		}
 		return nil
 	}
-	cert, err := Certify(model, opts, CertifyOptions{})
+	cert, err := Certify(model, opts)
 	if err != nil {
 		return err
 	}
@@ -342,35 +347,70 @@ func sigmaMax(model *rational.Model, omega float64, ws *checkWorkspace) float64 
 	return ws.sigmaAt(model, omega)
 }
 
-func checkHamiltonian(model *rational.Model, opts CheckOptions) (*Report, error) {
-	crossings, err := memoCrossings(opts.Ctx, model, opts.Cache)
+// checkHamiltonian is the exact eigentest: the level-1 crossings of the
+// model (served by the cache's memo when it holds them) split the axis
+// into crossing-free bands, and judgeBands decides each one. The
+// certifier's Hamiltonian stage runs the same code.
+func checkHamiltonian(ctx context.Context, model *rational.Model, c *EvalCache, ws *checkWorkspace) (*Report, error) {
+	crossings, solved, err := memoCrossings(ctx, model, c)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Method: "hamiltonian", Crossings: crossings, Passive: true}
-	// Candidate intervals between crossings (plus leading/trailing).
-	edges := append([]float64{0}, crossings...)
-	edges = append(edges, math.Inf(1))
-	ws := opts.work.get(0)
-	for i := 0; i+1 < len(edges); i++ {
-		lo, hi := edges[i], edges[i+1]
-		test := testPoint(lo, hi)
-		sv := cachedSigma(model, test, opts.Cache, ws)
-		if sv > rep.MaxSigma {
-			rep.MaxSigma, rep.MaxOmega = sv, test
+	rep := &Report{Method: "hamiltonian", Crossings: crossings}
+	if solved {
+		rep.eigenDim = 2 * model.NumPoles() * model.Ports()
+	}
+	rep.Violations, rep.MaxSigma, rep.MaxOmega = judgeBands(model, bandsBetween(0, math.Inf(1), crossings), 1+passivityTol, c, ws)
+	rep.Passive = len(rep.Violations) == 0
+	return rep, nil
+}
+
+// memoNote marks a Hamiltonian stage cost whose crossings came from the
+// cache's memo, so no eigenproblem was solved for it.
+const memoNote = "crossings memoized from an earlier eigensolve of these residues"
+
+// exactStageCost is the Hamiltonian stage cost of an exact report: the
+// eigenproblem its check solved, or none and memoNote.
+func exactStageCost(rep *Report) StageCost {
+	cost := StageCost{Stage: StageHamiltonian, EigenDim: rep.eigenDim}
+	if rep.eigenDim == 0 {
+		cost.Note = memoNote
+	}
+	return cost
+}
+
+// bandsBetween splits [lo, hi] at the ascending cuts into consecutive
+// bands.
+func bandsBetween(lo, hi float64, cuts []float64) []CertInterval {
+	bands := make([]CertInterval, 0, len(cuts)+1)
+	for _, w := range cuts {
+		bands = append(bands, CertInterval{Lo: lo, Hi: w})
+		lo = w
+	}
+	return append(bands, CertInterval{Lo: lo, Hi: hi})
+}
+
+// judgeBands decides bands that hold no crossing of σ through limit: one
+// σ sample at each band's testPoint settles on which side of the limit
+// the whole band lies, and a band sampled above it is polished into a
+// Violation. It returns the violations and the largest σ it saw (a sample
+// or a polished peak) with its frequency.
+func judgeBands(model *rational.Model, bands []CertInterval, limit float64, c *EvalCache, ws *checkWorkspace) (viols []Violation, maxS, maxW float64) {
+	for _, b := range bands {
+		test := testPoint(b.Lo, b.Hi)
+		sv := cachedSigma(model, test, c, ws)
+		if sv > maxS {
+			maxS, maxW = sv, test
 		}
-		if sv > 1+passivityTol {
-			peakW, peakS := refinePeak(model, lo, hi, test, opts.Cache, ws)
-			if peakS > rep.MaxSigma {
-				rep.MaxSigma, rep.MaxOmega = peakS, peakW
+		if sv > limit {
+			peakW, peakS := refinePeak(model, b.Lo, b.Hi, test, c, ws)
+			if peakS > maxS {
+				maxS, maxW = peakS, peakW
 			}
-			rep.Violations = append(rep.Violations, Violation{
-				OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: lo, OmegaHi: hi,
-			})
-			rep.Passive = false
+			viols = append(viols, Violation{OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: b.Lo, OmegaHi: b.Hi})
 		}
 	}
-	return rep, nil
+	return viols, maxS, maxW
 }
 
 // testPoint picks a representative frequency inside (lo, hi).

@@ -1,6 +1,7 @@
 package passivity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -43,21 +44,12 @@ type IntervalCounter struct {
 	gamma     float64
 	bound     float64
 	lastDelta float64
-	// RectNodes caps the determinant evaluations of one rectangle count
-	// (default max(4096, 2·N) — the quadrature's aliasing guard tightens
-	// chords proportionally to N, so large-N contours legitimately spend
-	// more nodes); Budget caps them over the counter's lifetime
-	// (0 = unlimited). Exceeding either returns mat.ErrContourStall.
-	RectNodes int
-	Budget    int
-}
-
-// rectNodesFor is the default per-rectangle node cap for dimension N.
-func rectNodesFor(dim int) int {
-	if n := 2 * dim; n > 4096 {
-		return n
-	}
-	return 4096
+	// Budget caps the determinant evaluations over the counter's lifetime
+	// (0 = unlimited); one rectangle count may spend at most max(4096,
+	// 2·N) of them — the quadrature's aliasing guard tightens chords
+	// proportionally to N, so large-N contours legitimately spend more
+	// nodes. Exceeding either returns mat.ErrContourStall.
+	Budget int
 }
 
 // NewIntervalCounter builds the level-γ Hamiltonian of the model in
@@ -75,7 +67,7 @@ func NewIntervalCounter(model *rational.Model, gamma float64) (*IntervalCounter,
 
 // newIntervalCounter wraps a prepared contour evaluator.
 func newIntervalCounter(ev *mat.ContourEvaluator, gamma float64) *IntervalCounter {
-	return &IntervalCounter{ev: ev, gamma: gamma, bound: ev.EigenBound(), RectNodes: rectNodesFor(ev.Dim())}
+	return &IntervalCounter{ev: ev, gamma: gamma, bound: ev.EigenBound()}
 }
 
 // Dim returns the Hamiltonian dimension 2·n·P.
@@ -98,7 +90,7 @@ func (ic *IntervalCounter) LastDelta() float64 { return ic.lastDelta }
 // contourOpts builds the per-rectangle quadrature options under the
 // remaining budget.
 func (ic *IntervalCounter) contourOpts() (mat.ContourOptions, error) {
-	limit := ic.RectNodes
+	limit := max(4096, 2*ic.Dim())
 	if ic.Budget > 0 {
 		rem := ic.Budget - ic.ev.Nodes
 		if rem <= 0 {
@@ -117,14 +109,19 @@ func (ic *IntervalCounter) contourOpts() (mat.ContourOptions, error) {
 // slightly off it (sound for certification — zero is still zero — and the
 // candidates are vetted by direct σ evaluation afterwards). Stalls retry
 // with a shrunken δ; a persistent mat.ErrContourStall means an eigenvalue
-// hugs the segment endpoints and the caller should split elsewhere.
-func (ic *IntervalCounter) Count(lo, hi float64) (int, error) {
+// hugs the segment endpoints and the caller should split elsewhere. ctx is
+// checked before every rectangle count; a cancelled count returns
+// ctx.Err().
+func (ic *IntervalCounter) Count(ctx context.Context, lo, hi float64) (int, error) {
 	if !(lo >= 0) || !(hi > lo) || math.IsInf(hi, 1) {
 		return 0, fmt.Errorf("passivity: IntervalCounter.Count on invalid segment [%g, %g]", lo, hi)
 	}
 	delta := 0.25 * (hi - lo)
 	var lastErr error
 	for try := 0; try < 5; try++ {
+		if err := ctxErr(ctx); err != nil {
+			return 0, err
+		}
 		opts, err := ic.contourOpts()
 		if err != nil {
 			return 0, err
@@ -156,9 +153,10 @@ func (ic *IntervalCounter) Count(lo, hi float64) (int, error) {
 // clusters holding the nonzero counts. floor is the smallest cluster width
 // (a relative width is applied against hi by the caller). When a midpoint
 // stalls the quadrature — an eigenvalue sitting on it — nearby split
-// points are tried before giving up on the segment.
-func (ic *IntervalCounter) Crossings(lo, hi, floor float64) ([]counterCluster, error) {
-	n, err := ic.Count(lo, hi)
+// points are tried before giving up on the segment. Every count honours
+// ctx (see Count).
+func (ic *IntervalCounter) Crossings(ctx context.Context, lo, hi, floor float64) ([]counterCluster, error) {
+	n, err := ic.Count(ctx, lo, hi)
 	switch {
 	case err == nil && n == 0:
 		return nil, nil
@@ -177,14 +175,14 @@ func (ic *IntervalCounter) Crossings(lo, hi, floor float64) ([]counterCluster, e
 	// asymmetric offsets in case an eigenvalue sits on it.
 	for _, f := range []float64{0.5, 0.53, 0.46, 0.59, 0.41} {
 		mid := lo + f*width
-		left, err := ic.Crossings(lo, mid, floor)
+		left, err := ic.Crossings(ctx, lo, mid, floor)
 		if err != nil {
 			if errors.Is(err, mat.ErrContourStall) {
 				continue
 			}
 			return nil, err
 		}
-		right, err := ic.Crossings(mid, hi, floor)
+		right, err := ic.Crossings(ctx, mid, hi, floor)
 		if err != nil {
 			if errors.Is(err, mat.ErrContourStall) {
 				continue
@@ -237,16 +235,17 @@ func (counterStage) certify(cc *certContext, open []CertInterval) ([]CertInterva
 	var rem []CertInterval
 	var viols []Violation
 	for _, iv := range open {
-		ivViols, ok, note := counterSettle(cc, ic, iv, &cost)
+		ivViols, note, err := counterSettle(cc, ic, iv, &cost)
+		if err != nil {
+			return nil, nil, cost, err
+		}
 		switch {
 		case len(ivViols) > 0:
 			viols = append(viols, ivViols...)
-		case ok:
+		case note == "":
 			cost.Certified++
 		default:
-			if note != "" {
-				cost.Note = note
-			}
+			cost.Note = note
 			rem = append(rem, iv)
 		}
 	}
@@ -268,9 +267,10 @@ const clusterRefine = 1e-3
 // peak stays at or below the level confirms nothing — two crossings closer
 // than the floor bracket a band the polish over the whole cluster can step
 // over — so it is bisected again to a finer floor and judged the same way.
-// It reports the violations found, whether the interval is certified
-// clean, and a diagnostic note when it could not be settled.
-func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *StageCost) ([]Violation, bool, string) {
+// It reports the violations found, or — when it could not settle the
+// interval — a diagnostic note; no violation and an empty note certify
+// the interval. The only error is the cancellation of cc.ctx.
+func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *StageCost) ([]Violation, string, error) {
 	lo, hi := iv.Lo, iv.Hi
 	segHi := hi
 	if math.IsInf(hi, 1) {
@@ -282,15 +282,21 @@ func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *
 	var clusters []counterCluster
 	if lo < segHi {
 		var err error
-		clusters, err = ic.Crossings(lo, segHi, cc.relTol*segHi)
+		clusters, err = ic.Crossings(cc.ctx, lo, segHi, cc.relTol*segHi)
+		if cerr := ctxErr(cc.ctx); cerr != nil {
+			return nil, "", cerr
+		}
 		if err != nil {
-			return nil, false, fmt.Sprintf("counter on [%g, %g]: %v", lo, segHi, err)
+			return nil, fmt.Sprintf("counter on [%g, %g]: %v", lo, segHi, err), nil
 		}
 	}
 	viols, unconfirmed := judgeClusters(cc, lo, hi, clusters, cost)
 	note := ""
 	for _, cl := range unconfirmed {
-		sub, err := ic.Crossings(cl.Lo, cl.Hi, clusterRefine*cc.relTol*cl.Hi)
+		sub, err := ic.Crossings(cc.ctx, cl.Lo, cl.Hi, clusterRefine*cc.relTol*cl.Hi)
+		if cerr := ctxErr(cc.ctx); cerr != nil {
+			return nil, "", cerr
+		}
 		if err != nil {
 			note = fmt.Sprintf("counter on cluster [%g, %g]: %v", cl.Lo, cl.Hi, err)
 			continue
@@ -302,38 +308,28 @@ func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *
 		}
 	}
 	if len(viols) > 0 {
-		return viols, false, ""
+		return viols, "", nil
 	}
-	return nil, note == "", note
+	return nil, note, nil
 }
 
-// judgeClusters samples each crossing-free gap of [lo, hi] between the
-// clusters once and polishes each cluster's peak. It returns the
-// violations found and the clusters whose peak stayed at or below the
+// judgeClusters judges each crossing-free gap of [lo, hi] between the
+// clusters with judgeBands and polishes each cluster's peak. It returns
+// the violations found and the clusters whose peak stayed at or below the
 // level.
 func judgeClusters(cc *certContext, lo, hi float64, clusters []counterCluster, cost *StageCost) ([]Violation, []counterCluster) {
-	// Edges of the crossing-free gaps: interval ends plus cluster bounds.
-	edges := make([]float64, 0, 2*len(clusters)+2)
-	edges = append(edges, lo)
+	gaps := make([]CertInterval, 0, len(clusters)+1)
 	for _, cl := range clusters {
-		edges = append(edges, cl.Lo, cl.Hi)
-	}
-	edges = append(edges, hi)
-	var viols []Violation
-	// Odd (gap) spans are provably crossing-free: one sample decides each.
-	for i := 0; i+1 < len(edges); i += 2 {
-		g0, g1 := edges[i], edges[i+1]
-		if g1 <= g0 {
-			continue
+		if cl.Lo > lo {
+			gaps = append(gaps, CertInterval{Lo: lo, Hi: cl.Lo})
 		}
-		w := testPoint(g0, g1)
-		sv := cachedSigma(cc.model, w, cc.cache, cc.ws)
-		cost.Samples++
-		if sv > cc.limit {
-			peakW, peakS := refinePeak(cc.model, g0, g1, w, cc.cache, cc.ws)
-			viols = append(viols, Violation{OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: g0, OmegaHi: g1})
-		}
+		lo = cl.Hi
 	}
+	if hi > lo {
+		gaps = append(gaps, CertInterval{Lo: lo, Hi: hi})
+	}
+	cost.Samples += len(gaps)
+	viols, _, _ := judgeBands(cc.model, gaps, cc.limit, cc.cache, cc.ws)
 	var unconfirmed []counterCluster
 	for _, cl := range clusters {
 		seed := testPoint(cl.Lo, cl.Hi)

@@ -1,10 +1,13 @@
 package passivity
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	"repro/internal/mat"
 	"repro/internal/rational"
@@ -185,7 +188,7 @@ func TestCounterOracle(t *testing.T) {
 			if hi-lo < 1e-9*hi {
 				continue
 			}
-			got, err := ic.Count(lo, hi)
+			got, err := ic.Count(context.Background(), lo, hi)
 			if err != nil {
 				skipped++
 				continue
@@ -200,7 +203,7 @@ func TestCounterOracle(t *testing.T) {
 				t.Fatalf("seed %d interval [%g, %g] δ=%g: counter %d, dense oracle %d", seed, lo, hi, delta, got, want)
 			}
 			if icd != nil {
-				if gotD, err := icd.Count(lo, hi); err == nil && !ambiguous(eigs, lo, hi, icd.LastDelta()) {
+				if gotD, err := icd.Count(context.Background(), lo, hi); err == nil && !ambiguous(eigs, lo, hi, icd.LastDelta()) {
 					if wantD := rectCount(eigs, lo, hi, icd.LastDelta()); gotD != wantD {
 						t.Fatalf("seed %d interval [%g, %g]: dense backend %d, eigensolve %d", seed, lo, hi, gotD, wantD)
 					}
@@ -231,16 +234,13 @@ func TestCounterOracle(t *testing.T) {
 }
 
 // TestCounterRetiresProbeOpenInterval is the regression for the gap the
-// counter stage closed: on the checked-in golden model the chain without
-// it (tail → lipschitz → restricted, with dimension caps forcing the
-// large-model branch) finishes with a non-empty Open set, and appending
-// the counter stage retires it — Certified with Open == nil.
+// counter stage closed: on the checked-in golden model the chain tail →
+// lipschitz finishes with a non-empty Open set, and appending the counter
+// stage retires it — Certified with Open == nil.
 func TestCounterRetiresProbeOpenInterval(t *testing.T) {
 	model := loadModelFixture(t, "testdata/counter_regression.json")
-	copts := CertifyOptions{MaxDim: 2, RestrictedMaxDim: 2}
 
-	before, err := NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier()).
-		Run(model, CheckOptions{}, copts)
+	before, err := NewPipeline(TailBoundCertifier(), LipschitzCertifier()).Run(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +254,7 @@ func TestCounterRetiresProbeOpenInterval(t *testing.T) {
 		t.Fatal("restricted pipeline claims certified with open intervals")
 	}
 
-	after, err := NewPipeline(TailBoundCertifier(), LipschitzCertifier(), RestrictedHamiltonianCertifier(), CounterCertifier()).
-		Run(model, CheckOptions{}, copts)
+	after, err := NewPipeline(TailBoundCertifier(), LipschitzCertifier(), CounterCertifier()).Run(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +274,7 @@ func TestCounterRetiresProbeOpenInterval(t *testing.T) {
 
 	// The default pipeline (with real dimension caps this model fits under)
 	// must also finish fully settled.
-	cert, err := Certify(model, CheckOptions{}, CertifyOptions{})
+	cert, err := Certify(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +298,7 @@ func TestCounterViolatingModel(t *testing.T) {
 	if rep.Passive {
 		t.Skip("seed no longer produces a violating model")
 	}
-	copts := CertifyOptions{MaxDim: 2, RestrictedMaxDim: 2}
-	cert, err := NewPipeline(TailBoundCertifier(), CounterCertifier()).Run(model, CheckOptions{}, copts)
+	cert, err := NewPipeline(TailBoundCertifier(), CounterCertifier()).Run(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +324,7 @@ func TestCounterBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ic.Budget = 3 // far below one rectangle's minimum
-	if _, err := ic.Count(1, ic.OmegaBound()); err == nil {
+	if _, err := ic.Count(context.Background(), 1, ic.OmegaBound()); err == nil {
 		t.Fatal("budget-starved count succeeded")
 	}
 	if ic.Nodes() > 3 {
@@ -350,7 +348,7 @@ func TestCounterUnconfirmedClusterNotCertified(t *testing.T) {
 		if cr, err := HamiltonianCrossings(model); err != nil || len(cr) == 0 {
 			t.Fatalf("seed %d: oracle finds no crossing (err %v) — the gadget changed", seed, err)
 		}
-		cert, err := chain.Run(model, CheckOptions{}, CertifyOptions{MaxDim: 16})
+		cert, err := chain.Run(model, CheckOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,6 +361,56 @@ func TestCounterUnconfirmedClusterNotCertified(t *testing.T) {
 			if sv := ws.sigmaAt(model, v.OmegaPeak); sv <= 1 {
 				t.Fatalf("seed %d: violation at ω=%g has σ=%g ≤ 1", seed, v.OmegaPeak, sv)
 			}
+		}
+	}
+}
+
+// TestCounterHonoursDeadline: the counter checks the context before every
+// rectangle count, so under a 10 ms deadline both the counter stage (many
+// open intervals) and one Crossings call over the whole axis (one segment
+// bisected into many rectangles) return context.DeadlineExceeded in a
+// small fraction of their uncancelled time instead of walking every
+// contour first.
+func TestCounterHonoursDeadline(t *testing.T) {
+	synth := func(poles int) *rational.Model {
+		m, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: poles, Seed: 9, NarrowBand: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	stageModel, segModel := synth(80), synth(40)
+	runs := map[string]func(ctx context.Context) error{
+		"counter stage": func(ctx context.Context) error {
+			_, err := NewPipeline(CounterCertifier()).Run(stageModel, CheckOptions{Ctx: ctx})
+			return err
+		},
+		"one segment": func(ctx context.Context) error {
+			ic, err := NewIntervalCounter(segModel, 1+passivityTol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := ic.OmegaBound()
+			_, err = ic.Crossings(ctx, 0, b, adaptiveRelTol*b)
+			return err
+		},
+	}
+	for name, run := range runs {
+		t0 := time.Now()
+		if err := run(context.Background()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		full := time.Since(t0)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		t0 = time.Now()
+		err := run(ctx)
+		took := time.Since(t0)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", name, err)
+		}
+		if took > full/4 {
+			t.Fatalf("%s: cancelled run took %v, uncancelled %v", name, took, full)
 		}
 	}
 }

@@ -74,10 +74,10 @@ type EnforceReport struct {
 	// EnforceOptions.Certify). When Passive is true it describes how the
 	// final model was certified. A Certificate with Certified false and no
 	// Violations means the rigorous stages could not cover the whole axis
-	// (its Open intervals outgrew the restricted stage's reduction
-	// capacity or the probe dimension cap); Enforce still reports Passive
-	// on the fast check's word, so callers needing a hard guarantee must
-	// check Certificate.Certified.
+	// (the contour counter stalled, ran out of nodes, met a crossing
+	// cluster it could not confirm, or declined past its dimension gate);
+	// Enforce still reports Passive on the fast check's word, so callers
+	// needing a hard guarantee must check Certificate.Certified.
 	Certificate *Certificate
 	// CertifiedRescues counts convergences where the fast check reported
 	// passive but the pipeline proved a residual violation that re-entered

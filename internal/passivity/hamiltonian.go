@@ -73,8 +73,8 @@ func HamiltonianMatrixLevel(a, b, c, d *mat.Matrix, gamma float64) (*mat.Matrix,
 //	     | γ²·Q⁻¹·C      D·R⁻¹·Bᵀ |
 //
 // Every correction block of the Bruinsma–Steinbuch pencil factors through
-// B or Cᵀ, so the rank is p = 2·P ≪ N and the structured contour/probe
-// kernels run in O(N·p²) per node instead of the dense O(N³). Memory is
+// B or Cᵀ, so the rank is p = 2·P ≪ N and the structured contour kernel
+// runs in O(N·p²) per node instead of the dense O(N³). Memory is
 // O(N·p). Like HamiltonianMatrixLevel it fails when γ is a singular value
 // of D.
 func HamiltonianFactorsLevel(model *rational.Model, gamma float64) (*mat.StructuredShifted, error) {

@@ -114,57 +114,6 @@ func TestStructuredDetOracleHamiltonian(t *testing.T) {
 	}
 }
 
-// TestStructuredSolveOracleHamiltonian cross-validates the Woodbury solve
-// against the dense complex solver on the same shifted pencils.
-func TestStructuredSolveOracleHamiltonian(t *testing.T) {
-	rng := rand.New(rand.NewSource(321))
-	checked := 0
-	for _, tc := range corpusCases(t) {
-		s, err := HamiltonianFactorsLevel(tc.model, tc.gamma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := s.Dim()
-		dense := s.Materialize()
-		bound := s.EigenBound()
-		z := complex(0.3*bound*(rng.Float64()+0.1), 0.4*bound*(rng.Float64()-0.5))
-		a := mat.NewCMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				v := complex(-dense.At(i, j), 0)
-				if i == j {
-					v += z
-				}
-				a.Set(i, j, v)
-			}
-		}
-		b := make([]complex128, n)
-		for i := range b {
-			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		want, err := mat.CSolveLin(a, b)
-		if err != nil {
-			continue
-		}
-		got := make([]complex128, n)
-		if err := s.SolveInto(z, got, b); err != nil {
-			t.Fatalf("γ=%g z=%v: SolveInto: %v", tc.gamma, z, err)
-		}
-		var num, den float64
-		for i := range got {
-			num += cmplx.Abs(got[i]-want[i]) * cmplx.Abs(got[i]-want[i])
-			den += cmplx.Abs(want[i]) * cmplx.Abs(want[i])
-		}
-		if math.Sqrt(num) > 1e-7*(1+math.Sqrt(den)) {
-			t.Fatalf("γ=%g dim=%d z=%v: Woodbury solve off by %g (rel)", tc.gamma, n, z, math.Sqrt(num/den))
-		}
-		checked++
-	}
-	if checked < 30 {
-		t.Fatalf("solve oracle covered only %d pencils", checked)
-	}
-}
-
 // denseHamLogDet is an independent complex-LU log-determinant of zI − M,
 // used as the oracle (no code shared with StructuredShifted or
 // mat.DenseShifted's pivot bookkeeping).

@@ -57,7 +57,7 @@ func TestTailFutileBisectionSkipped(t *testing.T) {
 	}
 	t.Logf("tailBound calls %d → %d, %d intervals certified by the tail stage", oldCalls, newCalls, newCert)
 
-	cert, err := Certify(model, CheckOptions{}, CertifyOptions{})
+	cert, err := Certify(model, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

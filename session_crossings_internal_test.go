@@ -7,6 +7,8 @@ package repro
 import (
 	"context"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -23,10 +25,34 @@ func sessionEigensolves(t *testing.T, s *Session, m *Macromodel) int {
 	return e.cache.Eigensolves
 }
 
+// memoized returns the report a check served from memoized crossings
+// gives where a stateless check gives want: the same, except that its
+// Hamiltonian stage solved no eigenproblem and carries got's note saying
+// so, which must name the memo.
+func memoized(t *testing.T, want, got *PassivityReport) *PassivityReport {
+	t.Helper()
+	out := *want
+	cert := *want.Certificate
+	cert.EigenDim = 0
+	cert.Stages = slices.Clone(cert.Stages)
+	for i, st := range got.Certificate.Stages {
+		if st.Stage == "hamiltonian" {
+			if !strings.Contains(st.Note, "memoized") {
+				t.Fatalf("memo-served Hamiltonian stage note %q does not name the memo", st.Note)
+			}
+			cert.Stages[i].EigenDim, cert.Stages[i].Note = 0, st.Note
+		}
+	}
+	out.Certificate = &cert
+	return &out
+}
+
 // TestSessionCertifiedCheckAfterExtractRunsNoEigensolve: Extract's
 // enforcement closes with the exact eigentest, so the certified check of
 // the model it returns is served from the crossings it left behind, with
-// the report a stateless check gives.
+// the report a stateless check gives — except that its certificate
+// reports no eigenproblem solved, where the stateless check reports the
+// one it solved.
 func TestSessionCertifiedCheckAfterExtractRunsNoEigensolve(t *testing.T) {
 	syn, err := GeneratePDN(PDNSmall, LogFreqGrid(1e3, 2e9, 100, true), 50)
 	if err != nil {
@@ -53,7 +79,14 @@ func TestSessionCertifiedCheckAfterExtractRunsNoEigensolve(t *testing.T) {
 	if got.Certificate == nil || !got.Certificate.Certified {
 		t.Fatalf("certified check: %+v", got.Certificate)
 	}
-	if want := preSessionCheck(t, res.Model, opts); !reflect.DeepEqual(got, want) {
+	if got.Certificate.EigenDim != 0 {
+		t.Fatalf("memo-served certificate reports eigenproblem dim %d, want 0", got.Certificate.EigenDim)
+	}
+	want := preSessionCheck(t, res.Model, opts)
+	if dim := 2 * res.Model.model.NumPoles() * res.Model.model.Ports(); want.Certificate.EigenDim != dim {
+		t.Fatalf("stateless certificate reports eigenproblem dim %d, want the solved %d", want.Certificate.EigenDim, dim)
+	}
+	if want := memoized(t, want, got); !reflect.DeepEqual(got, want) {
 		t.Fatalf("memoized certified check differs from a stateless one:\n%+v\nvs\n%+v", got, want)
 	}
 }
@@ -62,7 +95,8 @@ func TestSessionCertifiedCheckAfterExtractRunsNoEigensolve(t *testing.T) {
 // variant and back re-solves each time (the memo is not parked with the σ
 // layer), and a passive model whose residues are then scaled into
 // violation is reported non-passive, exactly as a stateless check reports
-// it.
+// it. A check that re-solves reports what a stateless check reports; the
+// memo-served repeat differs only in the eigenproblem it did not solve.
 func TestSessionCrossingsFollowResidues(t *testing.T) {
 	a, err := SyntheticMacromodel(SyntheticModelOptions{Ports: 2, Poles: 20, Seed: 5, PeakGain: 0.09})
 	if err != nil {
@@ -81,7 +115,11 @@ func TestSessionCrossingsFollowResidues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := preSessionCheck(t, m, opts); !reflect.DeepEqual(got, want) {
+		want := preSessionCheck(t, m, opts)
+		if i == 1 {
+			want = memoized(t, want, got)
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("check %d differs from a stateless one", i)
 		}
 		if n, want := sessionEigensolves(t, s, a), []int{1, 1, 2, 3}[i]; n != want {
