@@ -55,7 +55,12 @@ func main() {
 		var err error
 		data, err = repro.ReadTouchstone(*in, 0)
 		fatal(err)
-		load = buildLoad(data.Ports(), *dieS, *decapS, *vrmS)
+		load, err = buildLoad(data.Ports(), *dieS, *decapS, *vrmS)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pdnflow:", err)
+			flag.Usage()
+			os.Exit(2)
+		}
 		fmt.Printf("%s: %d ports, %d frequency points\n", *in, data.Ports(), data.Points())
 	default:
 		fmt.Fprintln(os.Stderr, "pdnflow: need -in or -synth")
@@ -99,10 +104,22 @@ func main() {
 	fmt.Printf("model written to %s (%.1fs total)\n", *out, time.Since(t0).Seconds())
 }
 
-func buildLoad(ports int, dieS, decapS, vrmS string) *repro.Load {
-	die := parseList(dieS)
-	decap := parseList(decapS)
-	vrm := parseList(vrmS)
+// buildLoad builds the nominal termination of a ports-port Touchstone
+// model from the -die, -decap and -vrm port lists. A port index that does
+// not parse or lies outside 0..ports−1 is an error.
+func buildLoad(ports int, dieS, decapS, vrmS string) (*repro.Load, error) {
+	die, err := parseList("-die", dieS, ports)
+	if err != nil {
+		return nil, err
+	}
+	decap, err := parseList("-decap", decapS, ports)
+	if err != nil {
+		return nil, err
+	}
+	vrm, err := parseList("-vrm", vrmS, ports)
+	if err != nil {
+		return nil, err
+	}
 	terms := make([]repro.Termination, ports)
 	for i := range terms {
 		terms[i] = repro.OpenPort()
@@ -129,20 +146,27 @@ func buildLoad(ports int, dieS, decapS, vrmS string) *repro.Load {
 	if len(die) > 0 {
 		obs = die[0]
 	}
-	return &repro.Load{Terms: terms, J: j, ObsPort: obs}
+	return &repro.Load{Terms: terms, J: j, ObsPort: obs}, nil
 }
 
-func parseList(s string) []int {
+// parseList parses the value s of flag name, a comma-separated list of
+// port indices in 0..ports−1.
+func parseList(name, s string, ports int) ([]int, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var out []int
 	for _, tok := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(tok))
-		fatal(err)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		if v < 0 || v >= ports {
+			return nil, fmt.Errorf("%s: port %d out of range: the model has ports 0..%d", name, v, ports-1)
+		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 func fatal(err error) {

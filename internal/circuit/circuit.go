@@ -63,9 +63,6 @@ func (c *Circuit) Node() int {
 	return c.numNodes - 1
 }
 
-// NumNodes returns the node count including ground.
-func (c *Circuit) NumNodes() int { return c.numNodes }
-
 func (c *Circuit) checkNode(n int) {
 	if n < 0 || n >= c.numNodes {
 		panic(fmt.Sprintf("circuit: node %d out of range (have %d)", n, c.numNodes))

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -58,6 +59,9 @@ const (
 	// contourIntTol is the accepted distance of the winding number from an
 	// integer.
 	contourIntTol = 0.25
+	// contourCtxBatch is the number of determinant evaluations between two
+	// context checks of one CountRect call.
+	contourCtxBatch = 32
 )
 
 func (o *ContourOptions) defaults() {
@@ -253,9 +257,11 @@ func (r RectContour) rectPoint(t float64) complex128 {
 // at one refinement level, sharing evaluated phases across levels through
 // the cache (keyed by the dyadic perimeter parameter, so keys are exact).
 type contourRun struct {
+	ctx       context.Context
 	e         *ContourEvaluator
 	rect      RectContour
 	cache     map[float64]phasePoint
+	start     int // evaluator node count when the run began
 	limit     int // evaluator node budget (absolute)
 	initNodes int // initial nodes per side
 }
@@ -274,6 +280,11 @@ func (c *contourRun) phase(t float64) (phasePoint, error) {
 	}
 	if c.e.Nodes >= c.limit {
 		return phasePoint{}, ErrContourStall
+	}
+	if (c.e.Nodes-c.start)%contourCtxBatch == 0 {
+		if err := ctxErr(c.ctx); err != nil {
+			return phasePoint{}, err
+		}
 	}
 	phi, piv, err := c.e.detPhasePivot(c.rect.rectPoint(t))
 	if err != nil {
@@ -364,16 +375,19 @@ func (c *contourRun) winding(maxStep float64) (float64, error) {
 // consecutive refinement levels; otherwise it returns
 // ErrContourStall (typically an eigenvalue on the contour — perturb the
 // rectangle and retry). ErrSingular reports a node landing exactly on an
-// eigenvalue.
-func (e *ContourEvaluator) CountRect(rect RectContour, opts ContourOptions) (int, error) {
+// eigenvalue. ctx (nil: never cancelled) is checked before the first node
+// and after every contourCtxBatch nodes; cancellation returns ctx.Err().
+func (e *ContourEvaluator) CountRect(ctx context.Context, rect RectContour, opts ContourOptions) (int, error) {
 	opts.defaults()
 	if !(rect.ReLo < rect.ReHi) || !(rect.ImLo < rect.ImHi) {
 		return 0, fmt.Errorf("mat: CountRect of empty rectangle %+v", rect)
 	}
 	run := &contourRun{
+		ctx:   ctx,
 		e:     e,
 		rect:  rect,
 		cache: make(map[float64]phasePoint),
+		start: e.Nodes,
 		limit: e.Nodes + opts.MaxNodes,
 	}
 	// Progressive refinement: each level doubles the initial grid (a dyadic

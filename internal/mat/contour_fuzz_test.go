@@ -54,7 +54,7 @@ func FuzzCountRect(f *testing.F) {
 				want++
 			}
 		}
-		got, err := ev.CountRect(rc, ContourOptions{})
+		got, err := ev.CountRect(nil, rc, ContourOptions{})
 		if err != nil {
 			// A stall on an adversarial rectangle is a legitimate refusal —
 			// production callers perturb the contour and retry — but a wrong
@@ -64,7 +64,7 @@ func FuzzCountRect(f *testing.F) {
 		if got != want {
 			t.Fatalf("CountRect(%+v) = %d, dense oracle says %d (eigs %v)", rc, got, want, eigs)
 		}
-		refined, err := ev.CountRect(rc, ContourOptions{InitNodes: 32})
+		refined, err := ev.CountRect(nil, rc, ContourOptions{InitNodes: 32})
 		if err != nil {
 			t.Skip("refined counter stalled")
 		}
@@ -102,8 +102,8 @@ func FuzzCountRect(f *testing.F) {
 		if src.ReHi-src.ReLo < 1e-3 || src.ImHi-src.ImLo < 1e-3 || tooClose(seigs, src, 1e-6*sb) {
 			return
 		}
-		sGot, sErr := NewContourEvaluatorBackend(s).CountRect(src, ContourOptions{})
-		dGot, dErr := NewContourEvaluatorBackend(sd).CountRect(src, ContourOptions{})
+		sGot, sErr := NewContourEvaluatorBackend(s).CountRect(nil, src, ContourOptions{})
+		dGot, dErr := NewContourEvaluatorBackend(sd).CountRect(nil, src, ContourOptions{})
 		if sErr != nil || dErr != nil {
 			return // a stall is a legitimate refusal on either backend
 		}

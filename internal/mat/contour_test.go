@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,7 +89,7 @@ func TestCountRectKnownSpectrum(t *testing.T) {
 	}
 	for _, rc := range cases {
 		want := countInRect(eigs, rc)
-		got, err := ev.CountRect(rc, ContourOptions{})
+		got, err := ev.CountRect(nil, rc, ContourOptions{})
 		if err != nil {
 			t.Fatalf("CountRect(%+v): %v", rc, err)
 		}
@@ -134,7 +136,7 @@ func TestCountRectRandomVsDenseEig(t *testing.T) {
 					want++
 				}
 			}
-			got, err := ev.CountRect(rc, ContourOptions{})
+			got, err := ev.CountRect(nil, rc, ContourOptions{})
 			if err != nil {
 				// A stall on an adversarial random rectangle is allowed —
 				// the production caller perturbs and retries — but a wrong
@@ -170,14 +172,62 @@ func TestCountRectDegenerate(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, -1) // eigenvalues ±i
 	ev := NewContourEvaluator(m)
-	if _, err := ev.CountRect(RectContour{ReLo: 1, ReHi: 1, ImLo: 0, ImHi: 1}, ContourOptions{}); err == nil {
+	if _, err := ev.CountRect(nil, RectContour{ReLo: 1, ReHi: 1, ImLo: 0, ImHi: 1}, ContourOptions{}); err == nil {
 		t.Error("empty rectangle accepted")
 	}
-	got, err := ev.CountRect(RectContour{ReLo: -0.5, ReHi: 0.5, ImLo: 0.5, ImHi: 1.5}, ContourOptions{})
+	got, err := ev.CountRect(nil, RectContour{ReLo: -0.5, ReHi: 0.5, ImLo: 0.5, ImHi: 1.5}, ContourOptions{})
 	if err != nil || got != 1 {
 		t.Errorf("count around +i = %d, %v; want 1, nil", got, err)
 	}
 	if b := ev.EigenBound(); b < 1 || b > 1+1e-12 {
 		t.Errorf("EigenBound = %g, want 1", b)
+	}
+}
+
+// cancellingBackend cancels a context during its at-th determinant.
+type cancellingBackend struct {
+	DetBackend
+	calls, at int
+	cancel    context.CancelFunc
+}
+
+func (b *cancellingBackend) DetPhasePivot(z complex128) (float64, float64, error) {
+	b.calls++
+	if b.calls == b.at {
+		b.cancel()
+	}
+	return b.DetBackend.DetPhasePivot(z)
+}
+
+// TestCountRectHonoursContext: a cancelled context stops one rectangle
+// count with ctx.Err() within one batch of nodes, counted exactly through
+// a backend that cancels during a chosen determinant.
+func TestCountRectHonoursContext(t *testing.T) {
+	m := randMatrix(rand.New(rand.NewSource(3)), 24, 24)
+	rect := RectContour{ReLo: -6, ReHi: 6, ImLo: -6, ImHi: 6}
+	ref := NewContourEvaluator(m)
+	if _, err := ref.CountRect(nil, rect, ContourOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if ref.Nodes < 4*contourCtxBatch {
+		t.Fatalf("uncancelled count takes %d nodes, too few to test batches of %d", ref.Nodes, contourCtxBatch)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ev := NewContourEvaluator(m)
+	if _, err := ev.CountRect(ctx, rect, ContourOptions{}); !errors.Is(err, context.Canceled) || ev.Nodes != 0 {
+		t.Fatalf("cancelled before the count: err = %v after %d nodes, want context.Canceled after 0", err, ev.Nodes)
+	}
+	for _, at := range []int{1, contourCtxBatch, contourCtxBatch + 1, ref.Nodes / 2, ref.Nodes - contourCtxBatch - 1} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ev := NewContourEvaluatorBackend(&cancellingBackend{DetBackend: NewDenseShifted(m), at: at, cancel: cancel})
+		_, err := ev.CountRect(ctx, rect, ContourOptions{})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at node %d: err = %v, want context.Canceled", at, err)
+		}
+		if ev.Nodes > at+contourCtxBatch {
+			t.Fatalf("cancelled at node %d: %d nodes spent, want at most one batch (%d) more", at, ev.Nodes, contourCtxBatch)
+		}
 	}
 }

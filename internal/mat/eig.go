@@ -217,16 +217,22 @@ type Schur struct {
 
 // SchurDecompose computes the real Schur form of a square matrix using
 // Hessenberg reduction followed by the Francis double-shift QR iteration
-// (hqr2-style). If wantQ is false, only T and the eigenvalues are valid.
+// in its Schur mode. If wantQ is false, only T and the eigenvalues are
+// valid.
+//
+// The iteration leaves the bulges it has chased away as stale entries
+// below the first subdiagonal, which it never reads again; they are
+// zeroed here, so T is exactly zero there and Q·T·Qᵀ reconstructs a.
 func SchurDecompose(a *Matrix, wantQ bool) (*Schur, error) {
 	h := a.Clone()
 	q := HessenbergReduce(h, wantQ)
-	if !wantQ {
-		q = nil
-	}
-	wr, wi, err := francisQR(nil, h, q)
+	wr, wi, err := francis(nil, h, q, true)
 	if err != nil {
 		return nil, err
+	}
+	n := h.Rows
+	for i := 2; i < n; i++ {
+		clear(h.Data[i*n : i*n+i-1])
 	}
 	return &Schur{T: h, Q: q, WR: wr, WI: wi}, nil
 }
@@ -242,24 +248,23 @@ func EigenValues(a *Matrix) ([]complex128, error) {
 // cancelled) is checked once per Hessenberg column and once per Francis
 // iteration, and cancellation returns ctx.Err().
 //
-// The eigenvalues come from francisValues, the values-only form of the
-// hqr2 iteration, and are bit for bit those of SchurDecompose's full
-// hqr2 on the same balanced Hessenberg matrix. When the deflation test
-// meets a zero scale (the s == 0 case, which needs the norm of the whole
-// matrix that the values-only form no longer updates), the solve is rerun
-// with full hqr2 from a.
+// The eigenvalues come from the values-only mode of the Francis
+// iteration and are bit for bit those of its Schur mode (SchurDecompose's
+// iteration) on the same balanced Hessenberg matrix. When the deflation
+// test meets a zero scale (errZeroScale), the solve is rerun from a in
+// the Schur mode.
 func EigenValuesCtx(ctx context.Context, a *Matrix) ([]complex128, error) {
 	w := a.Clone()
 	Balance(w)
 	if _, err := hessenbergReduce(ctx, w, false); err != nil {
 		return nil, err
 	}
-	wr, wi, ok, err := francisValues(ctx, w)
-	if err == nil && !ok {
+	wr, wi, err := francis(ctx, w, nil, false)
+	if err == errZeroScale {
 		copy(w.Data, a.Data)
 		Balance(w)
 		if _, err = hessenbergReduce(ctx, w, false); err == nil {
-			wr, wi, err = francisQR(ctx, w, nil)
+			wr, wi, err = francis(ctx, w, nil, true)
 		}
 	}
 	if err != nil {
@@ -272,22 +277,34 @@ func EigenValuesCtx(ctx context.Context, a *Matrix) ([]complex128, error) {
 	return out, nil
 }
 
-// francisValues runs the iteration of francisQR on the upper Hessenberg
-// matrix h (destroyed) for the eigenvalues alone. Three things differ,
-// none of which changes a value any later step reads:
-//   - the row update of a double QR step stops at the active window's last
-//     column n: no later window reaches past n, which only decreases;
-//   - a converged real 2×2 block is not rotated to triangular form: its
-//     rows and columns lie outside every later window;
-//   - every loop runs over row slices of h.Data.
+// errZeroScale is the values-only Francis iteration declining the s == 0
+// deflation case, whose fallback reads the norm of the whole matrix.
+var errZeroScale = errors.New("mat: zero deflation scale in values-only Francis iteration")
+
+// francis runs the Francis double-shift QR iteration of hqr2 (EISPACK/
+// JAMA) on the upper Hessenberg matrix h, in place, over row slices of
+// h.Data, and returns the eigenvalues' real and imaginary parts. ctx (nil:
+// never cancelled) is checked once per iteration.
 //
-// The column update keeps rows 0..iMax as hqr2 does: hqr2 never zeroes a
+// schur picks one of two modes, like LAPACK dlahqr's wantt:
+//   - true: h is reduced to real Schur form. The row update of a double
+//     QR step runs to column nn−1, a converged 2×2 block with real
+//     eigenvalues is rotated to triangular form (so remaining 2×2 blocks
+//     carry complex pairs), and a non-nil v accumulates the
+//     transformations (v ← v·Z).
+//   - false: the eigenvalues alone; v must be nil. The row update stops
+//     at the active window's last column n, since no later window reaches
+//     past n, which only decreases, and a real 2×2 block is left as it
+//     is: its rows and columns lie outside every later window.
+//
+// The column update keeps rows 0..iMax in both modes: hqr2 never zeroes a
 // negligible subdiagonal, so a window can later grow back upward over
-// rows above its current top. The eigenvalues are therefore bit for bit
-// those of francisQR, except where the deflation test meets s == 0 and
-// would fall back to the norm of the whole matrix: francisValues then
-// stops and returns ok == false, and the caller reruns full hqr2.
-func francisValues(ctx context.Context, h *Matrix) (wr, wi []float64, ok bool, err error) {
+// rows above its current top. Every value a later step reads is therefore
+// the same in both modes and so are the eigenvalues, bit for bit, except
+// where the deflation test meets s == 0 and falls back to the norm of the
+// whole matrix, which the values-only mode does not keep: it then returns
+// errZeroScale.
+func francis(ctx context.Context, h, v *Matrix, schur bool) (wr, wi []float64, err error) {
 	nn := h.Rows
 	wr = make([]float64, nn)
 	wi = make([]float64, nn)
@@ -302,18 +319,21 @@ func francisValues(ctx context.Context, h *Matrix) (wr, wi []float64, ok bool, e
 	maxTotal := 40 * nn
 	for n >= 0 {
 		if err := ctxErr(ctx); err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
 		totalIter++
 		if totalIter > maxTotal {
-			return nil, nil, false, ErrNoConvergence
+			return nil, nil, ErrNoConvergence
 		}
 		// Look for a single small sub-diagonal element.
 		l := n
 		for l > 0 {
 			s = math.Abs(d[(l-1)*nn+l-1]) + math.Abs(d[l*nn+l])
 			if s == 0 {
-				return nil, nil, false, nil
+				if !schur {
+					return nil, nil, errZeroScale
+				}
+				s = hessNorm(h)
 			}
 			if math.Abs(d[l*nn+l-1]) < eps*s {
 				break
@@ -354,6 +374,26 @@ func francisValues(ctx context.Context, h *Matrix) (wr, wi []float64, ok bool, e
 				}
 				wi[n-1] = 0
 				wi[n] = 0
+				if schur {
+					// Rotate the block into triangular form.
+					x = rn[n-1]
+					s = math.Abs(x) + math.Abs(z)
+					p = x / s
+					q = z / s
+					r = math.Sqrt(p*p + q*q)
+					p /= r
+					q /= r
+					a0, a1 := rm[n-1:nn], rn[n-1:nn]
+					for j := range a0 {
+						z = a0[j]
+						a0[j] = q*z + p*a1[j]
+						a1[j] = q*a1[j] - p*z
+					}
+					rotateColumns(d, nn, n+1, n-1, p, q)
+					if v != nil {
+						rotateColumns(v.Data, nn, nn, n-1, p, q)
+					}
+				}
 			} else {
 				// Complex pair.
 				wr[n-1] = x + p
@@ -402,7 +442,7 @@ func francisValues(ctx context.Context, h *Matrix) (wr, wi []float64, ok bool, e
 			}
 			iter++
 			if iter > 60 {
-				return nil, nil, false, ErrNoConvergence
+				return nil, nil, ErrNoConvergence
 			}
 
 			// Look for two consecutive small sub-diagonal elements.
@@ -435,7 +475,12 @@ func francisValues(ctx context.Context, h *Matrix) (wr, wi []float64, ok bool, e
 				}
 			}
 
-			// Double QR step on rows l..n, columns m..n.
+			// Double QR step on rows l..n, columns m..n; the row update
+			// runs to column nn−1 in the Schur mode.
+			last := n
+			if schur {
+				last = nn - 1
+			}
 			for k := m; k <= n-1; k++ {
 				notlast := k != n-1
 				rk, rk1 := d[k*nn:(k+1)*nn], d[(k+1)*nn:(k+2)*nn]
@@ -478,10 +523,10 @@ func francisValues(ctx context.Context, h *Matrix) (wr, wi []float64, ok bool, e
 				q /= p
 				r /= p
 
-				// Row modification, columns k..n.
-				a0, a1 := rk[k:n+1], rk1[k:n+1]
+				// Row modification, columns k..last.
+				a0, a1 := rk[k:last+1], rk1[k:last+1]
 				if notlast {
-					a2 := rk2[k : n+1]
+					a2 := rk2[k : last+1]
 					for j := range a0 {
 						p = a0[j] + q*a1[j]
 						p += r * a2[j]
@@ -496,291 +541,10 @@ func francisValues(ctx context.Context, h *Matrix) (wr, wi []float64, ok bool, e
 						a1[j] -= p * y
 					}
 				}
-				// Column modification, rows 0..iMax.
-				iMax := n
-				if k+3 < iMax {
-					iMax = k + 3
-				}
-				if notlast {
-					for i := 0; i <= iMax; i++ {
-						c := d[i*nn+k : i*nn+k+3]
-						p = x*c[0] + y*c[1]
-						p += z * c[2]
-						c[2] -= p * r
-						c[0] -= p
-						c[1] -= p * q
-					}
-				} else {
-					for i := 0; i <= iMax; i++ {
-						c := d[i*nn+k : i*nn+k+2]
-						p = x*c[0] + y*c[1]
-						c[0] -= p
-						c[1] -= p * q
-					}
-				}
-			}
-		}
-	}
-	return wr, wi, true, nil
-}
-
-// francisQR runs the Francis double-shift QR iteration on the upper
-// Hessenberg matrix h (in place), reducing it to real Schur form. If v is
-// non-nil the transformations are accumulated into it (v ← v·Z). Returns
-// eigenvalue real/imaginary parts. ctx (nil: never cancelled) is checked
-// once per iteration.
-//
-// The implementation follows the classical hqr2 algorithm (EISPACK/JAMA):
-// 2×2 diagonal blocks with real eigenvalues are rotated into upper
-// triangular form, so remaining 2×2 blocks always carry complex pairs.
-func francisQR(ctx context.Context, h *Matrix, v *Matrix) (wr, wi []float64, err error) {
-	nn := h.Rows
-	wr = make([]float64, nn)
-	wi = make([]float64, nn)
-	if nn == 0 {
-		return wr, wi, nil
-	}
-	low, high := 0, nn-1
-	eps := math.Pow(2, -52)
-	exshift := 0.0
-	var p, q, r, s, z, w, x, y float64
-
-	// Outer loop over eigenvalue index.
-	n := nn - 1
-	iter := 0
-	totalIter := 0
-	maxTotal := 40 * nn
-	for n >= low {
-		if err := ctxErr(ctx); err != nil {
-			return nil, nil, err
-		}
-		totalIter++
-		if totalIter > maxTotal {
-			return nil, nil, ErrNoConvergence
-		}
-		// Look for a single small sub-diagonal element.
-		l := n
-		for l > low {
-			s = math.Abs(h.At(l-1, l-1)) + math.Abs(h.At(l, l))
-			if s == 0 {
-				s = hessNorm(h)
-			}
-			if math.Abs(h.At(l, l-1)) < eps*s {
-				break
-			}
-			l--
-		}
-
-		switch {
-		case l == n:
-			// One root found.
-			h.Set(n, n, h.At(n, n)+exshift)
-			wr[n] = h.At(n, n)
-			wi[n] = 0
-			n--
-			iter = 0
-
-		case l == n-1:
-			// Two roots found.
-			w = h.At(n, n-1) * h.At(n-1, n)
-			p = (h.At(n-1, n-1) - h.At(n, n)) / 2
-			q = p*p + w
-			z = math.Sqrt(math.Abs(q))
-			h.Set(n, n, h.At(n, n)+exshift)
-			h.Set(n-1, n-1, h.At(n-1, n-1)+exshift)
-			x = h.At(n, n)
-			if q >= 0 {
-				// Real pair: rotate the block into triangular form.
-				if p >= 0 {
-					z = p + z
-				} else {
-					z = p - z
-				}
-				wr[n-1] = x + z
-				wr[n] = wr[n-1]
-				if z != 0 {
-					wr[n] = x - w/z
-				}
-				wi[n-1] = 0
-				wi[n] = 0
-				x = h.At(n, n-1)
-				s = math.Abs(x) + math.Abs(z)
-				p = x / s
-				q = z / s
-				r = math.Sqrt(p*p + q*q)
-				p /= r
-				q /= r
-				for j := n - 1; j < nn; j++ {
-					z = h.At(n-1, j)
-					h.Set(n-1, j, q*z+p*h.At(n, j))
-					h.Set(n, j, q*h.At(n, j)-p*z)
-				}
-				for i := 0; i <= n; i++ {
-					z = h.At(i, n-1)
-					h.Set(i, n-1, q*z+p*h.At(i, n))
-					h.Set(i, n, q*h.At(i, n)-p*z)
-				}
+				// Column modification, rows 0..iMax, and the same on v.
+				reflectColumns(d, nn, min(n, k+3)+1, k, notlast, x, y, z, q, r)
 				if v != nil {
-					for i := low; i <= high; i++ {
-						z = v.At(i, n-1)
-						v.Set(i, n-1, q*z+p*v.At(i, n))
-						v.Set(i, n, q*v.At(i, n)-p*z)
-					}
-				}
-			} else {
-				// Complex pair.
-				wr[n-1] = x + p
-				wr[n] = x + p
-				wi[n-1] = z
-				wi[n] = -z
-			}
-			n -= 2
-			iter = 0
-
-		default:
-			// No convergence yet: perform a double QR step.
-			x = h.At(n, n)
-			y = 0.0
-			w = 0.0
-			y = h.At(n-1, n-1)
-			w = h.At(n, n-1) * h.At(n-1, n)
-
-			// Wilkinson's original ad hoc shift.
-			if iter == 10 || iter == 20 {
-				exshift += x
-				for i := low; i <= n; i++ {
-					h.Set(i, i, h.At(i, i)-x)
-				}
-				s = math.Abs(h.At(n, n-1)) + math.Abs(h.At(n-1, n-2))
-				x = 0.75 * s
-				y = x
-				w = -0.4375 * s * s
-			}
-			// MATLAB-style new ad hoc shift.
-			if iter == 30 {
-				s = (y - x) / 2
-				s = s*s + w
-				if s > 0 {
-					s = math.Sqrt(s)
-					if y < x {
-						s = -s
-					}
-					s = x - w/((y-x)/2+s)
-					for i := low; i <= n; i++ {
-						h.Set(i, i, h.At(i, i)-s)
-					}
-					exshift += s
-					x = 0.964
-					y = x
-					w = x
-				}
-			}
-			iter++
-			if iter > 60 {
-				return nil, nil, ErrNoConvergence
-			}
-
-			// Look for two consecutive small sub-diagonal elements.
-			m := n - 2
-			for m >= l {
-				z = h.At(m, m)
-				r = x - z
-				s = y - z
-				p = (r*s-w)/h.At(m+1, m) + h.At(m, m+1)
-				q = h.At(m+1, m+1) - z - r - s
-				r = h.At(m+2, m+1)
-				s = math.Abs(p) + math.Abs(q) + math.Abs(r)
-				p /= s
-				q /= s
-				r /= s
-				if m == l {
-					break
-				}
-				if math.Abs(h.At(m, m-1))*(math.Abs(q)+math.Abs(r)) <
-					eps*(math.Abs(p)*(math.Abs(h.At(m-1, m-1))+math.Abs(z)+math.Abs(h.At(m+1, m+1)))) {
-					break
-				}
-				m--
-			}
-			for i := m + 2; i <= n; i++ {
-				h.Set(i, i-2, 0)
-				if i > m+2 {
-					h.Set(i, i-3, 0)
-				}
-			}
-
-			// Double QR step on rows l..n, columns m..n.
-			for k := m; k <= n-1; k++ {
-				notlast := k != n-1
-				if k != m {
-					p = h.At(k, k-1)
-					q = h.At(k+1, k-1)
-					if notlast {
-						r = h.At(k+2, k-1)
-					} else {
-						r = 0
-					}
-					x = math.Abs(p) + math.Abs(q) + math.Abs(r)
-					if x == 0 {
-						continue
-					}
-					p /= x
-					q /= x
-					r /= x
-				}
-				s = math.Sqrt(p*p + q*q + r*r)
-				if p < 0 {
-					s = -s
-				}
-				if s != 0 {
-					if k != m {
-						h.Set(k, k-1, -s*x)
-					} else if l != m {
-						h.Set(k, k-1, -h.At(k, k-1))
-					}
-					p += s
-					x = p / s
-					y = q / s
-					z = r / s
-					q /= p
-					r /= p
-
-					// Row modification.
-					for j := k; j < nn; j++ {
-						p = h.At(k, j) + q*h.At(k+1, j)
-						if notlast {
-							p += r * h.At(k+2, j)
-							h.Set(k+2, j, h.At(k+2, j)-p*z)
-						}
-						h.Set(k, j, h.At(k, j)-p*x)
-						h.Set(k+1, j, h.At(k+1, j)-p*y)
-					}
-					// Column modification.
-					iMax := n
-					if k+3 < iMax {
-						iMax = k + 3
-					}
-					for i := 0; i <= iMax; i++ {
-						p = x*h.At(i, k) + y*h.At(i, k+1)
-						if notlast {
-							p += z * h.At(i, k+2)
-							h.Set(i, k+2, h.At(i, k+2)-p*r)
-						}
-						h.Set(i, k, h.At(i, k)-p)
-						h.Set(i, k+1, h.At(i, k+1)-p*q)
-					}
-					// Accumulate transformations.
-					if v != nil {
-						for i := low; i <= high; i++ {
-							p = x*v.At(i, k) + y*v.At(i, k+1)
-							if notlast {
-								p += z * v.At(i, k+2)
-								v.Set(i, k+2, v.At(i, k+2)-p*r)
-							}
-							v.Set(i, k, v.At(i, k)-p)
-							v.Set(i, k+1, v.At(i, k+1)-p*q)
-						}
-					}
+					reflectColumns(v.Data, nn, nn, k, notlast, x, y, z, q, r)
 				}
 			}
 		}
@@ -788,17 +552,48 @@ func francisQR(ctx context.Context, h *Matrix, v *Matrix) (wr, wi []float64, err
 	return wr, wi, nil
 }
 
-// hessNorm is the entry-wise 1-norm of the upper Hessenberg part of h.
+// rotateColumns applies the plane rotation (q, p) of a real 2×2 block to
+// columns j and j+1 of rows 0..rows−1 of the row-major nn-column d.
+func rotateColumns(d []float64, nn, rows, j int, p, q float64) {
+	for i := 0; i < rows; i++ {
+		c := d[i*nn+j : i*nn+j+2]
+		z := c[0]
+		c[0] = q*z + p*c[1]
+		c[1] = q*c[1] - p*z
+	}
+}
+
+// reflectColumns applies a double QR step's reflector to columns k..k+2
+// (k..k+1 on the window's last step) of rows 0..rows−1 of the row-major
+// nn-column d.
+func reflectColumns(d []float64, nn, rows, k int, notlast bool, x, y, z, q, r float64) {
+	if notlast {
+		for i := 0; i < rows; i++ {
+			c := d[i*nn+k : i*nn+k+3]
+			p := x*c[0] + y*c[1]
+			p += z * c[2]
+			c[2] -= p * r
+			c[0] -= p
+			c[1] -= p * q
+		}
+		return
+	}
+	for i := 0; i < rows; i++ {
+		c := d[i*nn+k : i*nn+k+2]
+		p := x*c[0] + y*c[1]
+		c[0] -= p
+		c[1] -= p * q
+	}
+}
+
+// hessNorm is the entry-wise 1-norm of the upper Hessenberg part of h,
+// summed row by row.
 func hessNorm(h *Matrix) float64 {
 	norm := 0.0
 	n := h.Rows
 	for i := 0; i < n; i++ {
-		j0 := i - 1
-		if j0 < 0 {
-			j0 = 0
-		}
-		for j := j0; j < n; j++ {
-			norm += math.Abs(h.At(i, j))
+		for _, x := range h.Data[i*n+max(i-1, 0) : (i+1)*n] {
+			norm += math.Abs(x)
 		}
 	}
 	return norm

@@ -29,16 +29,18 @@
 //
 // # Eigenvalues
 //
-// SchurDecompose runs full hqr2 (EISPACK/JAMA): it keeps the whole
-// quasi-triangular T, rotating converged real 2×2 blocks to triangular
-// form. EigenValues and EigenValuesCtx read only the eigenvalues, so they
-// run a values-only form of the same iteration: the row update of each
-// double QR step stops at the active window's last column and the real
-// 2×2 rotation is skipped, which changes no entry a later step reads. The
-// values are bit for bit those of full hqr2 on the same balanced
+// One Francis double-shift iteration (hqr2, EISPACK/JAMA) runs over row
+// slices in two modes, like LAPACK dlahqr's wantt. SchurDecompose runs the
+// Schur mode: it keeps the whole quasi-triangular T, rotating converged
+// real 2×2 blocks to triangular form, and returns T exactly zero below its
+// first subdiagonal. EigenValues and EigenValuesCtx read only the
+// eigenvalues and run the values-only mode: the row update of each double
+// QR step stops at the active window's last column and the real 2×2
+// rotation is skipped, which changes no entry a later step reads. The
+// values are bit for bit those of the Schur mode on the same balanced
 // Hessenberg matrix; the one case that reads the whole matrix (a zero
-// deflation scale) reruns full hqr2. EigenValuesCtx checks its context
-// once per Hessenberg column and once per Francis iteration.
+// deflation scale) reruns in the Schur mode. EigenValuesCtx checks its
+// context once per Hessenberg column and once per Francis iteration.
 //
 // # Householder QR
 //

@@ -183,9 +183,9 @@ func TestStructuredCountRectAgree(t *testing.T) {
 		}
 		opts := ContourOptions{MaxNodes: 20000}
 		dense := NewContourEvaluator(m)
-		dc, derr := dense.CountRect(rect, opts)
+		dc, derr := dense.CountRect(nil, rect, opts)
 		structured := NewContourEvaluatorBackend(s)
-		sc, serr := structured.CountRect(rect, opts)
+		sc, serr := structured.CountRect(nil, rect, opts)
 		if (derr == nil) != (serr == nil) {
 			// The two proximity alarms differ, so one backend may stall where
 			// the other resolves; both failing or both succeeding with equal

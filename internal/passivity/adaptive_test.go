@@ -73,7 +73,7 @@ func TestAdaptiveMatchesHamiltonianOracle(t *testing.T) {
 					t.Fatalf("seed=%d %+v: adaptive max σ %v undershoots oracle %v",
 						seed, cfg, ad.MaxSigma, ham.MaxSigma)
 				}
-				if sv := sigmaMax(m, ad.MaxOmega, nil); math.Abs(sv-ad.MaxSigma) > 1e-9*(1+sv) {
+				if sv := (&checkWorkspace{}).sigmaAt(m, ad.MaxOmega); math.Abs(sv-ad.MaxSigma) > 1e-9*(1+sv) {
 					t.Fatalf("seed=%d %+v: reported max σ %v is not a real sample (σ(jω)=%v)",
 						seed, cfg, ad.MaxSigma, sv)
 				}

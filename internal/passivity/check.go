@@ -331,22 +331,6 @@ func certifyReport(model *rational.Model, rep *Report, opts CheckOptions) error 
 	return nil
 }
 
-// sigmaMax evaluates the largest singular value of S(jω) with the direct
-// kernel mat.MaxSingularValueInto (Gram matrix, Householder tridiagonal,
-// Sturm bisection), accurate to c·P·ε·σ_max whatever the singular value
-// gaps (see the mat package doc). Iterative estimators (power/subspace
-// iteration) are NOT safe here: PDN scattering matrices carry large
-// clusters of singular values within 1e-4 of each other right at the
-// passivity boundary, where an estimator stalls short of σ_max and any
-// underestimate flips the verdict. ws provides the reusable buffers (nil
-// allocates a transient workspace).
-func sigmaMax(model *rational.Model, omega float64, ws *checkWorkspace) float64 {
-	if ws == nil {
-		ws = &checkWorkspace{}
-	}
-	return ws.sigmaAt(model, omega)
-}
-
 // checkHamiltonian is the exact eigentest: the level-1 crossings of the
 // model (served by the cache's memo when it holds them) split the axis
 // into crossing-free bands, and judgeBands decides each one. The

@@ -110,7 +110,8 @@ func (ic *IntervalCounter) contourOpts() (mat.ContourOptions, error) {
 // candidates are vetted by direct σ evaluation afterwards). Stalls retry
 // with a shrunken δ; a persistent mat.ErrContourStall means an eigenvalue
 // hugs the segment endpoints and the caller should split elsewhere. ctx is
-// checked before every rectangle count; a cancelled count returns
+// checked before every rectangle count and inside it once per node batch
+// (see mat.ContourEvaluator.CountRect); a cancelled count returns
 // ctx.Err().
 func (ic *IntervalCounter) Count(ctx context.Context, lo, hi float64) (int, error) {
 	if !(lo >= 0) || !(hi > lo) || math.IsInf(hi, 1) {
@@ -135,7 +136,7 @@ func (ic *IntervalCounter) Count(ctx context.Context, lo, hi float64) (int, erro
 			// and irrelevant for a zero count.
 			rect.ImLo = -delta
 		}
-		n, err := ic.ev.CountRect(rect, opts)
+		n, err := ic.ev.CountRect(ctx, rect, opts)
 		if err == nil {
 			ic.lastDelta = delta
 			return n, nil

@@ -366,7 +366,7 @@ func TestCounterUnconfirmedClusterNotCertified(t *testing.T) {
 }
 
 // TestCounterHonoursDeadline: the counter checks the context before every
-// rectangle count, so under a 10 ms deadline both the counter stage (many
+// rectangle count and once per node batch inside it, so under a 10 ms deadline both the counter stage (many
 // open intervals) and one Crossings call over the whole axis (one segment
 // bisected into many rectangles) return context.DeadlineExceeded in a
 // small fraction of their uncancelled time instead of walking every

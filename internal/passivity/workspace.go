@@ -23,9 +23,14 @@ type checkWorkspace struct {
 }
 
 // sigmaAt evaluates σ_max of S(jω) with the direct values-only kernel
-// mat.MaxSingularValueInto (see sigmaMax for why it must be direct), building
-// the basis vector into the workspace scratch and reusing the workspace
-// buffers.
+// mat.MaxSingularValueInto (Gram matrix, Householder tridiagonal, Sturm
+// bisection), accurate to c·P·ε·σ_max whatever the singular value gaps
+// (see the mat package doc), building the basis vector into the workspace
+// scratch and reusing the workspace buffers. Iterative estimators (power/
+// subspace iteration) are NOT safe here: PDN scattering matrices carry
+// large clusters of singular values within 1e-4 of each other right at
+// the passivity boundary, where an estimator stalls short of σ_max and any
+// underestimate flips the verdict.
 func (ws *checkWorkspace) sigmaAt(model *rational.Model, omega float64) float64 {
 	ws.basis = model.EvalBasisInto(ws.basis, omega)
 	ws.h = model.EvalWithBasisInto(ws.h, ws.basis)

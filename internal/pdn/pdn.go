@@ -114,16 +114,6 @@ func (l *Load) Validate(ports int) error {
 	return nil
 }
 
-// YL assembles the diagonal load admittance matrix at ω.
-func (l *Load) YL(omega float64) *mat.CMatrix {
-	p := len(l.Terms)
-	y := mat.NewCMatrix(p, p)
-	for i, t := range l.Terms {
-		y.Set(i, i, t.Y(omega))
-	}
-	return y
-}
-
 // ErrDimension reports mismatched matrix dimensions.
 var ErrDimension = errors.New("pdn: dimension mismatch")
 

@@ -73,11 +73,6 @@ func (p *FaultPlan) setWorker(worker int, n int64, f func(*faultSpec)) *FaultPla
 	return p
 }
 
-// PanicOn makes the nth attempt overall (1-based) panic with value.
-func (p *FaultPlan) PanicOn(n int64, value any) *FaultPlan {
-	return p.setGlobal(n, func(s *faultSpec) { s.doPanic, s.panicValue = true, value })
-}
-
 // PanicOnWorker makes the nth attempt run by the given worker panic.
 func (p *FaultPlan) PanicOnWorker(worker int, n int64, value any) *FaultPlan {
 	return p.setWorker(worker, n, func(s *faultSpec) { s.doPanic, s.panicValue = true, value })
@@ -89,20 +84,10 @@ func (p *FaultPlan) FailOn(n int64, err error) *FaultPlan {
 	return p.setGlobal(n, func(s *faultSpec) { s.err = err })
 }
 
-// FailOnWorker makes the nth attempt run by the given worker fail.
-func (p *FaultPlan) FailOnWorker(worker int, n int64, err error) *FaultPlan {
-	return p.setWorker(worker, n, func(s *faultSpec) { s.err = err })
-}
-
 // DelayOn stalls the nth attempt overall by d (cut short by the job's
 // deadline context, which then fails the attempt with the ctx error).
 func (p *FaultPlan) DelayOn(n int64, d time.Duration) *FaultPlan {
 	return p.setGlobal(n, func(s *faultSpec) { s.latency = d })
-}
-
-// DelayOnWorker stalls the nth attempt run by the given worker.
-func (p *FaultPlan) DelayOnWorker(worker int, n int64, d time.Duration) *FaultPlan {
-	return p.setWorker(worker, n, func(s *faultSpec) { s.latency = d })
 }
 
 // Attempts reports how many attempts the plan has numbered so far.
