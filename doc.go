@@ -184,11 +184,13 @@
 // long-lived engine for that shape of work:
 //
 //   - Persistent evaluation caches. A Session keeps one EvalCache per
-//     pole-set fingerprint (FNV-1a over the pole bits, verified exactly)
-//     across Check / Enforce / EnforceBatch / Extract calls. σ samples
-//     are guarded by a residue fingerprint, and each residue variant's σ
-//     layer parks in a per-cache stash while its siblings run, so cycling
-//     through a parameter-sweep library keeps every variant warm.
+//     pole-set fingerprint (FNV-1a over the pole bits) across Check /
+//     Enforce / EnforceBatch / Extract calls. Each cache knows the exact
+//     poles and the residue+D fingerprint its σ samples belong to and
+//     drops what a perturbed or different model invalidates on its own;
+//     at checkout each residue variant's σ layer parks in a per-cache
+//     stash while its siblings run, so cycling through a parameter-sweep
+//     library keeps every variant warm.
 //     Repeated library sweeps over fixed pole sets run several times
 //     faster warm (BENCH_5.json), and SaveCache / LoadCache persist the σ
 //     layers across processes (passcheck -cache-dir) in the same

@@ -26,15 +26,14 @@ type AgentOptions struct {
 	// the embedded server's worker count — one in-flight item per worker
 	// keeps the pool busy without hoarding leases a peer could serve).
 	Concurrency int
-	// Client overrides the HTTP client (default: no-timeout client; the
-	// coordinator bounds the lease long-poll itself).
-	Client *http.Client
-	// RetryBase and RetryMax bound the jittered backoff after coordinator
-	// errors (defaults 100ms and 2s; see serve.Backoff).
-	RetryBase time.Duration
-	// RetryMax caps the doubled backoff steps.
-	RetryMax time.Duration
 }
+
+// agentRetryBase and agentRetryMax bound the jittered backoff after
+// coordinator errors (see serve.Backoff).
+const (
+	agentRetryBase = 100 * time.Millisecond
+	agentRetryMax  = 2 * time.Second
+)
 
 // Agent is one cluster worker host: an embedded serve.Server — worker
 // pool, supervision, retry, cache persistence, everything the single-host
@@ -67,17 +66,9 @@ func NewAgent(srv *serve.Server, opts AgentOptions) (*Agent, error) {
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = srv.Workers()
 	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = 100 * time.Millisecond
-	}
-	if opts.RetryMax <= 0 {
-		opts.RetryMax = 2 * time.Second
-	}
-	cli := opts.Client
-	if cli == nil {
-		cli = &http.Client{}
-	}
-	return &Agent{opts: opts, srv: srv, cli: cli, inflight: make(map[int64]bool)}, nil
+	// A client without a timeout: the coordinator bounds the lease
+	// long-poll itself.
+	return &Agent{opts: opts, srv: srv, cli: &http.Client{}, inflight: make(map[int64]bool)}, nil
 }
 
 // Start joins the coordinator (retrying until ctx expires) and launches
@@ -137,7 +128,7 @@ func (a *Agent) join(seenGen int) error {
 			err = fmt.Errorf("cluster: join: HTTP %d", status)
 		}
 		select {
-		case <-time.After(serve.Backoff(attempt, a.opts.RetryBase, a.opts.RetryMax, 0)):
+		case <-time.After(serve.Backoff(attempt, agentRetryBase, agentRetryMax, 0)):
 		case <-a.ctx.Done():
 			return fmt.Errorf("cluster: joining %s: %w (last: %v)", a.opts.Coordinator, a.ctx.Err(), err)
 		}
@@ -244,7 +235,7 @@ func (a *Agent) leaseLoop() {
 		// Connection trouble or an unexpected status: back off and retry.
 		errs++
 		select {
-		case <-time.After(serve.Backoff(errs, a.opts.RetryBase, a.opts.RetryMax, 0)):
+		case <-time.After(serve.Backoff(errs, agentRetryBase, agentRetryMax, 0)):
 		case <-a.ctx.Done():
 			return
 		}
@@ -298,7 +289,7 @@ func (a *Agent) execute(lease *LeaseResponse) {
 			return
 		}
 		select {
-		case <-time.After(serve.Backoff(attempt, a.opts.RetryBase, a.opts.RetryMax, 0)):
+		case <-time.After(serve.Backoff(attempt, agentRetryBase, agentRetryMax, 0)):
 		case <-a.ctx.Done():
 			return
 		}

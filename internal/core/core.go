@@ -120,28 +120,19 @@ func EnforceWeighted(model *rational.Model, weight *rational.Model, opts passivi
 	return passivity.Enforce(model, opts)
 }
 
-// WeightOptions configures the sensitivity-weight construction.
-type WeightOptions struct {
-	// Order is the weight model order n_w (default 8, the paper's value).
-	Order int
-	// Iterations for the magnitude fit (default 20).
-	Iterations int
-	// Floor clips the sensitivity samples from below at Floor·max(Ξ) to
-	// keep the magnitude fit well conditioned across deep valleys
-	// (default 1e-4).
-	Floor float64
-}
+// weightFloor clips the sensitivity samples from below at
+// weightFloor·max(Ξ) to keep the magnitude fit well conditioned across
+// deep valleys.
+const weightFloor = 1e-4
 
 // BuildWeight computes the sensitivity samples Ξ_k of the loaded PDN from
 // its scattering data (eq. 5, closed form) and fits the minimum-phase
-// rational weight Ξ̃(s) by Magnitude Vector Fitting. It returns the weight
-// model and the raw samples.
-func BuildWeight(omega []float64, samples []*mat.CMatrix, r0 float64, load *pdn.Load, opts WeightOptions) (*rational.Model, []float64, error) {
-	if opts.Order <= 0 {
-		opts.Order = 8
-	}
-	if opts.Floor <= 0 {
-		opts.Floor = 1e-4
+// rational weight Ξ̃(s) of the given order n_w (≤ 0 selects 8, the paper's
+// value) by Magnitude Vector Fitting with its default iteration count. It
+// returns the weight model and the raw samples.
+func BuildWeight(omega []float64, samples []*mat.CMatrix, r0 float64, load *pdn.Load, order int) (*rational.Model, []float64, error) {
+	if order <= 0 {
+		order = 8
 	}
 	xi, err := pdn.Sensitivity(omega, samples, r0, load)
 	if err != nil {
@@ -157,17 +148,14 @@ func BuildWeight(omega []float64, samples []*mat.CMatrix, r0 float64, load *pdn.
 		}
 	}
 	clipped := make([]float64, len(xi))
-	floor := opts.Floor * maxXi
+	floor := weightFloor * maxXi
 	for i, v := range xi {
 		if v < floor {
 			v = floor
 		}
 		clipped[i] = v
 	}
-	weight, _, err := vecfit.FitMagnitude(omega, clipped, vecfit.MagOptions{
-		Order:      opts.Order,
-		Iterations: opts.Iterations,
-	})
+	weight, _, err := vecfit.FitMagnitude(omega, clipped, vecfit.MagOptions{Order: order})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: magnitude fit of sensitivity: %w", err)
 	}

@@ -252,7 +252,7 @@ func TestBuildWeightOnSmallPDN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weight, xi, err := BuildWeight(omega, ss, 50, p.NominalLoad(), WeightOptions{Order: 8})
+	weight, xi, err := BuildWeight(omega, ss, 50, p.NominalLoad(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,6 @@ type RefineOptions struct {
 	// Rounds is the number of refinement rounds after the initial
 	// sensitivity-weighted fit (default 3).
 	Rounds int
-	// Exponent is the boost exponent applied to the realized error ratio
-	// (default 1).
-	Exponent float64
-	// MaxBoost clips the per-round, per-frequency weight multiplier into
-	// [1/MaxBoost, MaxBoost] (default 30).
-	MaxBoost float64
 	// Fit carries the Vector Fitting configuration (NumPoles mandatory).
 	Fit vecfit.Options
 }
@@ -50,12 +44,6 @@ type RefineReport struct {
 func FitRefined(omega []float64, samples []*mat.CMatrix, r0 float64, load *pdn.Load, opts RefineOptions) (*rational.Model, *RefineReport, error) {
 	if opts.Rounds <= 0 {
 		opts.Rounds = 3
-	}
-	if opts.Exponent <= 0 {
-		opts.Exponent = 1
-	}
-	if opts.MaxBoost <= 1 {
-		opts.MaxBoost = 30
 	}
 	xi, err := pdn.Sensitivity(omega, samples, r0, load)
 	if err != nil {
@@ -91,7 +79,7 @@ func FitRefined(omega []float64, samples []*mat.CMatrix, r0 float64, load *pdn.L
 		if round == opts.Rounds {
 			break
 		}
-		weights = boostWeights(weights, relErr, opts)
+		weights = boostWeights(weights, relErr)
 	}
 	rep.Weights = bestWeights
 	return best, rep, nil
@@ -115,10 +103,18 @@ func realizedError(model *rational.Model, omega []float64, r0 float64, load *pdn
 	return relErr, worst, nil
 }
 
+// boostExponent is the exponent α applied to the realized error ratio, and
+// maxBoost clips the per-round, per-frequency weight multiplier into
+// [1/maxBoost, maxBoost].
+const (
+	boostExponent = 1
+	maxBoost      = 30
+)
+
 // boostWeights multiplies each weight by (e_k/ē)^α, clipped, where ē is
 // the mean realized error: frequencies that dominate the loaded-domain
 // error gain emphasis in the next least-squares pass.
-func boostWeights(weights, relErr []float64, opts RefineOptions) []float64 {
+func boostWeights(weights, relErr []float64) []float64 {
 	mean := 0.0
 	for _, e := range relErr {
 		mean += e
@@ -129,12 +125,12 @@ func boostWeights(weights, relErr []float64, opts RefineOptions) []float64 {
 	}
 	out := make([]float64, len(weights))
 	for k, w := range weights {
-		boost := math.Pow(relErr[k]/mean, opts.Exponent)
-		if boost > opts.MaxBoost {
-			boost = opts.MaxBoost
+		boost := math.Pow(relErr[k]/mean, boostExponent)
+		if boost > maxBoost {
+			boost = maxBoost
 		}
-		if boost < 1/opts.MaxBoost {
-			boost = 1 / opts.MaxBoost
+		if boost < 1.0/maxBoost {
+			boost = 1.0 / maxBoost
 		}
 		out[k] = w * boost
 	}

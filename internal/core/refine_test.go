@@ -68,16 +68,24 @@ func TestFitRefinedNeverWorseThanRoundZero(t *testing.T) {
 }
 
 func TestBoostWeightsClipsAndScales(t *testing.T) {
-	w := []float64{1, 1, 1, 1}
-	e := []float64{1e-6, 1, 1, 1e6}
-	out := boostWeights(w, e, RefineOptions{Exponent: 1, MaxBoost: 2})
-	if out[0] != 0.5 {
-		t.Fatalf("low-error weight should clip to 1/MaxBoost, got %v", out[0])
+	// Past 2·maxBoost samples one outlier can exceed maxBoost times the
+	// mean error, so both clips engage.
+	n := 2 * maxBoost
+	w, e := make([]float64, n), make([]float64, n)
+	for i := range w {
+		w[i], e[i] = 1, 1
 	}
-	if out[3] != 2 {
-		t.Fatalf("high-error weight should clip to MaxBoost, got %v", out[3])
+	e[0], e[n-1] = 1e-6, 1e6
+	out := boostWeights(w, e)
+	if out[0] != 1.0/maxBoost {
+		t.Fatalf("low-error weight should clip to 1/maxBoost, got %v", out[0])
 	}
-	if out[1] <= 0 || out[2] <= 0 {
-		t.Fatal("boosted weights must stay positive")
+	if out[n-1] != maxBoost {
+		t.Fatalf("high-error weight should clip to maxBoost, got %v", out[n-1])
+	}
+	for _, v := range out[1 : n-1] {
+		if v <= 0 {
+			t.Fatal("boosted weights must stay positive")
+		}
 	}
 }

@@ -376,7 +376,7 @@ func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 	// frequencies from the previous check of this enforcement run.
 	grid := poleSeededGrid(st.grid[:0], model, adaptiveSeedPoints, opts.OmegaMin, opts.OmegaMax)
 	if opts.Cache != nil {
-		for _, w := range opts.Cache.Hot() {
+		for _, w := range opts.Cache.hot {
 			if w > 0 && !math.IsInf(w, 1) && !math.IsNaN(w) {
 				grid = append(grid, w)
 			}
@@ -417,7 +417,9 @@ func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 	// Seed the next check of this enforcement run with the band geometry
 	// found now: edges and peaks re-localize shrinking bands in a single
 	// stage.
-	opts.Cache.SetHot(nil)
+	if opts.Cache != nil {
+		opts.Cache.hot = opts.Cache.hot[:0]
+	}
 	addHot(opts.Cache, rep.Violations)
 	return rep, nil
 }

@@ -238,8 +238,9 @@ func TestEnforceWithAdaptiveMethod(t *testing.T) {
 }
 
 // TestEvalCacheReuse: a second identical check through the same cache must
-// be served from memory and return a bitwise-identical report;
-// invalidation must force re-evaluation without changing the result. A
+// be served from memory and return a bitwise-identical report; a check of
+// another residue variant in between must force re-evaluation without
+// changing the result. A
 // passive model keeps the warm-start seed list empty, so the grids of the
 // runs coincide exactly.
 func TestEvalCacheReuse(t *testing.T) {
@@ -267,16 +268,21 @@ func TestEvalCacheReuse(t *testing.T) {
 	if !reportsEqual(first, second) {
 		t.Fatalf("cached report differs:\n%+v\nvs\n%+v", first, second)
 	}
-	cache.InvalidateSigma()
+	// Checking another residue variant rebinds the cache; coming back must
+	// re-evaluate m and give the same report.
+	if _, err := Check(scaledClone(m, 0.5), opts); err != nil {
+		t.Fatal(err)
+	}
+	missesBefore := cache.SigmaMisses
 	third, err := Check(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.SigmaMisses == missesAfterFirst {
-		t.Fatal("invalidation did not force re-evaluation")
+	if cache.SigmaMisses == missesBefore {
+		t.Fatal("rebinding did not force re-evaluation")
 	}
 	if !reportsEqual(first, third) {
-		t.Fatalf("post-invalidation report differs:\n%+v\nvs\n%+v", first, third)
+		t.Fatalf("post-rebind report differs:\n%+v\nvs\n%+v", first, third)
 	}
 	// A non-passive model records warm-start seeds for the next check.
 	bad := nonPassiveSISO(t, 0.12)
@@ -284,7 +290,7 @@ func TestEvalCacheReuse(t *testing.T) {
 	if _, err := Check(bad, CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: badCache}); err != nil {
 		t.Fatal(err)
 	}
-	if len(badCache.Hot()) == 0 {
+	if len(badCache.hot) == 0 {
 		t.Fatal("violating check should record hot frequencies for warm start")
 	}
 }

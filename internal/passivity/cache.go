@@ -2,6 +2,7 @@ package passivity
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -10,15 +11,20 @@ import (
 	"repro/internal/rational"
 )
 
-// EvalCache memoizes σ_max samples across repeated passivity checks of the
-// SAME pole set. A σ value depends on the residues too, so the active σ
-// layer must be dropped whenever the model is perturbed (InvalidateSigma).
-// The layer holds the samples of one residue set and is refilled after
-// every perturbation; the Session byte budget bounds how many caches stay
-// resident.
+// EvalCache memoizes σ_max samples across repeated passivity checks of one
+// model. A σ value depends on the poles, the residues and D, so the cache
+// keeps the exact pole set its layers belong to, that set's fingerprint
+// and the residue+D fingerprint of its active σ layer, and decides for
+// itself what is still valid: Check and Pipeline.Run bind it to the model
+// on entry (bind). On first use it adopts the model; on a different pole
+// set it starts over; when only the residues or D moved — an enforcement
+// perturbation, a D clamp, a scaled bisection probe — it drops the active
+// layer and keeps the hot seeds. No σ sample of an earlier model is ever
+// served, whatever the caller did to the model in between. The Session
+// byte budget bounds how many caches stay resident.
 //
 // Beyond the single active σ layer, the cache parks up to maxSigmaStash
-// complete σ layers keyed by an opaque residue fingerprint (SwapSigma):
+// complete σ layers of other residue variants of its pole set (Select):
 // when a caller cycles between residue variants that share the poles — a
 // parameter-sweep library re-checked every round — each variant's σ
 // samples survive the visits of its siblings instead of being recomputed
@@ -27,12 +33,12 @@ import (
 // Alongside the active σ layer the cache memoizes the level-1 Hamiltonian
 // crossings of the same residue set (memoCrossings), so the exact
 // eigentest that closes an enforcement run and the certified check of the
-// result share one dense eigensolve. Whatever drops the active σ layer
-// (InvalidateSigma, SwapSigma) drops the crossings too; they are never
-// parked in the stash and never serialized.
+// result share one dense eigensolve. Whatever drops or parks the active σ
+// layer drops the crossings too; they are never parked in the stash and
+// never serialized.
 //
 // The cache also carries the violation-band frequencies found by the
-// previous check (Hot, SetHot) into the next check's seed grid, so that
+// previous check (hot) into the next check's seed grid, so that
 // enforcement iterations re-localize their shrinking bands in a single
 // refinement stage instead of rediscovering them from the coarse grid.
 //
@@ -42,6 +48,13 @@ import (
 // each miss writing its own slot. Results are therefore independent of the
 // worker count.
 type EvalCache struct {
+	// poles is the exact pole set every σ layer belongs to, poleFP its
+	// fingerprint and resFP the residue+D fingerprint of the active layer;
+	// bound is false until the cache first meets a model.
+	poles         []complex128
+	poleFP, resFP uint64
+	bound         bool
+
 	sigma map[float64]float64
 	hot   []float64
 
@@ -50,7 +63,7 @@ type EvalCache struct {
 	crossings   []float64
 	crossingsOK bool
 
-	// stash holds parked σ layers by residue fingerprint (SwapSigma);
+	// stash holds parked σ layers by residue fingerprint (Select);
 	// stashOrder tracks their recency, most recent last.
 	stash      map[uint64]map[float64]float64
 	stashOrder []uint64
@@ -61,23 +74,85 @@ type EvalCache struct {
 	Eigensolves            int
 }
 
-// NewEvalCache returns an empty cache.
+// NewEvalCache returns an empty cache; it adopts the first model it meets.
 func NewEvalCache() *EvalCache {
 	return &EvalCache{sigma: make(map[float64]float64)}
 }
 
-// InvalidateSigma drops the active σ layer and the memoized crossings (the
-// model's residues or D changed in place, as enforcement perturbations
-// do) while keeping the hot-frequency seeds and any stashed σ layers of
-// other residue sets.
-func (c *EvalCache) InvalidateSigma() {
+// fnvMix folds one 64-bit word into an FNV-1a hash.
+func fnvMix(h, w uint64) uint64 {
+	const prime = 1099511628211
+	for shift := 0; shift < 64; shift += 8 {
+		h ^= (w >> shift) & 0xff
+		h *= prime
+	}
+	return h
+}
+
+const fnvOffset = 14695981039346656037
+
+// PoleFingerprint hashes a pole set with FNV-1a (exact bit patterns,
+// order-sensitive): the key under which a Session files a model's cache.
+func PoleFingerprint(poles []complex128) uint64 {
+	h := uint64(fnvOffset)
+	for _, p := range poles {
+		h = fnvMix(h, math.Float64bits(real(p)))
+		h = fnvMix(h, math.Float64bits(imag(p)))
+	}
+	return h
+}
+
+// residueFingerprint hashes everything the σ layer depends on besides the
+// poles: the residue matrices and the direct coupling D.
+func residueFingerprint(m *rational.Model) uint64 {
+	h := uint64(fnvOffset)
+	for _, r := range m.Residues {
+		for _, z := range r.Data {
+			h = fnvMix(h, math.Float64bits(real(z)))
+			h = fnvMix(h, math.Float64bits(imag(z)))
+		}
+	}
+	p := m.D.Rows
+	for i := 0; i < p; i++ {
+		for _, v := range m.D.Row(i) {
+			h = fnvMix(h, math.Float64bits(v))
+		}
+	}
+	return h
+}
+
+// Fingerprint returns the PoleFingerprint of the pole set the cache holds.
+func (c *EvalCache) Fingerprint() uint64 { return c.poleFP }
+
+// bind makes the cache answer for model (see EvalCache): a fresh cache or
+// a different pole set starts over with everything dropped, changed
+// residues or D drop the active σ layer and the crossings. A nil cache is
+// a no-op.
+func (c *EvalCache) bind(model *rational.Model) {
 	if c == nil {
 		return
 	}
-	c.dropCrossings()
-	// clear keeps the map's buckets: the next sweep re-stores σ at the same
-	// frequencies without re-growing the table from scratch.
+	if !c.bound || !slices.Equal(c.poles, model.Poles) {
+		c.adopt(model)
+		return
+	}
+	if fp := residueFingerprint(model); fp != c.resFP {
+		c.resFP = fp
+		c.dropCrossings()
+		// clear keeps the map's buckets: the next sweep re-stores σ at the
+		// same frequencies without re-growing the table from scratch.
+		clear(c.sigma)
+	}
+}
+
+// adopt empties the cache and makes model's pole set and residues its own.
+func (c *EvalCache) adopt(model *rational.Model) {
+	c.poles = append(c.poles[:0], model.Poles...)
+	c.poleFP, c.resFP, c.bound = PoleFingerprint(model.Poles), residueFingerprint(model), true
 	clear(c.sigma)
+	c.stash, c.stashOrder = nil, nil
+	c.hot = c.hot[:0]
+	c.dropCrossings()
 }
 
 // maxSigmaStash bounds the parked σ layers a cache retains; beyond it the
@@ -86,18 +161,36 @@ func (c *EvalCache) InvalidateSigma() {
 // footprint proportional to the active layer.
 const maxSigmaStash = 64
 
-// SwapSigma switches the active σ layer between residue variants of the
-// cache's pole set: the current layer is parked in the stash under the
-// park key, and the layer previously parked under the restore key (if
-// any) becomes active. Callers pass residue fingerprints as keys and must
-// guarantee the park key identifies the residues the active layer was
-// computed from. Cycling through a library of residue variants this way
-// turns every revisit into σ-layer hits instead of recomputations. The
-// memoized crossings are dropped, not parked: a revisit re-solves them.
-func (c *EvalCache) SwapSigma(park, restore uint64) {
-	if c == nil || park == restore {
-		return
+// Select prepares the cache for a checkout of model and reports whether it
+// holds model's pole set. A fresh cache adopts the model. Otherwise the
+// active σ layer is parked in the stash under its residue fingerprint and
+// the layer previously parked for model's residues (if any) becomes
+// active, so cycling through a library of residue variants turns every
+// revisit into σ hits instead of recomputations; the memoized crossings
+// are dropped, not parked. The hot seeds are cleared so a checked-out
+// cache samples exactly like a fresh one. On a different pole set (a
+// fingerprint collision in the caller's index) Select returns false and
+// leaves the cache untouched.
+func (c *EvalCache) Select(model *rational.Model) bool {
+	if !c.bound {
+		c.adopt(model)
+		return true
 	}
+	if !slices.Equal(c.poles, model.Poles) {
+		return false
+	}
+	if fp := residueFingerprint(model); fp != c.resFP {
+		c.swap(fp)
+	}
+	c.hot = c.hot[:0]
+	return true
+}
+
+// swap parks the active σ layer under its residue fingerprint and makes
+// the layer parked under restore (or an empty one) active.
+func (c *EvalCache) swap(restore uint64) {
+	park := c.resFP
+	c.resFP = restore
 	c.dropCrossings()
 	if c.stash == nil {
 		c.stash = make(map[uint64]map[float64]float64)
@@ -158,7 +251,7 @@ func memoCrossings(ctx context.Context, model *rational.Model, c *EvalCache) ([]
 }
 
 // StashedSigmaEntries sums the σ samples held by parked layers (see
-// SwapSigma); the active layer is counted by SigmaEntries.
+// Select); the active layer is counted by SigmaEntries.
 func (c *EvalCache) StashedSigmaEntries() int {
 	n := 0
 	for _, layer := range c.stash {
@@ -166,18 +259,6 @@ func (c *EvalCache) StashedSigmaEntries() int {
 	}
 	return n
 }
-
-// SetHot records seed frequencies for the next check; NaN/±Inf and
-// non-positive entries are dropped by the consumer.
-func (c *EvalCache) SetHot(ws []float64) {
-	if c == nil {
-		return
-	}
-	c.hot = append(c.hot[:0], ws...)
-}
-
-// Hot returns the warm-start frequencies recorded by the previous check.
-func (c *EvalCache) Hot() []float64 { return c.hot }
 
 // sigmaFreqsSorted returns the frequencies resident in the σ layer in
 // ascending order (nil for a nil cache). The certification sweep anchors

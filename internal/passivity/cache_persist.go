@@ -11,11 +11,12 @@ import (
 
 // Cache blob codec: the one serialized form of an EvalCache, used for
 // cache files on disk and for warm-state transfers between hosts alike.
-// It carries only what a receiver cannot cheaply recompute — the σ
-// samples — in a versioned little-endian stream:
+// It carries what a receiver cannot cheaply recompute — the σ samples —
+// together with the identity the cache binds by, in a versioned
+// little-endian stream:
 //
 //	u64  magic "SESC" << 32 | version 5
-//	u64  pole-set fingerprint
+//	u64  pole-set fingerprint (PoleFingerprint of the poles below)
 //	u64  residue fingerprint of the active σ layer
 //	u64  n, then n poles as (re, im) float64 pairs
 //	layer: the active σ layer
@@ -24,13 +25,13 @@ import (
 //	u64  CRC-64/ECMA of every preceding byte
 //
 // where a layer is a u64 count followed by that many (ω, σ) float64
-// pairs in strictly increasing ω. The hot seeds do not travel (a Session
+// pairs in strictly increasing ω. The hot seeds do not travel (Select
 // clears them at every checkout).
 //
-// The encoding is canonical: DecodeCacheBlob accepts exactly the blobs
-// CacheBlob.Encode can produce, so an accepted blob re-encodes byte for
-// byte. Every rejection wraps ErrCacheCorrupt, and every count is
-// checked against the bytes that remain before anything is allocated.
+// The encoding is canonical: DecodeEvalCache accepts exactly the blobs
+// Encode can produce, so an accepted blob re-encodes byte for byte. Every
+// rejection wraps ErrCacheCorrupt, and every count is checked against the
+// bytes that remain before anything is allocated.
 
 const (
 	cacheMagic   = 0x53455343 // "SESC"
@@ -42,29 +43,25 @@ const (
 // ErrCacheCorrupt is wrapped by every rejection of a serialized
 // evaluation cache: bad magic, unsupported version, checksum mismatch,
 // truncation, a count beyond what the blob can hold, a non-finite or
-// negative value, or (checked by the caller) a pole fingerprint that does
-// not match the poles.
+// negative value, or a pole fingerprint that does not match the poles.
 var ErrCacheCorrupt = errors.New("corrupt evaluation cache")
 
 var cacheCRC = crc64.MakeTable(crc64.ECMA)
-
-// CacheBlob is the decoded form of one serialized evaluation cache: the
-// pole set it is valid for, the residue fingerprint of its active σ
-// layer, and the cache holding every σ layer.
-type CacheBlob struct {
-	PoleFP, ResFP uint64
-	Poles         []complex128
-	Cache         *EvalCache
-}
 
 // SigmaEntries returns the number of σ samples in the active layer;
 // parked variant layers are counted by StashedSigmaEntries.
 func (c *EvalCache) SigmaEntries() int { return len(c.sigma) }
 
-// Encode serializes b in the v5 format read by DecodeCacheBlob.
-func (b *CacheBlob) Encode() []byte {
-	c := b.Cache
-	n := cacheHead + 16*len(b.Poles) + 16 + 16*len(c.sigma) + cacheFoot
+// Bytes estimates the resident size of the cache: the σ layers (active and
+// stashed, with map overhead), the hot seeds and the pole set.
+func (c *EvalCache) Bytes() int64 {
+	return int64(c.SigmaEntries()+c.StashedSigmaEntries())*32 +
+		int64(len(c.hot))*8 + int64(len(c.poles))*16
+}
+
+// Encode serializes the cache in the v5 format read by DecodeEvalCache.
+func (c *EvalCache) Encode() []byte {
+	n := cacheHead + 16*len(c.poles) + 16 + 16*len(c.sigma) + cacheFoot
 	for _, layer := range c.stash {
 		n += 16 + 16*len(layer)
 	}
@@ -84,10 +81,10 @@ func (b *CacheBlob) Encode() []byte {
 		}
 	}
 	out = le.AppendUint64(out, cacheMagic<<32|cacheVersion)
-	out = le.AppendUint64(out, b.PoleFP)
-	out = le.AppendUint64(out, b.ResFP)
-	out = le.AppendUint64(out, uint64(len(b.Poles)))
-	for _, p := range b.Poles {
+	out = le.AppendUint64(out, c.poleFP)
+	out = le.AppendUint64(out, c.resFP)
+	out = le.AppendUint64(out, uint64(len(c.poles)))
+	for _, p := range c.poles {
 		f64(real(p))
 		f64(imag(p))
 	}
@@ -100,12 +97,12 @@ func (b *CacheBlob) Encode() []byte {
 	return le.AppendUint64(out, crc64.Checksum(out, cacheCRC))
 }
 
-// DecodeCacheBlob verifies and decodes a blob written by Encode: magic,
+// DecodeEvalCache verifies and decodes a blob written by Encode: magic,
 // version and the CRC-64 footer first, then the payload with every count
-// bounded by the bytes that remain. The returned cache holds the σ layers;
-// its counters start at zero. It does not check
-// PoleFP against Poles (the fingerprint function belongs to the caller).
-func DecodeCacheBlob(blob []byte) (*CacheBlob, error) {
+// bounded by the bytes that remain, and last the pole fingerprint against
+// the poles. The returned cache is bound to the blob's pole set and
+// residue fingerprint and holds its σ layers; its counters start at zero.
+func DecodeEvalCache(blob []byte) (*EvalCache, error) {
 	if len(blob) < cacheHead+cacheFoot {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrCacheCorrupt, len(blob))
 	}
@@ -123,32 +120,32 @@ func DecodeCacheBlob(blob []byte) (*CacheBlob, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (blob %016x, computed %016x)", ErrCacheCorrupt, want, got)
 	}
 	r := blobReader{b: body[8:]}
-	b := &CacheBlob{PoleFP: r.u64(), ResFP: r.u64(), Cache: NewEvalCache()}
+	c := &EvalCache{poleFP: r.u64(), resFP: r.u64(), bound: true}
 	if n := r.count(16, "pole"); r.err == nil {
-		b.Poles = make([]complex128, n)
-		for i := range b.Poles {
+		c.poles = make([]complex128, n)
+		for i := range c.poles {
 			re, im := r.f64(), r.f64()
 			if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
 				r.fail("non-finite pole %d", i)
 			}
-			b.Poles[i] = complex(re, im)
+			c.poles[i] = complex(re, im)
 		}
 	}
-	b.Cache.sigma = r.layer()
+	c.sigma = r.layer()
 	if k := r.count(16, "stash"); r.err == nil {
 		if k > maxSigmaStash {
 			return nil, fmt.Errorf("%w: %d stashed layers exceeds limit %d", ErrCacheCorrupt, k, maxSigmaStash)
 		}
 		if k > 0 {
-			b.Cache.stash = make(map[uint64]map[float64]float64, k)
+			c.stash = make(map[uint64]map[float64]float64, k)
 		}
 		for i := 0; i < k && r.err == nil; i++ {
 			key := r.u64()
-			if _, dup := b.Cache.stash[key]; dup {
+			if _, dup := c.stash[key]; dup {
 				r.fail("duplicate stash key %016x", key)
 			}
-			b.Cache.stash[key] = r.layer()
-			b.Cache.stashOrder = append(b.Cache.stashOrder, key)
+			c.stash[key] = r.layer()
+			c.stashOrder = append(c.stashOrder, key)
 		}
 	}
 	if r.err == nil && len(r.b) > 0 {
@@ -157,7 +154,10 @@ func DecodeCacheBlob(blob []byte) (*CacheBlob, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	return b, nil
+	if fp := PoleFingerprint(c.poles); fp != c.poleFP {
+		return nil, fmt.Errorf("%w: pole fingerprint mismatch (blob %016x, poles %016x)", ErrCacheCorrupt, c.poleFP, fp)
+	}
+	return c, nil
 }
 
 // blobReader consumes a checksummed payload; the first failure sticks and

@@ -1,10 +1,14 @@
 package passivity
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/rational"
+)
 
 // TestEnforceSteadyStateAllocBound: once an enforcement-style loop has
 // warmed the cache and workspace pool, re-checking the model (the
-// steady-state sweep of Enforce: σ invalidated, workspaces warm) must
+// steady-state sweep of Enforce: σ dropped, workspaces warm) must
 // spend only the per-check and per-stage bookkeeping — grid assembly,
 // stage slices, report — and nothing per frequency. The per-frequency
 // kernels themselves are asserted exactly allocation-free in internal/mat
@@ -13,6 +17,10 @@ import "testing"
 // per merged grid point (over a hundred of each here) breaks it.
 func TestEnforceSteadyStateAllocBound(t *testing.T) {
 	m := nonPassiveMIMO(t)
+	// Two residue variants of one pole set stand in for successive sweeps:
+	// each check binds the cache to residues it did not see last, which
+	// drops the active σ layer exactly as an enforcement perturbation does.
+	variants := []*rational.Model{m, scaledClone(m, 1-1e-9)}
 	cache := NewEvalCache()
 	opts := CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: cache, Workers: 1,
 		work: newWorkspacePool()}
@@ -23,18 +31,18 @@ func TestEnforceSteadyStateAllocBound(t *testing.T) {
 	if first.Samples < 100 {
 		t.Fatalf("%d samples: too few for a per-sample allocation to break the bound", first.Samples)
 	}
-	// One invalidated re-check settles residual warm-up (map capacity).
-	cache.InvalidateSigma()
-	if _, err := Check(m, opts); err != nil {
+	// One re-bound re-check settles residual warm-up (map capacity).
+	if _, err := Check(variants[1], opts); err != nil {
 		t.Fatal(err)
 	}
+	sweep := 0
 	allocs := testing.AllocsPerRun(5, func() {
-		cache.InvalidateSigma()
-		if _, err := Check(m, opts); err != nil {
+		sweep++
+		if _, err := Check(variants[sweep%2], opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Measured: 112 allocations for 106 samples on this model.
+	// Measured: 80 allocations for 106 samples on this model.
 	const bound = 150
 	if allocs > bound {
 		t.Fatalf("steady-state check allocates %.0f times for %d samples; want ≤ %d",
@@ -42,17 +50,34 @@ func TestEnforceSteadyStateAllocBound(t *testing.T) {
 	}
 }
 
+// residueVariants returns n models sharing one pole set, each with its own
+// residues (distinct global scales of one synthetic model).
+func residueVariants(t *testing.T, n int) []*rational.Model {
+	t.Helper()
+	base, err := SyntheticModel(SyntheticOptions{Ports: 2, Poles: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*rational.Model, n)
+	for i := range out {
+		out[i] = scaledClone(base, 1/float64(i+2))
+	}
+	return out
+}
+
 // TestSigmaStashSwap pins the park/restore semantics of the per-variant σ
-// stash: cycling A → B → A restores A's exact σ layer, the bound drops
-// the least-recently-parked layer, and InvalidateSigma leaves the stash
-// alone.
+// stash: cycling A → B → A restores A's exact σ layer, an in-place
+// mutation drops the active layer and leaves the stash alone, and
+// selecting the active variant again keeps its layer.
 func TestSigmaStashSwap(t *testing.T) {
+	vs := residueVariants(t, 2)
+	a, b := vs[0], vs[1]
 	c := NewEvalCache()
-	const fpA, fpB = 0xa, 0xb
+	c.Select(a)
 	c.sigma[1.0] = 0.5
 	c.sigma[2.0] = 0.7
 
-	c.SwapSigma(fpA, fpB) // park A, B starts empty
+	c.Select(b) // park A, B starts empty
 	if n := c.SigmaEntries(); n != 0 {
 		t.Fatalf("after swap to empty variant: %d active σ entries, want 0", n)
 	}
@@ -61,7 +86,7 @@ func TestSigmaStashSwap(t *testing.T) {
 	}
 	c.sigma[3.0] = 0.9 // B's layer
 
-	c.SwapSigma(fpB, fpA) // park B, restore A
+	c.Select(a) // park B, restore A
 	if s, ok := c.sigmaFor(1.0); !ok || s != 0.5 {
 		t.Fatalf("restored A layer: σ(1.0) = %v (resident %v), want 0.5", s, ok)
 	}
@@ -76,38 +101,41 @@ func TestSigmaStashSwap(t *testing.T) {
 	}
 
 	// In-place perturbation drops the active layer only.
-	c.InvalidateSigma()
+	applyScale(a, 0.75)
+	c.bind(a)
 	if n := c.SigmaEntries(); n != 0 {
-		t.Fatalf("InvalidateSigma left %d active entries", n)
+		t.Fatalf("binding the perturbed model left %d active entries", n)
 	}
 	if n := c.StashedSigmaEntries(); n != 1 {
-		t.Fatalf("InvalidateSigma touched the stash: %d entries, want 1", n)
+		t.Fatalf("binding the perturbed model touched the stash: %d entries, want 1", n)
 	}
 
-	// Same-fingerprint swap is a no-op.
+	// Selecting the active variant again is a no-op.
 	c.sigma[4.0] = 0.1
-	c.SwapSigma(fpA, fpA)
+	c.Select(a)
 	if _, ok := c.sigmaFor(4.0); !ok {
-		t.Fatal("same-key swap dropped the active layer")
+		t.Fatal("re-selecting the active variant dropped its layer")
 	}
 }
 
 // TestSigmaStashBound fills the stash past maxSigmaStash and checks the
 // oldest layer is the one dropped.
 func TestSigmaStashBound(t *testing.T) {
+	vs := residueVariants(t, maxSigmaStash+2)
 	c := NewEvalCache()
+	c.Select(vs[0])
 	for i := 0; i <= maxSigmaStash; i++ { // parks maxSigmaStash+1 layers
 		c.sigma[float64(i)] = 1
-		c.SwapSigma(uint64(i), uint64(i)+1<<32)
+		c.Select(vs[i+1])
 	}
 	if got := len(c.stash); got != maxSigmaStash {
 		t.Fatalf("stash holds %d layers, want %d", got, maxSigmaStash)
 	}
-	if _, ok := c.stash[0]; ok {
+	if _, ok := c.stash[residueFingerprint(vs[0])]; ok {
 		t.Fatal("oldest stashed layer survived the bound")
 	}
 	// The most recently parked layer restores intact.
-	c.SwapSigma(9999, uint64(maxSigmaStash))
+	c.Select(vs[maxSigmaStash])
 	if s, ok := c.sigmaFor(float64(maxSigmaStash)); !ok || s != 1 {
 		t.Fatalf("restore of newest layer: σ = %v (resident %v), want 1", s, ok)
 	}
@@ -116,31 +144,27 @@ func TestSigmaStashBound(t *testing.T) {
 // TestSigmaStashPersistRoundtrip saves a cache carrying stashed variant
 // layers and checks each one restores with its exact samples.
 func TestSigmaStashPersistRoundtrip(t *testing.T) {
+	vs := residueVariants(t, 3)
 	c := NewEvalCache()
-	c.sigma[1.0] = 0.25
-	c.SwapSigma(0xaa, 0xbb)
-	c.sigma[1.0] = 0.5
-	c.SwapSigma(0xbb, 0xcc)
-	c.sigma[1.0] = 0.75
+	for i, s := range []float64{0.25, 0.5, 0.75} {
+		c.Select(vs[i])
+		c.sigma[1.0] = s
+	}
 
-	blob, err := DecodeCacheBlob((&CacheBlob{Cache: c}).Encode())
+	got, err := DecodeEvalCache(c.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := blob.Cache
 	if s, ok := got.sigmaFor(1.0); !ok || s != 0.75 {
 		t.Fatalf("active layer: σ = %v (resident %v), want 0.75", s, ok)
 	}
 	if n := got.StashedSigmaEntries(); n != 2 {
 		t.Fatalf("stashed entries after reload = %d, want 2", n)
 	}
-	for _, v := range []struct {
-		key  uint64
-		want float64
-	}{{0xaa, 0.25}, {0xbb, 0.5}} {
-		got.SwapSigma(0xffff+v.key, v.key)
-		if s, ok := got.sigmaFor(1.0); !ok || s != v.want {
-			t.Fatalf("variant %#x after reload: σ = %v (resident %v), want %v", v.key, s, ok, v.want)
+	for i, want := range []float64{0.25, 0.5} {
+		got.Select(vs[i])
+		if s, ok := got.sigmaFor(1.0); !ok || s != want {
+			t.Fatalf("variant %d after reload: σ = %v (resident %v), want %v", i, s, ok, want)
 		}
 	}
 }

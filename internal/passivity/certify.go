@@ -198,6 +198,7 @@ func Certify(model *rational.Model, opts CheckOptions) (*Certificate, error) {
 // Run executes the pipeline. See Certify.
 func (p *Pipeline) Run(model *rational.Model, opts CheckOptions) (*Certificate, error) {
 	opts.defaults(model)
+	opts.Cache.bind(model)
 	cc := &certContext{
 		ctx:    opts.Ctx,
 		model:  model,

@@ -145,8 +145,9 @@ type CheckOptions struct {
 	// (the Session layer does) so handlers can tell the two apart.
 	ProgressModel int
 	// Cache, when non-nil, memoizes per-frequency evaluations across
-	// checks of the same pole set (see EvalCache). Enforce installs one
-	// automatically. Not safe for concurrent checks.
+	// checks; it binds itself to each model checked through it, so σ of an
+	// earlier pole set or residue set is never served (see EvalCache).
+	// Enforce installs one automatically. Not safe for concurrent checks.
 	Cache *EvalCache
 	// work holds the per-worker evaluation workspaces. Check installs a
 	// fresh pool when nil; Enforce and EnforceBatch install persistent
@@ -227,6 +228,7 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 		return nil, err
 	}
 	opts.defaults(model)
+	opts.Cache.bind(model)
 	dSigma := mat.MaxSingularValue(mat.RealToComplex(model.D))
 	var rep *Report
 	var err error

@@ -127,15 +127,13 @@ func TestCrossingsMemoResolvesAfterEveryMutation(t *testing.T) {
 
 	t.Run("variant swap", func(t *testing.T) {
 		m := memoTestModel(t, 5, 0.09)
+		v := scaledClone(m, 0.5)
 		c := NewEvalCache()
-		for i, step := range []func(){
-			func() {},
-			func() { c.SwapSigma(1, 1) }, // same variant: memo kept
-			func() { c.SwapSigma(1, 2) },
-			func() { c.SwapSigma(2, 1) }, // back: the memo was not parked
-		} {
-			step()
-			if _, err := Check(m, exact(c)); err != nil {
+		for i, next := range []*rational.Model{m, m, v, m} {
+			// m, m: same variant, memo kept; v; back to m: the memo was
+			// not parked.
+			c.Select(next)
+			if _, err := Check(next, exact(c)); err != nil {
 				t.Fatal(err)
 			}
 			if want := []int{1, 1, 2, 3}[i]; c.Eigensolves != want {
@@ -146,8 +144,8 @@ func TestCrossingsMemoResolvesAfterEveryMutation(t *testing.T) {
 }
 
 // TestCrossingsMemoNeverServesStaleVerdict: a passive model whose residues
-// are then scaled into violation (and the cache invalidated, as every
-// in-place mutation must) is reported non-passive, like a fresh check.
+// are then scaled into violation in place (the cache notices when the next
+// check binds it) is reported non-passive, like a fresh check.
 func TestCrossingsMemoNeverServesStaleVerdict(t *testing.T) {
 	m := memoTestModel(t, 5, 0.09)
 	c := NewEvalCache()
@@ -161,7 +159,6 @@ func TestCrossingsMemoNeverServesStaleVerdict(t *testing.T) {
 		}
 	}
 	applyScale(m, 12)
-	c.InvalidateSigma()
 	want, err := Check(m.Clone(), CheckOptions{Method: MethodHamiltonian})
 	if err != nil {
 		t.Fatal(err)

@@ -131,10 +131,6 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 			return nil, fmt.Errorf("%w (σmax(D)=%g)", ErrAsymptoticViolation, dSigma)
 		}
 		clampDMatrix(model, 1-2*opts.Margin)
-		// D moved: σ samples a caller-supplied warm cache may carry (the
-		// Session layer passes caches whose σ layer was computed from the
-		// unclamped D) are stale.
-		opts.Check.Cache.InvalidateSigma()
 		rep.DClamped = true
 	}
 	gram := opts.CostGramian
@@ -211,8 +207,6 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 		if err != nil {
 			return nil, fmt.Errorf("passivity: iteration %d: %w", iter, err)
 		}
-		// The residues moved: cached σ values are stale.
-		opts.Check.Cache.InvalidateSigma()
 		rep.History = append(rep.History, IterationStats{
 			MaxSigma:    chk.MaxSigma,
 			Constraints: len(cons),

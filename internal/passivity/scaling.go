@@ -49,7 +49,6 @@ func EnforceByResidueScaling(model *rational.Model, opts EnforceOptions) (*Scali
 	}
 	passiveAt := func(gamma float64) (bool, *Report, error) {
 		rep.Checks++
-		opts.Check.Cache.InvalidateSigma()
 		chk, err := Check(scaledClone(model, gamma), opts.Check)
 		if err != nil {
 			return false, nil, err
@@ -96,9 +95,6 @@ func EnforceByResidueScaling(model *rational.Model, opts EnforceOptions) (*Scali
 		loReport = chk
 	}
 	applyScale(model, lo)
-	// The cache's σ layer and crossings belong to the last probe's clone,
-	// not to the scaled model.
-	opts.Check.Cache.InvalidateSigma()
 	rep.Gamma = lo
 	rep.Passive = true
 	rep.Final = loReport

@@ -36,7 +36,7 @@ func TestSigmaAtMatchesJacobiOnPaperFlowModel(t *testing.T) {
 	for i, f := range freqs {
 		omega[i] = 2 * math.Pi * f
 	}
-	_, xi, err := core.BuildWeight(omega, samples, 50, p.NominalLoad(), core.WeightOptions{Order: 8})
+	_, xi, err := core.BuildWeight(omega, samples, 50, p.NominalLoad(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

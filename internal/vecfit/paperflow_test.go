@@ -45,7 +45,7 @@ func paperFlowData(tb testing.TB, seed int64) *paperFlowCase {
 	for i, f := range freqs {
 		omega[i] = 2 * math.Pi * f
 	}
-	weight, xi, err := core.BuildWeight(omega, samples, 50, p.NominalLoad(), core.WeightOptions{Order: 8})
+	weight, xi, err := core.BuildWeight(omega, samples, 50, p.NominalLoad(), 8)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type Options struct {
 	// model (where downstream weighting can shape it) instead of leaving a
 	// frequency-flat passivity violation.
 	ConstrainD float64
-	// PoleTol: relative pole movement below which iteration stops early
-	// (default 1e-8).
-	PoleTol float64
 }
 
 // Report captures convergence diagnostics of a fit.
@@ -143,6 +140,10 @@ func omegaRange(omega []float64) (lo, hi float64) {
 	return lo, hi
 }
 
+// poleTol is the relative pole movement below which pole relocation stops
+// early.
+const poleTol = 1e-8
+
 // fitCore is the sample-point-domain engine shared by Fit (points = jω) and
 // magnitude VF (points = u real). It returns the final poles, the per-
 // response residue coordinate vectors (len n each) and constant terms.
@@ -157,10 +158,6 @@ func fitCore(points []complex128, responses [][]complex128, opts Options) ([]com
 	iters := opts.Iterations
 	if iters <= 0 {
 		iters = 10
-	}
-	poleTol := opts.PoleTol
-	if poleTol <= 0 {
-		poleTol = 1e-8
 	}
 	weights := opts.Weights
 	if weights == nil {

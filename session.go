@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -92,17 +91,10 @@ func WithCacheBudget(bytes int64) SessionOption {
 }
 
 // sessionCache is one per-pole-set evaluation cache retained by a Session,
-// with the fingerprints guarding its validity and its LRU links.
+// with its accounting and LRU links. The cache itself knows which model
+// its σ layers belong to; the session files it under its Fingerprint.
 type sessionCache struct {
 	cache *passivity.EvalCache
-	// poles is the exact pole set the σ layers were computed for; a
-	// fingerprint match is only trusted after an exact pole comparison.
-	poles []complex128
-	// poleFP keys the cache (FNV-1a over the pole bits).
-	poleFP uint64
-	// resFP fingerprints the residues + D the σ layer is valid for; on
-	// mismatch the active σ layer is parked in the stash (SwapSigma).
-	resFP uint64
 	// bytes is the estimated resident size, updated at check-in.
 	bytes int64
 	// sigmaN snapshots the σ entry count at check-in (or load):
@@ -192,28 +184,6 @@ func (s *Session) Reset() {
 	}
 }
 
-// fnvMix folds one 64-bit word into an FNV-1a hash.
-func fnvMix(h, w uint64) uint64 {
-	const prime = 1099511628211
-	for shift := 0; shift < 64; shift += 8 {
-		h ^= (w >> shift) & 0xff
-		h *= prime
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
-// poleFingerprint hashes a pole set (exact bit patterns, order-sensitive).
-func poleFingerprint(poles []complex128) uint64 {
-	h := uint64(fnvOffset)
-	for _, p := range poles {
-		h = fnvMix(h, math.Float64bits(real(p)))
-		h = fnvMix(h, math.Float64bits(imag(p)))
-	}
-	return h
-}
-
 // PoleFingerprint returns the FNV-1a fingerprint of the model's pole set —
 // the key under which a Session retains the model's evaluation cache
 // (exact bit patterns, order-sensitive). Schedulers routing work across a
@@ -221,38 +191,7 @@ func poleFingerprint(poles []complex128) uint64 {
 // worker whose caches are already warm for its pole set; models produced
 // by the same fitting run (a parameter sweep, a perturbed library) share
 // fingerprints exactly when they share poles.
-func PoleFingerprint(m *Macromodel) uint64 { return poleFingerprint(m.model.Poles) }
-
-// residueFingerprint hashes everything the σ layer depends on besides the
-// poles: the residue matrices and the direct coupling D.
-func residueFingerprint(m *rational.Model) uint64 {
-	h := uint64(fnvOffset)
-	for _, r := range m.Residues {
-		for _, z := range r.Data {
-			h = fnvMix(h, math.Float64bits(real(z)))
-			h = fnvMix(h, math.Float64bits(imag(z)))
-		}
-	}
-	p := m.D.Rows
-	for i := 0; i < p; i++ {
-		for _, v := range m.D.Row(i) {
-			h = fnvMix(h, math.Float64bits(v))
-		}
-	}
-	return h
-}
-
-func equalPoles(a, b []complex128) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func PoleFingerprint(m *Macromodel) uint64 { return passivity.PoleFingerprint(m.model.Poles) }
 
 // touchLocked moves e to the recency front, registering it on first use.
 // Callers hold s.mu.
@@ -268,7 +207,7 @@ func (s *Session) touchLocked(e *sessionCache) {
 func (s *Session) removeLocked(e *sessionCache) {
 	s.lru.Remove(e.elem)
 	e.elem = nil
-	delete(s.caches, e.poleFP)
+	delete(s.caches, e.cache.Fingerprint())
 	s.used -= e.bytes
 }
 
@@ -289,74 +228,47 @@ func (s *Session) evictLocked() {
 	}
 }
 
-// cacheBytes estimates the resident size of one cache: the σ layers
-// (active and stashed variants, with map overhead), the hot seeds and the
-// entry's copy of the poles.
-func cacheBytes(c *passivity.EvalCache, nPoles int) int64 {
-	return int64(c.SigmaEntries()+c.StashedSigmaEntries())*32 +
-		int64(len(c.Hot()))*8 + int64(nPoles)*16
-}
-
 // measure refreshes the entry's size estimate and layer-size snapshots
 // from its cache; the caller owns the cache (checked out or not yet
 // installed).
 func (e *sessionCache) measure() {
-	e.bytes = cacheBytes(e.cache, len(e.poles))
+	e.bytes = e.cache.Bytes()
 	e.sigmaN = e.cache.SigmaEntries() + e.cache.StashedSigmaEntries()
 }
 
 // checkout hands the caller the session cache for the model's pole set,
-// marking it busy. When the model's residues differ from the ones the
-// active σ layer was computed for, the layers are swapped through the
-// cache's per-variant stash (the old layer parks under its fingerprint,
-// the new variant's parked layer — if any — is restored), so cycling
-// through a residue-variant library keeps every variant's σ samples warm.
-// The warm-start hot seeds are cleared so a session-routed run samples
-// exactly like a stateless one.
-// When the cache is already checked out (a concurrent operation on the
-// same pole set) or a fingerprint collision is detected, the caller gets a
+// marking it busy. The cache selects the model's residue variant
+// (EvalCache.Select): a residue-variant library cycled through the session
+// keeps every variant's σ samples warm, and the cleared hot seeds make a
+// session-routed run sample exactly like a stateless one. When the cache
+// is already checked out (a concurrent operation on the same pole set) or
+// holds a different pole set under the same fingerprint, the caller gets a
 // private transient cache and a nil entry.
 func (s *Session) checkout(m *rational.Model) (*sessionCache, *passivity.EvalCache) {
-	poleFP := poleFingerprint(m.Poles)
-	resFP := residueFingerprint(m)
+	fp := passivity.PoleFingerprint(m.Poles)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.caches[poleFP]
+	e := s.caches[fp]
 	if e == nil {
-		e = &sessionCache{
-			cache:  passivity.NewEvalCache(),
-			poles:  append([]complex128(nil), m.Poles...),
-			poleFP: poleFP,
-			resFP:  resFP,
-			busy:   true,
-		}
-		s.caches[poleFP] = e
-		s.touchLocked(e)
-		return e, e.cache
-	}
-	if e.busy || !equalPoles(e.poles, m.Poles) {
+		e = &sessionCache{cache: passivity.NewEvalCache()}
+		e.cache.Select(m)
+		s.caches[fp] = e
+	} else if e.busy || !e.cache.Select(m) {
 		return nil, passivity.NewEvalCache()
 	}
-	if e.resFP != resFP {
-		e.cache.SwapSigma(e.resFP, resFP)
-		e.resFP = resFP
-	}
-	e.cache.SetHot(nil)
 	e.busy = true
 	s.touchLocked(e)
 	return e, e.cache
 }
 
-// checkin returns a checked-out cache, refreshing its residue fingerprint
-// (enforcement moves residues in place) and byte estimate, and applies the
-// session budget.
-func (s *Session) checkin(e *sessionCache, m *rational.Model) {
+// checkin returns a checked-out cache, refreshing its byte estimate, and
+// applies the session budget.
+func (s *Session) checkin(e *sessionCache) {
 	if e == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.resFP = residueFingerprint(m)
 	s.used -= e.bytes
 	e.measure()
 	s.used += e.bytes
@@ -448,7 +360,7 @@ func (s *Session) Check(ctx context.Context, m *Macromodel, opts CheckOptions) (
 	iopts := opts.internal()
 	s.bind(ctx, &iopts, cache, -1)
 	rep, err := passivity.Check(m.model, iopts)
-	s.checkin(e, m.model)
+	s.checkin(e)
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +375,7 @@ func (s *Session) Check(ctx context.Context, m *Macromodel, opts CheckOptions) (
 func (s *Session) Enforce(ctx context.Context, m *Macromodel, opts EnforceOptions) (*EnforceReport, error) {
 	e, cache := s.checkout(m.model)
 	rep, err := s.enforceWith(ctx, m, opts, cache, -1)
-	s.checkin(e, m.model)
+	s.checkin(e)
 	return rep, err
 }
 
@@ -533,7 +445,7 @@ func (s *Session) EnforceBatch(ctx context.Context, models []*Macromodel, opts B
 			return c
 		},
 		CacheDone: func(i int) {
-			s.checkin(entries[i], raw[i])
+			s.checkin(entries[i])
 			entries[i] = nil
 		},
 	}
@@ -671,11 +583,11 @@ func (s *Session) LoadCache(dir string) (loaded, quarantined int, err error) {
 // content-addressed stores can use it as the admission check that
 // quarantines corrupt cache transfers. Rejections wrap ErrCacheCorrupt.
 func CacheBlobFingerprint(blob []byte) (uint64, error) {
-	e, err := decodeCacheEntry(blob)
+	c, err := passivity.DecodeEvalCache(blob)
 	if err != nil {
 		return 0, err
 	}
-	return e.poleFP, nil
+	return c.Fingerprint(), nil
 }
 
 // ExportCache serializes the session's resident evaluation cache for the
@@ -694,7 +606,7 @@ func (s *Session) ExportCache(fp uint64) ([]byte, error) {
 	}
 	e.busy = true // pin against concurrent checkout during the encode
 	s.mu.Unlock()
-	blob := (&passivity.CacheBlob{PoleFP: e.poleFP, ResFP: e.resFP, Poles: e.poles, Cache: e.cache}).Encode()
+	blob := e.cache.Encode()
 	s.mu.Lock()
 	e.busy = false
 	s.mu.Unlock()
@@ -718,19 +630,22 @@ var ErrCacheUnavailable = errors.New("repro: evaluation cache unavailable")
 // resident is kept (the live cache is at least as warm); the session
 // byte budget applies as usual.
 func (s *Session) ImportCache(blob []byte) (uint64, error) {
-	e, err := decodeCacheEntry(blob)
+	c, err := passivity.DecodeEvalCache(blob)
 	if err != nil {
 		return 0, err
 	}
+	fp := c.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.caches[e.poleFP]; !exists {
-		s.caches[e.poleFP] = e
+	if _, exists := s.caches[fp]; !exists {
+		e := &sessionCache{cache: c}
+		e.measure()
+		s.caches[fp] = e
 		s.used += e.bytes
 		s.touchLocked(e)
 		s.evictLocked()
 	}
-	return e.poleFP, nil
+	return fp, nil
 }
 
 // CacheFingerprints returns the pole-set fingerprints of every resident
@@ -746,19 +661,4 @@ func (s *Session) CacheFingerprints() []uint64 {
 	}
 	sort.Slice(fps, func(a, b int) bool { return fps[a] < fps[b] })
 	return fps
-}
-
-// decodeCacheEntry decodes and fully validates one serialized cache,
-// cross-checking the pole fingerprint against the poles actually read.
-func decodeCacheEntry(blob []byte) (*sessionCache, error) {
-	b, err := passivity.DecodeCacheBlob(blob)
-	if err != nil {
-		return nil, err
-	}
-	if fp := poleFingerprint(b.Poles); fp != b.PoleFP {
-		return nil, fmt.Errorf("%w: pole fingerprint mismatch (blob %016x, poles %016x)", ErrCacheCorrupt, b.PoleFP, fp)
-	}
-	e := &sessionCache{cache: b.Cache, poles: b.Poles, poleFP: b.PoleFP, resFP: b.ResFP}
-	e.measure()
-	return e, nil
 }

@@ -55,7 +55,7 @@ func BuildWeight(data *SData, load *Load, order int) (*Weight, []float64, error)
 	if err := data.Validate(); err != nil {
 		return nil, nil, err
 	}
-	m, xi, err := core.BuildWeight(data.Omega(), data.S, data.R0, load, core.WeightOptions{Order: order})
+	m, xi, err := core.BuildWeight(data.Omega(), data.S, data.R0, load, order)
 	if err != nil {
 		return nil, nil, err
 	}
