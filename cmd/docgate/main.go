@@ -1,7 +1,9 @@
-// Command docgate is the CI documentation gate: it fails (exit 1) when an
-// exported symbol of the root package lacks a doc comment or when any
-// package — root, internal/..., cmd/... — lacks a package doc comment, and
-// prints the doc-coverage figures either way.
+// Command docgate is the CI documentation and dead-code gate: it fails
+// (exit 1) when an exported symbol of the root package lacks a doc comment,
+// when any package — root, internal/..., cmd/... — lacks a package doc
+// comment, or when a function or method in a non-test internal/ file has
+// no reference from any non-test .go file of the repo (see
+// unreferencedInternal), and prints the figures either way.
 //
 // Usage:
 //
@@ -61,8 +63,20 @@ func main() {
 		problems = append(problems, fmt.Sprintf("root package: exported %s lacks a doc comment", m))
 	}
 
-	fmt.Printf("docgate: package docs %d/%d, root exported symbols documented %d/%d (%.1f%%)\n",
-		pkgsDocumented, len(pkgDirs), documented, total, 100*float64(documented)/float64(max(total, 1)))
+	dead, stale, err := unreferencedInternal(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docgate: %v\n", err)
+		os.Exit(2)
+	}
+	for _, d := range dead {
+		problems = append(problems, d+" has no reference from a non-test file")
+	}
+	for _, s := range stale {
+		problems = append(problems, "dead-code allowlist: "+s)
+	}
+
+	fmt.Printf("docgate: package docs %d/%d, root exported symbols documented %d/%d (%.1f%%), unreferenced internal/ functions %d\n",
+		pkgsDocumented, len(pkgDirs), documented, total, 100*float64(documented)/float64(max(total, 1)), len(dead))
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {

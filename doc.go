@@ -148,7 +148,7 @@
 //     tridiagonal, Sturm bisection; error bound in the mat package doc) and
 //     mat.CSVDecomposeInto (the full SVD that enforcement takes at
 //     violation peaks), both driven by a mat.CSVDWorkspace,
-//     mat.Cholesky.SolveVecInto, mat.MulInto / CMulInto.
+//     mat.Cholesky.SolveVecInto, mat.MulInto.
 //   - The caller owns the buffers and their lifetime. Results returned by
 //     a workspace (e.g. the CSVD of CSVDecomposeInto) stay valid only
 //     until the next call on the same workspace.

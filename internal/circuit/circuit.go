@@ -133,9 +133,6 @@ func (c *Circuit) DefinePort(n int) int {
 	return len(c.ports) - 1
 }
 
-// NumPorts returns the declared port count.
-func (c *Circuit) NumPorts() int { return len(c.ports) }
-
 // PortNode returns the node of port k.
 func (c *Circuit) PortNode(k int) int { return c.ports[k] }
 
@@ -252,22 +249,4 @@ func ZToS(z *mat.CMatrix, r0 float64) (*mat.CMatrix, error) {
 	}
 	x := lu.Solve(num.T())
 	return x.T(), nil
-}
-
-// SToZ converts a scattering matrix back to impedance:
-// Z = r0·(I+S)(I−S)⁻¹.
-func SToZ(s *mat.CMatrix, r0 float64) (*mat.CMatrix, error) {
-	p := s.Rows
-	num := s.Clone()
-	den := s.Clone().Scale(-1)
-	for i := 0; i < p; i++ {
-		num.Set(i, i, num.At(i, i)+1)
-		den.Set(i, i, den.At(i, i)+1)
-	}
-	lu, err := mat.CLUFactor(den.T())
-	if err != nil {
-		return nil, fmt.Errorf("circuit: I−S singular: %w", err)
-	}
-	x := lu.Solve(num.T())
-	return x.T().Scale(complex(r0, 0)), nil
 }

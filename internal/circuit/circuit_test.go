@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -231,4 +232,25 @@ func BenchmarkPortS3PortLadder(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// NumPorts returns the declared port count.
+func (c *Circuit) NumPorts() int { return len(c.ports) }
+
+// SToZ converts a scattering matrix back to impedance:
+// Z = r0·(I+S)(I−S)⁻¹.
+func SToZ(s *mat.CMatrix, r0 float64) (*mat.CMatrix, error) {
+	p := s.Rows
+	num := s.Clone()
+	den := s.Clone().Scale(-1)
+	for i := 0; i < p; i++ {
+		num.Set(i, i, num.At(i, i)+1)
+		den.Set(i, i, den.At(i, i)+1)
+	}
+	lu, err := mat.CLUFactor(den.T())
+	if err != nil {
+		return nil, fmt.Errorf("circuit: I−S singular: %w", err)
+	}
+	x := lu.Solve(num.T())
+	return x.T().Scale(complex(r0, 0)), nil
 }

@@ -80,17 +80,6 @@ func (m *CMatrix) Col(j int) []complex128 {
 	return out
 }
 
-// H returns the conjugate transpose as a new matrix.
-func (m *CMatrix) H() *CMatrix {
-	t := NewCMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = cmplx.Conj(m.Data[i*m.Cols+j])
-		}
-	}
-	return t
-}
-
 // T returns the (non-conjugating) transpose.
 func (m *CMatrix) T() *CMatrix {
 	t := NewCMatrix(m.Cols, m.Rows)

@@ -119,16 +119,6 @@ func (f *LU) Solve(b *Matrix) *Matrix {
 	return x
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Inverse returns A⁻¹ for the square matrix a.
 func Inverse(a *Matrix) (*Matrix, error) {
 	f, err := LUFactor(a)

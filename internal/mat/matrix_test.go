@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -193,4 +194,15 @@ func TestPanicsOnShapeMismatch(t *testing.T) {
 	a := NewMatrix(2, 3)
 	b := NewMatrix(2, 2)
 	a.Add(b)
+}
+
+// H returns the conjugate transpose as a new matrix.
+func (m *CMatrix) H() *CMatrix {
+	t := NewCMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Data[j*t.Cols+i] = cmplx.Conj(m.Data[i*m.Cols+j])
+		}
+	}
+	return t
 }

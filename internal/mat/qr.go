@@ -175,18 +175,6 @@ func reflect4(y0, y1, y2, y3, v []float64, beta float64) {
 	}
 }
 
-// R returns the upper-triangular factor as a square n×n matrix (top block).
-func (f *QR) R() *Matrix {
-	n := f.a.Cols
-	r := NewMatrix(n, n)
-	for i := 0; i < min(n, f.a.Rows); i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, f.a.Data[j*f.a.Stride+i])
-		}
-	}
-	return r
-}
-
 // ApplyQT overwrites b (length m) with Qᵀ·b.
 func (f *QR) ApplyQT(b []float64) {
 	if len(b) != f.a.Rows {

@@ -196,3 +196,15 @@ func BenchmarkQRFactor200x26(b *testing.B) {
 		QRFactor(a)
 	}
 }
+
+// R returns the upper-triangular factor as a square n×n matrix (top block).
+func (f *QR) R() *Matrix {
+	n := f.a.Cols
+	r := NewMatrix(n, n)
+	for i := 0; i < min(n, f.a.Rows); i++ {
+		for j := i; j < n; j++ {
+			r.Set(i, j, f.a.Data[j*f.a.Stride+i])
+		}
+	}
+	return r
+}

@@ -24,8 +24,8 @@ import (
 // yields NaN and an infinite one +Inf.
 //
 // The buffers live in ws: after one call at a given size the kernel
-// performs no allocations. It shares ws with CSVDecomposeInto and
-// SingularValuesInto but leaves their outputs untouched.
+// performs no allocations. It shares ws with CSVDecomposeInto but leaves
+// its outputs untouched.
 func MaxSingularValueInto(ws *CSVDWorkspace, a *CMatrix) float64 {
 	m, n := a.Rows, a.Cols
 	k := min(m, n)

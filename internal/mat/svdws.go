@@ -9,9 +9,9 @@ import (
 // one-sided Jacobi kernels the packed column-major working copy, the
 // right-rotation accumulator and the output matrices; for the σ_max kernel
 // the Gram matrix and its tridiagonal form. A workspace amortizes every
-// allocation of CSVDecomposeInto / SingularValuesInto /
-// MaxSingularValueInto across calls — after the first call at a given size
-// the kernels are allocation-free.
+// allocation of CSVDecomposeInto and MaxSingularValueInto (and of the
+// tests' values-only Jacobi oracle) across calls — after the first call at
+// a given size the kernels are allocation-free.
 //
 // Ownership: the CSVD returned by CSVDecomposeInto points into
 // workspace-owned storage and is valid only until the next call on the
@@ -162,9 +162,8 @@ func jacobiSweepsPacked(w, v []complex128, m, n int) {
 
 // CSVDecomposeInto computes the thin SVD of a like CSVDecompose, reusing
 // the workspace buffers. The returned CSVD points into workspace-owned
-// storage: it is valid until the next CSVDecomposeInto / SingularValuesInto
-// call on ws. After one call at a given size, subsequent calls perform no
-// allocations.
+// storage: it is valid until the next CSVDecomposeInto call on ws. After
+// one call at a given size, subsequent calls perform no allocations.
 func CSVDecomposeInto(ws *CSVDWorkspace, a *CMatrix) *CSVD {
 	m, n := a.Rows, a.Cols
 	swap := false
@@ -240,41 +239,4 @@ func CSVDecomposeInto(ws *CSVDWorkspace, a *CMatrix) *CSVD {
 		ws.out.U, ws.out.V = us, vs
 	}
 	return &ws.out
-}
-
-// SingularValuesInto computes the singular values of a in descending order
-// without accumulating singular vectors, appending into dst (which is
-// truncated first). With a warmed workspace and sufficient dst capacity the
-// call performs no allocations. Callers that need only σ_max use
-// MaxSingularValueInto; this kernel is its reference in the tests.
-func SingularValuesInto(ws *CSVDWorkspace, a *CMatrix, dst []float64) []float64 {
-	m, n := a.Rows, a.Cols
-	swap := false
-	if m < n {
-		m, n = n, m
-		swap = true
-	}
-	ws.w = growC(ws.w, m*n)
-	packColumns(ws.w, a, swap)
-	jacobiSweepsPacked(ws.w, nil, m, n)
-	dst = dst[:0]
-	for j := 0; j < n; j++ {
-		col := ws.w[j*m : (j+1)*m]
-		norm := 0.0
-		for _, c := range col {
-			norm += real(c)*real(c) + imag(c)*imag(c)
-		}
-		dst = append(dst, math.Sqrt(norm))
-	}
-	// Insertion sort, descending.
-	for i := 1; i < len(dst); i++ {
-		v := dst[i]
-		k := i - 1
-		for k >= 0 && dst[k] < v {
-			dst[k+1] = dst[k]
-			k--
-		}
-		dst[k+1] = v
-	}
-	return dst
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -125,4 +126,41 @@ func TestSolveVecIntoMatchesSolveVec(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("SolveVecInto allocates %v times per call", n)
 	}
+}
+
+// SingularValuesInto computes the singular values of a in descending order
+// without accumulating singular vectors, appending into dst (which is
+// truncated first). With a warmed workspace and sufficient dst capacity the
+// call performs no allocations. Callers that need only σ_max use
+// MaxSingularValueInto; this kernel is its reference in the tests.
+func SingularValuesInto(ws *CSVDWorkspace, a *CMatrix, dst []float64) []float64 {
+	m, n := a.Rows, a.Cols
+	swap := false
+	if m < n {
+		m, n = n, m
+		swap = true
+	}
+	ws.w = growC(ws.w, m*n)
+	packColumns(ws.w, a, swap)
+	jacobiSweepsPacked(ws.w, nil, m, n)
+	dst = dst[:0]
+	for j := 0; j < n; j++ {
+		col := ws.w[j*m : (j+1)*m]
+		norm := 0.0
+		for _, c := range col {
+			norm += real(c)*real(c) + imag(c)*imag(c)
+		}
+		dst = append(dst, math.Sqrt(norm))
+	}
+	// Insertion sort, descending.
+	for i := 1; i < len(dst); i++ {
+		v := dst[i]
+		k := i - 1
+		for k >= 0 && dst[k] < v {
+			dst[k+1] = dst[k]
+			k--
+		}
+		dst[k+1] = v
+	}
+	return dst
 }

@@ -162,8 +162,15 @@ func ToRational(sys *statespace.System) (*rational.Model, error) {
 	for k := 0; k < n; {
 		e := entries[k]
 		if imag(e.lambda) == 0 {
+			// A real pole of a real system has a real residue. The
+			// imaginary part left by the complex eigenvectors is rounding,
+			// which every kernel already ignores (CVector keeps Re R).
+			r := outer(e.right, e.left, ports)
+			for i, v := range r.Data {
+				r.Data[i] = complex(real(v), 0)
+			}
 			poles = append(poles, e.lambda)
-			residues = append(residues, outer(e.right, e.left, ports))
+			residues = append(residues, r)
 			k++
 			continue
 		}

@@ -230,7 +230,7 @@ func (c *EvalCache) dropCrossings() {
 }
 
 // memoCrossings returns the level-1 Hamiltonian crossings of the model
-// (HamiltonianCrossings under ctx) through the cache's memo, and whether
+// (crossingsLevel at γ = 1) through the cache's memo, and whether
 // it solved the eigenproblem for them: when the cache already holds the
 // crossings of its active residue set no eigensolve runs. Only a
 // successful solve is stored, and callers get their own copy. A nil cache

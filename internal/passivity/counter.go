@@ -81,12 +81,6 @@ func (ic *IntervalCounter) Nodes() int { return ic.ev.Nodes }
 // entirely beyond it are crossing-free without any quadrature.
 func (ic *IntervalCounter) OmegaBound() float64 { return ic.bound }
 
-// LastDelta returns the real-direction half-width of the rectangle the
-// most recent successful Count walked (the stall-retry ladder may shrink
-// it below the initial width/4). Oracle tests use it to reproduce the
-// exact region counted.
-func (ic *IntervalCounter) LastDelta() float64 { return ic.lastDelta }
-
 // contourOpts builds the per-rectangle quadrature options under the
 // remaining budget.
 func (ic *IntervalCounter) contourOpts() (mat.ContourOptions, error) {

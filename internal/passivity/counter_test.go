@@ -414,3 +414,9 @@ func TestCounterHonoursDeadline(t *testing.T) {
 		}
 	}
 }
+
+// LastDelta returns the real-direction half-width of the rectangle the
+// most recent successful Count walked (the stall-retry ladder may shrink
+// it below the initial width/4). Oracle tests use it to reproduce the
+// exact region counted.
+func (ic *IntervalCounter) LastDelta() float64 { return ic.lastDelta }

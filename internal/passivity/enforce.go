@@ -1,6 +1,7 @@
 package passivity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -205,6 +206,9 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 		}
 		delta, err := solvePerturbation(model, cons, opts)
 		if err != nil {
+			if ctxErr(opts.Check.Ctx) != nil {
+				return rep, err
+			}
 			return nil, fmt.Errorf("passivity: iteration %d: %w", iter, err)
 		}
 		rep.History = append(rep.History, IterationStats{
@@ -384,7 +388,11 @@ func solvePerturbation(model *rational.Model, cons []constraint, opts EnforceOpt
 	for a := range cons {
 		g[a] = (1 - opts.Margin) - cons[a].sigma
 	}
-	lambda, err := qp.SolveNNQP(dual, g)
+	ctx := opts.Check.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	lambda, err := qp.SolveNNQP(ctx, dual, g)
 	if err != nil {
 		return 0, err
 	}

@@ -159,24 +159,12 @@ func HamiltonianFactorsLevel(model *rational.Model, gamma float64) (*mat.Structu
 	return mat.NewStructuredShifted(diag, skew, u, v), nil
 }
 
-// HamiltonianCrossings returns the frequencies ω ≥ 0 (rad/s) at which some
-// singular value of the model's scattering matrix crosses 1, found as the
-// imaginary eigenvalues of the Hamiltonian matrix. An empty result together
-// with σmax(D) < 1 and a sub-unit spot check certifies passivity.
-func HamiltonianCrossings(model *rational.Model) ([]float64, error) {
-	return HamiltonianCrossingsLevel(model, 1)
-}
-
-// HamiltonianCrossingsLevel returns the frequencies ω ≥ 0 (rad/s) at which
-// some singular value of the model's scattering matrix crosses the level γ
-// (see HamiltonianMatrixLevel).
-func HamiltonianCrossingsLevel(model *rational.Model, gamma float64) ([]float64, error) {
-	return crossingsLevel(nil, model, gamma)
-}
-
-// crossingsLevel is HamiltonianCrossingsLevel under ctx (nil: never
-// cancelled): the eigensolve checks it once per Hessenberg column and once
-// per Francis iteration, and cancellation returns ctx.Err() itself.
+// crossingsLevel returns the frequencies ω ≥ 0 (rad/s) at which some
+// singular value of the model's scattering matrix crosses the level γ,
+// found as the imaginary eigenvalues of the Hamiltonian matrix (see
+// HamiltonianMatrixLevel). ctx (nil: never cancelled) is checked once per
+// Hessenberg column and once per Francis iteration, and cancellation
+// returns ctx.Err() itself.
 func crossingsLevel(ctx context.Context, model *rational.Model, gamma float64) ([]float64, error) {
 	sys := model.Realization()
 	h, err := HamiltonianMatrixLevel(sys.A, sys.B, sys.C, sys.D, gamma)

@@ -11,11 +11,13 @@
 //
 //	minimize  ½·λᵀMλ + gᵀλ   s.t. λ ≥ 0,  with  M = F·H⁻¹·Fᵀ,
 //
-// after which x* = −H⁻¹Fᵀλ*. Callers with structured H (block-diagonal
-// Gramians) assemble M themselves and call SolveNNQP directly.
+// after which x* = −H⁻¹Fᵀλ*. Callers assemble M themselves (passivity
+// enforcement does so from block-diagonal Gramians) and call SolveNNQP;
+// the dense primal path SolveDense is a test oracle in qp_test.go.
 package qp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -36,8 +38,9 @@ var ErrInfeasible = errors.New("qp: constraints are infeasible")
 // degrees of freedom), a tiny explicit Tikhonov shift ε·I is added up
 // front: the dual becomes strictly convex, the active-set iteration
 // provably terminates, and the induced primal feasibility error is O(ε·λ),
-// far below the enforcement margins this solver serves.
-func SolveNNQP(m *mat.Matrix, q []float64) ([]float64, error) {
+// far below the enforcement margins this solver serves. ctx is checked once
+// per outer active-set iteration; cancellation returns ctx.Err() itself.
+func SolveNNQP(ctx context.Context, m *mat.Matrix, q []float64) ([]float64, error) {
 	n := m.Rows
 	if m.Cols != n || len(q) != n {
 		panic("qp: SolveNNQP dimension mismatch")
@@ -62,6 +65,9 @@ func SolveNNQP(m *mat.Matrix, q []float64) ([]float64, error) {
 
 	maxOuter := 4*n + 40
 	for outer := 0; outer < maxOuter; outer++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Most negative gradient among bound variables.
 		best, bestVal := -1, -tol
 		for i := 0; i < n; i++ {
@@ -171,53 +177,4 @@ func solveFreeSet(m *mat.Matrix, q []float64, idx []int) ([]float64, error) {
 		return nil, fmt.Errorf("qp: free-set system not solvable: %w", err)
 	}
 	return chol.SolveVec(rhs), nil
-}
-
-// Result holds the solution of a dense QP solve.
-type Result struct {
-	X          []float64 // primal minimizer
-	Lambda     []float64 // dual multipliers (one per constraint row)
-	Iterations int
-}
-
-// SolveDense solves min ½xᵀHx s.t. Fx ≤ g for dense H (SPD) and F. This is
-// the generic path used by tests and small problems; the passivity
-// enforcement fast path assembles the dual matrix directly instead.
-func SolveDense(h, f *mat.Matrix, g []float64) (*Result, error) {
-	nvar := h.Rows
-	if h.Cols != nvar || f.Cols != nvar || len(g) != f.Rows {
-		panic("qp: SolveDense dimension mismatch")
-	}
-	chol, _, err := mat.CholFactorRegularized(h)
-	if err != nil {
-		return nil, fmt.Errorf("qp: H not positive definite: %w", err)
-	}
-	// W = H⁻¹Fᵀ, M = F·W.
-	w := chol.Solve(f.T())
-	m := f.Mul(w)
-	m.Symmetrize()
-	lambda, err := SolveNNQP(m, g)
-	if err != nil {
-		return nil, err
-	}
-	// x = −H⁻¹Fᵀλ = −W·λ.
-	x := make([]float64, nvar)
-	for i := 0; i < nvar; i++ {
-		s := 0.0
-		for j := 0; j < f.Rows; j++ {
-			s += w.At(i, j) * lambda[j]
-		}
-		x[i] = -s
-	}
-	// Verify primal feasibility: a solution that badly violates the
-	// constraints signals an infeasible problem that slipped past the
-	// multiplier guard.
-	scale := 1 + mat.Norm2(g) + mat.Norm2(x)*(1+f.MaxAbs())
-	fx := f.MulVec(x)
-	for i := range g {
-		if fx[i] > g[i]+1e-6*scale {
-			return nil, ErrInfeasible
-		}
-	}
-	return &Result{X: x, Lambda: lambda}, nil
 }

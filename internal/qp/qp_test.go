@@ -1,6 +1,11 @@
 package qp
 
 import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -243,12 +248,59 @@ func TestNNQPDirect(t *testing.T) {
 	// min ½λᵀMλ + qᵀλ, λ≥0 with M = I, q = (−1, 2): λ* = (1, 0).
 	m := mat.Identity(2)
 	q := []float64{-1, 2}
-	lam, err := SolveNNQP(m, q)
+	lam, err := SolveNNQP(context.Background(), m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(lam[0]-1) > 1e-10 || lam[1] != 0 {
 		t.Fatalf("λ = %v want [1 0]", lam)
+	}
+}
+
+// dualCase draws a seeded dual problem: M = BᵀB with B of random rank
+// deficiency and a Gaussian q.
+func dualCase(seed int64) (*mat.Matrix, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 1 + rng.Intn(12)
+	b := mat.NewMatrix(1+rng.Intn(n), n)
+	for i := range b.Data {
+		b.Data[i] = rng.NormFloat64()
+	}
+	q := make([]float64, n)
+	for i := range q {
+		q[i] = rng.NormFloat64()
+	}
+	return b.T().Mul(b), q
+}
+
+// TestSolveNNQPContext checks that a cancelled ctx stops the solve with
+// ctx.Err() itself, and that an uncancelled solve is bit for bit the solver
+// before it took a ctx: the FNV-1a hash of every λ bit pattern over 64
+// seeded duals was recorded from that solver.
+func TestSolveNNQPContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m, q := dualCase(1)
+	if lam, err := SolveNNQP(ctx, m, q); !errors.Is(err, context.Canceled) || lam != nil {
+		t.Fatalf("cancelled solve: λ=%v err=%v, want nil and context.Canceled", lam, err)
+	}
+
+	h := fnv.New64a()
+	var buf [8]byte
+	for seed := int64(1); seed <= 64; seed++ {
+		m, q := dualCase(seed)
+		lam, err := SolveNNQP(context.Background(), m, q)
+		if err != nil {
+			fmt.Fprintf(h, "err %v;", err)
+			continue
+		}
+		for _, v := range lam {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xb54f56a872959b3b); got != want {
+		t.Fatalf("λ hash %#x, want %#x: the uncancelled solve changed", got, want)
 	}
 }
 
@@ -279,4 +331,52 @@ func TestInfeasibleDetected(t *testing.T) {
 	if _, err := SolveDense(h, f, g); err == nil {
 		t.Fatalf("expected ErrInfeasible")
 	}
+}
+
+// Result holds the solution of a dense QP solve.
+type Result struct {
+	X      []float64 // primal minimizer
+	Lambda []float64 // dual multipliers (one per constraint row)
+}
+
+// SolveDense solves min ½xᵀHx s.t. Fx ≤ g for dense H (SPD) and F. This is
+// the generic path used by tests and small problems; the passivity
+// enforcement fast path assembles the dual matrix directly instead.
+func SolveDense(h, f *mat.Matrix, g []float64) (*Result, error) {
+	nvar := h.Rows
+	if h.Cols != nvar || f.Cols != nvar || len(g) != f.Rows {
+		panic("qp: SolveDense dimension mismatch")
+	}
+	chol, _, err := mat.CholFactorRegularized(h)
+	if err != nil {
+		return nil, fmt.Errorf("qp: H not positive definite: %w", err)
+	}
+	// W = H⁻¹Fᵀ, M = F·W.
+	w := chol.Solve(f.T())
+	m := f.Mul(w)
+	m.Symmetrize()
+	lambda, err := SolveNNQP(context.Background(), m, g)
+	if err != nil {
+		return nil, err
+	}
+	// x = −H⁻¹Fᵀλ = −W·λ.
+	x := make([]float64, nvar)
+	for i := 0; i < nvar; i++ {
+		s := 0.0
+		for j := 0; j < f.Rows; j++ {
+			s += w.At(i, j) * lambda[j]
+		}
+		x[i] = -s
+	}
+	// Verify primal feasibility: a solution that badly violates the
+	// constraints signals an infeasible problem that slipped past the
+	// multiplier guard.
+	scale := 1 + mat.Norm2(g) + mat.Norm2(x)*(1+f.MaxAbs())
+	fx := f.MulVec(x)
+	for i := range g {
+		if fx[i] > g[i]+1e-6*scale {
+			return nil, ErrInfeasible
+		}
+	}
+	return &Result{X: x, Lambda: lambda}, nil
 }

@@ -12,6 +12,7 @@ package rational
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
 
 	"repro/internal/mat"
@@ -32,6 +33,14 @@ type Model struct {
 // ErrBadPoleOrder indicates the pole list violates the conjugate-pair
 // adjacency convention.
 var ErrBadPoleOrder = errors.New("rational: complex poles must come in adjacent conjugate pairs")
+
+// ErrInvalidModel indicates a model the kernels would misread (see
+// Validate).
+var ErrInvalidModel = errors.New("rational: invalid model")
+
+// pairTol is the relative tolerance to which the members of a conjugate
+// pair, and their residues, must be conjugate.
+const pairTol = 1e-9
 
 // New builds a Model and validates the pair structure.
 func New(poles []complex128, residues []*mat.CMatrix, d *mat.Matrix) (*Model, error) {
@@ -55,7 +64,6 @@ func New(poles []complex128, residues []*mat.CMatrix, d *mat.Matrix) (*Model, er
 }
 
 func (m *Model) validatePairs() error {
-	const tol = 1e-9
 	for k := 0; k < len(m.Poles); {
 		p := m.Poles[k]
 		if imag(p) == 0 {
@@ -66,8 +74,61 @@ func (m *Model) validatePairs() error {
 			return ErrBadPoleOrder
 		}
 		q := m.Poles[k+1]
-		if cmplx.Abs(q-cmplx.Conj(p)) > tol*(1+cmplx.Abs(p)) {
+		if cmplx.Abs(q-cmplx.Conj(p)) > pairTol*(1+cmplx.Abs(p)) {
 			return ErrBadPoleOrder
+		}
+		k += 2
+	}
+	return nil
+}
+
+// Validate rejects, with an error wrapping ErrInvalidModel, a model that
+// the kernels would silently misread: a non-finite pole, residue or D
+// entry; a pole with Re p ≥ 0, which no passivity check covers; a real
+// pole whose residue matrix is not real; or a conjugate pole pair whose
+// residue matrices are not conjugate to the pair tolerance. CVector keeps
+// only the real part of a real pole's residue and only the first residue
+// of a pair, so the last two would describe a different model.
+func (m *Model) Validate() error {
+	for _, v := range m.D.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: non-finite D entry %v", ErrInvalidModel, v)
+		}
+	}
+	for k, p := range m.Poles {
+		if cmplx.IsNaN(p) || cmplx.IsInf(p) {
+			return fmt.Errorf("%w: pole %d is %v", ErrInvalidModel, k, p)
+		}
+		if real(p) >= 0 {
+			return fmt.Errorf("%w: pole %d = %v is not stable (Re p ≥ 0)", ErrInvalidModel, k, p)
+		}
+		for _, r := range m.Residues[k].Data {
+			if cmplx.IsNaN(r) || cmplx.IsInf(r) {
+				return fmt.Errorf("%w: residue %d has entry %v", ErrInvalidModel, k, r)
+			}
+		}
+	}
+	if err := m.validatePairs(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidModel, err)
+	}
+	for k := 0; k < len(m.Poles); {
+		r := m.Residues[k]
+		if imag(m.Poles[k]) == 0 {
+			for i, v := range r.Data {
+				if math.Abs(imag(v)) > pairTol*(1+cmplx.Abs(v)) {
+					return fmt.Errorf("%w: real pole %d has complex residue %v at (%d,%d)",
+						ErrInvalidModel, k, v, i/r.Cols, i%r.Cols)
+				}
+			}
+			k++
+			continue
+		}
+		q := m.Residues[k+1]
+		for i, v := range r.Data {
+			if cmplx.Abs(q.Data[i]-cmplx.Conj(v)) > pairTol*(1+cmplx.Abs(v)) {
+				return fmt.Errorf("%w: residues of conjugate poles %d and %d are not conjugate at (%d,%d)",
+					ErrInvalidModel, k, k+1, i/r.Cols, i%r.Cols)
+			}
 		}
 		k += 2
 	}

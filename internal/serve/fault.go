@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"os"
 	"sync"
 	"time"
 )
@@ -90,13 +89,6 @@ func (p *FaultPlan) DelayOn(n int64, d time.Duration) *FaultPlan {
 	return p.setGlobal(n, func(s *faultSpec) { s.latency = d })
 }
 
-// Attempts reports how many attempts the plan has numbered so far.
-func (p *FaultPlan) Attempts() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.globalSeq
-}
-
 // hook is installed as the server's runHook. A worker-specific fault
 // wins over a global one for the same attempt; the global one moves to
 // the next attempt.
@@ -147,17 +139,4 @@ func (s *Server) InjectFaults(p *FaultPlan) {
 		return
 	}
 	s.runHook = p.hook
-}
-
-// CorruptCacheFile flips one byte in the middle of a saved cache file so
-// its checksum footer no longer matches — the deterministic stand-in for
-// a torn write or disk corruption between save and load. The load path
-// must quarantine the file rather than fail.
-func CorruptCacheFile(path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	blob[len(blob)/2] ^= 0xff
-	return os.WriteFile(path, blob, 0o644)
 }

@@ -435,3 +435,16 @@ func TestFaultChaosSweep(t *testing.T) {
 	drainOrFail(t, s)
 	settleGoroutines(t, base)
 }
+
+// CorruptCacheFile flips one byte in the middle of a saved cache file so
+// its checksum footer no longer matches — the deterministic stand-in for
+// a torn write or disk corruption between save and load. The load path
+// must quarantine the file rather than fail.
+func CorruptCacheFile(path string) error {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	blob[len(blob)/2] ^= 0xff
+	return os.WriteFile(path, blob, 0o644)
+}

@@ -486,6 +486,32 @@ func TestJobDeadline(t *testing.T) {
 	drainOrFail(t, s)
 }
 
+// TestHTTPRejectsInvalidModel posts a model with an unstable pole: the
+// decoder rejects it, so passivityd answers 400 and never checks a model
+// its kernels would misread as passive.
+func TestHTTPRejectsInvalidModel(t *testing.T) {
+	s, err := New(Options{Workers: 1, QueueDepth: 4, DefaultDeadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	body := `{"model":{"poles":[[1000,0]],"residues":[[[[0.1,0]]]],"d":[[0.2]]},"check":{"method":"adaptive","certify":true}}`
+	resp, err := http.Post(hs.URL+"/v1/check", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jr Response
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(jr.Error, "invalid model") {
+		t.Fatalf("unstable model: HTTP %d (%q), want 400 naming the invalid model", resp.StatusCode, jr.Error)
+	}
+	drainOrFail(t, s)
+}
+
 // TestHTTPEndpoints covers the wire protocol end to end: check and
 // enforce round trips (the enforce response carries the enforced model,
 // which must verify passive locally), malformed requests, and healthz.

@@ -58,11 +58,6 @@ func (s *System) Inputs() int { return s.B.Cols }
 // Outputs returns the output count.
 func (s *System) Outputs() int { return s.C.Rows }
 
-// Clone deep-copies the system.
-func (s *System) Clone() *System {
-	return &System{A: s.A.Clone(), B: s.B.Clone(), C: s.C.Clone(), D: s.D.Clone()}
-}
-
 // Eval returns the transfer matrix H(jω) = C(jωI−A)⁻¹B + D at angular
 // frequency ω (rad/s) using a complex LU solve.
 func (s *System) Eval(omega float64) (*mat.CMatrix, error) {

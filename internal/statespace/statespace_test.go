@@ -181,3 +181,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("bad D accepted")
 	}
 }
+
+// Clone deep-copies the system.
+func (s *System) Clone() *System {
+	return &System{A: s.A.Clone(), B: s.B.Clone(), C: s.C.Clone(), D: s.D.Clone()}
+}

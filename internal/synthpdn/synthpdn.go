@@ -319,48 +319,3 @@ func (p *PDN) NominalLoad() *pdn.Load {
 		ObsPort: diePorts[0],
 	}
 }
-
-// LoadedReferenceZ computes the reference Z_PDN directly in the circuit
-// domain: the nominal terminations are instantiated as circuit elements on
-// a fresh copy of the structure and the voltage at the observation node is
-// solved per frequency. This bypasses the scattering representation
-// entirely and cross-validates eq. (2).
-func (p *PDN) LoadedReferenceZ(freqs []float64) ([]complex128, error) {
-	load := p.NominalLoad()
-	// Rebuild the circuit (elements are append-only, so build a fresh one
-	// to avoid mutating the S-parameter network).
-	fresh, err := Build(p.Config)
-	if err != nil {
-		return nil, err
-	}
-	c := fresh.Circuit
-	currents := map[int]complex128{}
-	for i, t := range load.Terms {
-		node := c.PortNode(i)
-		switch m := t.(type) {
-		case pdn.Short:
-			c.AddResistor(node, circuit.Ground, 1e-8)
-		case pdn.Resistor:
-			c.AddResistor(node, circuit.Ground, m.R)
-		case pdn.SeriesRLC:
-			c.AddSeriesRLC(node, circuit.Ground, m.R, m.L, m.C)
-		case pdn.Open:
-			// nothing
-		default:
-			return nil, fmt.Errorf("synthpdn: unsupported termination %T for direct simulation", t)
-		}
-		if load.J[i] != 0 {
-			currents[node] = load.J[i]
-		}
-	}
-	obsNode := c.PortNode(load.ObsPort)
-	out := make([]complex128, len(freqs))
-	for k, f := range freqs {
-		v, err := c.Solve(f, currents)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v[obsNode]
-	}
-	return out, nil
-}

@@ -2,10 +2,13 @@ package repro
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
 	"os"
+	"reflect"
+	"strings"
 
 	"repro/internal/mat"
 	"repro/internal/rational"
@@ -132,10 +135,22 @@ func (m *Macromodel) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// ErrInvalidModel marks a decoded model that the passivity kernels would
+// silently misread: a non-finite value, a pole with Re p ≥ 0, a complex
+// residue on a real pole, or a conjugate pole pair whose residues are not
+// conjugate. Decoding such a model returns an error wrapping it.
+var ErrInvalidModel = rational.ErrInvalidModel
+
+// UnmarshalJSON implements json.Unmarshaler. It rejects, with an error
+// wrapping ErrInvalidModel, a model the kernels would misread.
 func (m *Macromodel) UnmarshalJSON(data []byte) error {
 	var in modelJSON
 	if err := json.Unmarshal(data, &in); err != nil {
+		// A number too large for a float64 would decode as ±Inf.
+		var ute *json.UnmarshalTypeError
+		if errors.As(err, &ute) && ute.Type.Kind() == reflect.Float64 && strings.HasPrefix(ute.Value, "number") {
+			return fmt.Errorf("%w: %v", ErrInvalidModel, err)
+		}
 		return err
 	}
 	n := len(in.Poles)
@@ -171,6 +186,9 @@ func (m *Macromodel) UnmarshalJSON(data []byte) error {
 	}
 	model, err := rational.New(poles, residues, d)
 	if err != nil {
+		return err
+	}
+	if err := model.Validate(); err != nil {
 		return err
 	}
 	m.model = model

@@ -3,13 +3,16 @@ package repro_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/cmplx"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	repro "repro"
+	"repro/internal/synthpdn"
 )
 
 func fitSmallModel(t *testing.T, poles int) (*repro.Macromodel, *repro.SyntheticPDN) {
@@ -78,6 +81,148 @@ func TestUnmarshalRejectsStructurallyBrokenModels(t *testing.T) {
 			t.Fatalf("%s: malformed model accepted", name)
 		}
 	}
+}
+
+// TestUnmarshalRejectsMisreadModels feeds the decoder 1-port models that
+// the passivity kernels would misread: each must fail with an error
+// wrapping ErrInvalidModel, through json.Unmarshal and LoadMacromodel
+// alike. Without the check the unstable and the complex-residue model
+// both certify passive.
+func TestUnmarshalRejectsMisreadModels(t *testing.T) {
+	cases := map[string]string{
+		"unstable pole":           `{"poles":[[1000,0]],"residues":[[[[0.1,0]]]],"d":[[0.2]]}`,
+		"pole on the axis":        `{"poles":[[0,1000],[0,-1000]],"residues":[[[[0.1,0]]],[[[0.1,0]]]],"d":[[0.2]]}`,
+		"complex residue on real": `{"poles":[[-1000,0]],"residues":[[[[0.1,0.5]]]],"d":[[0.2]]}`,
+		"non-conjugate residues":  `{"poles":[[-1000,2000],[-1000,-2000]],"residues":[[[[0.1,0.5]]],[[[0.1,0.5]]]],"d":[[0.2]]}`,
+		"non-finite residue":      `{"poles":[[-1000,0]],"residues":[[[[1e999,0]]]],"d":[[0.2]]}`,
+		"non-finite D":            `{"poles":[[-1000,0]],"residues":[[[[0.1,0]]]],"d":[[-1e999]]}`,
+	}
+	dir := t.TempDir()
+	for name, c := range cases {
+		var m repro.Macromodel
+		if err := json.Unmarshal([]byte(c), &m); !errors.Is(err, repro.ErrInvalidModel) {
+			t.Errorf("%s: json.Unmarshal error %v, want ErrInvalidModel", name, err)
+		}
+		path := filepath.Join(dir, "m.json")
+		if err := os.WriteFile(path, []byte(c), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := repro.LoadMacromodel(path); !errors.Is(err, repro.ErrInvalidModel) {
+			t.Errorf("%s: LoadMacromodel error %v, want ErrInvalidModel", name, err)
+		}
+	}
+	// Rounding-level asymmetry stays within the pair tolerance.
+	var m repro.Macromodel
+	ok := `{"poles":[[-1000,2000],[-1000,-2000],[-50,0]],"residues":[[[[0.1,0.5]]],[[[0.1,-0.5000000000001]]],[[[3,1e-12]]]],"d":[[0.2]]}`
+	if err := json.Unmarshal([]byte(ok), &m); err != nil {
+		t.Fatalf("model conjugate to rounding rejected: %v", err)
+	}
+}
+
+// TestProducedModelsDecode round-trips through JSON every kind of model
+// the repository's own flows produce — paper-flow weighted fits of the
+// synthpdn.Small variants and their enforced forms, and the service-mix
+// synthetic library models with their residue-scaled variants and an
+// enforced violating one — and requires each to decode (so pass Validate)
+// and re-encode to the same bytes.
+func TestProducedModelsDecode(t *testing.T) {
+	var models []*repro.Macromodel
+	freqs := repro.LogFreqGrid(1e3, 2e9, 100, true)
+	for seed := int64(1000); seed < 1002; seed++ {
+		cfg := synthpdn.Small()
+		cfg.Seed = seed
+		p, err := synthpdn.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := p.Circuit.SweepS(freqs, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := &repro.SData{Freq: freqs, S: ss, R0: 50}
+		w, xi, err := repro.BuildWeight(data, p.NominalLoad(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fit, _, err := repro.Fit(data, repro.FitOptions{NumPoles: 12, Weights: xi, ConstrainD: 0.999})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, fit)
+		enf := fit.Clone()
+		if _, err := repro.EnforcePassivity(enf, repro.EnforceOptions{ClampD: true, Weight: w}); err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, enf)
+	}
+	for f := int64(0); f < 2; f++ {
+		base, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{Ports: 4, Poles: 60, Seed: 100 + f, PeakGain: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, base, scaledModel(t, base, 1.014))
+	}
+	bad, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{Ports: 2, Poles: 16, Seed: 42, PeakGain: 1.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repro.EnforcePassivity(bad, repro.EnforceOptions{ClampD: true}); err != nil {
+		t.Fatal(err)
+	}
+	models = append(models, bad)
+
+	for i, m := range models {
+		blob, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back repro.Macromodel
+		if err := json.Unmarshal(blob, &back); err != nil {
+			t.Fatalf("model %d does not decode: %v", i, err)
+		}
+		again, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, again) {
+			t.Fatalf("model %d: JSON round trip changed the bytes", i)
+		}
+	}
+}
+
+// scaledModel returns m with every residue scaled by k, as service-mix
+// derives its library variants.
+func scaledModel(t *testing.T, m *repro.Macromodel, k float64) *repro.Macromodel {
+	t.Helper()
+	blob, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mj struct {
+		R0       float64          `json:"r0"`
+		Poles    [][2]float64     `json:"poles"`
+		Residues [][][][2]float64 `json:"residues"`
+		D        [][]float64      `json:"d"`
+	}
+	if err := json.Unmarshal(blob, &mj); err != nil {
+		t.Fatal(err)
+	}
+	for _, rm := range mj.Residues {
+		for i := range rm {
+			for j := range rm[i] {
+				rm[i][j][0] *= k
+				rm[i][j][1] *= k
+			}
+		}
+	}
+	if blob, err = json.Marshal(mj); err != nil {
+		t.Fatal(err)
+	}
+	out := &repro.Macromodel{}
+	if err := json.Unmarshal(blob, out); err != nil {
+		t.Fatalf("scaled model does not decode: %v", err)
+	}
+	return out
 }
 
 func TestEnforcePassivityByScalingPublicAPI(t *testing.T) {
