@@ -163,11 +163,11 @@
 // off-grid probes) anchor the certification sweep, the violation bands of
 // the last check seed the next one, and the eigensolve that closes a
 // converged run also serves a Session's certified check of the result.
-// Every σ miss runs through the worker's workspace, building the
-// pole-basis vector into workspace scratch.
+// Every σ miss runs through a pooled workspace, building the pole-basis
+// vector into its scratch; the workspaces are shared by all sessions.
 //
 // Model libraries are processed by EnforcePassivityBatch, which shards
-// models across workers — per-worker workspaces, per-model caches — and
+// models across workers — one cache per model — and
 // aggregates per-model reports. A shared sensitivity weight
 // (EnforceOptions.Weight) or per-model weights (BatchEnforceOptions.
 // Weights) select the paper's weighted cost for the whole library; each

@@ -75,8 +75,8 @@ const (
 )
 
 // adaptiveBuffers holds the refinement grid of one adaptive check. It
-// lives in the worker-0 checkWorkspace, so the per-sweep checks of one
-// Enforce run reuse the arrays instead of allocating them every check.
+// lives in the check's serial-phase checkWorkspace, so successive checks
+// reuse the arrays instead of allocating them every check.
 type adaptiveBuffers struct {
 	grid []float64
 	lg   []float64 // log(grid), -Inf at DC; memoized for the curvature math
@@ -357,9 +357,8 @@ const (
 	adaptiveRelTol = 1e-3
 )
 
-func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
+func checkAdaptive(model *rational.Model, opts CheckOptions, ws *checkWorkspace) (*Report, error) {
 	rep := &Report{Method: "adaptive", Passive: true}
-	ws := opts.work.get(0)
 	st := &adaptiveState{
 		adaptiveBuffers: &ws.adaptive,
 		model:           model,
@@ -384,7 +383,7 @@ func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 	}
 	sortFloats(grid)
 	grid = dedupeSorted(grid)
-	sv, err := sigmaBatch(opts.Ctx, model, grid, opts.Workers, opts.Cache, opts.work)
+	sv, err := sigmaBatch(opts.Ctx, model, grid, opts.Workers, opts.Cache, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +404,7 @@ func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 			mids = mids[:budget]
 		}
 		budget -= len(mids)
-		msv, err := sigmaBatch(opts.Ctx, model, mids, opts.Workers, opts.Cache, opts.work)
+		msv, err := sigmaBatch(opts.Ctx, model, mids, opts.Workers, opts.Cache, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +412,7 @@ func checkAdaptive(model *rational.Model, opts CheckOptions) (*Report, error) {
 	}
 
 	rep.Samples = len(st.grid)
-	assembleReport(model, st.grid, st.sv, opts, rep)
+	assembleReport(model, st.grid, st.sv, opts.Cache, ws, rep)
 	// Seed the next check of this enforcement run with the band geometry
 	// found now: edges and peaks re-localize shrinking bands in a single
 	// stage.

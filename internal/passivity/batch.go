@@ -12,9 +12,8 @@ import (
 // BatchOptions configures EnforceBatch.
 type BatchOptions struct {
 	// Enforce is the base enforcement configuration applied to every model.
-	// Its Check.Cache and workspace fields are ignored: each model receives
-	// a private EvalCache (caches memoize a single pole set) and each
-	// worker a persistent workspace pool. Check.Ctx cancels the whole
+	// Its Check.Cache is ignored: each model receives a private EvalCache
+	// (caches memoize a single pole set). Check.Ctx cancels the whole
 	// batch and Check.Progress receives every model's events, tagged with
 	// the model index; the sink is called from concurrent worker
 	// goroutines and must be safe for that.
@@ -85,12 +84,12 @@ type BatchReport struct {
 }
 
 // EnforceBatch enforces passivity on a library of models in place,
-// sharding the models across up to Workers goroutines. Each worker carries
-// a persistent workspace pool (buffers warm up once and are reused across
-// all models the worker processes) and each model a private EvalCache, so
-// steady-state enforcement performs no per-frequency allocations. Every
-// model is attempted regardless of other models' failures; per-model
-// errors land in the result slots. The per-model reports and the final
+// sharding the models across up to Workers goroutines. Each model gets a
+// private EvalCache, and every check draws its workspaces from the
+// package's one pool (buffers warm up once and are reused across models
+// and workers), so steady-state enforcement performs no per-frequency
+// allocations. Every model is attempted regardless of other models'
+// failures; per-model errors land in the result slots. The per-model reports and the final
 // residues are bitwise identical to running sequential Enforce on each
 // model with the same base options; with Weights set they are
 // bitwise identical to the sequential sensitivity-weighted run (the
@@ -131,11 +130,7 @@ func EnforceBatch(models []*rational.Model, opts BatchOptions) *BatchReport {
 	if opts.Weights != nil && len(opts.Weights) != len(models) {
 		return fillErr(ErrBatchWeightCount)
 	}
-	pools := make([]*workspacePool, workers)
-	for i := range pools {
-		pools[i] = newWorkspacePool()
-	}
-	ctxFailed := parallel.ForWorkerCtx(opts.Enforce.Check.Ctx, workers, len(models), func(wk, i int) {
+	ctxFailed := parallel.ForWorkerCtx(opts.Enforce.Check.Ctx, workers, len(models), func(_, i int) {
 		eopts := opts.Enforce
 		if opts.Weights != nil && opts.Weights[i] != nil {
 			gram, err := rational.CascadeGramian(models[i].Poles, opts.Weights[i])
@@ -153,7 +148,6 @@ func EnforceBatch(models []*rational.Model, opts BatchOptions) *BatchReport {
 			eopts.Check.Cache = NewEvalCache()
 		}
 		eopts.Check.ProgressModel = i
-		eopts.Check.work = pools[wk]
 		if workers > 1 {
 			eopts.Check.Workers = 1
 		}

@@ -283,53 +283,53 @@ func (c *EvalCache) sigmaFor(w float64) (float64, bool) {
 }
 
 // sigmaBatch evaluates σ_max at every frequency of ws, filling cache hits
-// serially and fanning the misses out over up to workers goroutines, each
-// with its own workspace from pool. The result slice is index-aligned with
-// ws and bitwise independent of the worker count. When ctx is cancelled
-// mid-batch the fan-out drains deterministically and sigmaBatch returns
-// ctx.Err() with a nil slice; nothing is stored in the cache, so a retried
-// batch recomputes cleanly.
-func sigmaBatch(ctx context.Context, model *rational.Model, ws []float64, workers int, c *EvalCache, pool *workspacePool) ([]float64, error) {
+// serially and fanning the misses (every frequency without a cache) out
+// over up to workers goroutines. Worker 0 evaluates in w0, the caller's
+// workspace; every other worker takes its own from the pool for the
+// batch. The result slice is index-aligned with ws and bitwise
+// independent of the worker count. When ctx is cancelled mid-batch the
+// fan-out drains deterministically and sigmaBatch returns ctx.Err() with a
+// nil slice; nothing is stored in the cache, so a retried batch
+// recomputes cleanly.
+func sigmaBatch(ctx context.Context, model *rational.Model, ws []float64, workers int, c *EvalCache, w0 *checkWorkspace) ([]float64, error) {
 	out := make([]float64, len(ws))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if pool == nil {
-		pool = newWorkspacePool()
-	}
-	if c == nil {
-		pool.ensure(workers)
-		if err := parallel.ForWorkerCtx(ctx, workers, len(ws), func(wk, i int) {
-			out[i] = pool.get(wk).sigmaAt(model, ws[i])
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	// Serial pass over the cache; collect misses.
 	miss := make([]int, 0, len(ws))
 	for i, w := range ws {
-		if s, ok := c.sigmaFor(w); ok {
-			out[i] = s
-			c.SigmaHits++
-		} else {
-			miss = append(miss, i)
+		if c != nil {
+			if s, ok := c.sigmaFor(w); ok {
+				out[i] = s
+				c.SigmaHits++
+				continue
+			}
 			c.SigmaMisses++
 		}
+		miss = append(miss, i)
 	}
 	if len(miss) == 0 {
 		return out, nil
 	}
-	pool.ensure(workers)
-	if err := parallel.ForWorkerCtx(ctx, workers, len(miss), func(wk, bi int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	wss := make([]*checkWorkspace, min(workers, len(miss)))
+	wss[0] = w0
+	for k := 1; k < len(wss); k++ {
+		wss[k] = getWorkspace()
+	}
+	err := parallel.ForWorkerCtx(ctx, len(wss), len(miss), func(wk, bi int) {
 		i := miss[bi]
-		out[i] = pool.get(wk).sigmaAt(model, ws[i])
-	}); err != nil {
+		out[i] = wss[wk].sigmaAt(model, ws[i])
+	})
+	for _, w := range wss[1:] {
+		workspaces.Put(w)
+	}
+	if err != nil {
 		return nil, err
 	}
-	// Serial store.
-	for _, i := range miss {
-		c.sigma[ws[i]] = out[i]
+	if c != nil {
+		for _, i := range miss {
+			c.sigma[ws[i]] = out[i]
+		}
 	}
 	return out, nil
 }
@@ -340,9 +340,6 @@ func sigmaBatch(ctx context.Context, model *rational.Model, ws []float64, worker
 // historically bypassed the cache and were re-evaluated every enforcement
 // sweep.
 func cachedSigma(model *rational.Model, w float64, c *EvalCache, ws *checkWorkspace) float64 {
-	if ws == nil {
-		ws = &checkWorkspace{}
-	}
 	if c == nil {
 		return ws.sigmaAt(model, w)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestEnforceSteadyStateAllocBound: once an enforcement-style loop has
-// warmed the cache and workspace pool, re-checking the model (the
+// warmed the cache and the pooled workspaces, re-checking the model (the
 // steady-state sweep of Enforce: σ dropped, workspaces warm) must
 // spend only the per-check and per-stage bookkeeping — grid assembly,
 // stage slices, report — and nothing per frequency. The per-frequency
@@ -22,8 +22,7 @@ func TestEnforceSteadyStateAllocBound(t *testing.T) {
 	// drops the active σ layer exactly as an enforcement perturbation does.
 	variants := []*rational.Model{m, scaledClone(m, 1-1e-9)}
 	cache := NewEvalCache()
-	opts := CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: cache, Workers: 1,
-		work: newWorkspacePool()}
+	opts := CheckOptions{Method: MethodAdaptive, OmegaMin: 0.1, OmegaMax: 1e4, Cache: cache, Workers: 1}
 	first, err := Check(m, opts)
 	if err != nil {
 		t.Fatal(err)

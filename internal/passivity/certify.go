@@ -120,9 +120,9 @@ const (
 )
 
 // certContext carries the per-run state every stage shares: the model, its
-// pole features (index-aligned with model.Poles), the passivity limit, and
-// the evaluation machinery (cache + workspaces) of the surrounding check
-// or enforcement run.
+// pole features (index-aligned with model.Poles), the passivity limit, the
+// evaluation cache of the surrounding check or enforcement run, and the
+// run's workspaces.
 type certContext struct {
 	ctx    context.Context
 	model  *rational.Model
@@ -189,8 +189,8 @@ func DefaultPipeline(model *rational.Model) *Pipeline {
 }
 
 // Certify runs the default certification pipeline over the whole frequency
-// axis. opts supplies the context and the evaluation cache/workspaces of
-// the surrounding run (all optional; the zero value works).
+// axis. opts supplies the context and the evaluation cache of the
+// surrounding run (both optional; the zero value works).
 func Certify(model *rational.Model, opts CheckOptions) (*Certificate, error) {
 	return DefaultPipeline(model).Run(model, opts)
 }
@@ -199,6 +199,8 @@ func Certify(model *rational.Model, opts CheckOptions) (*Certificate, error) {
 func (p *Pipeline) Run(model *rational.Model, opts CheckOptions) (*Certificate, error) {
 	opts.defaults(model)
 	opts.Cache.bind(model)
+	ws := getWorkspace()
+	defer workspaces.Put(ws)
 	cc := &certContext{
 		ctx:    opts.Ctx,
 		model:  model,
@@ -206,7 +208,7 @@ func (p *Pipeline) Run(model *rational.Model, opts CheckOptions) (*Certificate, 
 		limit:  1 + passivityTol,
 		relTol: adaptiveRelTol,
 		cache:  opts.Cache,
-		ws:     opts.work.get(0),
+		ws:     ws,
 	}
 	if cc.dSigma > cc.limit {
 		return nil, fmt.Errorf("%w (σmax(D)=%g)", ErrAsymptoticViolation, cc.dSigma)

@@ -102,7 +102,9 @@ const (
 	passivityTol = 1e-9
 )
 
-// CheckOptions configures a passivity check.
+// CheckOptions configures a passivity check. The σ evaluation scratch is
+// not among them: every check draws its workspaces from the package's one
+// pool (see workspaces).
 type CheckOptions struct {
 	Method Method
 	// OmegaMin/OmegaMax bound the sweep band (rad/s). Zero values default
@@ -149,11 +151,6 @@ type CheckOptions struct {
 	// earlier pole set or residue set is never served (see EvalCache).
 	// Enforce installs one automatically. Not safe for concurrent checks.
 	Cache *EvalCache
-	// work holds the per-worker evaluation workspaces. Check installs a
-	// fresh pool when nil; Enforce and EnforceBatch install persistent
-	// pools so buffers survive across sweeps (and, per worker, across
-	// models).
-	work *workspacePool
 }
 
 // Violation is one frequency band where a singular value exceeds one.
@@ -196,9 +193,6 @@ func (o *CheckOptions) defaults(model *rational.Model) {
 	if o.AdaptiveMaxSamples <= 0 {
 		o.AdaptiveMaxSamples = 20000
 	}
-	if o.work == nil {
-		o.work = newWorkspacePool()
-	}
 	if o.OmegaMin <= 0 || o.OmegaMax <= 0 {
 		lo, hi := math.Inf(1), 0.0
 		for _, p := range model.Poles {
@@ -229,16 +223,18 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 	}
 	opts.defaults(model)
 	opts.Cache.bind(model)
+	ws := getWorkspace()
+	defer workspaces.Put(ws)
 	dSigma := mat.MaxSingularValue(mat.RealToComplex(model.D))
 	var rep *Report
 	var err error
 	switch opts.Method {
 	case MethodHamiltonian:
-		rep, err = checkHamiltonian(opts.Ctx, model, opts.Cache, opts.work.get(0))
+		rep, err = checkHamiltonian(opts.Ctx, model, opts.Cache, ws)
 	case MethodSweep:
-		rep, err = checkSweep(model, opts)
+		rep, err = checkSweep(model, opts, ws)
 	case MethodAuto, MethodAdaptive:
-		rep, err = checkAdaptive(model, opts)
+		rep, err = checkAdaptive(model, opts, ws)
 	default:
 		return nil, fmt.Errorf("passivity: unknown method %d", opts.Method)
 	}
@@ -247,7 +243,7 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 	}
 	if opts.Method == MethodAuto && rep.Passive && dSigma <= 1+passivityTol &&
 		2*model.NumPoles()*model.Ports() <= hamiltonianMaxDim {
-		if rep, err = closeExact(model, rep, opts); err != nil {
+		if rep, err = closeExact(model, rep, opts, ws); err != nil {
 			return nil, err
 		}
 	}
@@ -272,8 +268,8 @@ func Check(model *rational.Model, opts CheckOptions) (*Report, error) {
 // closeExact re-checks a passive sampled verdict with the Hamiltonian
 // eigentest and returns the exact report, which keeps the sampled report's
 // σ sample count. Bands the eigentest finds join the cache's hot set.
-func closeExact(model *rational.Model, sampled *Report, opts CheckOptions) (*Report, error) {
-	rep, err := checkHamiltonian(opts.Ctx, model, opts.Cache, opts.work.get(0))
+func closeExact(model *rational.Model, sampled *Report, opts CheckOptions, ws *checkWorkspace) (*Report, error) {
+	rep, err := checkHamiltonian(opts.Ctx, model, opts.Cache, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -485,16 +481,16 @@ func poleSeededGrid(dst []float64, model *rational.Model, n int, omegaMin, omega
 	return grid
 }
 
-func checkSweep(model *rational.Model, opts CheckOptions) (*Report, error) {
+func checkSweep(model *rational.Model, opts CheckOptions, ws *checkWorkspace) (*Report, error) {
 	rep := &Report{Method: "sweep", Passive: true}
 	grid := poleSeededGrid(nil, model, opts.SweepPoints, opts.OmegaMin, opts.OmegaMax)
 	sortFloats(grid)
-	sv, err := sigmaBatch(opts.Ctx, model, grid, opts.Workers, opts.Cache, opts.work)
+	sv, err := sigmaBatch(opts.Ctx, model, grid, opts.Workers, opts.Cache, ws)
 	if err != nil {
 		return nil, err
 	}
 	rep.Samples = len(grid)
-	assembleReport(model, grid, sv, opts, rep)
+	assembleReport(model, grid, sv, opts.Cache, ws, rep)
 	return rep, nil
 }
 
@@ -504,8 +500,7 @@ func checkSweep(model *rational.Model, opts CheckOptions) (*Report, error) {
 // scans contiguous runs above the limit into violation bands with
 // interpolated edges. grid must be sorted ascending; sv is index-aligned
 // and is sharpened in place.
-func assembleReport(model *rational.Model, grid, sv []float64, opts CheckOptions, rep *Report) {
-	ws := opts.work.get(0)
+func assembleReport(model *rational.Model, grid, sv []float64, c *EvalCache, ws *checkWorkspace, rep *Report) {
 	for i, w := range grid {
 		if sv[i] > rep.MaxSigma {
 			rep.MaxSigma, rep.MaxOmega = sv[i], w
@@ -521,7 +516,7 @@ func assembleReport(model *rational.Model, grid, sv []float64, opts CheckOptions
 		if lo <= 0 {
 			lo = grid[i] / 10
 		}
-		pw, ps := refinePeak(model, lo, grid[i+1], grid[i], opts.Cache, ws)
+		pw, ps := refinePeak(model, lo, grid[i+1], grid[i], c, ws)
 		if ps > sv[i] {
 			// Record the sharpened value so the violation scan sees it.
 			sv[i] = ps
@@ -564,7 +559,7 @@ func assembleReport(model *rational.Model, grid, sv []float64, opts CheckOptions
 		if bl <= 0 {
 			bl = grid[1] / 10
 		}
-		peakW, peakS := refinePeak(model, bl, bh, grid[peakIdx], opts.Cache, ws)
+		peakW, peakS := refinePeak(model, bl, bh, grid[peakIdx], c, ws)
 		if peakS < sv[peakIdx] {
 			peakW, peakS = grid[peakIdx], sv[peakIdx]
 		}

@@ -156,17 +156,14 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 		// certification pipeline anchors on the last check's σ samples.
 		opts.Check.Cache = NewEvalCache()
 	}
-	if opts.Check.work == nil {
-		// One persistent workspace pool for the whole run: after the first
-		// sweep warms the buffers, per-frequency evaluations are
-		// allocation-free.
-		opts.Check.work = newWorkspacePool()
-	}
 	// Certification is driven by the engine, not the per-sweep check: the
 	// fast method runs every sweep and the pipeline only on convergence.
 	opts.Check.Certify = false
 
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	// The pass at iter == MaxIterations only re-checks the model: the
+	// budget is spent, so a band certification proves there is a verdict,
+	// not a rescue.
+	for iter := 0; ; iter++ {
 		if err := ctxErr(opts.Check.Ctx); err != nil {
 			// Cancelled between sweeps: the partial report documents the
 			// iterations already applied (the model keeps their
@@ -182,7 +179,7 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 		}
 		rep.Final = chk
 		if chk.Passive {
-			done, cerr := escalateConverged(model, &opts, rep, chk, true)
+			done, cerr := escalateConverged(model, &opts, rep, chk, iter < opts.MaxIterations)
 			if cerr != nil {
 				if ctxErr(opts.Check.Ctx) != nil {
 					return rep, cerr
@@ -196,6 +193,9 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 			}
 			// The pipeline proved residual violations; they are now merged
 			// into chk and constrain this sweep like any sampled band.
+		}
+		if iter == opts.MaxIterations {
+			return rep, fmt.Errorf("%w after %d iterations (σmax=%g)", ErrEnforceFailed, opts.MaxIterations, chk.MaxSigma)
 		}
 		cons, err := buildConstraints(model, chk, opts, chol)
 		if err != nil {
@@ -223,32 +223,6 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 			MaxSigma:  chk.MaxSigma,
 		})
 	}
-	chk, err := Check(model, opts.Check)
-	if err != nil {
-		if ctxErr(opts.Check.Ctx) != nil {
-			return rep, err
-		}
-		return nil, err
-	}
-	rep.Final = chk
-	rep.Passive = chk.Passive
-	if rep.Passive {
-		// The iteration budget is spent: violations the pipeline proves
-		// here cannot re-enter the loop, so this is a verdict, not a
-		// rescue.
-		done, cerr := escalateConverged(model, &opts, rep, chk, false)
-		if cerr != nil {
-			if ctxErr(opts.Check.Ctx) != nil {
-				return rep, cerr
-			}
-			return nil, cerr
-		}
-		rep.Passive = done
-	}
-	if !rep.Passive {
-		return rep, fmt.Errorf("%w after %d iterations (σmax=%g)", ErrEnforceFailed, opts.MaxIterations, chk.MaxSigma)
-	}
-	return rep, nil
 }
 
 // escalateConverged certifies a model the per-sweep check declared
@@ -294,17 +268,14 @@ func StandardGramian(model *rational.Model) (*mat.Matrix, error) {
 // buildConstraints collects linearized singular-value constraints at the
 // violation peaks (plus interior points of wide bands), including
 // preventive constraints on singular values within the guard band. The
-// basis vector, transfer evaluation and SVD run in the shared workspace;
+// basis vector, transfer evaluation and SVD run in a pooled workspace;
 // the per-constraint slices are freshly allocated because they outlive the
 // call (constraints are few — one per near-limit singular value per
 // constrained frequency).
 func buildConstraints(model *rational.Model, chk *Report, opts EnforceOptions, chol *mat.Cholesky) ([]constraint, error) {
 	freqs := constraintFrequencies(chk, opts)
-	pool := opts.Check.work
-	if pool == nil {
-		pool = newWorkspacePool()
-	}
-	ws := pool.get(0)
+	ws := getWorkspace()
+	defer workspaces.Put(ws)
 	var cons []constraint
 	for _, w := range freqs {
 		ws.basis = model.EvalBasisInto(ws.basis, w)

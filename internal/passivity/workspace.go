@@ -1,6 +1,8 @@
 package passivity
 
 import (
+	"sync"
+
 	"repro/internal/mat"
 	"repro/internal/rational"
 )
@@ -11,16 +13,30 @@ import (
 // buildConstraints uses at violation peaks) and a basis scratch. After the
 // first evaluation at a given model size every σ evaluation through the
 // workspace is allocation-free. A workspace is not safe for concurrent
-// use — the workspacePool hands a private one to each
-// parallel.ForWorkerCtx goroutine.
+// use: its holder owns it from getWorkspace until it puts it back.
+//
+// Every field is scratch that is written before it is read — svd and h
+// are resized and overwritten by each kernel call, basis by
+// EvalBasisInto, and the adaptive grid by setGrid and merge — so any
+// workspace serves any model, including one a panicking check abandoned
+// half-written.
 type checkWorkspace struct {
 	svd   mat.CSVDWorkspace
 	h     *mat.CMatrix
 	basis []complex128
 	// adaptive is the adaptive characterizer's refinement grid; only the
-	// worker-0 workspace's is used.
+	// serial-phase workspace's is used.
 	adaptive adaptiveBuffers
 }
+
+// workspaces is the one pool of check scratch. Check, Pipeline.Run and
+// buildConstraints each take a workspace for their serial phase and pass
+// it down; sigmaBatch takes one more per extra fan-out worker. Warm
+// buffers thereby survive across checks, enforcement sweeps, models and
+// sessions.
+var workspaces = sync.Pool{New: func() any { return new(checkWorkspace) }}
+
+func getWorkspace() *checkWorkspace { return workspaces.Get().(*checkWorkspace) }
 
 // sigmaAt evaluates σ_max of S(jω) with the direct values-only kernel
 // mat.MaxSingularValueInto (Gram matrix, Householder tridiagonal, Sturm
@@ -35,26 +51,4 @@ func (ws *checkWorkspace) sigmaAt(model *rational.Model, omega float64) float64 
 	ws.basis = model.EvalBasisInto(ws.basis, omega)
 	ws.h = model.EvalWithBasisInto(ws.h, ws.basis)
 	return mat.MaxSingularValueInto(&ws.svd, ws.h)
-}
-
-// workspacePool is a grow-only set of per-worker workspaces. ensure must be
-// called before a parallel fan-out so that the workers index a fixed slice;
-// growth never happens concurrently.
-type workspacePool struct {
-	ws []*checkWorkspace
-}
-
-func newWorkspacePool() *workspacePool { return &workspacePool{} }
-
-// ensure grows the pool to at least k workspaces (serial phase only).
-func (p *workspacePool) ensure(k int) {
-	for len(p.ws) < k {
-		p.ws = append(p.ws, &checkWorkspace{})
-	}
-}
-
-// get returns workspace i, growing the pool as needed (serial phase only).
-func (p *workspacePool) get(i int) *checkWorkspace {
-	p.ensure(i + 1)
-	return p.ws[i]
 }

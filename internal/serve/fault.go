@@ -11,8 +11,8 @@ import (
 // runs at the start of every job attempt, numbers the attempt — globally
 // and per worker, each counter 1-based in execution order — and fires
 // whatever fault is registered for that number: a panic (exercising
-// worker supervision), a transient or permanent error (exercising
-// retry), or added latency (exercising deadlines and drain windows).
+// worker supervision and retry), an error (which is final), or added
+// latency (exercising deadlines and drain windows).
 // Because faults key on attempt numbers rather than wall clock, a chaos
 // test decides exactly which attempt dies regardless of scheduling, and
 // the same plan replays identically under -race.
@@ -20,8 +20,8 @@ import (
 // The zero value is an empty plan; chain the registration methods:
 //
 //	s.InjectFaults(new(FaultPlan).
-//		PanicOnWorker(0, 1, "boom").   // worker 0's first attempt panics
-//		FailOn(5, Transient(errFlaky)). // 5th attempt overall fails retryably
+//		PanicOnWorker(0, 1, "boom").     // worker 0's first attempt panics and is retried
+//		FailOn(5, errRejected).          // 5th attempt overall fails for good
 //		DelayOn(7, 50*time.Millisecond))
 type FaultPlan struct {
 	mu        sync.Mutex
@@ -77,8 +77,7 @@ func (p *FaultPlan) PanicOnWorker(worker int, n int64, value any) *FaultPlan {
 	return p.setWorker(worker, n, func(s *faultSpec) { s.doPanic, s.panicValue = true, value })
 }
 
-// FailOn makes the nth attempt overall fail with err (wrap with
-// Transient to make it retryable).
+// FailOn makes the nth attempt overall fail with err, which is final.
 func (p *FaultPlan) FailOn(n int64, err error) *FaultPlan {
 	return p.setGlobal(n, func(s *faultSpec) { s.err = err })
 }

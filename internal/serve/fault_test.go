@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,26 +133,29 @@ func TestFaultPanicExhaustsAttempts(t *testing.T) {
 	drainOrFail(t, s)
 }
 
-// TestFaultTransientAndPermanentErrors: a Transient-marked failure is
-// retried to success; an unmarked failure is final on the first attempt.
-func TestFaultTransientAndPermanentErrors(t *testing.T) {
+// TestFaultPanicRetriedAndErrorFinal: an attempt that dies with a
+// panicking worker is retried to success; an ordinary error is final on
+// the first attempt.
+func TestFaultPanicRetriedAndErrorFinal(t *testing.T) {
 	s, err := New(Options{Workers: 2, QueueDepth: 16, DefaultDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	permanent := errors.New("solver rejected the model")
 	s.InjectFaults(new(FaultPlan).
-		FailOn(1, Transient(errors.New("flaky transport"))).
+		PanicOnWorker(0, 1, "flaky worker").
 		FailOn(3, permanent))
 
 	models := library(t, 2, 1, 12)
+	// A fresh fingerprint routes least-loaded, i.e. to worker 0, whose
+	// first attempt panics.
 	ch, err := s.Submit(&Job{Kind: JobCheck, Model: models[0], Check: fastCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := <-ch
-	if res.Err != nil || res.Attempts != 2 || !IsTransient(res.LastErr) {
-		t.Fatalf("transient retry: err=%v attempts=%d lastErr=%v", res.Err, res.Attempts, res.LastErr)
+	if res.Err != nil || res.Attempts != 2 || !errors.Is(res.LastErr, ErrWorkerPanic) {
+		t.Fatalf("panic retry: err=%v attempts=%d lastErr=%v", res.Err, res.Attempts, res.LastErr)
 	}
 
 	ch, err = s.Submit(&Job{Kind: JobCheck, Model: models[1], Check: fastCheck})
@@ -259,7 +263,7 @@ func TestFaultEnforceRetryFromPristine(t *testing.T) {
 			// Simulate a fault mid-enforcement: the model has already
 			// been perturbed when the attempt dies.
 			*j.Model = *variant(t, j.Model, 1000)
-			return Transient(errors.New("died mid-perturbation"))
+			panic("died mid-perturbation")
 		}
 		return nil
 	}
@@ -367,23 +371,32 @@ func TestFaultCacheQuarantine(t *testing.T) {
 }
 
 // TestFaultChaosSweep is the acceptance chaos run: a 64-model sweep with
-// panics injected on two workers mid-sweep plus transient failures and
-// latency. Every accepted job still receives a Result (retried jobs
-// succeed on another worker), Drain returns, goroutines settle, and a
-// subsequent Submit is not spuriously rejected.
+// panics injected on two workers mid-sweep, two more on whichever workers
+// run the 5th and 23rd attempts the plan leaves alone, and latency. Every
+// accepted job still receives a Result (retried jobs succeed on another
+// worker), Drain returns, goroutines settle, and a subsequent Submit is
+// not spuriously rejected.
 func TestFaultChaosSweep(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s, err := New(Options{Workers: 4, QueueDepth: 128, DefaultDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.InjectFaults(new(FaultPlan).
+	plan := new(FaultPlan).
 		PanicOnWorker(1, 2, "chaos: worker 1 dies").
 		PanicOnWorker(2, 3, "chaos: worker 2 dies").
-		FailOn(5, Transient(errors.New("chaos: transient blip"))).
-		FailOn(23, Transient(errors.New("chaos: another blip"))).
 		DelayOn(11, 5*time.Millisecond).
-		DelayOn(37, 5*time.Millisecond))
+		DelayOn(37, 5*time.Millisecond)
+	// Blips count only the attempts the plan lets through, so neither can
+	// land on an attempt that already panics.
+	var blips atomic.Int64
+	s.runHook = func(ctx context.Context, j *Job) error {
+		err := plan.hook(ctx, j)
+		if n := blips.Add(1); n == 5 || n == 23 {
+			panic("chaos: blip")
+		}
+		return err
+	}
 
 	models := library(t, 8, 8, 12)
 	chans := make([]<-chan *Result, len(models))
@@ -414,8 +427,8 @@ func TestFaultChaosSweep(t *testing.T) {
 	s.met.mu.Lock()
 	panics, requeued := s.met.panicsTotal, s.met.requeuedTotal
 	s.met.mu.Unlock()
-	if panics != 2 {
-		t.Fatalf("panics_total %d, want 2", panics)
+	if panics != 4 {
+		t.Fatalf("panics_total %d, want 4", panics)
 	}
 	if requeued < 2 {
 		t.Fatalf("requeued_total %d, want >= 2", requeued)

@@ -59,9 +59,9 @@ type Request struct {
 	// DeadlineMS bounds the job's running wall-clock in milliseconds
 	// (0 = server default).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// MaxAttempts bounds the job's server-side attempts; retryable
-	// failures (worker panics, transient errors) re-run the job on a
-	// different worker up to this total (0 = server default).
+	// MaxAttempts bounds the job's server-side attempts; a worker panic
+	// re-runs the job on a different worker up to this total (0 = server
+	// default).
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 

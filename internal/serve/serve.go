@@ -29,8 +29,8 @@
 // runs behind panic isolation, a panicking worker's Session is retired
 // and rebuilt fresh (bounded by MaxWorkerRestarts, after which the
 // worker leaves the ledger and the pool absorbs its load), and jobs that
-// die with a worker or fail with a Transient error are released back to
-// the ledger, which requeues them onto a different worker up to
+// die with a worker are released back to the ledger, which requeues
+// them onto a different worker up to
 // Job.MaxAttempts — enforce retries restarting from a pristine model
 // copy. Persisted cache files carry a checksum footer; LoadCaches
 // quarantines corrupt ones instead of failing. The deterministic
@@ -85,9 +85,8 @@ type Options struct {
 	// (0 = repro.DefaultSessionCacheBudget).
 	CacheBudget int64
 	// DefaultMaxAttempts applies to jobs that do not set Job.MaxAttempts
-	// (default 3). Only worker panics and errors marked Transient are
-	// retried; ordinary failures, deadline expiry and cancellation are
-	// final on the first attempt.
+	// (default 3). Only worker panics are retried; ordinary failures,
+	// deadline expiry and cancellation are final on the first attempt.
 	DefaultMaxAttempts int
 	// MaxWorkerRestarts bounds how many times a panicking worker's
 	// Session is rebuilt before the worker is retired and its load is
@@ -133,9 +132,8 @@ type Job struct {
 	Deadline time.Duration
 	// MaxAttempts bounds how many times the job may run before its last
 	// error becomes final (0 = the server's DefaultMaxAttempts). A job
-	// whose attempt dies with a panicking worker, or fails with an error
-	// marked Transient, is requeued onto a different worker — the same
-	// one only when no other is available. Enforce retries restart from a
+	// whose attempt dies with a panicking worker is requeued onto a
+	// different worker — the same one only when no other is available. Enforce retries restart from a
 	// pristine copy of the model, never the half-perturbed survivor of
 	// the failed attempt.
 	MaxAttempts int

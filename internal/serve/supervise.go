@@ -23,12 +23,11 @@ import (
 // Options.MaxWorkerRestarts times. Beyond the bound the worker leaves
 // the ledger, which moves anything still queued on it to the survivors.
 //
-// A job that dies with a worker, or fails with an error marked
-// Transient, is released back to the ledger, which requeues it onto a
-// different live worker (the same one only when no other exists) until
-// Job.MaxAttempts runs out. Enforce retries restart from a pristine copy
-// of the model, never from the half-perturbed one the failed attempt
-// left behind.
+// A job that dies with a worker is released back to the ledger, which
+// requeues it onto a different live worker (the same one only when no
+// other exists) until Job.MaxAttempts runs out; any other error is final.
+// Enforce retries restart from a pristine copy of the model, never from
+// the half-perturbed one the failed attempt left behind.
 
 // ErrWorkerPanic marks a job attempt that died with a panicking worker.
 // Match with errors.Is; the concrete error is a *PanicError carrying the
@@ -59,31 +58,6 @@ func (e *PanicError) Error() string {
 // Is matches ErrWorkerPanic so callers can classify without the type.
 func (e *PanicError) Is(target error) bool { return target == ErrWorkerPanic }
 
-// Transient wraps err so the retry machinery treats a failed attempt as
-// retryable. Fault hooks and future transport layers mark recoverable
-// failures this way; ordinary job errors (a model the solver rejects, a
-// deadline expiry) are not retried.
-func Transient(err error) error { return &transientError{err} }
-
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// IsTransient reports whether err (or anything it wraps) was marked by
-// Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
-// retryable reports whether a failed attempt may run again: worker
-// panics and explicitly transient errors, nothing else. Deadline expiry
-// and cancellation are deliberate outcomes, not faults.
-func retryable(err error) bool {
-	return errors.Is(err, ErrWorkerPanic) || IsTransient(err)
-}
-
 // process runs one leased attempt and settles it with the ledger: a
 // final outcome completes the job and is delivered, a retryable failure
 // is released for another attempt — delivered instead once the ledger
@@ -103,7 +77,10 @@ func (w *worker) process(l *ledger.Lease) {
 		s.met.panicked()
 		retire = w.restart()
 	}
-	if res.Err != nil && retryable(res.Err) {
+	// Only a worker panic is retried: an ordinary job error (a model the
+	// solver rejects) would fail again, and deadline expiry and
+	// cancellation are deliberate outcomes, not faults.
+	if errors.Is(res.Err, ErrWorkerPanic) {
 		j.lastErr = res.Err
 		if s.led.Release(w.name, l.ID, l.Epoch) == nil {
 			res = nil // the job's next attempt owns it now

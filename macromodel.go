@@ -135,14 +135,17 @@ func (m *Macromodel) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// ErrInvalidModel marks a decoded model that the passivity kernels would
+// ErrInvalidModel marks a decoded model that is structurally broken (pole
+// and residue counts differ, a residue or D row is ragged, or a complex
+// pole lacks its adjacent conjugate) or that the passivity kernels would
 // silently misread: a non-finite value, a pole with Re p ≥ 0, a complex
 // residue on a real pole, or a conjugate pole pair whose residues are not
 // conjugate. Decoding such a model returns an error wrapping it.
 var ErrInvalidModel = rational.ErrInvalidModel
 
 // UnmarshalJSON implements json.Unmarshaler. It rejects, with an error
-// wrapping ErrInvalidModel, a model the kernels would misread.
+// wrapping ErrInvalidModel, a structurally broken model or one the
+// kernels would misread.
 func (m *Macromodel) UnmarshalJSON(data []byte) error {
 	var in modelJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -155,7 +158,7 @@ func (m *Macromodel) UnmarshalJSON(data []byte) error {
 	}
 	n := len(in.Poles)
 	if len(in.Residues) != n {
-		return fmt.Errorf("repro: %d poles but %d residue matrices", n, len(in.Residues))
+		return fmt.Errorf("%w: %d poles but %d residue matrices", ErrInvalidModel, n, len(in.Residues))
 	}
 	p := len(in.D)
 	poles := make([]complex128, n)
@@ -166,11 +169,11 @@ func (m *Macromodel) UnmarshalJSON(data []byte) error {
 	for k, rm := range in.Residues {
 		residues[k] = mat.NewCMatrix(p, p)
 		if len(rm) != p {
-			return fmt.Errorf("repro: residue %d has %d rows, want %d", k, len(rm), p)
+			return fmt.Errorf("%w: residue %d has %d rows, want %d", ErrInvalidModel, k, len(rm), p)
 		}
 		for i := 0; i < p; i++ {
 			if len(rm[i]) != p {
-				return fmt.Errorf("repro: residue %d row %d has %d cols", k, i, len(rm[i]))
+				return fmt.Errorf("%w: residue %d row %d has %d cols", ErrInvalidModel, k, i, len(rm[i]))
 			}
 			for j := 0; j < p; j++ {
 				residues[k].Set(i, j, complex(rm[i][j][0], rm[i][j][1]))
@@ -180,13 +183,13 @@ func (m *Macromodel) UnmarshalJSON(data []byte) error {
 	d := mat.NewMatrix(p, p)
 	for i := 0; i < p; i++ {
 		if len(in.D[i]) != p {
-			return fmt.Errorf("repro: D row %d has %d cols", i, len(in.D[i]))
+			return fmt.Errorf("%w: D row %d has %d cols", ErrInvalidModel, i, len(in.D[i]))
 		}
 		copy(d.Row(i), in.D[i])
 	}
 	model, err := rational.New(poles, residues, d)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrInvalidModel, err)
 	}
 	if err := model.Validate(); err != nil {
 		return err

@@ -77,8 +77,8 @@ func TestUnmarshalRejectsStructurallyBrokenModels(t *testing.T) {
 		"non-conjugate pair": `{"r0":50,"poles":[[-1,2],[-1,3]],"residues":[[[[1,0]]],[[[1,0]]]],"d":[[0]]}`,
 	}
 	for name, c := range cases {
-		if err := json.Unmarshal([]byte(c), &m); err == nil {
-			t.Fatalf("%s: malformed model accepted", name)
+		if err := json.Unmarshal([]byte(c), &m); !errors.Is(err, repro.ErrInvalidModel) {
+			t.Errorf("%s: json.Unmarshal error %v, want ErrInvalidModel", name, err)
 		}
 	}
 }

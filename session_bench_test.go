@@ -19,17 +19,7 @@ import (
 // samples, so enforce-warm tracks enforce-cold. The acceptance target is
 // warm ≥ 2× cold on the check workload (BENCH_5.json).
 func BenchmarkSessionWarmCache(b *testing.B) {
-	const libSize = 6
-	models := make([]*repro.Macromodel, libSize)
-	for i := range models {
-		m, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{
-			Ports: 4, Poles: 60, Seed: 500 + int64(i), PeakGain: 0.9,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		models[i] = m
-	}
+	models := warmCacheLibrary(b)
 	ctx := context.Background()
 	chk := repro.CheckOptions{Method: repro.CheckAdaptive}
 

@@ -2,12 +2,14 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -334,5 +336,118 @@ func TestSessionDefaultsAndProgress(t *testing.T) {
 	}
 	if len(models) != 1 || !models[-1] {
 		t.Fatalf("single-model events must be tagged -1, got %v", models)
+	}
+}
+
+// warmCacheLibrary is BenchmarkSessionWarmCache's library: six 4-port,
+// 60-pole violating models.
+func warmCacheLibrary(t testing.TB) []*repro.Macromodel {
+	t.Helper()
+	models := make([]*repro.Macromodel, 6)
+	for i := range models {
+		m, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{
+			Ports: 4, Poles: 60, Seed: 500 + int64(i), PeakGain: 0.9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+	}
+	return models
+}
+
+// TestSessionWarmCheckReusesWorkspaces: a warm session check takes its σ
+// scratch (transfer, SVD and refinement-grid buffers) from the pool the
+// earlier checks returned it to, so it allocates only its per-check
+// bookkeeping. A check that rebuilt its workspace would spend about 48 KB
+// here.
+func TestSessionWarmCheckReusesWorkspaces(t *testing.T) {
+	models := warmCacheLibrary(t)
+	s := repro.NewSession(repro.WithWorkers(1))
+	ctx := context.Background()
+	chk := repro.CheckOptions{Method: repro.CheckAdaptive}
+	sweep := func() {
+		for _, m := range models {
+			if _, err := s.Check(ctx, m, chk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sweep()
+	sweep()
+	const sweeps = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sweeps; i++ {
+		sweep()
+	}
+	runtime.ReadMemStats(&after)
+	perCheck := (after.TotalAlloc - before.TotalAlloc) / (sweeps * uint64(len(models)))
+	const bound = 32 << 10
+	if perCheck > bound {
+		t.Fatalf("warm check allocates %d B; want under %d B", perCheck, bound)
+	}
+}
+
+// TestSessionConcurrentChecksMatchSequential: sessions on concurrent
+// goroutines share the package's scratch pool, the way a service's
+// workers do. Each goroutine's checks and enforcements of one library
+// must equal a single-goroutine reference bit for bit.
+func TestSessionConcurrentChecksMatchSequential(t *testing.T) {
+	models := warmCacheLibrary(t)
+	ctx := context.Background()
+	chk := repro.CheckOptions{Method: repro.CheckAdaptive}
+	enf := repro.EnforceOptions{Check: chk, ClampD: true}
+	type result struct {
+		checks   []*repro.PassivityReport
+		enforces []*repro.EnforceReport
+		models   []string
+	}
+	run := func() (result, error) {
+		s := repro.NewSession(repro.WithWorkers(1))
+		var r result
+		for _, m := range models {
+			rep, err := s.Check(ctx, m, chk)
+			if err != nil {
+				return r, err
+			}
+			r.checks = append(r.checks, rep)
+			e := m.Clone()
+			erep, err := s.Enforce(ctx, e, enf)
+			if err != nil {
+				return r, err
+			}
+			r.enforces = append(r.enforces, erep)
+			blob, err := json.Marshal(e)
+			if err != nil {
+				return r, err
+			}
+			r.models = append(r.models, string(blob))
+		}
+		return r, nil
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 4
+	got := make([]result, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = run()
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(want, got[g]) {
+			t.Fatalf("goroutine %d: reports or enforced models differ from the sequential run", g)
+		}
 	}
 }
