@@ -30,8 +30,10 @@ var allowUnreferenced = map[string]string{
 	"circuit.Circuit.PortNode":          "oracle used by the tests of synthpdn (circuit-domain Z_PDN)",
 	"ledger.Ledger.Placement":           "oracle used by the tests of serve, cluster",
 	"ledger.Ledger.RandomPlacement":     "oracle used by the tests of serve, cluster (control arm of the affinity benchmarks)",
+	"mat.CMatrix.Equalish":              "oracle used by the tests of circuit, mor, passivity, rational, sparam, statespace, synthpdn, touchstone and the root package",
 	"mat.CMatrix.FrobNorm":              "oracle used by the tests of mor",
 	"mat.CSolveLin":                     "oracle used by the tests of pdn",
+	"mat.Matrix.Equalish":               "oracle used by the tests of passivity, rational",
 	"mat.Matrix.FrobNorm":               "oracle used by the tests of statespace",
 	"mat.Matrix.MulVecT":                "oracle used by the tests of qp (KKT stationarity)",
 	"mat.NewCMatrixFrom":                "oracle used by the tests of core, passivity, pdn, rational, vecfit",

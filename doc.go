@@ -166,10 +166,12 @@
 // Every σ miss runs through a pooled workspace, building the pole-basis
 // vector into its scratch; the workspaces are shared by all sessions.
 //
-// Model libraries are processed by EnforcePassivityBatch, which shards
-// models across workers — one cache per model — and
-// aggregates per-model reports. A shared sensitivity weight
-// (EnforceOptions.Weight) or per-model weights (BatchEnforceOptions.
+// Model libraries are processed by EnforcePassivityBatch (Session.
+// EnforceBatch), which shards models across workers and aggregates the
+// per-model reports. Each worker runs exactly the per-model enforcement
+// of Session.Enforce on the model it claimed, with the session cache of
+// the model's pole set leased for that one run. A shared sensitivity
+// weight (EnforceOptions.Weight) or per-model weights (BatchEnforceOptions.
 // Weights) select the paper's weighted cost for the whole library; each
 // model's cascade Gramian is built on its owning worker. The results are
 // bitwise identical to sequential per-model EnforcePassivity runs at
@@ -184,8 +186,8 @@
 // long-lived engine for that shape of work:
 //
 //   - Persistent evaluation caches. A Session keeps one EvalCache per
-//     pole-set fingerprint (FNV-1a over the pole bits) across Check /
-//     Enforce / EnforceBatch / Extract calls. Each cache knows the exact
+//     pole-set fingerprint (FNV-1a over the pole bits) across the Check,
+//     Enforce, EnforceBatch and Extract methods. Each cache knows the exact
 //     poles and the residue+D fingerprint its σ samples belong to and
 //     drops what a perturbed or different model invalidates on its own;
 //     at checkout each residue variant's σ layer parks in a per-cache

@@ -1,4 +1,4 @@
-// Package cluster distributes EnforceBatch-style workloads across a
+// Package cluster distributes Session.EnforceBatch-style workloads across a
 // fleet of passivityd hosts: a coordinator owning a job ledger in front
 // of worker agents that each embed the single-host serve.Server (worker
 // pool, supervision, retry, cache persistence — everything PR 6/7 built

@@ -337,57 +337,3 @@ func TestWeightedGramianTypedError(t *testing.T) {
 		t.Fatalf("cause not reachable: %v", err)
 	}
 }
-
-// TestWeightedBatchMatchesSequentialEnforceWeighted: the acceptance
-// criterion of the weighted batch path — passivity.EnforceBatch with a
-// shared weight must be bitwise identical to sequential per-model
-// EnforceWeighted at 1 and 4 workers (both build the cost from the same
-// closed-form cascade Gramian).
-func TestWeightedBatchMatchesSequentialEnforceWeighted(t *testing.T) {
-	const n = 5
-	weight := testWeight(t)
-	build := func() []*rational.Model {
-		lib := make([]*rational.Model, n)
-		for i := range lib {
-			m, err := passivity.SyntheticModel(passivity.SyntheticOptions{
-				Ports: 2, Poles: 14 + 2*(i%3), Seed: int64(70 + i), PeakGain: 1.1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lib[i] = m
-		}
-		return lib
-	}
-	base := passivity.EnforceOptions{Check: passivity.CheckOptions{Method: passivity.MethodAdaptive}}
-
-	seq := build()
-	for i, m := range seq {
-		if _, err := EnforceWeighted(m, weight, base); err != nil {
-			t.Fatalf("sequential EnforceWeighted model %d: %v", i, err)
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		lib := build()
-		weights := make([]*rational.Model, len(lib))
-		for i := range weights {
-			weights[i] = weight
-		}
-		rep := passivity.EnforceBatch(lib, passivity.BatchOptions{
-			Enforce: base, Weights: weights, Workers: workers,
-		})
-		for i := range lib {
-			if rep.Results[i].Err != nil {
-				t.Fatalf("workers=%d model %d: %v", workers, i, rep.Results[i].Err)
-			}
-			for k := range lib[i].Residues {
-				if !lib[i].Residues[k].Equalish(seq[i].Residues[k], 0) {
-					t.Fatalf("workers=%d model %d: residues differ bitwise from EnforceWeighted", workers, i)
-				}
-			}
-			if !lib[i].D.Equalish(seq[i].D, 0) {
-				t.Fatalf("workers=%d model %d: D differs from EnforceWeighted", workers, i)
-			}
-		}
-	}
-}

@@ -7,6 +7,9 @@ package experiments
 // consistency and a >20% (or bounded) effect threshold on every seed.
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -14,6 +17,7 @@ import (
 	"runtime"
 	"time"
 
+	repro "repro"
 	"repro/internal/core"
 	"repro/internal/experiments/hypothesis"
 	"repro/internal/passivity"
@@ -157,7 +161,10 @@ func extEAdaptiveEconomy() hypothesis.Spec {
 }
 
 // extFBatchBitwise — Ext-F: sharded batch enforcement is bitwise identical
-// to sequential per-model enforcement, iteration for iteration.
+// to sequential per-model enforcement, iteration for iteration. Each arm
+// runs on a fresh Session (EnforcePassivity and EnforcePassivityBatch are
+// thin wrappers over Session.Enforce and Session.EnforceBatch), so the
+// batch arm starts as cold as the sequential one.
 func extFBatchBitwise() hypothesis.Spec {
 	return hypothesis.Spec{
 		ID:      "ext-f-batch-bitwise",
@@ -168,14 +175,16 @@ func extFBatchBitwise() hypothesis.Spec {
 		Primary: "bitwise_mismatches",
 		Run: func(seed int64) (hypothesis.Trial, error) {
 			const libSize = 4
-			opts := passivity.EnforceOptions{Check: passivity.CheckOptions{Method: passivity.MethodAdaptive}, ClampD: true}
-			seq, err := violatingLibrary(libSize, seed*1000)
+			ctx := context.Background()
+			opts := repro.EnforceOptions{Check: repro.CheckOptions{Method: repro.CheckAdaptive}, ClampD: true}
+			seq, err := violatingMacromodels(libSize, seed*1000)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
+			sess := repro.NewSession()
 			passive, seqIters := libSize, 0
 			for i, m := range seq {
-				rep, err := passivity.Enforce(m, opts)
+				rep, err := sess.Enforce(ctx, m, opts)
 				if err != nil {
 					return hypothesis.Trial{}, fmt.Errorf("sequential model %d: %w", i, err)
 				}
@@ -184,50 +193,109 @@ func extFBatchBitwise() hypothesis.Spec {
 				}
 				seqIters += rep.Iterations
 			}
-			bat, err := violatingLibrary(libSize, seed*1000)
+			bat, err := violatingMacromodels(libSize, seed*1000)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			brep := passivity.EnforceBatch(bat, passivity.BatchOptions{Enforce: opts, Workers: 4})
+			brep, err := repro.NewSession().EnforceBatch(ctx, bat, repro.BatchEnforceOptions{Enforce: opts, Workers: 4})
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
 			series := &hypothesis.Series{
 				Name:    "extF_per_model_iterations",
 				XLabel:  "model_index",
 				Order:   []string{"iterations", "final_sigma"},
 				Columns: map[string][]float64{},
 			}
-			mismatches := 0
+			mismatches, err := jsonMismatches(seq, bat)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
 			for i := range bat {
-				res := brep.Results[i]
-				if res.Err != nil {
-					return hypothesis.Trial{}, fmt.Errorf("batch model %d: %w", i, res.Err)
-				}
-				for k := range bat[i].Residues {
-					if !bat[i].Residues[k].Equalish(seq[i].Residues[k], 0) {
-						mismatches++
-					}
+				if err := brep.Errors[i]; err != nil {
+					return hypothesis.Trial{}, fmt.Errorf("batch model %d: %w", i, err)
 				}
 				series.X = append(series.X, float64(i))
-				series.Columns["iterations"] = append(series.Columns["iterations"], float64(res.Report.Iterations))
-				series.Columns["final_sigma"] = append(series.Columns["final_sigma"], res.Report.Final.MaxSigma)
+				series.Columns["iterations"] = append(series.Columns["iterations"], float64(brep.Reports[i].Iterations))
+				series.Columns["final_sigma"] = append(series.Columns["final_sigma"], brep.Reports[i].Final.MaxSigma)
 			}
-			st := brep.Stats
 			return hypothesis.Trial{
 				Primary: float64(mismatches),
-				Pass: mismatches == 0 && passive == libSize && st.Passive == libSize &&
-					st.Failed == 0 && st.TotalIterations == seqIters,
+				Pass: mismatches == 0 && passive == libSize && brep.Passive == libSize &&
+					brep.Failed == 0 && brep.TotalIterations == seqIters,
 				Metrics: map[string]float64{
 					"library_size":       libSize,
 					"bitwise_mismatches": float64(mismatches),
 					"sequential_passive": float64(passive),
-					"batch_passive":      float64(st.Passive),
-					"batch_failed":       float64(st.Failed),
+					"batch_passive":      float64(brep.Passive),
+					"batch_failed":       float64(brep.Failed),
 					"sequential_iters":   float64(seqIters),
-					"batch_iterations":   float64(st.TotalIterations),
+					"batch_iterations":   float64(brep.TotalIterations),
 				},
 				Series: []*hypothesis.Series{series},
 			}, nil
 		},
 	}
+}
+
+// violatingMacromodels is violatingLibrary built through the public
+// SyntheticMacromodel: the same models, wrapped for the Session API.
+func violatingMacromodels(size int, seed0 int64) ([]*repro.Macromodel, error) {
+	lib := make([]*repro.Macromodel, size)
+	for i := range lib {
+		m, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{
+			Ports: 2, Poles: 24, Seed: seed0 + int64(i), PeakGain: 1.1,
+		})
+		if err != nil {
+			return nil, err
+		}
+		lib[i] = m
+	}
+	return lib, nil
+}
+
+// jsonMismatches counts the index-aligned models of a and b whose JSON
+// encodings differ — the encoding carries every pole, residue and D entry
+// at full precision, so equal bytes mean bitwise equal models.
+func jsonMismatches(a, b []*repro.Macromodel) (int, error) {
+	n := 0
+	for i := range a {
+		ja, err := json.Marshal(a[i])
+		if err != nil {
+			return 0, err
+		}
+		jb, err := json.Marshal(b[i])
+		if err != nil {
+			return 0, err
+		}
+		if !bytes.Equal(ja, jb) {
+			n++
+		}
+	}
+	return n, nil
+}
+
+// publicWeight carries a rational weight into the Session API through the
+// documented weight JSON form (repro.ReadWeight): angular-frequency poles
+// and residues as [re, im] pairs plus the scalar d.
+func publicWeight(w *rational.Model) (*repro.Weight, error) {
+	var doc struct {
+		Poles    [][2]float64 `json:"poles"`
+		Residues [][2]float64 `json:"residues"`
+		D        float64      `json:"d"`
+	}
+	for _, p := range w.Poles {
+		doc.Poles = append(doc.Poles, [2]float64{real(p), imag(p)})
+	}
+	for _, r := range w.ScalarResidues() {
+		doc.Residues = append(doc.Residues, [2]float64{real(r), imag(r)})
+	}
+	doc.D = w.D.At(0, 0)
+	blob, err := json.Marshal(doc)
+	if err != nil {
+		return nil, err
+	}
+	return repro.ReadWeight(bytes.NewReader(blob))
 }
 
 // extGGramianOracle — Ext-G: the closed-form cascade Gramian matches the
@@ -325,21 +393,46 @@ func extGGramianOracle() hypothesis.Spec {
 					}
 				}
 			}
-			batchLib, err := violatingLibrary(libSize, seed*1000+500)
+			// Weighted batch arm: the same weight through the public API,
+			// sequential Session.Enforce against Session.EnforceBatch.
+			pw, err := publicWeight(weight)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			brep := passivity.EnforceBatch(batchLib, passivity.BatchOptions{Enforce: base, Weights: sameWeight(weight, len(batchLib)), Workers: 4})
-			mismatches := 0
-			for i := range batchLib {
-				if err := brep.Results[i].Err; err != nil {
+			for _, f := range []float64{0.05, 0.3, 2.1, 17, 140, 2500} {
+				z := weight.EvalEntry(0, 0, 2*math.Pi*f)
+				if got, want := pw.Eval(f), math.Hypot(real(z), imag(z)); got != want {
+					return hypothesis.Trial{}, fmt.Errorf("JSON weight evaluates %v at %g Hz, rational weight %v", got, f, want)
+				}
+			}
+			ctx := context.Background()
+			wopts := repro.EnforceOptions{Check: repro.CheckOptions{Method: repro.CheckAdaptive}, Weight: pw}
+			seqLib, err := violatingMacromodels(libSize, seed*1000+500)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			sess := repro.NewSession()
+			for i, m := range seqLib {
+				if _, err := sess.Enforce(ctx, m, wopts); err != nil {
+					return hypothesis.Trial{}, fmt.Errorf("sequential weighted model %d: %w", i, err)
+				}
+			}
+			batchLib, err := violatingMacromodels(libSize, seed*1000+500)
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			brep, err := repro.NewSession().EnforceBatch(ctx, batchLib, repro.BatchEnforceOptions{Enforce: wopts, Workers: 4})
+			if err != nil {
+				return hypothesis.Trial{}, err
+			}
+			for i, err := range brep.Errors {
+				if err != nil {
 					return hypothesis.Trial{}, fmt.Errorf("weighted batch model %d: %w", i, err)
 				}
-				for k := range batchLib[i].Residues {
-					if !batchLib[i].Residues[k].Equalish(closedLib[i].Residues[k], 0) {
-						mismatches++
-					}
-				}
+			}
+			mismatches, err := jsonMismatches(seqLib, batchLib)
+			if err != nil {
+				return hypothesis.Trial{}, err
 			}
 			return hypothesis.Trial{
 				Primary: worst,
@@ -392,32 +485,26 @@ func extHCorpus(size int) ([]*rational.Model, error) {
 }
 
 // extHEnforce runs the weighted Ext-H enforcement at the stage-capped
-// adaptive operating point (the documented false-pass configuration).
-func extHEnforce(models []*rational.Model, certify bool) (*passivity.BatchReport, time.Duration, error) {
+// adaptive operating point (the documented false-pass configuration),
+// model by model.
+func extHEnforce(models []*rational.Model, certify bool) ([]*passivity.EnforceReport, time.Duration, error) {
 	rng := rand.New(rand.NewSource(1404))
 	weight, err := rational.RandomScalarWeight(rng, 4)
 	if err != nil {
 		return nil, 0, err
 	}
-	t0 := time.Now()
-	rep := passivity.EnforceBatch(models, passivity.BatchOptions{
-		Enforce: passivity.EnforceOptions{
-			Check:   passivity.CheckOptions{Method: passivity.MethodAdaptive, AdaptiveMaxStages: 6},
-			Certify: certify,
-		},
-		Weights: sameWeight(weight, len(models)),
-		Workers: 1,
-	})
-	return rep, time.Since(t0), nil
-}
-
-// sameWeight shares one sensitivity weight across a library of n models.
-func sameWeight(w *rational.Model, n int) []*rational.Model {
-	ws := make([]*rational.Model, n)
-	for i := range ws {
-		ws[i] = w
+	opts := passivity.EnforceOptions{
+		Check:   passivity.CheckOptions{Method: passivity.MethodAdaptive, AdaptiveMaxStages: 6},
+		Certify: certify,
 	}
-	return ws
+	reps := make([]*passivity.EnforceReport, len(models))
+	t0 := time.Now()
+	for i, m := range models {
+		if reps[i], err = core.EnforceWeighted(m, weight, opts); err != nil {
+			return nil, 0, fmt.Errorf("model %d: %w", i, err)
+		}
+	}
+	return reps, time.Since(t0), nil
 }
 
 // extHCertifiedClosure — the certified-enforcement claim on the Ext-H
@@ -440,7 +527,7 @@ func extHCertifiedClosure() hypothesis.Spec {
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			plainRep, plainElapsed, err := extHEnforce(plainLib, false)
+			_, plainElapsed, err := extHEnforce(plainLib, false)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
@@ -448,7 +535,7 @@ func extHCertifiedClosure() hypothesis.Spec {
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
-			certRep, certElapsed, err := extHEnforce(certLib, true)
+			certReps, certElapsed, err := extHEnforce(certLib, true)
 			if err != nil {
 				return hypothesis.Trial{}, err
 			}
@@ -461,12 +548,9 @@ func extHCertifiedClosure() hypothesis.Spec {
 			oracle := func(m *rational.Model) (*passivity.Report, error) {
 				return passivity.Check(m, passivity.CheckOptions{Method: passivity.MethodHamiltonian})
 			}
-			openIntervals, uncertified, escapes, plainEscapes, nodes := 0, 0, 0, 0, 0
-			for i := range certLib {
-				if plainRep.Results[i].Err != nil || certRep.Results[i].Err != nil {
-					return hypothesis.Trial{}, fmt.Errorf("model %d: %v / %v", i, plainRep.Results[i].Err, certRep.Results[i].Err)
-				}
-				res := certRep.Results[i].Report
+			openIntervals, uncertified, escapes, plainEscapes, nodes, rescues := 0, 0, 0, 0, 0, 0
+			for i, res := range certReps {
+				rescues += res.CertifiedRescues
 				cert := res.Certificate
 				if cert == nil || !cert.Certified {
 					uncertified++
@@ -496,7 +580,6 @@ func extHCertifiedClosure() hypothesis.Spec {
 				series.Columns["oracle_sigma_certified"] = append(series.Columns["oracle_sigma_certified"], certOracle.MaxSigma)
 				series.Columns["rescues"] = append(series.Columns["rescues"], float64(res.CertifiedRescues))
 			}
-			rescues := certRep.Stats.CertifiedRescues
 			return hypothesis.Trial{
 				Primary: float64(openIntervals + escapes),
 				Pass: openIntervals == 0 && escapes == 0 && uncertified == 0 &&

@@ -1,18 +1,50 @@
-package passivity
+package passivity_test
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
+	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	repro "repro"
+	"repro/internal/passivity"
 	"repro/internal/rational"
 )
 
-// batchLibrary builds a deterministic library of violating models.
-func batchLibrary(t *testing.T, n int) []*rational.Model {
+// The batch fan-out lives on the root Session (Session.EnforceBatch); these
+// tests pin it to this package's own sequential Enforce, bit for bit.
+
+// batchOptions are the synthetic-library options of model i.
+func batchOptions(i int) passivity.SyntheticOptions {
+	return passivity.SyntheticOptions{Ports: 2, Poles: 16 + 2*(i%3), Seed: int64(40 + i), PeakGain: 1.1}
+}
+
+// kernelLibrary builds the deterministic violating library as engine models.
+func kernelLibrary(t *testing.T, n int) []*rational.Model {
 	t.Helper()
 	lib := make([]*rational.Model, n)
 	for i := range lib {
-		m, err := SyntheticModel(SyntheticOptions{
-			Ports: 2, Poles: 16 + 2*(i%3), Seed: int64(40 + i), PeakGain: 1.1,
+		m, err := passivity.SyntheticModel(batchOptions(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib[i] = m
+	}
+	return lib
+}
+
+// sessionLibrary builds the same library as root macromodels.
+func sessionLibrary(t *testing.T, n int) []*repro.Macromodel {
+	t.Helper()
+	lib := make([]*repro.Macromodel, n)
+	for i := range lib {
+		o := batchOptions(i)
+		m, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{
+			Ports: o.Ports, Poles: o.Poles, Seed: o.Seed, PeakGain: o.PeakGain,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -22,21 +54,122 @@ func batchLibrary(t *testing.T, n int) []*rational.Model {
 	return lib
 }
 
-func modelsBitwiseEqual(a, b *rational.Model) bool {
-	if len(a.Poles) != len(b.Poles) {
-		return false
+// macromodelBytes encodes an engine model in the root model JSON layout and
+// re-encodes it through Macromodel, so it compares byte for byte with a
+// marshalled Macromodel: equal bytes mean bitwise equal poles, residues
+// and D.
+func macromodelBytes(t *testing.T, m *rational.Model) string {
+	t.Helper()
+	p := m.Ports()
+	var w struct {
+		R0       float64          `json:"r0"`
+		Poles    [][2]float64     `json:"poles"`
+		Residues [][][][2]float64 `json:"residues"`
+		D        [][]float64      `json:"d"`
 	}
-	for i := range a.Poles {
-		if a.Poles[i] != b.Poles[i] {
-			return false
+	w.R0 = 50
+	for k, pole := range m.Poles {
+		w.Poles = append(w.Poles, [2]float64{real(pole), imag(pole)})
+		rm := make([][][2]float64, p)
+		for i := range rm {
+			rm[i] = make([][2]float64, p)
+			for j := range rm[i] {
+				z := m.Residues[k].At(i, j)
+				rm[i][j] = [2]float64{real(z), imag(z)}
+			}
+		}
+		w.Residues = append(w.Residues, rm)
+	}
+	for i := 0; i < p; i++ {
+		row := make([]float64, p)
+		for j := range row {
+			row[j] = m.D.At(i, j)
+		}
+		w.D = append(w.D, row)
+	}
+	raw, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mm repro.Macromodel
+	if err := json.Unmarshal(raw, &mm); err != nil {
+		t.Fatal(err)
+	}
+	return sessionBytes(t, &mm)
+}
+
+func sessionBytes(t *testing.T, m *repro.Macromodel) string {
+	t.Helper()
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// batchWeight is a deterministic stable SISO weight, as an engine model and
+// as the root Weight read from the same pole-residue data.
+func batchWeight(t *testing.T) (*rational.Model, *repro.Weight) {
+	t.Helper()
+	poles := []complex128{complex(-2, 0), complex(-40, 300), complex(-40, -300)}
+	residues := []complex128{complex(3, 0), complex(1, 2), complex(1, -2)}
+	const d = 0.5
+	m, err := rational.NewScalar(poles, residues, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in struct {
+		Poles    [][2]float64 `json:"poles"`
+		Residues [][2]float64 `json:"residues"`
+		D        float64      `json:"d"`
+	}
+	for i := range poles {
+		in.Poles = append(in.Poles, [2]float64{real(poles[i]), imag(poles[i])})
+		in.Residues = append(in.Residues, [2]float64{real(residues[i]), imag(residues[i])})
+	}
+	in.D = d
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w repro.Weight
+	if err := json.Unmarshal(raw, &w); err != nil {
+		t.Fatal(err)
+	}
+	return m, &w
+}
+
+// assertBatchMatchesKernel runs Session.EnforceBatch at 1 and 4 workers and
+// requires every model and report to match the sequential engine run.
+func assertBatchMatchesKernel(t *testing.T, seq []*rational.Model, seqReports []*passivity.EnforceReport, opts repro.EnforceOptions) {
+	t.Helper()
+	n := len(seq)
+	for _, workers := range []int{1, 4} {
+		lib := sessionLibrary(t, n)
+		rep, err := repro.NewSession().EnforceBatch(context.Background(), lib, repro.BatchEnforceOptions{
+			Enforce: opts, Workers: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if rep.Models != n || rep.Failed != 0 || rep.Passive != n {
+			t.Fatalf("workers=%d: bad aggregates: %d models, %d failed, %d passive",
+				workers, rep.Models, rep.Failed, rep.Passive)
+		}
+		for i := range lib {
+			if rep.Errors[i] != nil {
+				t.Fatalf("workers=%d model %d: %v", workers, i, rep.Errors[i])
+			}
+			if sessionBytes(t, lib[i]) != macromodelBytes(t, seq[i]) {
+				t.Fatalf("workers=%d model %d: batch result differs bitwise from sequential", workers, i)
+			}
+			r, s := rep.Reports[i], seqReports[i]
+			if r.Iterations != s.Iterations || r.Final.MaxSigma != s.Final.MaxSigma ||
+				r.Final.MaxFreqHz != s.Final.MaxOmega/(2*math.Pi) {
+				t.Fatalf("workers=%d model %d: report differs: %+v vs %+v", workers, i, r.Final, s.Final)
+			}
 		}
 	}
-	for k := range a.Residues {
-		if !a.Residues[k].Equalish(b.Residues[k], 0) {
-			return false
-		}
-	}
-	return a.D.Equalish(b.D, 0)
 }
 
 // TestEnforceBatchMatchesSequential: the batch path must be bitwise
@@ -44,93 +177,20 @@ func modelsBitwiseEqual(a, b *rational.Model) bool {
 // for any worker count.
 func TestEnforceBatchMatchesSequential(t *testing.T) {
 	const n = 6
-	base := EnforceOptions{Check: CheckOptions{Method: MethodAdaptive}}
-
-	seq := batchLibrary(t, n)
-	seqReports := make([]*EnforceReport, n)
+	seq := kernelLibrary(t, n)
+	seqReports := make([]*passivity.EnforceReport, n)
 	for i, m := range seq {
-		rep, err := Enforce(m, base)
+		rep, err := passivity.Enforce(m, passivity.EnforceOptions{
+			Check: passivity.CheckOptions{Method: passivity.MethodAdaptive},
+		})
 		if err != nil {
 			t.Fatalf("sequential model %d: %v", i, err)
 		}
 		seqReports[i] = rep
 	}
-
-	for _, workers := range []int{1, 4} {
-		lib := batchLibrary(t, n)
-		rep := EnforceBatch(lib, BatchOptions{Enforce: base, Workers: workers})
-		if rep.Stats.Models != n || rep.Stats.Failed != 0 || rep.Stats.Passive != n {
-			t.Fatalf("workers=%d: bad stats %+v", workers, rep.Stats)
-		}
-		for i := range lib {
-			r := rep.Results[i]
-			if r.Err != nil {
-				t.Fatalf("workers=%d model %d: %v", workers, i, r.Err)
-			}
-			if !modelsBitwiseEqual(lib[i], seq[i]) {
-				t.Fatalf("workers=%d model %d: batch result differs bitwise from sequential", workers, i)
-			}
-			if r.Report.Iterations != seqReports[i].Iterations ||
-				r.Report.Final.MaxSigma != seqReports[i].Final.MaxSigma ||
-				r.Report.Final.MaxOmega != seqReports[i].Final.MaxOmega {
-				t.Fatalf("workers=%d model %d: report differs: %+v vs %+v",
-					workers, i, r.Report.Final, seqReports[i].Final)
-			}
-		}
-	}
-}
-
-// TestEnforceBatchIsolatesFailures: a model that cannot be enforced (σ(D)
-// above one without ClampD) must fail alone; the rest of the library is
-// still enforced.
-func TestEnforceBatchIsolatesFailures(t *testing.T) {
-	lib := batchLibrary(t, 4)
-	bad, err := rational.NewScalar([]complex128{-1}, []complex128{0.1}, 1.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib[2] = bad
-	rep := EnforceBatch(lib, BatchOptions{
-		Enforce: EnforceOptions{Check: CheckOptions{Method: MethodAdaptive}},
-		Workers: 2,
+	assertBatchMatchesKernel(t, seq, seqReports, repro.EnforceOptions{
+		Check: repro.CheckOptions{Method: repro.CheckAdaptive},
 	})
-	if rep.Stats.Failed != 1 || rep.Results[2].Err == nil {
-		t.Fatalf("expected exactly the bad model to fail: %+v", rep.Stats)
-	}
-	for i, r := range rep.Results {
-		if i == 2 {
-			continue
-		}
-		if r.Err != nil || !r.Report.Passive {
-			t.Fatalf("model %d should have been enforced: err=%v", i, r.Err)
-		}
-	}
-	if rep.Stats.Passive != 3 || rep.Stats.Models != 4 {
-		t.Fatalf("bad aggregates: %+v", rep.Stats)
-	}
-}
-
-// sameWeight shares one weight across a library of n models.
-func sameWeight(w *rational.Model, n int) []*rational.Model {
-	ws := make([]*rational.Model, n)
-	for i := range ws {
-		ws[i] = w
-	}
-	return ws
-}
-
-// weightForBatch builds a deterministic stable SISO weight.
-func weightForBatch(t *testing.T) *rational.Model {
-	t.Helper()
-	w, err := rational.NewScalar(
-		[]complex128{complex(-2, 0), complex(-40, 300), complex(-40, -300)},
-		[]complex128{complex(3, 0), complex(1, 2), complex(1, -2)},
-		0.5,
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
 }
 
 // TestEnforceBatchWeightedMatchesSequential: with a shared sensitivity
@@ -139,101 +199,98 @@ func weightForBatch(t *testing.T) *rational.Model {
 // closed-form cascade Gramian as cost) at every worker count.
 func TestEnforceBatchWeightedMatchesSequential(t *testing.T) {
 	const n = 6
-	weight := weightForBatch(t)
-	base := EnforceOptions{Check: CheckOptions{Method: MethodAdaptive}}
-
-	seq := batchLibrary(t, n)
-	seqReports := make([]*EnforceReport, n)
+	weight, pubWeight := batchWeight(t)
+	seq := kernelLibrary(t, n)
+	seqReports := make([]*passivity.EnforceReport, n)
 	for i, m := range seq {
 		gram, err := rational.CascadeGramian(m.Poles, weight)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := base
-		opts.CostGramian = gram
-		rep, err := Enforce(m, opts)
+		rep, err := passivity.Enforce(m, passivity.EnforceOptions{
+			Check:       passivity.CheckOptions{Method: passivity.MethodAdaptive},
+			CostGramian: gram,
+		})
 		if err != nil {
 			t.Fatalf("sequential weighted model %d: %v", i, err)
 		}
 		seqReports[i] = rep
 	}
-
-	for _, workers := range []int{1, 4} {
-		lib := batchLibrary(t, n)
-		rep := EnforceBatch(lib, BatchOptions{Enforce: base, Weights: sameWeight(weight, n), Workers: workers})
-		if rep.Stats.Models != n || rep.Stats.Failed != 0 || rep.Stats.Passive != n {
-			t.Fatalf("workers=%d: bad stats %+v", workers, rep.Stats)
-		}
-		for i := range lib {
-			if rep.Results[i].Err != nil {
-				t.Fatalf("workers=%d model %d: %v", workers, i, rep.Results[i].Err)
-			}
-			if !modelsBitwiseEqual(lib[i], seq[i]) {
-				t.Fatalf("workers=%d model %d: weighted batch differs bitwise from sequential", workers, i)
-			}
-			r := rep.Results[i].Report
-			if r.Iterations != seqReports[i].Iterations ||
-				r.Final.MaxSigma != seqReports[i].Final.MaxSigma {
-				t.Fatalf("workers=%d model %d: report differs", workers, i)
-			}
-		}
-	}
+	assertBatchMatchesKernel(t, seq, seqReports, repro.EnforceOptions{
+		Check:  repro.CheckOptions{Method: repro.CheckAdaptive},
+		Weight: pubWeight,
+	})
 }
 
-// TestEnforceBatchPerModelWeights: Weights[i] selects model i's weight, a
-// nil entry selects the unweighted cost, and a mis-sized slice fails every
-// slot with the sentinel instead of panicking mid-shard.
-func TestEnforceBatchPerModelWeights(t *testing.T) {
-	const n = 3
-	weight := weightForBatch(t)
-	alt, err := rational.NewScalar([]complex128{complex(-5, 0)}, []complex128{2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := EnforceOptions{Check: CheckOptions{Method: MethodAdaptive}}
-
-	// Reference: model 0 under weight, model 1 under alt, model 2 unweighted.
-	weights := []*rational.Model{weight, alt, nil}
-	seq := batchLibrary(t, n)
-	for i, m := range seq {
-		opts := base
-		if weights[i] != nil {
-			gram, err := rational.CascadeGramian(m.Poles, weights[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.CostGramian = gram
+// TestEnforceBatchCancellationDrainsAndMarksSlots: cancelling mid-batch
+// leaves every slot either completed or carrying context.Canceled, counts
+// exactly the cancelled slots as failed, tags every progress event with an
+// in-range model index, and leaks no goroutines.
+func TestEnforceBatchCancellationDrainsAndMarksSlots(t *testing.T) {
+	models := make([]*repro.Macromodel, 8)
+	for i := range models {
+		m, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{
+			Ports: 2, Poles: 24, Seed: 700 + int64(i), PeakGain: 0.9,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := Enforce(m, opts); err != nil {
-			t.Fatalf("sequential model %d: %v", i, err)
-		}
+		models[i] = m
 	}
-
-	lib := batchLibrary(t, n)
-	rep := EnforceBatch(lib, BatchOptions{
-		Enforce: base,
-		Weights: weights,
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var events int64
+	s := repro.NewSession(repro.WithProgress(func(ev repro.ProgressEvent) {
+		if atomic.AddInt64(&events, 1) == 2 {
+			cancel()
+		}
+		if ev.Model < 0 || ev.Model >= len(models) {
+			t.Errorf("progress event with out-of-range model %d", ev.Model)
+		}
+	}))
+	rep, err := s.EnforceBatch(ctx, models, repro.BatchEnforceOptions{
+		Enforce: repro.EnforceOptions{
+			Check:  repro.CheckOptions{Method: repro.CheckAdaptive},
+			ClampD: true,
+		},
 		Workers: 2,
 	})
-	for i := range lib {
-		if rep.Results[i].Err != nil {
-			t.Fatalf("model %d: %v", i, rep.Results[i].Err)
-		}
-		if !modelsBitwiseEqual(lib[i], seq[i]) {
-			t.Fatalf("model %d: per-model weight selection differs from sequential", i)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if rep.Models != len(models) {
+		t.Fatalf("report covers %d models, want %d", rep.Models, len(models))
+	}
+	var completed, cancelled int
+	for i := range models {
+		switch {
+		case rep.Errors[i] == nil:
+			if rep.Reports[i] == nil || rep.Reports[i].Final == nil {
+				t.Fatalf("model %d: no error but incomplete report", i)
+			}
+			completed++
+		case errors.Is(rep.Errors[i], context.Canceled):
+			cancelled++
+		default:
+			t.Fatalf("model %d: unexpected error %v", i, rep.Errors[i])
 		}
 	}
-
-	bad := EnforceBatch(batchLibrary(t, n), BatchOptions{
-		Enforce: base,
-		Weights: []*rational.Model{weight},
-	})
-	if bad.Stats.Failed != n {
-		t.Fatalf("mis-sized Weights should fail every model: %+v", bad.Stats)
+	if cancelled == 0 {
+		t.Fatal("no model was cancelled — the cancel raced past the batch")
 	}
-	for i, r := range bad.Results {
-		if r.Err != ErrBatchWeightCount {
-			t.Fatalf("model %d: want ErrBatchWeightCount, got %v", i, r.Err)
+	if completed+cancelled != len(models) {
+		t.Fatalf("slots unaccounted: %d completed + %d cancelled of %d", completed, cancelled, len(models))
+	}
+	if rep.Failed != cancelled {
+		t.Fatalf("report counts %d failed, want the %d cancelled models", rep.Failed, cancelled)
+	}
+	// Zero leaked goroutines, with a settle loop for runtime bookkeeping.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -3,11 +3,9 @@ package passivity
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/mat"
-	"repro/internal/rational"
 )
 
 // BenchmarkEnforce measures a full adaptive-driven enforcement run on the
@@ -100,51 +98,6 @@ func BenchmarkCertify(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// benchBatchLibrary builds the 32-model library of the batch benchmark:
-// deterministic violating models of mixed sizes.
-func benchBatchLibrary(b *testing.B) []*rational.Model {
-	b.Helper()
-	lib := make([]*rational.Model, 32)
-	for i := range lib {
-		m, err := SyntheticModel(SyntheticOptions{
-			Ports: 2, Poles: 20 + 4*(i%4), Seed: int64(60 + i), PeakGain: 1.1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lib[i] = m
-	}
-	return lib
-}
-
-// BenchmarkEnforceBatch measures sharded enforcement of a 32-model library
-// at worker counts 1 and GOMAXPROCS. The per-model work is identical at
-// every worker count (results are bitwise equal), so the ratio of the two
-// timings is the model-level parallel speedup.
-func BenchmarkEnforceBatch(b *testing.B) {
-	counts := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		counts = append(counts, p)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				lib := benchBatchLibrary(b)
-				b.StartTimer()
-				rep := EnforceBatch(lib, BatchOptions{
-					Enforce: EnforceOptions{Check: CheckOptions{Method: MethodAdaptive}},
-					Workers: workers,
-				})
-				if rep.Stats.Failed != 0 || rep.Stats.Passive != len(lib) {
-					b.Fatalf("batch enforcement failed: %+v", rep.Stats)
-				}
-			}
-		})
 	}
 }
 

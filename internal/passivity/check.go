@@ -139,13 +139,10 @@ type CheckOptions struct {
 	Ctx context.Context
 	// Progress, when non-nil, receives ProgressEvents (check completions,
 	// enforcement iterations, certification stages) synchronously on the
-	// working goroutine. Inside EnforceBatch the sink is called from
-	// concurrent workers and must be safe for that.
+	// working goroutine. A sink shared by concurrent enforcements (the
+	// Session batch) is called from their goroutines and must be safe for
+	// that.
 	Progress ProgressFunc
-	// ProgressModel tags emitted events with a batch model index.
-	// EnforceBatch sets it per model; standalone callers should use -1
-	// (the Session layer does) so handlers can tell the two apart.
-	ProgressModel int
 	// Cache, when non-nil, memoizes per-frequency evaluations across
 	// checks; it binds itself to each model checked through it, so σ of an
 	// earlier pole set or residue set is never served (see EvalCache).

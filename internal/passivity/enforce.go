@@ -54,19 +54,14 @@ const (
 	maxBandSubdivision = 3
 )
 
-// IterationStats records one enforcement sweep.
-type IterationStats struct {
-	MaxSigma    float64 // worst σ before this sweep's perturbation
-	Constraints int     // number of linearized constraints in the QP
-	DeltaNorm   float64 // Frobenius norm of the applied δC
-}
-
 // EnforceReport summarizes an enforcement run.
 type EnforceReport struct {
 	Passive    bool
 	Iterations int
-	History    []IterationStats
-	Final      *Report // the last passivity check
+	// MaxSigmaHistory records the worst σ before each applied sweep's
+	// perturbation.
+	MaxSigmaHistory []float64
+	Final           *Report // the last passivity check
 	// DClamped reports that the direct-coupling matrix was clipped to the
 	// passivity boundary before the perturbation loop (see
 	// EnforceOptions.ClampD).
@@ -204,18 +199,13 @@ func Enforce(model *rational.Model, opts EnforceOptions) (*EnforceReport, error)
 		if len(cons) == 0 {
 			return rep, fmt.Errorf("%w: violations present but no constraints generated", ErrEnforceFailed)
 		}
-		delta, err := solvePerturbation(model, cons, opts)
-		if err != nil {
+		if err := solvePerturbation(model, cons, opts); err != nil {
 			if ctxErr(opts.Check.Ctx) != nil {
 				return rep, err
 			}
 			return nil, fmt.Errorf("passivity: iteration %d: %w", iter, err)
 		}
-		rep.History = append(rep.History, IterationStats{
-			MaxSigma:    chk.MaxSigma,
-			Constraints: len(cons),
-			DeltaNorm:   delta,
-		})
+		rep.MaxSigmaHistory = append(rep.MaxSigmaHistory, chk.MaxSigma)
 		rep.Iterations = iter + 1
 		opts.Check.emit(ProgressEvent{
 			Kind:      ProgressIteration,
@@ -339,8 +329,7 @@ func constraintFrequencies(chk *Report, opts EnforceOptions) []float64 {
 }
 
 // solvePerturbation assembles the dual QP via the Kronecker structure of
-// the common-pole realization, solves it, and applies δC to the model. It
-// returns ‖δC‖_F.
+// the common-pole realization, solves it, and applies δC to the model.
 //
 // Each constraint row acts on entry (i,j) as f_ij = Reα_ij·Re k̃ − Imα_ij·Im k̃
 // with α_ij = conj(u_i)·v_j, so rows live in span{Re k̃, Im k̃} and the dual
@@ -351,7 +340,7 @@ func constraintFrequencies(chk *Report, opts EnforceOptions) []float64 {
 //	Σ_ij α^a·α^b       = conj(u_aᵀu_b)·(v_aᵀv_b)  =: β₂
 //	Σ Reα^aReα^b = ½Re(β₁+β₂)      Σ Imα^aImα^b = ½Re(β₁−β₂)
 //	Σ Reα^aImα^b = ½Im(β₂−β₁)      Σ Imα^aReα^b = ½Im(β₂+β₁)
-func solvePerturbation(model *rational.Model, cons []constraint, opts EnforceOptions) (float64, error) {
+func solvePerturbation(model *rational.Model, cons []constraint, opts EnforceOptions) error {
 	m := len(cons)
 	p := model.Ports()
 	dual := assembleDual(cons, opts.Check.Workers)
@@ -365,12 +354,11 @@ func solvePerturbation(model *rational.Model, cons []constraint, opts EnforceOpt
 	}
 	lambda, err := qp.SolveNNQP(ctx, dual, g)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	// Apply δc_ij = −Σ_a λ_a (Reα^a_ij·wr_a − Imα^a_ij·wi_a).
 	n := model.NumPoles()
 	delta := make([]float64, n)
-	total := 0.0
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
 			for k := range delta {
@@ -389,12 +377,9 @@ func solvePerturbation(model *rational.Model, cons []constraint, opts EnforceOpt
 				}
 			}
 			model.AddToCVector(i, j, delta)
-			for _, d := range delta {
-				total += d * d
-			}
 		}
 	}
-	return math.Sqrt(total), nil
+	return nil
 }
 
 // assembleDual builds the dual QP matrix M_ab = Σ_ij f_a,ijᵀ·G⁻¹·f_b,ij

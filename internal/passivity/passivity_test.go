@@ -212,7 +212,7 @@ func TestCheckAutoMatchesHamiltonianVerdict(t *testing.T) {
 // capped adaptive check steps over, and Enforce under Auto must turn that
 // catch into constraints and deliver a model the oracle finds passive.
 func TestCheckAutoCatchesAdaptiveFalsePass(t *testing.T) {
-	model, _, opts := falsePassModel(t)
+	model, opts := falsePassModel(t)
 	auto := CheckOptions{Method: MethodAuto, AdaptiveMaxStages: 6}
 
 	plain := model.Clone()

@@ -17,14 +17,11 @@ const (
 
 // ProgressEvent is one observation of a long-running check, enforcement or
 // certification run, delivered synchronously on the goroutine doing the
-// work. Handlers must be fast and, inside EnforceBatch, safe for
-// concurrent calls from different workers.
+// work. Handlers must be fast and, when several enforcements share one
+// sink, safe for concurrent calls from their goroutines.
 type ProgressEvent struct {
 	// Kind is one of ProgressCheck, ProgressIteration, ProgressCertStage.
 	Kind string
-	// Model is the batch model index the event belongs to (-1 outside a
-	// batch; see CheckOptions.ProgressModel).
-	Model int
 	// Iteration is the 1-based enforcement sweep count (iteration events).
 	Iteration int
 	// MaxSigma is the worst singular value the step observed.
@@ -47,14 +44,11 @@ type ProgressEvent struct {
 // reporting at zero cost.
 type ProgressFunc func(ProgressEvent)
 
-// emit delivers an event through the configured sink, tagging it with the
-// configured model index.
+// emit delivers an event through the configured sink.
 func (o *CheckOptions) emit(ev ProgressEvent) {
-	if o.Progress == nil {
-		return
+	if o.Progress != nil {
+		o.Progress(ev)
 	}
-	ev.Model = o.ProgressModel
-	o.Progress(ev)
 }
 
 // ctxErr reports the cancellation state of an optional context.

@@ -35,19 +35,14 @@ type SyntheticOptions struct {
 	PeakGain float64
 	// NarrowBand plants a high-Q "shoulder" gadget on port 0: a resonance
 	// whose residue phase is rotated so the σ peak sits several half-widths
-	// OFF the pole's resonance frequency. The violation band has relative
-	// width ~30·NarrowBandRelWidth — far below a 1000-point log grid's
-	// spacing — while every frequency a pole-seeded fixed sweep samples
-	// (the resonance itself and its half-width neighbours) stays safely
-	// below one. Background poles are confined to ports 1..P−1 so the
-	// gadget block stays exactly solvable.
+	// OFF the pole's resonance frequency, which sits at the off-grid
+	// frequency shoulderCenter·√(OmegaLo·OmegaHi). The violation band has
+	// relative width ~30·shoulderRelWidth — far below a 1000-point log
+	// grid's spacing — while every frequency a pole-seeded fixed sweep
+	// samples (the resonance itself and its half-width neighbours) stays
+	// safely below one. Background poles are confined to ports 1..P−1 so
+	// the gadget block stays exactly solvable.
 	NarrowBand bool
-	// NarrowBandOmega places the gadget resonance (default
-	// 1.37·√(OmegaLo·OmegaHi), an off-grid frequency).
-	NarrowBandOmega float64
-	// NarrowBandRelWidth is the gadget pole's relative half-width γ/ω
-	// (default 1e-5).
-	NarrowBandRelWidth float64
 }
 
 func (o *SyntheticOptions) defaults() {
@@ -76,12 +71,6 @@ func (o *SyntheticOptions) defaults() {
 	if o.PeakGain <= 0 {
 		o.PeakGain = 0.25
 	}
-	if o.NarrowBandOmega <= 0 {
-		o.NarrowBandOmega = 1.37 * math.Sqrt(o.OmegaLo*o.OmegaHi)
-	}
-	if o.NarrowBandRelWidth <= 0 {
-		o.NarrowBandRelWidth = 1e-5
-	}
 }
 
 // Shoulder-gadget constants: with background g = DSigma at the gadget port
@@ -89,8 +78,10 @@ func (o *SyntheticOptions) defaults() {
 // u* = tan(ψ/2) ≈ 5.7 half-widths off resonance, while u = 0 and u = ±1
 // (exactly the frequencies a pole-seeded sweep samples) stay below one.
 const (
-	shoulderGain  = 0.7                 // h = ‖R‖/γ of the gadget pole
-	shoulderPhase = 160 * math.Pi / 180 // ψ, the residue phase rotation
+	shoulderGain     = 0.7                 // h = ‖R‖/γ of the gadget pole
+	shoulderPhase    = 160 * math.Pi / 180 // ψ, the residue phase rotation
+	shoulderCenter   = 1.37                // ωc / √(OmegaLo·OmegaHi)
+	shoulderRelWidth = 1e-5                // γ/ωc, the relative half-width
 )
 
 // SyntheticModel builds a random stable scattering model with controlled
@@ -114,8 +105,8 @@ func SyntheticModel(opts SyntheticOptions) (*rational.Model, error) {
 		if remaining < 2 {
 			return nil, fmt.Errorf("passivity: narrow-band gadget needs at least 2 poles, got %d", remaining)
 		}
-		wc := opts.NarrowBandOmega
-		gamma := opts.NarrowBandRelWidth * wc
+		wc := shoulderCenter * math.Sqrt(opts.OmegaLo*opts.OmegaHi)
+		gamma := shoulderRelWidth * wc
 		r := mat.NewCMatrix(p, p)
 		r.Set(0, 0, complex(shoulderGain*gamma, 0)*cmplx.Exp(complex(0, shoulderPhase)))
 		poles = append(poles, complex(-gamma, wc), complex(-gamma, -wc))

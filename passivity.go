@@ -333,8 +333,8 @@ type EnforceOptions struct {
 	Certify bool
 }
 
-// internal converts the options to the engine's; Weight is resolved by
-// the caller into a cost Gramian or per-model batch weights.
+// internal converts the options to the engine's; Session.enforceWith
+// resolves Weight into the model's cost Gramian.
 func (o EnforceOptions) internal() passivity.EnforceOptions {
 	return passivity.EnforceOptions{
 		Check:         o.Check.internal(),
@@ -412,7 +412,11 @@ type BatchEnforceOptions struct {
 // BatchEnforceReport aggregates a batch enforcement run. Reports and
 // Errors are index-aligned with the input models.
 type BatchEnforceReport struct {
-	Reports []*EnforceReport // nil for models whose enforcement errored
+	// Reports holds each model's report. A model that ran out of
+	// iterations or was cancelled mid-run keeps its partial report next to
+	// its error; it is nil for a model never claimed before a cancellation
+	// and for one whose enforcement failed outright.
+	Reports []*EnforceReport
 	Errors  []error
 	Models  int
 	Passive int
@@ -440,34 +444,12 @@ func toPublicEnforceReport(rep *passivity.EnforceReport) *EnforceReport {
 		Passive:          rep.Passive,
 		Iterations:       rep.Iterations,
 		DClamped:         rep.DClamped,
+		MaxSigmaHistory:  rep.MaxSigmaHistory,
 		Certificate:      toPublicCertificate(rep.Certificate),
 		CertifiedRescues: rep.CertifiedRescues,
 	}
 	if rep.Final != nil {
 		out.Final = toPublicReport(rep.Final)
-	}
-	for _, h := range rep.History {
-		out.MaxSigmaHistory = append(out.MaxSigmaHistory, h.MaxSigma)
-	}
-	return out
-}
-
-// toPublicBatchReport converts an internal batch report (n input models).
-func toPublicBatchReport(n int, brep *passivity.BatchReport) *BatchEnforceReport {
-	out := &BatchEnforceReport{
-		Reports:          make([]*EnforceReport, n),
-		Errors:           make([]error, n),
-		Models:           brep.Stats.Models,
-		Passive:          brep.Stats.Passive,
-		Failed:           brep.Stats.Failed,
-		TotalIterations:  brep.Stats.TotalIterations,
-		WorstSigma:       brep.Stats.WorstSigma,
-		Certified:        brep.Stats.Certified,
-		CertifiedRescues: brep.Stats.CertifiedRescues,
-	}
-	for i, r := range brep.Results {
-		out.Errors[i] = r.Err
-		out.Reports[i] = toPublicEnforceReport(r.Report)
 	}
 	return out
 }

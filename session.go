@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/passivity"
 	"repro/internal/rational"
 )
@@ -318,9 +320,11 @@ func (s *Session) HasCache(fp uint64) bool {
 	return ok
 }
 
-// progressFunc adapts the session sink to the internal event stream,
-// serializing delivery across concurrent batch workers.
-func (s *Session) progressFunc() passivity.ProgressFunc {
+// progressFunc adapts the session sink to the internal event stream of
+// one operation, stamping its events with the batch model index (-1 for
+// single-model calls) and serializing delivery across concurrent batch
+// workers.
+func (s *Session) progressFunc(model int) passivity.ProgressFunc {
 	if s.progress == nil {
 		return nil
 	}
@@ -329,7 +333,7 @@ func (s *Session) progressFunc() passivity.ProgressFunc {
 		defer s.progressMu.Unlock()
 		s.progress(ProgressEvent{
 			Kind:      ProgressKind(ev.Kind),
-			Model:     ev.Model,
+			Model:     model,
 			Iteration: ev.Iteration,
 			MaxSigma:  ev.MaxSigma,
 			Passive:   ev.Passive,
@@ -341,13 +345,13 @@ func (s *Session) progressFunc() passivity.ProgressFunc {
 	}
 }
 
-// bind attaches the session's worker count, progress sink, the call's
-// context and the checked-out cache to one call's internal check options.
-func (s *Session) bind(ctx context.Context, o *passivity.CheckOptions, cache *passivity.EvalCache, model int) {
-	o.Workers = s.workers
+// bind attaches the σ fan-out worker count, the session's progress sink
+// for the given model tag, the call's context and the checked-out cache
+// to one call's internal check options.
+func (s *Session) bind(ctx context.Context, o *passivity.CheckOptions, cache *passivity.EvalCache, workers, model int) {
+	o.Workers = workers
 	o.Ctx = ctx
-	o.Progress = s.progressFunc()
-	o.ProgressModel = model
+	o.Progress = s.progressFunc(model)
 	o.Cache = cache
 }
 
@@ -358,7 +362,7 @@ func (s *Session) bind(ctx context.Context, o *passivity.CheckOptions, cache *pa
 func (s *Session) Check(ctx context.Context, m *Macromodel, opts CheckOptions) (*PassivityReport, error) {
 	e, cache := s.checkout(m.model)
 	iopts := opts.internal()
-	s.bind(ctx, &iopts, cache, -1)
+	s.bind(ctx, &iopts, cache, s.workers, -1)
 	rep, err := passivity.Check(m.model, iopts)
 	s.checkin(e)
 	if err != nil {
@@ -374,15 +378,17 @@ func (s *Session) Check(ctx context.Context, m *Macromodel, opts CheckOptions) (
 // perturbations.
 func (s *Session) Enforce(ctx context.Context, m *Macromodel, opts EnforceOptions) (*EnforceReport, error) {
 	e, cache := s.checkout(m.model)
-	rep, err := s.enforceWith(ctx, m, opts, cache, -1)
+	rep, err := s.enforceWith(ctx, m, opts, cache, s.workers, -1)
 	s.checkin(e)
 	return rep, err
 }
 
-// enforceWith runs one enforcement with an explicit cache and model tag.
-func (s *Session) enforceWith(ctx context.Context, m *Macromodel, opts EnforceOptions, cache *passivity.EvalCache, model int) (*EnforceReport, error) {
+// enforceWith runs one enforcement with an explicit cache, σ fan-out
+// worker count and model tag. It is the one place a Weight becomes a
+// cost: the weighted path builds the model's closed-form cascade Gramian.
+func (s *Session) enforceWith(ctx context.Context, m *Macromodel, opts EnforceOptions, cache *passivity.EvalCache, workers, model int) (*EnforceReport, error) {
 	eopts := opts.internal()
-	s.bind(ctx, &eopts.Check, cache, model)
+	s.bind(ctx, &eopts.Check, cache, workers, model)
 	var rep *passivity.EnforceReport
 	var err error
 	if opts.Weight != nil {
@@ -415,58 +421,73 @@ func (s *Session) Extract(ctx context.Context, data *SData, load *Load, opts Ext
 // EnforceBatch enforces passivity on a library of macromodels like
 // EnforcePassivityBatch, sharding models across workers with the session's
 // per-pole-set caches: a second sweep over the same library starts with
-// the σ samples of every unchanged model warm. When ctx cancellation
-// cuts the batch short, the returned report is partial — completed models
-// keep their results, cancelled ones carry ctx.Err() — and the error is
-// ctx.Err(); a cancellation arriving only after every model drained
-// returns the complete report with a nil error.
+// the σ samples of every unchanged model warm. Each model runs exactly the
+// enforcement Enforce would run on it, on the worker that claimed it, so
+// the per-model results are bitwise identical to sequential Enforce calls
+// at every worker count. Inside a sharded run each model's σ fan-out is
+// serial: model-level parallelism already saturates the cores. Progress
+// events carry the model index.
+//
+// When ctx cancellation cuts the batch short, the returned report is
+// partial — completed models keep their results, cancelled ones carry
+// ctx.Err() — and the error is ctx.Err(); a cancellation arriving only
+// after every model drained returns the complete report with a nil error.
 func (s *Session) EnforceBatch(ctx context.Context, models []*Macromodel, opts BatchEnforceOptions) (*BatchEnforceReport, error) {
 	if opts.Weights != nil && len(opts.Weights) != len(models) {
 		return nil, fmt.Errorf("repro: %d weights for %d models", len(opts.Weights), len(models))
 	}
-	raw := make([]*rational.Model, len(models))
-	for i, m := range models {
-		raw[i] = m.model
+	workers := opts.Workers
+	if workers == 0 {
+		workers = s.workers
 	}
-	// Caches are leased per model from the owning worker, not pinned for
-	// the whole batch: at any moment only ~workers caches are checked out,
-	// so the session byte budget keeps bounding resident memory even
-	// across huge libraries. Duplicates of a pole set running concurrently
-	// (and caches busy elsewhere) fall back to private transient caches.
-	// entries[i] is written by CacheFor and read by CacheDone on the same
-	// worker goroutine — no cross-worker sharing.
-	entries := make([]*sessionCache, len(models))
-	bopts := passivity.BatchOptions{
-		Enforce: opts.Enforce.internal(),
-		Workers: opts.Workers,
-		CacheFor: func(i int) *passivity.EvalCache {
-			e, c := s.checkout(raw[i])
-			entries[i] = e
-			return c
-		},
-		CacheDone: func(i int) {
-			s.checkin(entries[i])
-			entries[i] = nil
-		},
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	s.bind(ctx, &bopts.Enforce.Check, nil, -1)
-	if opts.Workers == 0 {
-		bopts.Workers = s.workers
+	checkWorkers := s.workers
+	if workers > 1 {
+		checkWorkers = 1
 	}
-	if opts.Weights != nil || opts.Enforce.Weight != nil {
-		bopts.Weights = make([]*rational.Model, len(models))
-		for i := range models {
-			w := opts.Enforce.Weight
-			if opts.Weights != nil && opts.Weights[i] != nil {
-				w = opts.Weights[i]
-			}
-			if w != nil {
-				bopts.Weights[i] = w.model
-			}
+	out := &BatchEnforceReport{
+		Reports: make([]*EnforceReport, len(models)),
+		Errors:  make([]error, len(models)),
+		Models:  len(models),
+	}
+	// Caches are leased per model on the owning worker, not pinned for the
+	// whole batch: at any moment only ~workers caches are checked out, so
+	// the session byte budget keeps bounding resident memory even across
+	// huge libraries. Duplicates of a pole set running concurrently (and
+	// caches busy elsewhere) fall back to private transient caches.
+	unclaimed := parallel.ForWorkerCtx(ctx, workers, len(models), func(_, i int) {
+		mopts := opts.Enforce
+		if opts.Weights != nil && opts.Weights[i] != nil {
+			mopts.Weight = opts.Weights[i]
+		}
+		e, cache := s.checkout(models[i].model)
+		out.Reports[i], out.Errors[i] = s.enforceWith(ctx, models[i], mopts, cache, checkWorkers, i)
+		s.checkin(e)
+	})
+	for i, r := range out.Reports {
+		if r == nil && out.Errors[i] == nil {
+			out.Errors[i] = unclaimed // never claimed before the cancellation
+		}
+		if out.Errors[i] != nil {
+			out.Failed++
+		}
+		if r == nil {
+			continue
+		}
+		out.TotalIterations += r.Iterations
+		out.CertifiedRescues += r.CertifiedRescues
+		if r.Passive {
+			out.Passive++
+		}
+		if r.Certificate != nil && r.Certificate.Certified {
+			out.Certified++
+		}
+		if r.Final != nil && r.Final.MaxSigma > out.WorstSigma {
+			out.WorstSigma = r.Final.MaxSigma
 		}
 	}
-	brep := passivity.EnforceBatch(raw, bopts)
-	out := toPublicBatchReport(len(models), brep)
 	// A cancelled context only makes the report partial if it actually cut
 	// the batch short; a cancellation racing in after the last model
 	// drained leaves a complete report, which callers should not retry.

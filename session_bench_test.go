@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	repro "repro"
@@ -69,4 +71,53 @@ func BenchmarkSessionWarmCache(b *testing.B) {
 			enforceLib(b, s)
 		}
 	})
+}
+
+// batchBenchLibrary builds the 32-model library of BenchmarkEnforceBatch:
+// deterministic violating models of mixed sizes.
+func batchBenchLibrary(b *testing.B) []*repro.Macromodel {
+	b.Helper()
+	lib := make([]*repro.Macromodel, 32)
+	for i := range lib {
+		m, err := repro.SyntheticMacromodel(repro.SyntheticModelOptions{
+			Ports: 2, Poles: 20 + 4*(i%4), Seed: int64(60 + i), PeakGain: 1.1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lib[i] = m
+	}
+	return lib
+}
+
+// BenchmarkEnforceBatch measures sharded enforcement of a 32-model library
+// at worker counts 1 and GOMAXPROCS, each iteration on a fresh Session so
+// every model starts cold. The per-model work is identical at every
+// worker count (results are bitwise equal), so the ratio of the two
+// timings is the model-level parallel speedup.
+func BenchmarkEnforceBatch(b *testing.B) {
+	counts := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		counts = append(counts, p)
+	}
+	opts := repro.BatchEnforceOptions{Enforce: repro.EnforceOptions{Check: repro.CheckOptions{Method: repro.CheckAdaptive}}}
+	for _, workers := range counts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			opts.Workers = workers
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				lib := batchBenchLibrary(b)
+				s := repro.NewSession()
+				b.StartTimer()
+				rep, err := s.EnforceBatch(context.Background(), lib, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Failed != 0 || rep.Passive != len(lib) {
+					b.Fatalf("batch enforcement failed: %d failed, %d passive", rep.Failed, rep.Passive)
+				}
+			}
+		})
+	}
 }
